@@ -29,6 +29,10 @@ shapes the system-level sweeps rely on:
   warm hot loop (<50 ms target),
 * ``test_grid_ac_impedance_map_spectral`` / ``..._structured`` — the
   modal AC engines head to head at 16/32/96 meshes,
+* ``test_grid_ac_impedance_map_selinv`` — the general exact engine
+  (block-tridiagonal selected inversion) on a non-uniform density at
+  16/32 meshes, and ``..._selinv_map`` on 48×48 map-form decap over
+  inductive metal, the sweep that took ~2 min on the sparse-LU path,
 * ``test_placement_opt`` — a capped decap placement-optimizer run
   (greedy moves + one adjoint gradient step) at 16/32 meshes, pinning
   the O(one batched solve) per-iteration cost,
@@ -327,6 +331,51 @@ def test_grid_ac_impedance_map_structured(benchmark, n):
     pdn.impedance_map(freqs, method="structured")
 
     impedance = benchmark(pdn.impedance_map, freqs, method="structured")
+    assert impedance.peak_impedance_ohm > 0
+    assert np.all(np.isfinite(impedance.z_ohm))
+
+
+def decap_pattern(n: int) -> np.ndarray:
+    """A fixed non-uniform per-node allocation, 0.3–1.7 unit cells."""
+    return np.random.default_rng(n).uniform(0.3, 1.7, (n, n))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_grid_ac_impedance_map_selinv(benchmark, n):
+    """Non-uniform density — what placement evaluates — through the
+    engine ``auto`` picks for it, 200-point sweep, warm plan."""
+    pdn = make_grid_ac(n)
+    pdn.set_decap_density(decap_pattern(n), 0.2e-6, 2e-3, 1e-12)
+    freqs = np.logspace(4, 9, GRID_AC_POINTS)
+    assert pdn.impedance_engine() == "selinv"
+    pdn.impedance_map(freqs)
+
+    impedance = benchmark(pdn.impedance_map, freqs)
+    assert impedance.peak_impedance_ohm > 0
+    assert np.all(np.isfinite(impedance.z_ohm))
+
+
+@pytest.mark.large_mesh
+@pytest.mark.parametrize("n", [48])
+def test_grid_ac_impedance_map_selinv_map(benchmark, n):
+    """48×48 map-form decap on inductive mesh metal, 200 points through
+    ``auto``: seconds where the sparse-LU full inverse took minutes."""
+    pdn = GridACPDN(
+        0.0224, 0.0224, 0.62e-3, nx=n, ny=n,
+        edge_inductance_x_h=1e-12, edge_inductance_y_h=1e-12,
+    )
+    pdn.set_decap_map(decap_pattern(n) * 0.2e-6, 2e-3, 1e-12)
+    for k in range(8):
+        t = k / 8.0
+        pdn.add_source(
+            f"s{k}", t, 0.0 if k % 2 else 1.0, 1.0, 1e-3, 5e-12
+        )
+    freqs = np.logspace(4, 9, GRID_AC_POINTS)
+    assert pdn.impedance_engine() == "selinv"
+
+    impedance = benchmark.pedantic(
+        pdn.impedance_map, args=(freqs,), rounds=3, iterations=1
+    )
     assert impedance.peak_impedance_ohm > 0
     assert np.all(np.isfinite(impedance.z_ohm))
 

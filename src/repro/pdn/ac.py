@@ -229,10 +229,12 @@ def solve_ac(netlist: ACNetlist, frequency_hz: float) -> ACSolution:
 
 
 def check_frequencies(frequencies_hz: np.ndarray) -> np.ndarray:
-    """Validate and normalize a frequency grid (1-D, positive)."""
+    """Validate and normalize a frequency grid (1-D, finite, positive)."""
     freqs = np.asarray(frequencies_hz, dtype=float)
     if freqs.ndim != 1 or len(freqs) == 0:
         raise ConfigError("frequencies must be a non-empty 1-D array")
+    if not np.all(np.isfinite(freqs)):
+        raise ConfigError("frequencies must be finite")
     if np.any(freqs <= 0):
         raise ConfigError("frequencies must be positive")
     return freqs
@@ -284,24 +286,9 @@ class ACSweepSolution:
 #: one batched dense LAPACK call instead of per-frequency sparse LU.
 DENSE_SWEEP_CUTOFF = 256
 
-#: Reduced *grid* systems at or below this cell count invert densely
-#: in :meth:`repro.pdn.grid.GridACPDN.impedance_map`; above it the
-#: shared-pattern sparse path wins.  Measured crossover on the reduced
-#: mesh operator (full-inverse workload, so it sits far below the
-#: single-RHS :data:`DENSE_SWEEP_CUTOFF`): at 256 cells dense is
-#: already ~3x slower than sparse.
-GRID_DENSE_CELL_CUTOFF = 64
-
 #: Upper bound on the scratch size (complex entries) of one dense
 #: batch; sweeps above it are chunked over frequency.
 _DENSE_BATCH_ENTRIES = 2_000_000
-
-
-def grid_direct_mode(cells: int) -> str:
-    """Which direct inversion the grid impedance map uses at this
-    mesh size: ``"dense"`` (batched LAPACK) or ``"sparse"``
-    (shared-pattern sparse LU)."""
-    return "dense" if cells <= GRID_DENSE_CELL_CUTOFF else "sparse"
 
 
 def shared_csc_pattern(

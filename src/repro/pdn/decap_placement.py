@@ -80,9 +80,9 @@ __all__ = [
 DEFAULT_PLACEMENT_POINTS = 61
 
 #: Per-node density floor as a fraction of the *mean* budget density.
-#: Strictly positive so the spectral impedance engine stays eligible
-#: (every node keeps a sliver of decap) while leaving ~98% of the
-#: budget free to move.
+#: Strictly positive so every node keeps a sliver of decap, while
+#: leaving ~98% of the budget free to move.  A design rule only: the
+#: impedance engines handle bare nodes.
 DEFAULT_FLOOR_FRACTION = 0.02
 
 DEFAULT_MAX_ITERATIONS = 16
@@ -527,8 +527,8 @@ def optimize_decap_placement(
         budget_f: total capacitance to allocate (default: keep the
             attached total).
         floor_fraction: per-node density floor as a fraction of the
-            mean budget density — strictly positive keeps the spectral
-            engine eligible.
+            mean budget density — strictly positive, so every node
+            keeps some decap.
         max_iterations: greedy move budget.
         gradient_steps: projected-gradient refinement budget.
         multi_resolution: ``"auto"`` (coarse warm start on meshes of

@@ -37,7 +37,6 @@ from .ac import (
     ACSweepSolution,
     CompiledACNetlist,
     check_frequencies,
-    grid_direct_mode,
     shared_csc_pattern,
 )
 from .fast_poisson import (
@@ -1055,6 +1054,32 @@ class _StructuredACStructure:
     ring_g: np.ndarray  # ring segment conductances, appended to k
 
 
+@dataclass
+class _SelinvPlan:
+    """Block-tridiagonal layout of the reduced AC system.
+
+    The reduced graph (mesh edges plus ring segments; decap and source
+    branches are diagonal shunts) is split into breadth-first level
+    sets, so every coupling lies inside a level or between neighbouring
+    levels and ``A(ω)`` is block tridiagonal in level order.  Levels are
+    padded to one ``width`` with unit diagonal slots that couple to
+    nothing.  Each ``*_dst``/``*_src`` pair scatters reduced CSC values
+    straight into the stacked dense blocks; the blocks below the
+    diagonal are not stored because ``A`` is complex symmetric.  The
+    coupling blocks carry one extra column for a right-hand side.
+    """
+
+    rev: int
+    levels: int
+    width: int
+    slot: np.ndarray  # per node: level * width + position in its level
+    diag_dst: np.ndarray  # flat index into (levels, width, width)
+    diag_src: np.ndarray  # index into the reduced CSC data
+    upper_dst: np.ndarray  # flat index into (levels, width, width + 1)
+    upper_src: np.ndarray
+    pad_dst: np.ndarray  # flat diagonal index of every padding slot
+
+
 class GridACPDN:
     """Grid-level AC impedance analysis of the die/interposer mesh.
 
@@ -1076,13 +1101,16 @@ class GridACPDN:
     :class:`~repro.pdn.ac.CompiledACNetlist` (array assembly, shared
     CSC pattern, batched solves), and the impedance map runs on a
     *reduced* node-only system — decap chains and source branches fold
-    into per-node shunt admittances — solved either spectrally (one
-    generalized eigendecomposition; per-frequency work is a few small
-    GEMMs) or directly (batched dense / shared-pattern sparse solves).
+    into per-node shunt admittances — solved by the DCT-diagonalized
+    ``structured`` engine when the decap density is uniform and by
+    exact block-tridiagonal selected inversion (``selinv``) otherwise.
 
     Unlike the DC grid, degenerate 1-D chains (``nx == 1`` or
     ``ny == 1``) are allowed: they are the lattice the analytic ladder
     model collapses onto, which the cross-validation tests exploit.
+    NaN or inf in any physical value (extents, sheet and edge values,
+    source, ring, sink and decap parameters) raises
+    :class:`~repro.errors.ConfigError` naming the parameter.
     """
 
     def __init__(
@@ -1095,6 +1123,11 @@ class GridACPDN:
         edge_inductance_x_h: float = 0.0,
         edge_inductance_y_h: float = 0.0,
     ) -> None:
+        _require_finite(width_m, "width_m")
+        _require_finite(height_m, "height_m")
+        _require_finite(sheet_ohm_sq, "sheet_ohm_sq")
+        _require_finite(edge_inductance_x_h, "edge_inductance_x_h")
+        _require_finite(edge_inductance_y_h, "edge_inductance_y_h")
         if width_m <= 0 or height_m <= 0:
             raise ConfigError("grid extents must be positive")
         if sheet_ohm_sq <= 0:
@@ -1118,6 +1151,7 @@ class GridACPDN:
         self._rev = 0  # matrix-shaping topology revision
         self._sink_rev = 0
         self._reduced: _ReducedACStructure | None = None
+        self._selinv: _SelinvPlan | None = None
         self._spectral: _SpectralACStructure | None = None
         self._structured: _StructuredACStructure | None = None
         self._compiled: tuple[int, int, CompiledACNetlist] | None = None
@@ -1166,6 +1200,7 @@ class GridACPDN:
             raise ConfigError(
                 f"sink array must be shaped ({self.ny}, {self.nx})"
             )
+        _require_finite(arr, "cell_currents")
         if np.any(arr < 0):
             raise ConfigError("sink currents must be non-negative")
         self._sink_map = arr
@@ -1180,6 +1215,9 @@ class GridACPDN:
         output_resistance_ohm: float,
         inductance_h: float,
     ) -> None:
+        _require_finite(voltage_v, "voltage_v")
+        _require_finite(output_resistance_ohm, "output_resistance_ohm")
+        _require_finite(inductance_h, "inductance_h")
         if output_resistance_ohm <= 0:
             raise ConfigError("source output resistance must be positive")
         if inductance_h < 0:
@@ -1225,6 +1263,7 @@ class GridACPDN:
     ) -> None:
         """Join consecutive sources with a dedicated ring bus
         (:meth:`GridPDN.connect_sources_with_ring_bus` semantics)."""
+        _require_finite(segment_resistance_ohm, "segment_resistance_ohm")
         if segment_resistance_ohm <= 0:
             raise ConfigError("ring segment resistance must be positive")
         if len(self._sources) < 3:
@@ -1251,9 +1290,13 @@ class GridACPDN:
         ``density`` (scalar or (ny, nx) array, >= 0) counts identical
         unit cells — C with series ESR and ESL — in parallel at each
         node, the way MIM/deep-trench decap budgets are allocated per
-        tile.  A strictly positive density map (plus purely resistive
-        mesh metal) unlocks the spectral impedance-map engine.
+        tile.  A uniform density (plus purely resistive mesh metal)
+        unlocks the structured impedance-map engine; any other map runs
+        the general ``selinv`` engine.
         """
+        _require_finite(cap_per_unit_f, "cap_per_unit_f")
+        _require_finite(esr_per_unit_ohm, "esr_per_unit_ohm")
+        _require_finite(esl_per_unit_h, "esl_per_unit_h")
         if cap_per_unit_f <= 0:
             raise ConfigError("unit decap capacitance must be positive")
         if esr_per_unit_ohm < 0 or esl_per_unit_h < 0:
@@ -1265,6 +1308,7 @@ class GridACPDN:
             raise ConfigError(
                 f"density map must be shaped ({self.ny}, {self.nx})"
             )
+        _require_finite(alpha, "density")
         if np.any(alpha < 0):
             raise ConfigError("decap density must be non-negative")
         if not np.any(alpha > 0):
@@ -1285,16 +1329,19 @@ class GridACPDN:
         arrays; a node with zero capacitance carries no decap branch.
         All-scalar arguments are equivalent to a uniform unit density
         of one cell per node (and are stored that way, keeping the
-        spectral engine available); array arguments go through the
-        general direct engine.
+        structured engine available); array arguments go through the
+        general ``selinv`` engine.
         """
         if np.ndim(cap_f) == 0 and np.ndim(esr_ohm) == 0 and np.ndim(esl_h) == 0:
+            _require_finite(cap_f, "cap_f")
+            _require_finite(esr_ohm, "esr_ohm")
+            _require_finite(esl_h, "esl_h")
             self.set_decap_density(
                 1.0, float(cap_f), float(esr_ohm), float(esl_h)
             )
             return
 
-        def as_map(value, label: str) -> np.ndarray:
+        def as_map(value, name: str, label: str) -> np.ndarray:
             arr = np.asarray(value, dtype=float)
             if arr.ndim == 0:
                 arr = np.full((self.ny, self.nx), float(arr))
@@ -1302,14 +1349,20 @@ class GridACPDN:
                 raise ConfigError(
                     f"{label} map must be shaped ({self.ny}, {self.nx})"
                 )
+            _require_finite(arr, name)
             if np.any(arr < 0):
                 raise ConfigError(f"{label} map must be non-negative")
             return arr.copy()
 
-        c = as_map(cap_f, "capacitance")
+        c = as_map(cap_f, "cap_f", "capacitance")
         if not np.any(c > 0):
             raise ConfigError("capacitance map is all zero")
-        self._decap = ("map", c, as_map(esr_ohm, "ESR"), as_map(esl_h, "ESL"))
+        self._decap = (
+            "map",
+            c,
+            as_map(esr_ohm, "esr_ohm", "ESR"),
+            as_map(esl_h, "esl_h", "ESL"),
+        )
         self._rev += 1
 
     def scale_decap(self, factor: float) -> None:
@@ -1319,6 +1372,7 @@ class GridACPDN:
         scales up while ESR and ESL scale down, for either decap
         representation.  The decap sizing search is built on this.
         """
+        _require_finite(factor, "factor")
         if factor <= 0:
             raise ConfigError("decap scale factor must be positive")
         if self._decap is None:
@@ -1368,6 +1422,8 @@ class GridACPDN:
         self._rev = rev
         if self._reduced is not None and self._reduced.rev != rev:
             self._reduced = None
+        if self._selinv is not None and self._selinv.rev != rev:
+            self._selinv = None
         if self._spectral is not None and self._spectral.rev != rev:
             self._spectral = None
         if self._structured is not None and self._structured.rev != rev:
@@ -1504,15 +1560,20 @@ class GridACPDN:
         Sources are zeroed (their output branch stays in the metal)
         and each node is probed with 1 A, exactly the per-node version
         of :func:`repro.pdn.ac.impedance_at`.  ``method`` selects the
-        engine: ``"structured"`` (uniform decap density, resistive
-        mesh; DCT-diagonalized mesh Laplacian, O(n² log n) setup and a
-        few GEMMs per frequency chunk), ``"spectral"`` (arbitrary
-        positive density maps, resistive mesh; one dense
-        eigendecomposition, then O(n·s) work per frequency),
-        ``"direct"`` (fully general: batched dense solves up to the
-        dense cell cutoff, shared-pattern sparse LU above), or
-        ``"auto"`` to use the fastest engine the topology allows, in
-        that order.
+        engine:
+
+        * ``"structured"`` — uniform decap density, resistive mesh;
+          DCT-diagonalized mesh Laplacian, O(n² log n) setup and a few
+          GEMMs per frequency chunk.
+        * ``"selinv"`` — fully general (any decap map, inductive mesh
+          metal, ring buses); exact block-tridiagonal selected
+          inversion batched over frequency, O(levels·width³) per
+          frequency.
+        * ``"spectral"`` — positive density maps, resistive mesh; one
+          dense eigendecomposition per decap change.  Explicit only.
+        * ``"direct"`` — per-frequency sparse-LU full inverse, the
+          oracle the other engines are tested against.  Explicit only.
+        * ``"auto"`` — ``structured`` when eligible, else ``selinv``.
 
         Raises:
             ConfigError: no sources attached, bad frequencies, or an
@@ -1526,6 +1587,8 @@ class GridACPDN:
         omega = 2.0 * math.pi * freqs
         if engine == "structured":
             z = self._impedance_structured(omega)
+        elif engine == "selinv":
+            z = self._impedance_selinv(omega, freqs)
         elif engine == "spectral":
             z = self._impedance_spectral(omega)
         else:
@@ -1600,13 +1663,15 @@ class GridACPDN:
     def impedance_engine(self, method: str = "auto") -> str:
         """The impedance-map engine ``method`` resolves to.
 
-        Returns ``"structured"``, ``"spectral"``, ``"direct-dense"``,
-        or ``"direct-sparse"`` — the regression surface the engine-
-        selection tests assert against.  Raises
-        :class:`~repro.errors.ConfigError` for an explicit method the
-        current topology cannot run.
+        Returns ``"structured"``, ``"selinv"``, ``"spectral"`` or
+        ``"direct"`` — the regression surface the engine-selection
+        tests assert against.  ``"auto"`` resolves to ``"structured"``
+        when the topology allows it and to ``"selinv"`` otherwise;
+        ``"spectral"`` and the ``"direct"`` oracle run only when asked
+        for.  Raises :class:`~repro.errors.ConfigError` for an unknown
+        method or an explicit method the current topology cannot run.
         """
-        if method not in ("auto", "structured", "spectral", "direct"):
+        if method not in ("auto", "structured", "selinv", "spectral", "direct"):
             raise ConfigError(f"unknown impedance-map method: {method!r}")
         if method == "structured" and not self._structured_eligible():
             raise ConfigError(
@@ -1618,15 +1683,9 @@ class GridACPDN:
                 "spectral impedance map needs a strictly positive decap "
                 "density map and a purely resistive mesh"
             )
-        if method == "structured" or (
-            method == "auto" and self._structured_eligible()
-        ):
-            return "structured"
-        if method == "spectral" or (
-            method == "auto" and self._spectral_eligible()
-        ):
-            return "spectral"
-        return f"direct-{grid_direct_mode(self.nx * self.ny)}"
+        if method == "auto":
+            return "structured" if self._structured_eligible() else "selinv"
+        return method
 
     def _spectral_eligible(self) -> bool:
         return (
@@ -1920,13 +1979,156 @@ class GridACPDN:
             vals[:, structure.order], structure.starts, axis=1
         )
 
+    def _ensure_selinv(self) -> _SelinvPlan:
+        if self._selinv is not None and self._selinv.rev == self._rev:
+            return self._selinv
+        structure = self._ensure_reduced()
+        nx, ny = self.nx, self.ny
+        cells = nx * ny
+        rows, cols = structure.csc_rows, structure.csc_cols
+        off = rows != cols
+        adjacency = sp.csr_matrix(
+            (np.ones(int(off.sum())), (rows[off], cols[off])),
+            shape=(cells, cells),
+        )
+        # Breadth-first level sets seeded with the shorter mesh side,
+        # so a plain mesh gets min(nx, ny)-wide blocks.  Ring segments
+        # are graph edges like any other: a segment that skips a row
+        # just pulls its far end into the next level.
+        level = np.full(cells, -1, dtype=np.int64)
+        frontier = np.zeros(cells, dtype=bool)
+        frontier[np.arange(ny) * nx if nx > ny else np.arange(nx)] = True
+        depth = 0
+        while frontier.any():
+            level[frontier] = depth
+            frontier = (adjacency @ frontier.astype(float) > 0) & (level < 0)
+            depth += 1
+        counts = np.bincount(level)
+        width = int(counts.max())
+        order = np.argsort(level, kind="stable")
+        position = np.empty(cells, dtype=np.int64)
+        position[order] = np.arange(cells) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        slot = level * width + position
+        same = level[rows] == level[cols]
+        upper = level[cols] == level[rows] + 1
+        free = np.setdiff1d(np.arange(counts.size * width), slot)
+        self._selinv = _SelinvPlan(
+            rev=self._rev,
+            levels=counts.size,
+            width=width,
+            slot=slot,
+            diag_dst=(slot[rows] * width + position[cols])[same],
+            diag_src=np.nonzero(same)[0],
+            upper_dst=(slot[rows] * (width + 1) + position[cols])[upper],
+            upper_src=np.nonzero(upper)[0],
+            pad_dst=free * width + free % width,
+        )
+        return self._selinv
+
+    def _impedance_selinv(
+        self, omega: np.ndarray, freqs: np.ndarray
+    ) -> np.ndarray:
+        """diag(A⁻¹) by block-tridiagonal selected inversion, (cells, F).
+
+        Takahashi et al. (1973) on the level blocks of
+        :meth:`_ensure_selinv`, batched over frequency.  The forward
+        Schur sweep ``g_l = (D_l − U_{l−1}ᵀ g_{l−1} U_{l−1})⁻¹`` and the
+        backward recurrence ``G_l = g_l + X_l G_{l+1} X_lᵀ`` with
+        ``X_l = g_l U_l`` give the exact diagonal blocks of the inverse
+        in O(levels·width³) per frequency; the full inverse is never
+        formed.  The lower blocks are ``U_lᵀ`` and ``g_l U_l`` stands in
+        for ``(U_lᵀ g_l)ᵀ`` because ``A`` is complex symmetric.
+        """
+        structure = self._ensure_reduced()
+        plan = self._ensure_selinv()
+        levels, width = plan.levels, plan.width
+        cells = self.nx * self.ny
+        count = omega.size
+        z = np.empty((cells, count), dtype=complex)
+        probe = singularity_probe(cells)
+        probe_error = np.empty(count)
+        # Two stacked block arrays per frequency: D_l is overwritten by
+        # g_l, and [U_l | z_l] by [X_l | g_l z_l], as the sweep passes.
+        chunk = max(
+            1, _DENSE_BATCH_ENTRIES // (2 * levels * width * (width + 1))
+        )
+        for lo in range(0, count, chunk):
+            hi = min(lo + chunk, count)
+            n = hi - lo
+            data = self._reduced_csc_data(structure, omega[lo:hi])
+            g = np.zeros((n, levels * width * width), dtype=complex)
+            g[:, plan.diag_dst] = data[:, plan.diag_src]
+            g[:, plan.pad_dst] = 1.0
+            g = g.reshape(n, levels, width, width)
+            # [U_l | z_l] per level: the coupling to the next level (zero
+            # for the last) plus the known-solution probe's right-hand
+            # side A @ w (see repro.pdn.mna.singularity_probe; column
+            # sums, as A is symmetric), so every GEMM below also carries
+            # the block substitution that must recover w.
+            x = np.zeros((n, levels * width * (width + 1)), dtype=complex)
+            x[:, plan.upper_dst] = data[:, plan.upper_src]
+            x[:, plan.slot * (width + 1) + width] = np.add.reduceat(
+                data * probe[structure.csc_rows],
+                structure.indptr[:-1],
+                axis=1,
+            )
+            x = x.reshape(n, levels, width, width + 1)
+            diag = np.empty((n, levels, width), dtype=complex)
+            solution = np.empty((n, levels, width), dtype=complex)
+            try:
+                with np.errstate(all="ignore"):
+                    for l in range(levels):
+                        g[:, l] = np.linalg.inv(g[:, l])
+                        t = g[:, l] @ x[:, l]
+                        if l + 1 < levels:
+                            update = np.swapaxes(x[:, l, :, :width], 1, 2) @ t
+                            g[:, l + 1] -= update[..., :width]
+                            x[:, l + 1, :, width] -= update[..., width]
+                        x[:, l] = t
+                    # Backward, [G_l | v_l] from [G_{l+1} | v_{l+1}]: the
+                    # diagonal block of the inverse and the probe solution.
+                    aug = np.empty((n, width, width + 1), dtype=complex)
+                    aug[..., :width] = g[:, -1]
+                    aug[..., width] = x[:, -1, :, width]
+                    diag[:, -1] = np.diagonal(g[:, -1], axis1=1, axis2=2)
+                    solution[:, -1] = aug[..., width]
+                    for l in range(levels - 2, -1, -1):
+                        x_l = x[:, l, :, :width]
+                        t = x_l @ aug
+                        aug[..., width] = x[:, l, :, width] - t[..., width]
+                        aug[..., :width] = g[:, l] + t[..., :width] @ (
+                            np.swapaxes(x_l, 1, 2)
+                        )
+                        diag[:, l] = np.diagonal(
+                            aug[..., :width], axis1=1, axis2=2
+                        )
+                        solution[:, l] = aug[..., width]
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(
+                    "grid impedance is singular between "
+                    f"{freqs[lo]:.6g} and {freqs[hi - 1]:.6g} Hz "
+                    f"(resonant singularity or floating mesh): {exc}"
+                ) from exc
+            z[:, lo:hi] = diag.reshape(n, -1)[:, plan.slot].T
+            with np.errstate(all="ignore"):
+                probe_error[lo:hi] = np.abs(
+                    solution.reshape(n, -1)[:, plan.slot] - probe
+                ).max(axis=1)
+        _check_probe(probe_error, freqs)
+        return z
+
     def _impedance_direct(
         self, omega: np.ndarray, freqs: np.ndarray
     ) -> np.ndarray:
-        """diag(A⁻¹) by explicit per-frequency inversion of the
-        reduced system: batched dense LAPACK up to the dense cutoff,
-        shared-pattern sparse LU above it.  General (arbitrary decap
-        maps, inductive mesh metal) but O(n³) per frequency."""
+        """diag(A⁻¹) by explicit per-frequency inversion of the reduced
+        system, ``splu(A).solve(I)`` on the shared CSC pattern.
+
+        General (arbitrary decap maps, inductive mesh metal) but it forms
+        the full inverse, O(cells²) memory per frequency: the oracle the
+        other engines are tested against, never picked by ``auto``.
+        """
         structure = self._ensure_reduced()
         cells = self.nx * self.ny
         count = omega.size
@@ -1938,66 +2140,30 @@ class GridACPDN:
         # rounded pivot fails loudly.
         probe = singularity_probe(cells)
         probe_error = np.empty(count)
-        # Full-inverse workload: the dense/sparse crossover sits far
-        # below the single-RHS DENSE_SWEEP_CUTOFF (see ac.py).
-        use_dense = grid_direct_mode(cells) == "dense"
         chunk = max(1, _DENSE_BATCH_ENTRIES // (cells * cells))
         for lo in range(0, count, chunk):
             hi = min(lo + chunk, count)
             data = self._reduced_csc_data(structure, omega[lo:hi])
-            if use_dense:
-                flat = structure.csc_rows * cells + structure.csc_cols
-                dense = np.zeros(
-                    (hi - lo, cells * cells), dtype=complex
+            for k in range(lo, hi):
+                matrix = sp.csc_matrix(
+                    (data[k - lo], structure.csc_rows, structure.indptr),
+                    shape=(cells, cells),
                 )
-                dense[:, flat] = data
-                dense = dense.reshape(hi - lo, cells, cells)
-                try:
-                    with np.errstate(all="ignore"):
-                        inverse = np.linalg.solve(dense, identity)
-                except np.linalg.LinAlgError as exc:
-                    raise SolverError(
-                        f"grid impedance solve failed: {exc}"
-                    ) from exc
-                z[:, lo:hi] = np.diagonal(
-                    inverse, axis1=1, axis2=2
-                ).T
+                with np.errstate(all="ignore"), warnings.catch_warnings():
+                    warnings.simplefilter("ignore", spla.MatrixRankWarning)
+                    try:
+                        solved = spla.splu(matrix).solve(identity)
+                    except RuntimeError as exc:
+                        raise SolverError(
+                            "grid impedance solve failed at "
+                            f"{freqs[k]:.6g} Hz: {exc}"
+                        ) from exc
+                z[:, k] = np.diagonal(solved)
                 with np.errstate(all="ignore"):
-                    recovered = inverse @ (dense @ probe)[:, :, None]
-                    probe_error[lo:hi] = np.abs(
-                        recovered[:, :, 0] - probe
-                    ).max(axis=1, initial=0.0)
-            else:
-                for k in range(lo, hi):
-                    matrix = sp.csc_matrix(
-                        (data[k - lo], structure.csc_rows, structure.indptr),
-                        shape=(cells, cells),
+                    probe_error[k] = float(
+                        np.abs(solved @ (matrix @ probe) - probe).max()
                     )
-                    with np.errstate(all="ignore"), warnings.catch_warnings():
-                        warnings.simplefilter(
-                            "ignore", spla.MatrixRankWarning
-                        )
-                        try:
-                            solved = spla.splu(matrix).solve(identity)
-                        except RuntimeError as exc:
-                            raise SolverError(
-                                "grid impedance solve failed at "
-                                f"{freqs[k]:.6g} Hz: {exc}"
-                            ) from exc
-                    z[:, k] = np.diagonal(solved)
-                    with np.errstate(all="ignore"):
-                        probe_error[k] = float(
-                            np.abs(
-                                solved @ (matrix @ probe) - probe
-                            ).max(initial=0.0)
-                        )
-        bad = ~(np.isfinite(probe_error) & (probe_error <= SINGULARITY_PROBE_TOL))
-        if bad.any():
-            raise SolverError(
-                "grid impedance is singular at "
-                f"{freqs[np.nonzero(bad)[0][0]]:.6g} Hz "
-                "(resonant singularity or floating mesh)"
-            )
+        _check_probe(probe_error, freqs)
         return z
 
     # -- driven sweep -----------------------------------------------------------
@@ -2168,6 +2334,27 @@ class GridACPDN:
         freqs = check_frequencies(frequencies_hz)
         return GridACSweepSolution(
             sweep=self.compile_ac().solve(freqs), nx=self.nx, ny=self.ny
+        )
+
+
+def _require_finite(value, name: str) -> None:
+    """Reject NaN/inf anywhere in a scalar or array input, by name.
+
+    The range guards (``<= 0``, ``< 0``) are all false for NaN, so this
+    check runs first at every :class:`GridACPDN` boundary.
+    """
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{name} must be finite")
+
+
+def _check_probe(probe_error: np.ndarray, freqs: np.ndarray) -> None:
+    """Raise at the first sweep point whose known-solution probe failed."""
+    bad = ~(np.isfinite(probe_error) & (probe_error <= SINGULARITY_PROBE_TOL))
+    if bad.any():
+        raise SolverError(
+            "grid impedance is singular at "
+            f"{freqs[np.nonzero(bad)[0][0]]:.6g} Hz "
+            "(resonant singularity or floating mesh)"
         )
 
 

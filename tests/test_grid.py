@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.pdn.grid import GridPDN
+from repro.pdn.grid import GridACPDN, GridPDN
 from repro.pdn.powermap import PowerMap
 
 
@@ -378,7 +378,13 @@ class TestGridACDCLimit:
 
     def test_impedance_map_rejects_nonpositive_frequencies(self):
         _, ac = self.pair()
-        for bad in (np.array([0.0]), np.array([-1.0, 1e6]), np.array([])):
+        for bad in (
+            np.array([0.0]),
+            np.array([-1.0, 1e6]),
+            np.array([]),
+            np.array([1e6, np.nan]),
+            np.array([np.inf]),
+        ):
             with pytest.raises(ConfigError):
                 ac.impedance_map(bad)
 
@@ -406,10 +412,82 @@ class TestGridACDCLimit:
         pdn.add_source("s", 0.5, 0.5, 1.0, 1e-3)
         with pytest.raises(ConfigError):
             pdn.impedance_map(np.array([1e6]), method="spectral")
-        # "auto" silently falls back to the direct engine.
+        # "auto" runs the general selinv engine instead.
+        assert pdn.impedance_engine() == "selinv"
         assert np.all(
             np.isfinite(pdn.impedance_map(np.array([1e6])).z_ohm)
         )
+
+
+def _ac_grid(**overrides):
+    args = dict(width_m=0.02, height_m=0.02, sheet_ohm_sq=1e-3, nx=4, ny=4)
+    args.update(overrides)
+    return GridACPDN(**args)
+
+
+def _with_source(voltage=1.0, rout=1e-3, inductance=0.0):
+    _ac_grid().add_source("s", 0.0, 0.0, voltage, rout, inductance)
+
+
+def _with_ring(segment_resistance_ohm):
+    pdn = _ac_grid()
+    for k in range(3):
+        pdn.add_source(f"s{k}", k / 2, 0.0, 1.0, 1e-3)
+    pdn.connect_sources_with_ring_bus(segment_resistance_ohm)
+
+
+def _decapped():
+    pdn = _ac_grid()
+    pdn.set_decap_density(1.0, 1e-6)
+    return pdn
+
+
+def _partly(value):
+    arr = np.ones((4, 4))
+    arr[1, 2] = value
+    return arr
+
+
+# (parameter name, call that passes the non-finite value to it)
+NON_FINITE_SETTERS = [
+    ("width_m", lambda v: _ac_grid(width_m=v)),
+    ("height_m", lambda v: _ac_grid(height_m=v)),
+    ("sheet_ohm_sq", lambda v: _ac_grid(sheet_ohm_sq=v)),
+    ("edge_inductance_x_h", lambda v: _ac_grid(edge_inductance_x_h=v)),
+    ("edge_inductance_y_h", lambda v: _ac_grid(edge_inductance_y_h=v)),
+    ("voltage_v", lambda v: _with_source(voltage=v)),
+    ("output_resistance_ohm", lambda v: _with_source(rout=v)),
+    ("inductance_h", lambda v: _with_source(inductance=v)),
+    ("segment_resistance_ohm", _with_ring),
+    ("cell_currents", lambda v: _ac_grid().set_sink_array(_partly(v))),
+    ("density", lambda v: _ac_grid().set_decap_density(v, 1e-6)),
+    ("density", lambda v: _ac_grid().set_decap_density(_partly(v), 1e-6)),
+    ("cap_per_unit_f", lambda v: _ac_grid().set_decap_density(1.0, v)),
+    ("esr_per_unit_ohm", lambda v: _ac_grid().set_decap_density(1.0, 1e-6, v)),
+    (
+        "esl_per_unit_h",
+        lambda v: _ac_grid().set_decap_density(1.0, 1e-6, 0.0, v),
+    ),
+    ("cap_f", lambda v: _ac_grid().set_decap_map(v)),
+    ("cap_f", lambda v: _ac_grid().set_decap_map(_partly(v) * 1e-6)),
+    ("esr_ohm", lambda v: _ac_grid().set_decap_map(np.ones((4, 4)), _partly(v))),
+    ("esl_h", lambda v: _ac_grid().set_decap_map(np.ones((4, 4)), 0.0, v)),
+    ("factor", lambda v: _decapped().scale_decap(v)),
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name, call",
+    NON_FINITE_SETTERS,
+    ids=[f"{name}-{k}" for k, (name, _) in enumerate(NON_FINITE_SETTERS)],
+)
+def test_grid_ac_rejects_non_finite_inputs_by_name(name, call, value):
+    """NaN and ±inf fail at the GridACPDN boundary with a ConfigError
+    naming the parameter — including the all-NaN density that used to
+    read as "map is all zero" and partly-NaN maps that used to pass."""
+    with pytest.raises(ConfigError, match=name):
+        call(value)
 
 
 class TestSolveDisabledMany:

@@ -2,8 +2,10 @@
 
 :class:`repro.pdn.grid.GridACPDN` folds decap chains (C + ESR + ESL)
 and source output branches into per-node shunt admittances and solves
-the reduced mesh directly or spectrally.  On small random meshes both
-engines must match building the equivalent lumped
+the reduced mesh with one of four engines: ``structured`` (DCT modal),
+``selinv`` (block-tridiagonal selected inversion), ``spectral``
+(generalized eigenbasis) and the ``direct`` splu oracle.  On small
+random meshes every engine must match building the equivalent lumped
 :class:`~repro.pdn.ac.ACNetlist` *by hand* and solving it with the
 retained scalar oracle :func:`~repro.pdn.ac.solve_ac` — per node, per
 frequency, to 1e-9 relative — across random decap/ESL maps, source
@@ -15,18 +17,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
-from repro.pdn.ac import (
-    GRID_DENSE_CELL_CUTOFF,
-    ACNetlist,
-    grid_direct_mode,
-    probe_netlist,
-    solve_ac,
-)
+from repro import DSCH, SystemSpec, single_stage_a1, single_stage_a2
+from repro.core import current_sharing
+from repro.errors import ConfigError, SolverError
+from repro.pdn.ac import ACNetlist, probe_netlist, solve_ac
 from repro.pdn.grid import GridACPDN
+from repro.pdn.stackup import default_stack
+from repro.placement.geometry import periphery_positions
+from repro.placement.planner import PlacementStyle, plan_placement
 
 RTOL = 1e-9
 # The structured engine's acceptance bound: eigen-transform round trips
@@ -189,30 +190,54 @@ def attach_sources(
     return attached
 
 
+def mesh_resistances(pdn: GridACPDN) -> tuple[float, float]:
+    """Edge resistances for the oracle; a 1-D chain has no cross edges."""
+    rx = pdn.edge_resistance_x_ohm if pdn.nx > 1 else 0.0
+    ry = pdn.edge_resistance_y_ohm if pdn.ny > 1 else 0.0
+    return rx, ry
+
+
 def assert_impedance_parity(
     pdn: GridACPDN,
     net: ACNetlist,
     freqs: np.ndarray,
     method: str,
     rtol: float = RTOL,
+    nodes=None,
 ) -> None:
-    """Grid impedance map vs a per-node scalar probe loop."""
+    """Grid impedance map vs a per-node scalar probe loop, over every
+    node or over the given row indices (``iy·nx + ix``)."""
     impedance = pdn.impedance_map(freqs, method=method)
+    rows = np.arange(pdn.nx * pdn.ny) if nodes is None else np.asarray(nodes)
     for k, frequency in enumerate(freqs):
-        oracle = np.empty(pdn.nx * pdn.ny, dtype=complex)
-        for iy in range(pdn.ny):
-            for ix in range(pdn.nx):
-                name = node_name(ix, iy)
-                probe = probe_netlist(net, name)
-                oracle[iy * pdn.nx + ix] = solve_ac(
-                    probe, float(frequency)
-                ).voltage(name)
+        oracle = np.empty(rows.size, dtype=complex)
+        for j, row in enumerate(rows):
+            name = node_name(int(row) % pdn.nx, int(row) // pdn.nx)
+            probe = probe_netlist(net, name)
+            oracle[j] = solve_ac(probe, float(frequency)).voltage(name)
         scale = max(float(np.abs(oracle).max()), 1e-12)
-        delta = np.abs(impedance.z_ohm[:, k] - oracle)
+        delta = np.abs(impedance.z_ohm[rows, k] - oracle)
         assert delta.max() <= rtol * scale, (
             f"{method} impedance map off by {delta.max():.3e} "
             f"(scale {scale:.3e}) at {frequency:.4g} Hz"
         )
+
+
+def assert_engines_agree(
+    pdn: GridACPDN,
+    freqs: np.ndarray,
+    method: str,
+    reference: str = "direct",
+    rtol: float = RTOL,
+) -> None:
+    """Two engines on the identical topology, relative to each
+    frequency's largest |Z| as the oracle parity measures it."""
+    z = pdn.impedance_map(freqs, method=method).z_ohm
+    ref = pdn.impedance_map(freqs, method=reference).z_ohm
+    error = np.abs(z - ref).max(axis=0) / np.abs(ref).max(axis=0)
+    assert error.max() <= rtol, (
+        f"{method} vs {reference} off by {error.max():.3e} (rel)"
+    )
 
 
 @given(
@@ -269,6 +294,264 @@ def test_direct_impedance_map_matches_scalar_oracle(nx, ny, sheet, data):
 
 
 @given(
+    nx=st.integers(min_value=1, max_value=4),
+    ny=st.integers(min_value=1, max_value=4),
+    sheet=sheets,
+    edge_l=st.one_of(st.just(0.0), esls),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_selinv_impedance_map_matches_scalar_oracle(nx, ny, sheet, edge_l, data):
+    """Map-form decaps with bare (zero-C) nodes on resistive or
+    inductive metal, 1-D chains included: selinv vs solve_ac, and vs
+    the direct splu oracle on the identical topology."""
+    assume(nx * ny >= 2)
+    cells = nx * ny
+    c_map = np.array(
+        data.draw(
+            st.lists(
+                st.one_of(st.just(0.0), caps), min_size=cells, max_size=cells
+            )
+        )
+    ).reshape(ny, nx)
+    if not np.any(c_map > 0):
+        c_map[0, 0] = 1e-7
+    esr_map = np.array(
+        data.draw(st.lists(esrs, min_size=cells, max_size=cells))
+    ).reshape(ny, nx)
+    esl_map = np.array(
+        data.draw(st.lists(esls, min_size=cells, max_size=cells))
+    ).reshape(ny, nx)
+    source_draws = data.draw(
+        st.lists(
+            st.tuples(positions, routs, st.one_of(st.just(0.0), esls)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    # The hand-built oracle gives each inductive edge an internal node;
+    # where ωL is ~1e-6 of the edge resistance that node is all but
+    # shorted and solve_ac itself loses ~1e-9 (a 50-digit reference
+    # agrees with selinv to 1e-16 there), so inductive draws start at
+    # 1 MHz.
+    band = st.floats(min_value=1e6, max_value=1e9) if edge_l else frequencies
+    freqs = np.array(
+        sorted(data.draw(st.lists(band, min_size=1, max_size=3, unique=True)))
+    )
+
+    pdn = GridACPDN(
+        1e-2,
+        1e-2,
+        sheet,
+        nx=nx,
+        ny=ny,
+        edge_inductance_x_h=edge_l,
+        edge_inductance_y_h=edge_l,
+    )
+    pdn.set_decap_map(c_map, esr_map, esl_map)
+    sources = attach_sources(pdn, source_draws)
+    assert pdn.impedance_engine() == "selinv"
+    net = lumped_equivalent(
+        nx,
+        ny,
+        *mesh_resistances(pdn),
+        c_map,
+        esr_map,
+        esl_map,
+        sources,
+        edge_lx=edge_l,
+        edge_ly=edge_l,
+    )
+    assert_impedance_parity(pdn, net, freqs, method="selinv")
+    assert_engines_agree(pdn, freqs, "selinv")
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 6), (6, 1), (5, 3), (3, 5)])
+def test_selinv_levels_follow_the_shorter_side(nx, ny):
+    """Level sets are seeded with the first row, or with the first
+    column when nx > ny, so a plain mesh gets min(nx, ny)-wide blocks;
+    1-D chains run as scalar recurrences.  Parity vs solve_ac on
+    inductive metal with a bare node."""
+    rng = np.random.default_rng(10 * nx + ny)
+    pdn = GridACPDN(
+        1e-2, 1e-2, 2e-2, nx=nx, ny=ny,
+        edge_inductance_x_h=2e-12, edge_inductance_y_h=1e-12,
+    )
+    c_map = rng.uniform(0.5e-7, 2e-7, (ny, nx))
+    c_map.flat[1] = 0.0
+    esr_map = rng.uniform(1e-3, 1e-2, (ny, nx))
+    esl_map = rng.uniform(1e-12, 1e-11, (ny, nx))
+    pdn.set_decap_map(c_map, esr_map, esl_map)
+    sources = attach_sources(
+        pdn, [((0.0, 0.0), 1e-2, 0.0), ((1.0, 1.0), 2e-2, 1e-11)]
+    )
+    plan = pdn._ensure_selinv()
+    assert (plan.levels, plan.width) == (max(nx, ny), min(nx, ny))
+    net = lumped_equivalent(
+        nx,
+        ny,
+        *mesh_resistances(pdn),
+        c_map,
+        esr_map,
+        esl_map,
+        sources,
+        edge_lx=2e-12,
+        edge_ly=1e-12,
+    )
+    assert_impedance_parity(
+        pdn, net, np.array([1e5, 3e7, 1e9]), method="selinv"
+    )
+
+
+def test_selinv_ring_bus_with_row_skipping_segments():
+    """48 periphery VRs on a 16×16 mesh: on the vertical edges
+    consecutive VRs sit two rows apart, so ring segments skip a level
+    of the plain row layering.  Breadth-first levels absorb the skip
+    (no Woodbury column); selinv vs solve_ac on every VR node and the
+    centre column, and vs direct on every node."""
+    n = 16
+    rng = np.random.default_rng(7)
+    pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=n, ny=n)
+    density = rng.uniform(0.3, 1.7, (n, n))
+    pdn.set_decap_density(density, 1e-8, 5e-3, 1e-11)
+    sources = []
+    for k, position in enumerate(periphery_positions(48)):
+        pdn.add_source(f"vr{k}", position.x, position.y, 1.0, 5e-3, 1e-11)
+        sources.append((*snap(pdn, position.x, position.y), 1.0, 5e-3, 1e-11))
+    pdn.connect_sources_with_ring_bus(2e-3)
+    assert any(abs(a // n - b // n) == 2 for a, b in pdn._ring_segments())
+    assert pdn.impedance_engine() == "selinv"
+    freqs = np.array([3e6, 2e8])
+    net = lumped_equivalent(
+        n,
+        n,
+        *mesh_resistances(pdn),
+        density * 1e-8,
+        5e-3 / density,
+        1e-11 / density,
+        sources,
+        ring_ohm=2e-3,
+    )
+    attach = {iy * n + ix for ix, iy, *_ in sources}
+    centre = {iy * n + n // 2 for iy in range(n)}
+    assert_impedance_parity(
+        pdn, net, freqs, method="selinv", nodes=sorted(attach | centre)
+    )
+    assert_engines_agree(pdn, np.logspace(4, 9, 11), "selinv")
+
+
+def design_study_mesh(arch, n: int, edge_l: float = 0.0) -> GridACPDN:
+    """The die mesh of the design-study benchmark: the paper spec's
+    VR bank for ``arch`` (48 periphery VRs on a ring bus for A1, a
+    48-VR under-die array for A2) on an ``n``×``n`` interposer mesh."""
+    spec = SystemSpec()
+    side = spec.die_side_m
+    sheet = default_stack(spec).level("Interposer").lateral.sheet_ohm_sq
+    pdn = GridACPDN(
+        side, side, sheet, nx=n, ny=n,
+        edge_inductance_x_h=edge_l, edge_inductance_y_h=edge_l,
+    )
+    plan = plan_placement(
+        DSCH, arch().pol_stage_style, spec.pol_current_a, spec.die_area_mm2
+    )
+    for k, position in enumerate(plan.positions):
+        pdn.add_source(
+            f"vr{k}", position.x, position.y, spec.pol_voltage_v, 1e-3, 2e-11
+        )
+    if plan.style is PlacementStyle.PERIPHERY:
+        pdn.connect_sources_with_ring_bus(
+            current_sharing.RING_BUS_SHEET_OHM_SQ
+            * (4.0 * side / plan.vr_count)
+            / current_sharing.RING_BUS_WIDTH_M
+        )
+    return pdn
+
+
+@pytest.mark.parametrize("form", ["density", "map", "inductive"])
+@pytest.mark.parametrize("arch", [single_stage_a1, single_stage_a2])
+def test_selinv_matches_direct_on_design_study_meshes(arch, form):
+    """The benchmark's 16² A1 and A2 meshes with non-uniform density,
+    map-form and inductive-metal decap: selinv vs the splu oracle."""
+    rng = np.random.default_rng(16)
+    pattern = rng.uniform(0.3, 1.7, (16, 16))
+    pdn = design_study_mesh(arch, 16, 1e-12 if form == "inductive" else 0.0)
+    if form == "map":
+        pdn.set_decap_map(pattern * 2e-9, 2e-3, 5e-12)
+    else:
+        pdn.set_decap_density(pattern, 2e-9, 2e-3, 5e-12)
+    assert pdn.impedance_engine() == "selinv"
+    assert_engines_agree(pdn, np.logspace(4, 9, 25), "selinv")
+
+
+@pytest.mark.parametrize("node", [0, 7, 19])
+def test_selinv_singular_block_raises(monkeypatch, node):
+    """A node whose row and column are zeroed makes its level's Schur
+    complement exactly singular: selinv raises, as the oracle does,
+    whether the node sits in the first, a middle or the last level."""
+    pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=4, ny=5)
+    pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-2)
+    pdn.add_source("s1", 1.0, 1.0, 1.0, 1e-2)
+    pdn.set_decap_map(np.full((5, 4), 1e-7), 1e-2, 1e-11)
+    original = GridACPDN._reduced_csc_data
+
+    def zeroed(self, structure, omega):
+        data = original(self, structure, omega)
+        hit = (structure.csc_rows == node) | (structure.csc_cols == node)
+        data[:, hit] = 0.0
+        return data
+
+    monkeypatch.setattr(GridACPDN, "_reduced_csc_data", zeroed)
+    freqs = np.array([1e5, 1e7])
+    for method in ("selinv", "direct"):
+        with pytest.raises(SolverError):
+            pdn.impedance_map(freqs, method=method)
+
+
+@pytest.mark.parametrize("nx, ny", [(6, 6), (3, 7)])
+def test_selinv_floating_mesh_fails_the_probe(monkeypatch, nx, ny):
+    """With every shunt removed the mesh floats: A is a bare Laplacian,
+    exactly singular, yet the block LU slides through on a rounded
+    pivot and returns finite numbers.  Only the known-solution probe
+    catches it, at the first sweep frequency."""
+    pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=nx, ny=ny)
+    pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-2)
+    pdn.set_decap_map(np.full((ny, nx), 1e-7), 1e-2, 1e-11)
+    monkeypatch.setattr(
+        pdn, "_decap_admittance",
+        lambda omega: np.zeros((omega.size, nx * ny), dtype=complex),
+    )
+    monkeypatch.setattr(
+        pdn, "_source_admittance",
+        lambda omega: np.zeros((omega.size, 1), dtype=complex),
+    )
+    for method in ("selinv", "direct"):
+        with pytest.raises(SolverError, match="singular at 100000 Hz"):
+            pdn.impedance_map(np.array([1e5, 1e7]), method=method)
+
+
+def test_selinv_restore_decap_is_bit_exact():
+    """snapshot → mutate → evaluate → restore_decap → evaluate returns
+    the pre-snapshot map bit for bit, and the plan cached at the
+    intermediate revision is dropped rather than aliased."""
+    rng = np.random.default_rng(3)
+    pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=6, ny=5)
+    pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-2, 1e-11)
+    pdn.add_source("s1", 1.0, 0.5, 1.0, 2e-2)
+    pdn.set_decap_density(rng.uniform(0.3, 1.7, (5, 6)), 1e-7, 5e-3, 1e-11)
+    freqs = np.logspace(4, 9, 9)
+    before = pdn.impedance_map(freqs).z_ohm
+    assert pdn.impedance_engine() == "selinv"
+    snapshot = pdn.decap_snapshot()
+    pdn.scale_decap(3.0)
+    pdn.set_decap_density(rng.uniform(0.3, 1.7, (5, 6)), 2e-7, 1e-3, 0.0)
+    mutated = pdn.impedance_map(freqs).z_ohm
+    assert not np.allclose(mutated, before)
+    pdn.restore_decap(snapshot)
+    assert pdn._selinv is None
+    np.testing.assert_array_equal(pdn.impedance_map(freqs).z_ohm, before)
+
+
+@given(
     nx=st.integers(min_value=2, max_value=4),
     ny=st.integers(min_value=2, max_value=4),
     sheet=sheets,
@@ -319,11 +602,12 @@ def test_spectral_impedance_map_matches_scalar_oracle(
         sources,
     )
     assert_impedance_parity(pdn, net, freqs, method="spectral")
-    # And the two engines against each other on the identical topology.
+    # And the engines against each other on the identical topology.
     direct = pdn.impedance_map(freqs, method="direct")
-    spectral = pdn.impedance_map(freqs, method="spectral")
     scale = max(float(np.abs(direct.z_ohm).max()), 1e-12)
-    assert np.abs(spectral.z_ohm - direct.z_ohm).max() <= RTOL * scale
+    for other in ("spectral", "selinv"):
+        z = pdn.impedance_map(freqs, method=other).z_ohm
+        assert np.abs(z - direct.z_ohm).max() <= RTOL * scale, other
 
 
 @given(
@@ -377,7 +661,7 @@ def test_structured_impedance_map_matches_scalar_oracle(
         pdn, net, freqs, method="structured", rtol=STRUCTURED_RTOL
     )
     structured = pdn.impedance_map(freqs, method="structured")
-    for other in ("spectral", "direct"):
+    for other in ("selinv", "spectral", "direct"):
         z = pdn.impedance_map(freqs, method=other).z_ohm
         scale = max(float(np.abs(z).max()), 1e-12)
         assert (
@@ -442,18 +726,23 @@ def test_structured_ring_bus_matches_scalar_oracle(
     structured = pdn.impedance_map(freqs, method="structured").z_ohm
     scale = max(float(np.abs(direct).max()), 1e-12)
     assert np.abs(structured - direct).max() <= STRUCTURED_RTOL * scale
+    selinv = pdn.impedance_map(freqs, method="selinv").z_ohm
+    assert np.abs(selinv - direct).max() <= RTOL * scale
 
 
 def test_impedance_engine_selection_by_topology():
-    """Auto picks structured > spectral > direct by what the topology
-    allows; explicit ineligible methods are configuration errors."""
+    """Auto picks structured when the topology allows it and selinv
+    otherwise; spectral and the direct oracle run only when asked for,
+    and explicit ineligible methods are configuration errors."""
     pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=3, ny=3)
     pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-2)
 
     with pytest.raises(ConfigError):
         pdn.impedance_engine("bogus")
-    # No decap attached: only the direct engine applies.
-    assert pdn.impedance_engine() == "direct-dense"
+    # No decap attached: the general engines only.
+    assert pdn.impedance_engine() == "selinv"
+    assert pdn.impedance_engine("selinv") == "selinv"
+    assert pdn.impedance_engine("direct") == "direct"
     with pytest.raises(ConfigError):
         pdn.impedance_engine("structured")
     with pytest.raises(ConfigError):
@@ -462,28 +751,28 @@ def test_impedance_engine_selection_by_topology():
     # Uniform positive density: every engine, auto picks structured.
     pdn.set_decap_density(1.0, 1e-7, 1e-2, 1e-11)
     assert pdn.impedance_engine() == "structured"
-    assert pdn.impedance_engine("structured") == "structured"
-    assert pdn.impedance_engine("spectral") == "spectral"
-    assert pdn.impedance_engine("direct") == "direct-dense"
+    for method in ("structured", "selinv", "spectral", "direct"):
+        assert pdn.impedance_engine(method) == method
 
-    # Non-uniform positive density: spectral, structured is refused.
+    # Non-uniform positive density: selinv; spectral only on request.
     density = np.ones((3, 3))
     density[1, 1] = 2.0
     pdn.set_decap_density(density, 1e-7)
-    assert pdn.impedance_engine() == "spectral"
+    assert pdn.impedance_engine() == "selinv"
+    assert pdn.impedance_engine("spectral") == "spectral"
     with pytest.raises(ConfigError):
         pdn.impedance_engine("structured")
 
-    # A zero in the density map kills both modal engines.
+    # A zero in the density map rules out both modal engines.
     density[0, 0] = 0.0
     pdn.set_decap_density(density, 1e-7)
-    assert pdn.impedance_engine() == "direct-dense"
+    assert pdn.impedance_engine() == "selinv"
     with pytest.raises(ConfigError):
         pdn.impedance_engine("spectral")
 
-    # Arbitrary per-node maps only run direct.
+    # Arbitrary per-node maps run the general engines.
     pdn.set_decap_map(np.full((3, 3), 1e-7), 1e-2, 0.0)
-    assert pdn.impedance_engine() == "direct-dense"
+    assert pdn.impedance_engine() == "selinv"
     with pytest.raises(ConfigError):
         pdn.impedance_engine("spectral")
 
@@ -502,42 +791,35 @@ def test_inductive_mesh_disables_modal_engines():
     )
     pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-2)
     pdn.set_decap_density(1.0, 1e-7)
-    assert pdn.impedance_engine() == "direct-dense"
+    assert pdn.impedance_engine() == "selinv"
     with pytest.raises(ConfigError):
         pdn.impedance_engine("structured")
     with pytest.raises(ConfigError):
         pdn.impedance_engine("spectral")
 
 
-def test_direct_engine_crossover_by_mesh_size():
-    """The direct engine is dense up to GRID_DENSE_CELL_CUTOFF cells
-    and shared-pattern sparse above — asserted both on the helper and
-    through the engine-resolution surface."""
-    assert grid_direct_mode(GRID_DENSE_CELL_CUTOFF) == "dense"
-    assert grid_direct_mode(GRID_DENSE_CELL_CUTOFF + 1) == "sparse"
-
-    side = int(round(GRID_DENSE_CELL_CUTOFF**0.5))
-    assert side * side == GRID_DENSE_CELL_CUTOFF, "cutoff must be square"
-    at_cutoff = GridACPDN(1e-2, 1e-2, 1e-2, nx=side, ny=side)
-    at_cutoff.add_source("s0", 0.0, 0.0, 1.0, 1e-2)
-    assert at_cutoff.impedance_engine("direct") == "direct-dense"
-    assert at_cutoff.impedance_engine() == "direct-dense"
-
-    above = GridACPDN(1e-2, 1e-2, 1e-2, nx=side + 1, ny=side)
-    above.add_source("s0", 0.0, 0.0, 1.0, 1e-2)
-    assert above.impedance_engine("direct") == "direct-sparse"
-    assert above.impedance_engine() == "direct-sparse"
+def test_direct_and_selinv_agree_by_mesh_size():
+    """The splu oracle and selinv agree to 1e-9 on map-form decap just
+    below and just above 64 cells, where the retired dense direct
+    branch used to hand over to sparse LU."""
+    rng = np.random.default_rng(64)
+    for nx, ny in ((7, 8), (9, 8)):
+        pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=nx, ny=ny)
+        pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-2)
+        pdn.add_source("s1", 1.0, 1.0, 1.0, 2e-2, 1e-11)
+        pdn.set_decap_map(rng.uniform(0.5e-7, 2e-7, (ny, nx)), 5e-3, 1e-11)
+        assert pdn.impedance_engine() == "selinv"
+        assert_engines_agree(pdn, np.logspace(4, 9, 13), "selinv")
 
 
 def test_direct_sparse_agrees_with_structured_above_cutoff():
-    """Above the dense cutoff, the shared-pattern sparse direct path
-    must agree with the structured engine on a uniform-density mesh."""
-    side = int(round(GRID_DENSE_CELL_CUTOFF**0.5))
-    pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=side + 1, ny=side)
+    """On a 72-cell mesh the splu oracle must agree with the
+    structured engine on a uniform-density mesh."""
+    pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=9, ny=8)
     pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-2)
     pdn.add_source("s1", 1.0, 1.0, 1.0, 2e-2, 1e-11)
     pdn.set_decap_density(1.5, 1e-7, 5e-3, 1e-11)
-    assert pdn.impedance_engine("direct") == "direct-sparse"
+    assert pdn.impedance_engine("direct") == "direct"
     freqs = np.array([1e5, 1e7, 1e9])
     direct = pdn.impedance_map(freqs, method="direct").z_ohm
     structured = pdn.impedance_map(freqs, method="structured").z_ohm
