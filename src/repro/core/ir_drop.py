@@ -102,12 +102,16 @@ def _die_grid_with_bank(
     grid_nodes: int,
     setpoint_v: float,
     output_resistance_ohm: float,
+    source_inductance_h: float = 0.0,
 ):
     """The die-level grid with the architecture's VR bank attached.
 
-    One builder shared by the DC IR-drop map and the AC impedance map
-    so both analyses see the identical mesh, sheet resistance, VR
-    placement, and ring bus.  Returns ``(grid, plan)``.
+    One builder shared by the DC IR-drop, AC impedance and load-step
+    maps: the AC and transient analyses view the returned grid's
+    design, so every analysis sees the identical mesh, sheet
+    resistance, VR placement, and ring bus.  ``source_inductance_h``
+    is the bump/TSV loop behind each VR output (shorted at DC).
+    Returns ``(grid, plan)``.
     """
     if not arch.is_vertical:
         raise ConfigError("die-grid maps apply to on-package VR stages")
@@ -135,6 +139,7 @@ def _die_grid_with_bank(
             position.y,
             setpoint_v,
             output_resistance_ohm,
+            source_inductance_h,
         )
     if plan.style is PlacementStyle.PERIPHERY and plan.vr_count >= 3:
         spacing = 4.0 * spec.die_side_m / plan.vr_count
@@ -283,8 +288,9 @@ def analyze_impedance_map(
         grid_nodes,
         spec.pol_voltage_v,
         output_resistance_ohm,
+        source_inductance_h,
     )
-    pdn = GridACPDN.from_grid(grid, source_inductance_h=source_inductance_h)
+    pdn = GridACPDN.from_design(grid.design)
     pdn.set_decap_density(
         decap_density, decap_per_unit_f, decap_esr_ohm, decap_esl_h
     )
@@ -391,8 +397,9 @@ def optimize_decap_placement_map(
         grid_nodes,
         spec.pol_voltage_v,
         output_resistance_ohm,
+        source_inductance_h,
     )
-    pdn = GridACPDN.from_grid(grid, source_inductance_h=source_inductance_h)
+    pdn = GridACPDN.from_design(grid.design)
     pdn.set_decap_density(
         decap_density, decap_per_unit_f, decap_esr_ohm, decap_esl_h
     )
@@ -505,10 +512,9 @@ def analyze_load_step(
         grid_nodes,
         nominal + budget / 2.0,
         output_resistance_ohm,
+        source_inductance_h,
     )
-    pdn = GridTransientPDN.from_grid(
-        grid, source_inductance_h=source_inductance_h
-    )
+    pdn = GridTransientPDN.from_design(grid.design)
     pdn.set_decap_density(
         decap_density, decap_per_unit_f, decap_esr_ohm, decap_esl_h
     )

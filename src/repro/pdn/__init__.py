@@ -8,6 +8,8 @@ This package models the physical path from PCB to point-of-load:
 * :mod:`~repro.pdn.planes` — horizontal plane / RDL resistance models,
 * :mod:`~repro.pdn.network` / :mod:`~repro.pdn.mna` — generic resistive
   netlists and the sparse modified-nodal-analysis DC solver,
+* :mod:`~repro.pdn.mesh` — the validated die mesh (:class:`MeshDesign`)
+  that the grid analyses view,
 * :mod:`~repro.pdn.grid` — 2-D lateral grids for die/interposer metal,
 * :mod:`~repro.pdn.powermap` — die current-demand maps,
 * :mod:`~repro.pdn.transient` — linear RLC load-step (droop) analysis.
@@ -32,7 +34,6 @@ from .network import (
     VoltageSource,
 )
 from .mna import DCSolution, FactorizedPDN, solve_dc
-from .backend import ArrayBackend, active_backend, resolve_backend
 from .fast_poisson import (
     FastPoissonOperator,
     StructuredGridPDN,
@@ -48,6 +49,7 @@ from .planes import (
     sheet_resistance,
 )
 from .powermap import PowerMap, hotspot_trajectory
+from .mesh import DecapDensity, DecapMap, MeshDesign, Source
 from .grid import (
     GridACPDN,
     GridACSweepSolution,
@@ -108,9 +110,6 @@ __all__ = [
     "solve_dc",
     "DCSolution",
     "FactorizedPDN",
-    "ArrayBackend",
-    "active_backend",
-    "resolve_backend",
     "FastPoissonOperator",
     "StructuredGridPDN",
     "StructuredSolveError",
@@ -124,6 +123,10 @@ __all__ = [
     "disk_edge_feed_resistance",
     "PowerMap",
     "hotspot_trajectory",
+    "MeshDesign",
+    "Source",
+    "DecapDensity",
+    "DecapMap",
     "GridPDN",
     "GridSolution",
     "GridACPDN",

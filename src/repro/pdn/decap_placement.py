@@ -36,9 +36,9 @@ Three cooperating mechanisms under one entry point,
   coarse pass costs a fraction of a fine evaluation and lands the
   fine pass near the answer.
 
-The optimizer never leaves the grid mutated: it snapshots the decap
-state (:meth:`~repro.pdn.grid.GridACPDN.decap_snapshot`) and restores
-it in a ``finally``; apply the result explicitly with
+The optimizer never leaves the grid mutated: it saves the grid's
+:class:`~repro.pdn.mesh.MeshDesign` (a frozen value) and assigns it
+back in a ``finally``; apply the result explicitly with
 :meth:`PlacementResult.apply_to`.
 
 :func:`select_vr_sites` is the companion placement axis: greedy
@@ -46,7 +46,8 @@ forward selection of VR sites from an attached candidate bank, each
 round scoring every remaining candidate by open-circuiting the
 others — batched Woodbury scenarios through
 :meth:`~repro.pdn.grid.GridPDN.solve_disabled_many`, sharded across
-workers by :mod:`repro.parallel`.
+workers by :mod:`repro.parallel` with the candidate bank's design as
+the pickled payload.
 
 See ``docs/placement-optimizer.md`` for the full algorithm notes and
 CLI usage (``repro place``).
@@ -55,7 +56,7 @@ CLI usage (``repro place``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +65,7 @@ from ..errors import ConfigError
 from ..parallel.executor import run_sweep_collect
 from ..parallel.scenario import Scenario, SweepPlan
 from .grid import GridACPDN, GridPDN
+from .mesh import DecapDensity, MeshDesign
 
 __all__ = [
     "PlacementResult",
@@ -107,18 +109,6 @@ TARGET_RTOL = 1e-12
 
 def _default_frequencies() -> np.ndarray:
     return np.logspace(4, 9, DEFAULT_PLACEMENT_POINTS)
-
-
-def _unit_admittance(
-    omega: float, c_u: float, esr_u: float, esl_u: float
-) -> complex:
-    """Admittance of one unit decap cell, y_u(ω).
-
-    The density representation's per-node branch is exactly
-    ``α·y_u(ω)`` (α cells in parallel), which is what makes the
-    reduced system *linear* in α and the adjoint gradient exact.
-    """
-    return 1.0 / (esr_u + 1j * (omega * esl_u - 1.0 / (omega * c_u)))
 
 
 # -- coarse-to-fine grid mapping (SNIPPETS.md §2 idiom) ------------------------
@@ -181,45 +171,43 @@ def _default_coarse_shape(ny: int, nx: int) -> tuple[int, int]:
     return (max(2, (ny + 1) // 2), max(2, (nx + 1) // 2))
 
 
-def _coarse_clone(
-    pdn: GridACPDN, coarse_shape: tuple[int, int]
-) -> GridACPDN:
+def _coarse_design(
+    design: MeshDesign, coarse_shape: tuple[int, int]
+) -> MeshDesign:
     """The same die at coarse mesh resolution, sources snapped.
 
     Sheet resistance is resolution-independent (the mesh converges to
     the same continuum), and per-edge inductance is rescaled by the
     edge-length ratio so the total metal loop stays comparable.
     Sources keep their voltage/rout/L and snap to the nearest coarse
-    node; the ring bus is copied as-is.
+    node; the ring bus is copied as-is.  Sinks and decap are not
+    carried over.
     """
     cny, cnx = coarse_shape
-    scale_x = (
-        (pdn.nx - 1) / (cnx - 1) if cnx > 1 and pdn.nx > 1 else 1.0
-    )
-    scale_y = (
-        (pdn.ny - 1) / (cny - 1) if cny > 1 and pdn.ny > 1 else 1.0
-    )
-    clone = GridACPDN(
-        pdn.width_m,
-        pdn.height_m,
-        pdn.sheet_ohm_sq,
+    nx, ny = design.nx, design.ny
+    scale_x = (nx - 1) / (cnx - 1) if cnx > 1 and nx > 1 else 1.0
+    scale_y = (ny - 1) / (cny - 1) if cny > 1 and ny > 1 else 1.0
+
+    def snap(index: int, fine: int, coarse_count: int) -> int:
+        return min(
+            int(round(index * (coarse_count - 1) / max(fine - 1, 1))),
+            coarse_count - 1,
+        )
+
+    return MeshDesign(
+        design.width_m,
+        design.height_m,
+        design.sheet_ohm_sq,
         nx=cnx,
         ny=cny,
-        edge_inductance_x_h=pdn.edge_inductance_x_h * scale_x,
-        edge_inductance_y_h=pdn.edge_inductance_y_h * scale_y,
+        edge_inductance_x_h=design.edge_inductance_x_h * scale_x,
+        edge_inductance_y_h=design.edge_inductance_y_h * scale_y,
+        sources=tuple(
+            replace(s, ix=snap(s.ix, nx, cnx), iy=snap(s.iy, ny, cny))
+            for s in design.sources
+        ),
+        ring_bus_ohm=design.ring_bus_ohm,
     )
-    for name, ix, iy, voltage, rout, l_src in pdn._sources:
-        cix = min(
-            int(round(ix * (cnx - 1) / max(pdn.nx - 1, 1))), cnx - 1
-        )
-        ciy = min(
-            int(round(iy * (cny - 1) / max(pdn.ny - 1, 1))), cny - 1
-        )
-        clone._add_source_at(name, cix, ciy, voltage, rout, l_src)
-    if pdn._ring_bus_ohm is not None and len(clone._sources) >= 3:
-        clone._ring_bus_ohm = pdn._ring_bus_ohm
-        clone._rev += 1
-    return clone
 
 
 # -- budget projection ---------------------------------------------------------
@@ -279,10 +267,7 @@ def _evaluate(
     target_ohm: float,
     method: str,
 ) -> _Evaluation:
-    c_u, esr_u, esl_u = unit
-    pdn.set_decap_density(
-        alpha.reshape(pdn.ny, pdn.nx), c_u, esr_u, esl_u
-    )
+    pdn.set_decap_density(alpha.reshape(pdn.ny, pdn.nx), *unit)
     imap = pdn.impedance_map(freqs, method=method)
     mags = np.abs(imap.z_ohm)
     peaks = mags.max(axis=1)
@@ -366,9 +351,10 @@ def _peak_gradient(
     xᵢ²)`` — one batched sparse solve per distinct peak frequency,
     independent of mesh size.  Violating nodes are weighted by their
     excess over target; with no violators the single worst node drives
-    a pure peak-flattening direction.
+    a pure peak-flattening direction.  The density representation's
+    per-node branch is exactly ``α·y_u(ω)``, which makes the reduced
+    system linear in α and this gradient exact.
     """
-    c_u, esr_u, esl_u = unit
     tol = target_ohm * (1 + TARGET_RTOL)
     order = np.argsort(evaluation.peaks)[::-1]
     violating = order[evaluation.peaks[order] > tol]
@@ -380,18 +366,15 @@ def _peak_gradient(
         weights = np.ones(chosen.size)
     # The current attached density must match `alpha`: a rejected
     # backtracking candidate may have left the grid on another map.
-    pdn.set_decap_density(
-        alpha.reshape(pdn.ny, pdn.nx), c_u, esr_u, esl_u
-    )
+    pdn.set_decap_density(alpha.reshape(pdn.ny, pdn.nx), *unit)
+    decap = pdn.design.decap
     gradient = np.zeros(alpha.size)
     freq_of = evaluation.peak_freq_index[chosen]
     for freq_index in np.unique(freq_of):
         group = chosen[freq_of == freq_index]
         w_group = weights[freq_of == freq_index]
         frequency = float(freqs[freq_index])
-        y_u = _unit_admittance(
-            2.0 * math.pi * frequency, c_u, esr_u, esl_u
-        )
+        y_u = decap.unit_admittance(2.0 * math.pi * frequency)
         columns = pdn.impedance_columns(frequency, group)
         for j, node in enumerate(group):
             x = columns[:, j]
@@ -539,17 +522,19 @@ def optimize_decap_placement(
         method: impedance-map engine forwarded to evaluation.
 
     Returns:
-        A :class:`PlacementResult`; the grid's decap state is restored
+        A :class:`PlacementResult`; the grid's design is restored
         before returning (including on error).
     """
     if target_ohm <= 0:
         raise ConfigError("target impedance must be positive")
-    if pdn._decap is None or pdn._decap[0] != "density":
+    saved = pdn.design
+    decap = saved.decap
+    if not isinstance(decap, DecapDensity):
         raise ConfigError(
             "placement optimization needs a decap density attachment; "
             "call set_decap_density first"
         )
-    if not pdn._sources:
+    if not saved.sources:
         raise ConfigError("no sources attached; call add_source first")
     if max_iterations < 0 or gradient_steps < 0:
         raise ConfigError("iteration budgets must be non-negative")
@@ -564,9 +549,9 @@ def optimize_decap_placement(
         if frequencies_hz is None
         else np.asarray(frequencies_hz, dtype=float)
     )
-    _, density_before, c_u, esr_u, esl_u = pdn._decap
-    density_before = density_before.copy()
-    unit = (c_u, esr_u, esl_u)
+    density_before = decap.density.copy()
+    unit = (decap.cap_per_unit_f, decap.esr_per_unit_ohm, decap.esl_per_unit_h)
+    c_u, esr_u, esl_u = unit
     cells = pdn.nx * pdn.ny
     if budget_f is None:
         budget_f = float(density_before.sum() * c_u)
@@ -575,7 +560,6 @@ def optimize_decap_placement(
     total_units = budget_f / c_u
     floor = floor_fraction * total_units / cells
 
-    snapshot = pdn.decap_snapshot()
     try:
         peak_map_before = (
             pdn.impedance_map(freqs, method=method).peak_map()
@@ -613,12 +597,9 @@ def optimize_decap_placement(
                     "larger than the mesh"
                 )
             if cshape[0] * cshape[1] < cells:
-                coarse = _coarse_clone(pdn, cshape)
+                coarse = GridACPDN.from_design(_coarse_design(saved, cshape))
                 coarse.set_decap_density(
-                    restrict_density(density_before, cshape),
-                    c_u,
-                    esr_u,
-                    esl_u,
+                    restrict_density(density_before, cshape), *unit
                 )
                 coarse_result = optimize_decap_placement(
                     coarse,
@@ -725,7 +706,7 @@ def optimize_decap_placement(
             coarse_shape=used_coarse,
         )
     finally:
-        pdn.restore_decap(snapshot)
+        pdn.design = saved
 
 
 def size_decap_placement_for_target(
@@ -828,64 +809,10 @@ class VRSiteSelection:
         return self.score_history[-1]
 
 
-def _vr_payload(grid: GridPDN) -> tuple:
-    """Everything a worker needs to rebuild the candidate-bank grid."""
-    if grid._sink_map is None:
-        raise ConfigError(
-            "VR-site selection needs a sink map; call set_sinks first"
-        )
-    if not grid._sources:
-        raise ConfigError(
-            "no candidate sources attached; call add_source first"
-        )
-    return (
-        grid.width_m,
-        grid.height_m,
-        grid.sheet_ohm_sq,
-        grid.nx,
-        grid.ny,
-        np.asarray(grid._sink_map, dtype=float),
-        tuple(grid._sources),
-        grid._ring_bus_ohm,
-        None if grid._edge_scale_x is None else grid._edge_scale_x.copy(),
-        None if grid._edge_scale_y is None else grid._edge_scale_y.copy(),
-    )
-
-
-def _vr_grid_from_payload(payload: tuple) -> GridPDN:
-    (
-        width,
-        height,
-        sheet,
-        nx,
-        ny,
-        sinks,
-        sources,
-        ring_ohm,
-        scale_x,
-        scale_y,
-    ) = payload
-    grid = GridPDN(width, height, sheet, nx=nx, ny=ny)
-    grid.set_sink_array(sinks)
-    if scale_x is not None or scale_y is not None:
-        grid.set_edge_resistance_scale(scale_x, scale_y)
-    for name, ix, iy, voltage, rout in sources:
-        grid.add_source(
-            name,
-            ix / max(nx - 1, 1),
-            iy / max(ny - 1, 1),
-            voltage,
-            rout,
-        )
-    if ring_ohm is not None:
-        grid.connect_sources_with_ring_bus(ring_ohm)
-    return grid
-
-
-def _vr_site_chunk(payload: tuple, scenarios: tuple) -> list[float]:
+def _vr_site_chunk(design: MeshDesign, scenarios: tuple) -> list[float]:
     """Chunk runner: worst-node voltage with each scenario's sources
     open-circuited, batched through ``solve_disabled_many``."""
-    grid = _vr_grid_from_payload(payload)
+    grid = GridPDN.from_design(design)
     solutions = grid.solve_disabled_many(
         [scenario.params for scenario in scenarios]
     )
@@ -913,15 +840,19 @@ def select_vr_sites(
     earlier-attached candidate, keeping the selection deterministic
     and jobs-count independent.
 
-    The grid itself is never mutated: workers rebuild it from a
-    picklable payload.
+    The grid itself is never mutated: workers view its design, which
+    is the (picklable) sweep payload.
     """
-    n = len(grid._sources)
+    design = grid.design
+    n = len(design.sources)
     if count < 1 or count > n:
         raise ConfigError(
             f"site count must be in [1, {n}] for {n} candidates"
         )
-    payload = _vr_payload(grid)
+    if design.sinks is None:
+        raise ConfigError(
+            "VR-site selection needs a sink map; call set_sinks first"
+        )
     chosen: list[int] = []
     history: list[float] = []
     for _ in range(count):
@@ -940,7 +871,7 @@ def select_vr_sites(
         plan = SweepPlan(
             scenarios=scenarios,
             runner=_vr_site_chunk,
-            payload=payload,
+            payload=design,
             chunk_size=chunk_size,
             label="vr-site selection",
         )
@@ -952,8 +883,8 @@ def select_vr_sites(
         history.append(float(best_score))
     return VRSiteSelection(
         chosen_indices=tuple(chosen),
-        chosen_names=tuple(grid._sources[i][0] for i in chosen),
-        candidate_names=tuple(s[0] for s in grid._sources),
+        chosen_names=tuple(design.sources[i].name for i in chosen),
+        candidate_names=tuple(source.name for source in design.sources),
         objective="min-voltage",
         score_history=tuple(history),
     )

@@ -30,18 +30,15 @@ structure as a small correction:
 Disabling a source (an open-circuited regulator) simply drops its
 column from the correction, so N−1/N−k sweeps share every transform
 and memoized influence column across scenarios.
-
-Array kernels route through :mod:`repro.pdn.backend`, so the same
-code paths run on CuPy/torch arrays when ``REPRO_BACKEND`` selects
-them (with graceful numpy fallback when the library is absent).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft as sfft
 
 from ..errors import ConfigError, SolverError
-from .backend import ArrayBackend, active_backend
+from .mesh import MeshDesign
 from .mna import DCSolution, package_dc_solution
 from .network import CompiledNetlist
 from .pcg import DEFAULT_MAX_ITER, DEFAULT_TOL, pcg_solve
@@ -95,11 +92,37 @@ def dct2_basis(n: int) -> np.ndarray:
     return basis
 
 
+def branch_columns(
+    cells: int,
+    deflate: bool,
+    rows: np.ndarray,
+    ring_a: np.ndarray,
+    ring_b: np.ndarray,
+) -> np.ndarray:
+    """Woodbury columns ``U`` of a structured engine's low-rank branches.
+
+    In order: the normalized constant column that reinstates a
+    deflated zero mode (when ``deflate``), one unit column per shunt
+    row in ``rows`` (source attachments, decap deviations), and one
+    ``±1`` column per ring segment ``ring_a[t] — ring_b[t]``.  Shared
+    by the DC, AC and transient structured engines.
+    """
+    lead = int(deflate)
+    u = np.zeros((cells, lead + rows.size + ring_a.size))
+    if deflate:
+        u[:, 0] = 1.0 / np.sqrt(cells)
+    u[rows, lead + np.arange(rows.size)] = 1.0
+    ring = lead + rows.size + np.arange(ring_a.size)
+    u[ring_a, ring] = 1.0
+    u[ring_b, ring] = -1.0
+    return u
+
+
 class FastPoissonOperator:
     """``M = gx·(I ⊗ Lx) + gy·(Ly ⊗ I) [+ shift·I]`` with O(n² log n) solves.
 
     Grid node ``(ix, iy)`` occupies row ``iy·nx + ix`` (the mesh row
-    convention of :func:`repro.pdn.grid.mesh_edge_rows`).  With
+    convention of :func:`repro.pdn.mesh.mesh_edge_rows`).  With
     ``shift == 0`` the zero (constant) mode is deflated: its
     eigenvalue is replaced by ``τ = gx + gy`` and
     :attr:`deflation_tau` reports the value so callers can subtract
@@ -114,7 +137,6 @@ class FastPoissonOperator:
         gx: float,
         gy: float,
         shift: complex = 0.0,
-        backend: ArrayBackend | None = None,
     ) -> None:
         if nx < 1 or ny < 1 or nx * ny < 2:
             raise ConfigError("operator needs at least two mesh nodes")
@@ -124,7 +146,6 @@ class FastPoissonOperator:
         self.ny = ny
         self.gx = gx
         self.gy = gy
-        self.backend = backend if backend is not None else active_backend()
         lam_x = gx * poisson_mode_eigenvalues(nx) if nx > 1 else np.zeros(1)
         lam_y = gy * poisson_mode_eigenvalues(ny) if ny > 1 else np.zeros(1)
         lam = lam_y[:, None] + lam_x[None, :] + shift
@@ -157,16 +178,9 @@ class FastPoissonOperator:
         field = np.ascontiguousarray(columns.T).reshape(
             -1, self.ny, self.nx
         )
-        backend = self.backend
-        if backend.name == "numpy":
-            hat = backend.dctn(field, axes=(1, 2))
-            hat = hat / self._lam[None, :, :]
-            out = backend.idctn(hat, axes=(1, 2))
-        else:  # pragma: no cover - exercised only with a GPU library
-            device = backend.from_numpy(field)
-            hat = backend.dctn(device, axes=(1, 2))
-            hat = hat / backend.from_numpy(self._lam)[None, :, :]
-            out = backend.to_numpy(backend.idctn(hat, axes=(1, 2)))
+        hat = sfft.dctn(field, type=2, axes=(1, 2), norm="ortho")
+        hat = hat / self._lam[None, :, :]
+        out = sfft.idctn(hat, type=2, axes=(1, 2), norm="ortho")
         solved = out.reshape(-1, self.cells).T
         return solved[:, 0] if single else solved
 
@@ -183,16 +197,9 @@ class FastPoissonOperator:
                 f"row rhs must be (k, {self.cells}), got {arr.shape}"
             )
         field = arr.reshape(-1, self.ny, self.nx)
-        backend = self.backend
-        if backend.name == "numpy":
-            hat = backend.dctn(field, axes=(1, 2))
-            hat /= self._lam[None, :, :]
-            out = backend.idctn(hat, axes=(1, 2))
-        else:  # pragma: no cover - exercised only with a GPU library
-            device = backend.from_numpy(field)
-            hat = backend.dctn(device, axes=(1, 2))
-            hat = hat / backend.from_numpy(self._lam)[None, :, :]
-            out = backend.to_numpy(backend.idctn(hat, axes=(1, 2)))
+        hat = sfft.dctn(field, type=2, axes=(1, 2), norm="ortho")
+        hat /= self._lam[None, :, :]
+        out = sfft.idctn(hat, type=2, axes=(1, 2), norm="ortho")
         return out.reshape(-1, self.cells)
 
 
@@ -218,64 +225,41 @@ class StructuredGridPDN:
     def __init__(
         self,
         compiled: CompiledNetlist,
-        nx: int,
-        ny: int,
-        edge_conductance_x: float,
-        edge_conductance_y: float,
-        attach_rows: np.ndarray,
-        source_conductance: np.ndarray,
-        ring_a: np.ndarray | None = None,
-        ring_b: np.ndarray | None = None,
-        ring_conductance: np.ndarray | None = None,
-        edge_scale_x: np.ndarray | None = None,
-        edge_scale_y: np.ndarray | None = None,
+        design: MeshDesign,
         cg_tol: float = DEFAULT_TOL,
         cg_max_iter: int = DEFAULT_MAX_ITER,
     ) -> None:
+        """The engine for the DC system of ``design`` whose stamp is
+        ``compiled`` (the grid's full MNA netlist, or a reduced one);
+        only the fields the design's key covers are read."""
+        nx, ny = design.nx, design.ny
         self.compiled = compiled
         self.nx = nx
         self.ny = ny
         self.cells = nx * ny
-        self.attach = np.asarray(attach_rows, dtype=np.int64)
-        self.g_src = np.asarray(source_conductance, dtype=float)
+        self.attach = design.attach_rows()
         if not self.attach.size:
             raise ConfigError("structured engine needs at least one source")
-        if np.any(self.g_src <= 0):
-            raise ConfigError("source conductances must be positive")
-        self.ring_a = (
-            np.asarray(ring_a, dtype=np.int64)
-            if ring_a is not None
-            else np.empty(0, dtype=np.int64)
+        self.g_src = 1.0 / design.source_values("output_resistance_ohm")
+        _, self.ring_a, self.ring_b = design.ring_segments()
+        self.g_ring = np.full(
+            self.ring_a.size, 1.0 / (design.ring_bus_ohm or 1.0)
         )
-        self.ring_b = (
-            np.asarray(ring_b, dtype=np.int64)
-            if ring_b is not None
-            else np.empty(0, dtype=np.int64)
-        )
-        self.g_ring = (
-            np.asarray(ring_conductance, dtype=float)
-            if ring_conductance is not None
-            else np.empty(0)
-        )
-        self._scale_x = None if edge_scale_x is None else np.asarray(
-            edge_scale_x, dtype=float
-        ).ravel()
-        self._scale_y = None if edge_scale_y is None else np.asarray(
-            edge_scale_y, dtype=float
-        ).ravel()
+        scale_x, scale_y = design.edge_scale_x, design.edge_scale_y
+        self._scale_x = None if scale_x is None else scale_x.ravel()
+        self._scale_y = None if scale_y is None else scale_y.ravel()
         self.mode = (
             "pcg" if self._scale_x is not None or self._scale_y is not None
             else "uniform"
         )
         self.cg_tol = cg_tol
         self.cg_max_iter = cg_max_iter
-        self.backend = active_backend()
 
         # Conductance scale maps multiply *resistance*, so per-edge
         # conductance divides by them; the operator (and hence the CG
         # preconditioner) uses the mean per-axis conductance.
-        gx = edge_conductance_x
-        gy = edge_conductance_y
+        gx = 1.0 / design.edge_resistance_x_ohm if nx > 1 else 0.0
+        gy = 1.0 / design.edge_resistance_y_ohm if ny > 1 else 0.0
         gx_op = gx * float(np.mean(1.0 / self._scale_x)) if (
             self._scale_x is not None and self._scale_x.size
         ) else gx
@@ -284,31 +268,18 @@ class StructuredGridPDN:
         ) else gy
         self.gx = gx
         self.gy = gy
-        self.op = FastPoissonOperator(
-            nx, ny, gx_op, gy_op, backend=self.backend
-        )
+        self.op = FastPoissonOperator(nx, ny, gx_op, gy_op)
 
         # Woodbury columns of A = M + U C Uᵀ: the deflation column
         # (subtracting the τ·u₀u₀ᵀ shift back out), one per source
         # branch, one per ring segment.
-        tau = self.op.deflation_tau
-        k = 1 + self.attach.size + self.ring_a.size
-        u = np.zeros((self.cells, k))
-        c = np.empty(k)
-        u[:, 0] = 1.0 / np.sqrt(self.cells)
-        c[0] = -tau
-        for t, (row, g) in enumerate(zip(self.attach, self.g_src), start=1):
-            u[row, t] += 1.0
-            c[t] = g
-        offset = 1 + self.attach.size
-        for t, (a, b, g) in enumerate(
-            zip(self.ring_a, self.ring_b, self.g_ring), start=offset
-        ):
-            u[a, t] += 1.0
-            u[b, t] -= 1.0
-            c[t] = g
+        u = branch_columns(
+            self.cells, True, self.attach, self.ring_a, self.ring_b
+        )
         self._u = u
-        self._c = c
+        self._c = np.concatenate(
+            [[-self.op.deflation_tau], self.g_src, self.g_ring]
+        )
         # Z = M⁻¹U: one batched transform pair, paid at construction.
         self._z = self.op.solve(u)
         self._t0 = u.T @ self._z  # UᵀM⁻¹U, shape (k, k)
@@ -434,7 +405,6 @@ class StructuredGridPDN:
                 preconditioner=lambda r: self._uniform_solve(r, columns),
                 tol=self.cg_tol,
                 max_iter=self.cg_max_iter,
-                xp=self.backend.xp,
             )
             if not result.converged:
                 raise StructuredSolveError(

@@ -5,7 +5,9 @@ BEOL grid) over the die area into an ``nx x ny`` node mesh.  Adjacent
 nodes are connected by resistors derived from the layer's sheet
 resistance; POL sinks come from a :class:`~repro.pdn.powermap.PowerMap`
 and regulator outputs attach as voltage sources with a series output
-resistance at arbitrary grid positions.
+resistance at arbitrary grid positions.  The mesh itself is a
+:class:`~repro.pdn.mesh.MeshDesign`; :class:`GridPDN` (DC) and
+:class:`GridACPDN` (AC) are views of it.
 
 Loss accounting convention: the grid models ONE polarity.  For a
 symmetric power + ground pair the reported lateral loss is doubled via
@@ -17,8 +19,8 @@ construction, no per-element Python objects) and the sparse LU
 factorization is cached on the grid, so repeated solves that only
 change the sink map or the source voltages — load sweeps, Monte-Carlo
 scenarios, droop-setpoint studies — pay back-substitution cost only.
-Attaching/removing sources or the ring bus changes the topology and
-transparently refactorizes.
+Attaching/removing sources or the ring bus changes the design's key
+and transparently refactorizes.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .ac import (
 from .fast_poisson import (
     StructuredGridPDN,
     StructuredSolveError,
+    branch_columns,
     dct2_basis,
     poisson_mode_eigenvalues,
 )
@@ -52,32 +55,20 @@ from .mna import (
     FactorizedPDN,
     singularity_probe,
 )
+from .mesh import (
+    DecapDensity,
+    MeshDesign,
+    MeshView,
+    cached,
+    require_finite,
+)
 from .network import (
     GROUND_INDEX,
     CompiledNetlist,
     Netlist,
+    admittance_entry_map,
     admittance_stamp_entries,
 )
-from .powermap import PowerMap
-
-
-def mesh_edge_rows(nx: int, ny: int) -> tuple[np.ndarray, ...]:
-    """Endpoint row indices of a rectangular mesh's edges.
-
-    Grid node ``(ix, iy)`` occupies row ``iy * nx + ix``; returns
-    ``(x_a, x_b, y_a, y_b)`` — the endpoint arrays of the x-direction
-    and y-direction edges.  Degenerate axes (``nx == 1`` or
-    ``ny == 1``, the 1-D chains the AC ladder cross-checks use) simply
-    produce empty edge arrays.  Shared by the DC and AC mesh
-    assemblers so both stamp the identical lateral topology.
-    """
-    rows = np.arange(nx * ny, dtype=np.int64).reshape(ny, nx)
-    return (
-        rows[:, :-1].ravel(),
-        rows[:, 1:].ravel(),
-        rows[:-1, :].ravel(),
-        rows[1:, :].ravel(),
-    )
 
 
 @dataclass(frozen=True)
@@ -144,11 +135,35 @@ class GridSolution:
 STRUCTURED_AUTO_MIN_CELLS = 4096
 
 
+#: The solve engines of the DC and transient views.
+ENGINES = ("auto", "structured", "factorized")
+
+
+def check_engine(engine: str) -> str:
+    """``engine`` if it names one of :data:`ENGINES`, else ConfigError."""
+    if engine not in ENGINES:
+        raise ConfigError(
+            f"unknown solve engine {engine!r}; expected one of "
+            f"{', '.join(ENGINES)}"
+        )
+    return engine
+
+
+def resolve_engine(engine: str, cells: int) -> str:
+    """The engine a DC or transient solve tries first: ``engine``
+    itself, or for ``"auto"`` structured at or above
+    :data:`STRUCTURED_AUTO_MIN_CELLS` cells and factorized below."""
+    if engine != "auto":
+        return engine
+    return "structured" if cells >= STRUCTURED_AUTO_MIN_CELLS else "factorized"
+
+
 @dataclass
 class _GridStructure:
     """Cached assembly (and, lazily, factorization) of one topology.
 
-    ``key`` captures everything that shapes the MNA matrix (mesh
+    Cached per view under the design's :attr:`~repro.pdn.mesh.MeshDesign.key`,
+    which captures everything that shapes the MNA matrix (mesh
     resistances, source attachment points and output resistances, ring
     bus, per-edge variation).  Sink currents and source voltages are
     RHS-only and do not participate.  Both engines are created on
@@ -159,11 +174,12 @@ class _GridStructure:
     for transforms.
     """
 
-    key: tuple
     compiled: CompiledNetlist
     grid_edge_count: int
     lateral_count: int  # grid edges + ring segments
-    fast_spec: dict | None = None
+    # The design it was assembled from; only the fields its key covers
+    # are read, since sink and voltage edits reuse the structure.
+    design: MeshDesign | None = None
     _solver: FactorizedPDN | None = None
     _fast: StructuredGridPDN | None = None
 
@@ -182,14 +198,18 @@ class _GridStructure:
     @property
     def fast(self) -> StructuredGridPDN:
         if self._fast is None:
-            self._fast = StructuredGridPDN(
-                compiled=self.compiled, **self.fast_spec
-            )
+            self._fast = StructuredGridPDN(self.compiled, self.design)
         return self._fast
 
 
-class GridPDN:
-    """A rectangular one-polarity PDN grid over the die area.
+class GridPDN(MeshView):
+    """A rectangular one-polarity PDN grid over the die area: the DC
+    IR-drop view of a :class:`~repro.pdn.mesh.MeshDesign`.
+
+    The mesh is built through the shared mutators of
+    :class:`~repro.pdn.mesh.MeshView` (or taken whole with
+    :meth:`~repro.pdn.mesh.MeshView.from_design`).  Source inductance,
+    edge inductance and decap have no DC effect and are ignored.
 
     Args:
         width_m: die width (x extent).
@@ -208,8 +228,6 @@ class GridPDN:
             sparse-LU oracle).
     """
 
-    _ENGINES = ("auto", "structured", "factorized")
-
     def __init__(
         self,
         width_m: float,
@@ -220,169 +238,23 @@ class GridPDN:
         rail_pair_factor: float = 2.0,
         engine: str = "auto",
     ) -> None:
-        if width_m <= 0 or height_m <= 0:
-            raise ConfigError("grid extents must be positive")
-        if sheet_ohm_sq <= 0:
-            raise ConfigError("sheet resistance must be positive")
-        if nx < 2 or ny < 2:
-            raise ConfigError("grid needs at least 2x2 nodes")
+        require_finite(rail_pair_factor, "rail_pair_factor")
         if rail_pair_factor < 1.0:
             raise ConfigError("rail pair factor must be >= 1")
-        self.width_m = width_m
-        self.height_m = height_m
-        self.sheet_ohm_sq = sheet_ohm_sq
-        self.nx = nx
-        self.ny = ny
         self.rail_pair_factor = rail_pair_factor
-        if engine not in self._ENGINES:
-            raise ConfigError(
-                f"unknown solve engine {engine!r}; expected one of "
-                f"{', '.join(self._ENGINES)}"
-            )
-        self.engine = engine
-        self._sources: list[tuple[str, int, int, float, float]] = []
-        self._sink_map: np.ndarray | None = None
-        self._ring_bus_ohm: float | None = None
-        self._edge_scale_x: np.ndarray | None = None
-        self._edge_scale_y: np.ndarray | None = None
-        self._mesh_edges_cache: tuple[np.ndarray, ...] | None = None
-        self._structure: _GridStructure | None = None
-        self._topology_dirty = True
+        self.engine = check_engine(engine)
+        super().__init__(width_m, height_m, sheet_ohm_sq, nx=nx, ny=ny)
 
-    # -- construction ---------------------------------------------------------
-
-    def set_sinks(self, power_map: PowerMap, total_current_a: float) -> None:
-        """Attach POL sinks from a power map (replaces existing sinks)."""
-        self._sink_map = power_map.cell_currents(
-            self.nx, self.ny, total_current_a
-        )
-
-    def set_sink_array(self, cell_currents: np.ndarray) -> None:
-        """Attach POL sinks from an explicit (ny, nx) current array."""
-        arr = np.asarray(cell_currents, dtype=float)
-        if arr.shape != (self.ny, self.nx):
-            raise ConfigError(
-                f"sink array must be shaped ({self.ny}, {self.nx})"
-            )
-        if np.any(arr < 0):
-            raise ConfigError("sink currents must be non-negative")
-        self._sink_map = arr
-
-    def add_source(
-        self,
-        name: str,
-        x_frac: float,
-        y_frac: float,
-        voltage_v: float,
-        output_resistance_ohm: float,
-    ) -> None:
-        """Attach a regulator output at fractional die coordinates.
-
-        Sources snap to the nearest grid node.  ``output_resistance_ohm``
-        must be positive — it regularizes the solve and models the
-        converter's finite output impedance.
-        """
-        if not 0.0 <= x_frac <= 1.0 or not 0.0 <= y_frac <= 1.0:
-            raise ConfigError("source position must be inside the die")
-        if output_resistance_ohm <= 0:
-            raise ConfigError("source output resistance must be positive")
-        if any(existing == name for existing, *_ in self._sources):
-            raise ConfigError(f"duplicate source name: {name!r}")
-        ix = min(int(round(x_frac * (self.nx - 1))), self.nx - 1)
-        iy = min(int(round(y_frac * (self.ny - 1))), self.ny - 1)
-        self._sources.append(
-            (name, ix, iy, voltage_v, output_resistance_ohm)
-        )
-        self._topology_dirty = True
-
-    def clear_sources(self) -> None:
-        """Remove all attached sources."""
-        self._sources.clear()
-        self._ring_bus_ohm = None
-        self._topology_dirty = True
-
-    def connect_sources_with_ring_bus(self, segment_resistance_ohm: float) -> None:
-        """Join consecutive sources with a dedicated ring bus.
-
-        Periphery VR rings share a contiguous low-impedance metal ring
-        (the embedded passive/output ring of Fig. 5(a)), which
-        equalizes their load sharing; under-die VRs have no such bus.
-        Segments connect sources in attachment order (and close the
-        loop), each with the given one-polarity resistance.
-        """
-        if segment_resistance_ohm <= 0:
-            raise ConfigError("ring segment resistance must be positive")
-        if len(self._sources) < 3:
-            raise ConfigError("a ring bus needs at least three sources")
-        self._ring_bus_ohm = segment_resistance_ohm
-        self._topology_dirty = True
-
-    @property
-    def source_names(self) -> list[str]:
-        """Names of attached sources in attachment order."""
-        return [s[0] for s in self._sources]
-
-    def set_edge_resistance_scale(
-        self, x_scale=None, y_scale=None
-    ) -> None:
-        """Apply per-edge metal-variation multipliers to the mesh.
-
-        ``x_scale`` (shape ``(ny, nx-1)``) and ``y_scale`` (shape
-        ``(ny-1, nx)``) multiply the nominal per-edge resistances —
-        line-width/thickness variation, partially depopulated straps,
-        or localized metal cheese.  Factors must be positive; pass
-        ``None`` (the default) for either axis to restore uniform
-        metal.  Non-uniform meshes solve through fast-Poisson-
-        preconditioned CG on the structured engine, or exactly through
-        the factorized engine.
-        """
-
-        def as_scale(value, shape, label: str) -> np.ndarray | None:
-            if value is None:
-                return None
-            arr = np.asarray(value, dtype=float)
-            if arr.shape != shape:
-                raise ConfigError(
-                    f"{label} edge scale must be shaped {shape}"
-                )
-            if not np.all(arr > 0):
-                raise ConfigError(
-                    f"{label} edge scale factors must be positive"
-                )
-            return arr.copy()
-
-        self._edge_scale_x = as_scale(
-            x_scale, (self.ny, self.nx - 1), "x"
-        )
-        self._edge_scale_y = as_scale(
-            y_scale, (self.ny - 1, self.nx), "y"
-        )
-        self._topology_dirty = True
-
-    # -- edge resistances -------------------------------------------------------
-
-    @property
-    def edge_resistance_x_ohm(self) -> float:
-        """Resistance of one x-direction edge (R_sq * dx / dy_strip)."""
-        dx = self.width_m / (self.nx - 1)
-        strip = self.height_m / self.ny
-        return self.sheet_ohm_sq * dx / strip
-
-    @property
-    def edge_resistance_y_ohm(self) -> float:
-        """Resistance of one y-direction edge."""
-        dy = self.height_m / (self.ny - 1)
-        strip = self.width_m / self.nx
-        return self.sheet_ohm_sq * dy / strip
+    def _check_design(self, design: MeshDesign) -> None:
+        """DC solves per-edge variation but needs a 2-D mesh."""
+        if design.nx < 2 or design.ny < 2:
+            raise ConfigError("grid needs at least 2x2 nodes")
 
     # -- solving -----------------------------------------------------------------
 
     def build_netlist(self) -> Netlist:
         """Assemble the netlist for the current sinks and sources."""
-        if self._sink_map is None:
-            raise ConfigError("no sinks attached; call set_sinks first")
-        if not self._sources:
-            raise ConfigError("no sources attached; call add_source first")
+        design = self._require(sinks=True)
         netlist = Netlist()
         rx = self.edge_resistance_x_ohm
         ry = self.edge_resistance_y_ohm
@@ -390,8 +262,8 @@ class GridPDN:
         def node(ix: int, iy: int) -> tuple[str, int, int]:
             return ("g", ix, iy)
 
-        sx = self._edge_scale_x
-        sy = self._edge_scale_y
+        sx = design.edge_scale_x
+        sy = design.edge_scale_y
         for iy in range(self.ny):
             for ix in range(self.nx):
                 if ix + 1 < self.nx:
@@ -412,115 +284,59 @@ class GridPDN:
         # Sinks: cell (i,j) current attached to its node.
         for iy in range(self.ny):
             for ix in range(self.nx):
-                current = float(self._sink_map[iy, ix])
+                current = float(design.sinks[iy, ix])
                 if current > 0.0:
                     netlist.add_load(
                         f"sink[{ix},{iy}]", node(ix, iy), current
                     )
 
-        for name, ix, iy, voltage, r_out in self._sources:
+        for source in design.sources:
             netlist.add_source_with_impedance(
-                f"src.{name}", node(ix, iy), voltage, r_out
+                f"src.{source.name}",
+                node(source.ix, source.iy),
+                source.voltage_v,
+                source.output_resistance_ohm,
             )
 
-        if self._ring_bus_ohm is not None:
-            count = len(self._sources)
-            for k in range(count):
-                _, ix_a, iy_a, _, _ = self._sources[k]
-                _, ix_b, iy_b, _, _ = self._sources[(k + 1) % count]
-                if (ix_a, iy_a) == (ix_b, iy_b):
-                    continue
-                netlist.add_resistor(
-                    f"ring[{k}]",
-                    node(ix_a, iy_a),
-                    node(ix_b, iy_b),
-                    self._ring_bus_ohm,
-                )
+        for k, a, b in zip(*design.ring_segments()):
+            netlist.add_resistor(
+                f"ring[{k}]",
+                node(int(a) % self.nx, int(a) // self.nx),
+                node(int(b) % self.nx, int(b) // self.nx),
+                design.ring_bus_ohm,
+            )
         return netlist
 
     # -- vectorized assembly / cached factorization ------------------------------
 
-    def _mesh_edges(self) -> tuple[np.ndarray, ...]:
-        """Mesh edge endpoints as row-index arrays (x edges, y edges).
-
-        Grid node (ix, iy) occupies row ``iy * nx + ix``; the arrays
-        depend only on (nx, ny) and are computed once per grid.
-        """
-        if self._mesh_edges_cache is None:
-            self._mesh_edges_cache = mesh_edge_rows(self.nx, self.ny)
-        return self._mesh_edges_cache
-
-    def _ring_segments(self) -> list[tuple[int, int, int]]:
-        """Ring-bus segments as (k, row_a, row_b), degenerates skipped."""
-        if self._ring_bus_ohm is None:
-            return []
-        segments: list[tuple[int, int, int]] = []
-        count = len(self._sources)
-        for k in range(count):
-            _, ix_a, iy_a, _, _ = self._sources[k]
-            _, ix_b, iy_b, _, _ = self._sources[(k + 1) % count]
-            if (ix_a, iy_a) == (ix_b, iy_b):
-                continue
-            segments.append((k, iy_a * self.nx + ix_a, iy_b * self.nx + ix_b))
-        return segments
-
-    def _structure_key(self) -> tuple:
-        return (
-            self.edge_resistance_x_ohm,
-            self.edge_resistance_y_ohm,
-            tuple((name, ix, iy, r_out) for name, ix, iy, _, r_out in self._sources),
-            self._ring_bus_ohm,
-            None if self._edge_scale_x is None else self._edge_scale_x.tobytes(),
-            None if self._edge_scale_y is None else self._edge_scale_y.tobytes(),
-        )
-
-    def _build_structure(self, key: tuple) -> _GridStructure:
+    def _build_structure(self) -> _GridStructure:
+        design = self.design
         nx, ny = self.nx, self.ny
         cells = nx * ny
-        x_a, x_b, y_a, y_b = self._mesh_edges()
-        rx = self.edge_resistance_x_ohm
-        ry = self.edge_resistance_y_ohm
-        sources = list(self._sources)
-        segments = self._ring_segments()
-
-        emf_rows = cells + np.arange(len(sources), dtype=np.int64)
-        attach_rows = np.array(
-            [iy * nx + ix for _, ix, iy, _, _ in sources], dtype=np.int64
-        )
-        ring_a = np.array([a for _, a, _ in segments], dtype=np.int64)
-        ring_b = np.array([b for _, _, b in segments], dtype=np.int64)
-
-        res_a = np.concatenate([x_a, y_a, ring_a, emf_rows])
-        res_b = np.concatenate([x_b, y_b, ring_b, attach_rows])
-        r_x = np.full(x_a.size, rx)
-        r_y = np.full(y_a.size, ry)
-        if self._edge_scale_x is not None:
-            r_x *= self._edge_scale_x.ravel()
-        if self._edge_scale_y is not None:
-            r_y *= self._edge_scale_y.ravel()
-        res_ohm = np.concatenate(
-            [
-                r_x,
-                r_y,
-                np.full(len(segments), self._ring_bus_ohm or 0.0),
-                np.array([r_out for *_, r_out in sources]),
-            ]
-        )
+        names = self.source_names
+        r_out = design.source_values("output_resistance_ohm")
+        ring_k = design.ring_segments()[0]
+        emf_rows = cells + np.arange(len(names), dtype=np.int64)
+        attach_rows = design.attach_rows()
+        lateral_a, lateral_b, lateral_r, _ = design.lateral_edges()
+        res_a = np.concatenate([lateral_a, emf_rows])
+        res_b = np.concatenate([lateral_b, attach_rows])
+        res_ohm = np.concatenate([lateral_r, r_out])
 
         def resistor_names() -> list[str]:
-            names = [
+            names_ = [
                 f"grid.x[{ix},{iy}]"
                 for iy in range(ny)
                 for ix in range(nx - 1)
             ]
-            names += [
+            names_ += [
                 f"grid.y[{ix},{iy}]"
                 for iy in range(ny - 1)
                 for ix in range(nx)
             ]
-            names += [f"ring[{k}]" for k, _, _ in segments]
-            names += [f"src.{name}.rout" for name, *_ in sources]
-            return names
+            names_ += [f"ring[{k}]" for k in ring_k]
+            names_ += [f"src.{name}.rout" for name in names]
+            return names_
 
         def sink_names() -> list[str]:
             return [
@@ -530,11 +346,11 @@ class GridPDN:
         def node_ids() -> tuple:
             return tuple(
                 ("g", ix, iy) for iy in range(ny) for ix in range(nx)
-            ) + tuple((f"src.{name}", "emf") for name, *_ in sources)
+            ) + tuple((f"src.{name}", "emf") for name in names)
 
         compiled = CompiledNetlist(
             nodes=node_ids,
-            n_nodes=cells + len(sources),
+            n_nodes=cells + len(names),
             res_a=res_a,
             res_b=res_b,
             res_ohm=res_ohm,
@@ -542,69 +358,32 @@ class GridPDN:
             cs_to=np.full(cells, GROUND_INDEX, dtype=np.int64),
             cs_amp=np.zeros(cells),
             vs_plus=emf_rows,
-            vs_minus=np.full(len(sources), GROUND_INDEX, dtype=np.int64),
-            vs_volt=np.zeros(len(sources)),
+            vs_minus=np.full(len(names), GROUND_INDEX, dtype=np.int64),
+            vs_volt=np.zeros(len(names)),
             res_names=resistor_names,
             cs_names=sink_names,
-            vs_names=tuple(f"src.{name}.v" for name, *_ in sources),
-        )
-        grid_edge_count = x_a.size + y_a.size
-        fast_spec = dict(
-            nx=nx,
-            ny=ny,
-            edge_conductance_x=1.0 / rx,
-            edge_conductance_y=1.0 / ry,
-            attach_rows=attach_rows,
-            source_conductance=np.array(
-                [1.0 / r_out for *_, r_out in sources]
-            ),
-            ring_a=ring_a,
-            ring_b=ring_b,
-            ring_conductance=np.full(
-                len(segments), 1.0 / (self._ring_bus_ohm or 1.0)
-            ),
-            edge_scale_x=self._edge_scale_x,
-            edge_scale_y=self._edge_scale_y,
+            vs_names=tuple(f"src.{name}.v" for name in names),
         )
         return _GridStructure(
-            key=key,
             compiled=compiled,
-            grid_edge_count=grid_edge_count,
-            lateral_count=grid_edge_count + len(segments),
-            fast_spec=fast_spec,
+            grid_edge_count=lateral_a.size - ring_k.size,
+            lateral_count=lateral_a.size,
+            design=design,
         )
 
     def _ensure_structure(self) -> _GridStructure:
-        # The key is only recomputed after a topology mutator ran:
-        # steady-state sweep loops (N-1 scenarios, sink sweeps) skip
-        # the per-solve key construction entirely.
-        if self._structure is None or self._topology_dirty:
-            key = self._structure_key()
-            if self._structure is None or self._structure.key != key:
-                self._structure = self._build_structure(key)
-            self._topology_dirty = False
-        return self._structure
+        return cached(
+            self, "_structure", self.design.key, self._build_structure
+        )
 
     def compile(self) -> CompiledNetlist:
         """The grid as a compiled netlist with current sinks/voltages."""
-        if self._sink_map is None:
-            raise ConfigError("no sinks attached; call set_sinks first")
-        if not self._sources:
-            raise ConfigError("no sources attached; call add_source first")
-        return self._ensure_structure().compiled.with_sources(
-            cs_amp=np.ascontiguousarray(self._sink_map, dtype=float).ravel(),
-            vs_volt=np.array([s[3] for s in self._sources]),
-        )
+        structure, sinks, volts = self._solve_inputs()
+        return structure.compiled.with_sources(cs_amp=sinks, vs_volt=volts)
 
     def _resolve_engine(self) -> str:
         """The engine this solve will try first."""
-        if self.engine != "auto":
-            return self.engine
-        return (
-            "structured"
-            if self.nx * self.ny >= STRUCTURED_AUTO_MIN_CELLS
-            else "factorized"
-        )
+        return resolve_engine(self.engine, self.nx * self.ny)
 
     def _structured_call(self, structure: _GridStructure, run, fallback):
         """Run ``run`` on the structured engine, falling back to
@@ -617,6 +396,13 @@ class GridPDN:
                 raise
             return fallback()
 
+    def _engine_call(self, structure: _GridStructure, run, factorized):
+        """``run`` on the structured engine when this solve tries it
+        first (see :meth:`_structured_call`), else ``factorized()``."""
+        if self._resolve_engine() == "structured":
+            return self._structured_call(structure, run, factorized)
+        return factorized()
+
     def solve(self, check: bool = True) -> GridSolution:
         """Solve the grid and return per-source currents and losses.
 
@@ -628,18 +414,13 @@ class GridPDN:
         source voltages) reuse it.
         """
         structure, sinks, volts = self._solve_inputs()
-        if self._resolve_engine() == "structured":
-            dc = self._structured_call(
-                structure,
-                lambda fast: fast.solve(sinks, volts, check=check),
-                lambda: structure.solver.solve(
-                    cs_amp=sinks, vs_volt=volts, check=check
-                ),
-            )
-        else:
-            dc = structure.solver.solve(
+        dc = self._engine_call(
+            structure,
+            lambda fast: fast.solve(sinks, volts, check=check),
+            lambda: structure.solver.solve(
                 cs_amp=sinks, vs_volt=volts, check=check
-            )
+            ),
+        )
         return self._package_solution(structure, dc, sinks)
 
     def solve_many(
@@ -653,8 +434,7 @@ class GridPDN:
         transform pair; on the factorized engine it shares the cached
         LU.  Returns one :class:`GridSolution` per scenario.
         """
-        if not self._sources:
-            raise ConfigError("no sources attached; call add_source first")
+        design = self._require()
         stack = np.asarray(sink_maps, dtype=float)
         if stack.ndim == 2 and stack.shape == (self.ny, self.nx):
             stack = stack[None]
@@ -663,10 +443,11 @@ class GridPDN:
                 "sink maps must be a stack of "
                 f"({self.ny}, {self.nx}) arrays"
             )
+        require_finite(stack, "sink_maps")
         if np.any(stack < 0):
             raise ConfigError("sink currents must be non-negative")
         structure = self._ensure_structure()
-        volts = np.array([s[3] for s in self._sources])
+        volts = design.source_values("voltage_v")
         flat = np.ascontiguousarray(stack).reshape(
             stack.shape[0], self.nx * self.ny
         )
@@ -679,14 +460,11 @@ class GridPDN:
                 for row in flat
             ]
 
-        if self._resolve_engine() == "structured":
-            solved = self._structured_call(
-                structure,
-                lambda fast: fast.solve_many(flat, volts, check=check),
-                factorized,
-            )
-        else:
-            solved = factorized()
+        solved = self._engine_call(
+            structure,
+            lambda fast: fast.solve_many(flat, volts, check=check),
+            factorized,
+        )
         return [
             self._package_solution(structure, dc, row)
             for dc, row in zip(solved, flat)
@@ -723,16 +501,13 @@ class GridPDN:
                 method=method,
             )
 
-        if self._resolve_engine() == "structured":
-            dc = self._structured_call(
-                structure,
-                lambda fast: fast.solve(
-                    sinks, volts, check=check, disable_sources=indices
-                ),
-                factorized,
-            )
-        else:
-            dc = factorized()
+        dc = self._engine_call(
+            structure,
+            lambda fast: fast.solve(
+                sinks, volts, check=check, disable_sources=indices
+            ),
+            factorized,
+        )
         return self._package_disabled(structure, dc, sinks, indices)
 
     def solve_disabled_many(
@@ -765,16 +540,13 @@ class GridPDN:
                 method=method,
             )
 
-        if self._resolve_engine() == "structured":
-            solved = self._structured_call(
-                structure,
-                lambda fast: fast.solve_disabled_many(
-                    normalized, sinks, volts, check=check
-                ),
-                factorized,
-            )
-        else:
-            solved = factorized()
+        solved = self._engine_call(
+            structure,
+            lambda fast: fast.solve_disabled_many(
+                normalized, sinks, volts, check=check
+            ),
+            factorized,
+        )
         return [
             self._package_disabled(structure, dc, sinks, indices)
             for indices, dc in zip(normalized, solved)
@@ -782,10 +554,11 @@ class GridPDN:
 
     def _normalize_disabled(self, disabled_sources) -> tuple[int, ...]:
         """Validate one disable scenario's source indices."""
+        count = len(self.design.sources)
         indices = tuple(int(i) for i in disabled_sources)
-        if any(i < 0 or i >= len(self._sources) for i in indices):
+        if any(i < 0 or i >= count for i in indices):
             raise ConfigError("disabled source index out of range")
-        if len(set(indices)) >= len(self._sources):
+        if len(set(indices)) >= count:
             raise ConfigError("cannot disable every source")
         return indices
 
@@ -818,13 +591,10 @@ class GridPDN:
 
     def _solve_inputs(self) -> tuple[_GridStructure, np.ndarray, np.ndarray]:
         """Validate attachments and gather the per-scenario RHS data."""
-        if self._sink_map is None:
-            raise ConfigError("no sinks attached; call set_sinks first")
-        if not self._sources:
-            raise ConfigError("no sources attached; call add_source first")
+        design = self._require(sinks=True)
         structure = self._ensure_structure()
-        sinks = np.ascontiguousarray(self._sink_map, dtype=float).ravel()
-        volts = np.array([s[3] for s in self._sources])
+        sinks = np.ascontiguousarray(design.sinks, dtype=float).ravel()
+        volts = design.source_values("voltage_v")
         return structure, sinks, volts
 
     def _package_solution(
@@ -984,10 +754,8 @@ class _ReducedACStructure:
     Decap chains and source output branches are folded analytically
     into per-node shunt admittances and series edges into complex edge
     admittances, so the matrix is ``n_cells`` square at any frequency.
-    ``rev`` tags the topology revision this structure was built for.
     """
 
-    rev: int
     edge_r: np.ndarray  # per-edge series resistance (mesh + ring)
     edge_l: np.ndarray  # per-edge series inductance
     entry_rows: np.ndarray
@@ -1009,20 +777,15 @@ class _SpectralACStructure:
     is a positive per-node *density* of one unit cell: the system is
     ``A(ω) = G + y_u(ω) D_α + U Y(ω) Uᵀ`` with ``G`` constant, so one
     generalized eigendecomposition turns every frequency into diagonal
-    updates plus a rank-s (source-branch) Woodbury correction.
+    updates plus a rank-s (source-branch) Woodbury correction.  The
+    unit cell and source branches are read from the design the
+    structure is cached under.
     """
 
-    rev: int
     lam: np.ndarray  # generalized eigenvalues (n,)
     q: np.ndarray  # eigenvectors, Qᵀ D_α Q = I
     q_sq: np.ndarray  # Q ∘ Q, for diag(M⁻¹) gathers
     p: np.ndarray  # Qᵀ U, shape (n, s)
-    attach: np.ndarray  # source attach rows (s,)
-    rout: np.ndarray  # per-source output resistance (s,)
-    l_src: np.ndarray  # per-source series inductance (s,)
-    unit_c: float
-    unit_esr: float
-    unit_esl: float
 
 
 @dataclass
@@ -1037,20 +800,16 @@ class _StructuredACStructure:
     frequency chunk, and the source/ring branches are a rank-k
     Woodbury correction whose influence columns come back through one
     batched inverse transform — no eigendecomposition, no LU, ever.
+    Like :class:`_SpectralACStructure`, it leaves the unit cell and
+    source branches on the design.
     """
 
-    rev: int
     lam: np.ndarray  # mesh Laplacian modal eigenvalues, (cells,)
     tau: float  # zero-mode deflation shift folded into lam[0]
     bx_sq: np.ndarray  # squared DCT basis, (nx_modes, nx_nodes)
     by_sq: np.ndarray
     u_hat: np.ndarray  # DCT of the branch columns, (cells, k)
     alpha: float  # uniform decap density
-    unit_c: float
-    unit_esr: float
-    unit_esl: float
-    rout: np.ndarray
-    l_src: np.ndarray
     ring_g: np.ndarray  # ring segment conductances, appended to k
 
 
@@ -1069,7 +828,6 @@ class _SelinvPlan:
     coupling blocks carry one extra column for a right-hand side.
     """
 
-    rev: int
     levels: int
     width: int
     slot: np.ndarray  # per node: level * width + position in its level
@@ -1080,14 +838,14 @@ class _SelinvPlan:
     pad_dst: np.ndarray  # flat diagonal index of every padding slot
 
 
-class GridACPDN:
+class GridACPDN(MeshView):
     """Grid-level AC impedance analysis of the die/interposer mesh.
 
-    The AC counterpart of :class:`GridPDN`: the same rectangular
-    one-polarity mesh, extended with per-node decoupling capacitors
-    (C + ESR + ESL), per-edge metal inductance, and VR output branches
-    (Thevenin source + output resistance + bump/TSV inductance).  Two
-    analysis surfaces:
+    The AC view of a :class:`~repro.pdn.mesh.MeshDesign`, the
+    counterpart of :class:`GridPDN`: the same rectangular one-polarity
+    mesh, with its per-node decoupling capacitors (C + ESR + ESL),
+    per-edge metal inductance, and VR output branches (Thevenin source
+    + output resistance + bump/TSV inductance).  Two analysis surfaces:
 
     * :meth:`impedance_map` — the die-seen self-impedance Z(f) at
       *every* mesh node (sources zeroed, 1 A probe per node), the
@@ -1104,421 +862,15 @@ class GridACPDN:
     into per-node shunt admittances — solved by the DCT-diagonalized
     ``structured`` engine when the decap density is uniform and by
     exact block-tridiagonal selected inversion (``selinv``) otherwise.
+    Each structure is cached under the design's
+    :attr:`~repro.pdn.mesh.MeshDesign.key`.
 
     Unlike the DC grid, degenerate 1-D chains (``nx == 1`` or
     ``ny == 1``) are allowed: they are the lattice the analytic ladder
     model collapses onto, which the cross-validation tests exploit.
-    NaN or inf in any physical value (extents, sheet and edge values,
-    source, ring, sink and decap parameters) raises
-    :class:`~repro.errors.ConfigError` naming the parameter.
+    Per-edge resistance variation has no AC path, so a design that
+    carries it is rejected rather than silently solved without it.
     """
-
-    def __init__(
-        self,
-        width_m: float,
-        height_m: float,
-        sheet_ohm_sq: float,
-        nx: int = 24,
-        ny: int = 24,
-        edge_inductance_x_h: float = 0.0,
-        edge_inductance_y_h: float = 0.0,
-    ) -> None:
-        _require_finite(width_m, "width_m")
-        _require_finite(height_m, "height_m")
-        _require_finite(sheet_ohm_sq, "sheet_ohm_sq")
-        _require_finite(edge_inductance_x_h, "edge_inductance_x_h")
-        _require_finite(edge_inductance_y_h, "edge_inductance_y_h")
-        if width_m <= 0 or height_m <= 0:
-            raise ConfigError("grid extents must be positive")
-        if sheet_ohm_sq <= 0:
-            raise ConfigError("sheet resistance must be positive")
-        if nx < 1 or ny < 1 or nx * ny < 2:
-            raise ConfigError("grid needs at least two nodes")
-        if edge_inductance_x_h < 0 or edge_inductance_y_h < 0:
-            raise ConfigError("edge inductance must be non-negative")
-        self.width_m = width_m
-        self.height_m = height_m
-        self.sheet_ohm_sq = sheet_ohm_sq
-        self.nx = nx
-        self.ny = ny
-        self.edge_inductance_x_h = edge_inductance_x_h
-        self.edge_inductance_y_h = edge_inductance_y_h
-        # (name, ix, iy, voltage, r_out, l_src)
-        self._sources: list[tuple[str, int, int, float, float, float]] = []
-        self._sink_map: np.ndarray | None = None
-        self._ring_bus_ohm: float | None = None
-        self._decap: tuple | None = None
-        self._rev = 0  # matrix-shaping topology revision
-        self._sink_rev = 0
-        self._reduced: _ReducedACStructure | None = None
-        self._selinv: _SelinvPlan | None = None
-        self._spectral: _SpectralACStructure | None = None
-        self._structured: _StructuredACStructure | None = None
-        self._compiled: tuple[int, int, CompiledACNetlist] | None = None
-
-    @classmethod
-    def from_grid(
-        cls, grid: GridPDN, source_inductance_h: float = 0.0
-    ) -> "GridACPDN":
-        """Mirror a DC grid's mesh, sinks, sources, and ring bus.
-
-        ``source_inductance_h`` adds the vertical bump/TSV loop
-        inductance in series with every copied VR output (the DC model
-        has no use for it).  Decap maps are attached separately.
-        """
-        pdn = cls(
-            grid.width_m,
-            grid.height_m,
-            grid.sheet_ohm_sq,
-            nx=grid.nx,
-            ny=grid.ny,
-        )
-        if grid._sink_map is not None:
-            pdn.set_sink_array(grid._sink_map)
-        for name, ix, iy, voltage, r_out in grid._sources:
-            pdn._add_source_at(
-                name, ix, iy, voltage, r_out, source_inductance_h
-            )
-        if grid._ring_bus_ohm is not None:
-            pdn._ring_bus_ohm = grid._ring_bus_ohm
-            pdn._rev += 1
-        return pdn
-
-    # -- construction -----------------------------------------------------------
-
-    def set_sinks(self, power_map: PowerMap, total_current_a: float) -> None:
-        """Attach AC load magnitudes from a power map (phase 0)."""
-        self._sink_map = power_map.cell_currents(
-            self.nx, self.ny, total_current_a
-        )
-        self._sink_rev += 1
-
-    def set_sink_array(self, cell_currents: np.ndarray) -> None:
-        """Attach AC load magnitudes from an explicit (ny, nx) array."""
-        arr = np.asarray(cell_currents, dtype=float)
-        if arr.shape != (self.ny, self.nx):
-            raise ConfigError(
-                f"sink array must be shaped ({self.ny}, {self.nx})"
-            )
-        _require_finite(arr, "cell_currents")
-        if np.any(arr < 0):
-            raise ConfigError("sink currents must be non-negative")
-        self._sink_map = arr
-        self._sink_rev += 1
-
-    def _add_source_at(
-        self,
-        name: str,
-        ix: int,
-        iy: int,
-        voltage_v: float,
-        output_resistance_ohm: float,
-        inductance_h: float,
-    ) -> None:
-        _require_finite(voltage_v, "voltage_v")
-        _require_finite(output_resistance_ohm, "output_resistance_ohm")
-        _require_finite(inductance_h, "inductance_h")
-        if output_resistance_ohm <= 0:
-            raise ConfigError("source output resistance must be positive")
-        if inductance_h < 0:
-            raise ConfigError("source inductance must be non-negative")
-        if any(existing == name for existing, *_ in self._sources):
-            raise ConfigError(f"duplicate source name: {name!r}")
-        self._sources.append(
-            (name, ix, iy, voltage_v, output_resistance_ohm, inductance_h)
-        )
-        self._rev += 1
-
-    def add_source(
-        self,
-        name: str,
-        x_frac: float,
-        y_frac: float,
-        voltage_v: float,
-        output_resistance_ohm: float,
-        inductance_h: float = 0.0,
-    ) -> None:
-        """Attach a VR output at fractional die coordinates.
-
-        As in :class:`GridPDN`, but with an optional series
-        ``inductance_h`` modeling the vertical bump/TSV loop between
-        the converter output and the mesh.
-        """
-        if not 0.0 <= x_frac <= 1.0 or not 0.0 <= y_frac <= 1.0:
-            raise ConfigError("source position must be inside the die")
-        ix = min(int(round(x_frac * (self.nx - 1))), self.nx - 1)
-        iy = min(int(round(y_frac * (self.ny - 1))), self.ny - 1)
-        self._add_source_at(
-            name, ix, iy, voltage_v, output_resistance_ohm, inductance_h
-        )
-
-    def clear_sources(self) -> None:
-        """Remove all attached sources (and any ring bus)."""
-        self._sources.clear()
-        self._ring_bus_ohm = None
-        self._rev += 1
-
-    def connect_sources_with_ring_bus(
-        self, segment_resistance_ohm: float
-    ) -> None:
-        """Join consecutive sources with a dedicated ring bus
-        (:meth:`GridPDN.connect_sources_with_ring_bus` semantics)."""
-        _require_finite(segment_resistance_ohm, "segment_resistance_ohm")
-        if segment_resistance_ohm <= 0:
-            raise ConfigError("ring segment resistance must be positive")
-        if len(self._sources) < 3:
-            raise ConfigError("a ring bus needs at least three sources")
-        self._ring_bus_ohm = segment_resistance_ohm
-        self._rev += 1
-
-    @property
-    def source_names(self) -> list[str]:
-        """Names of attached sources in attachment order."""
-        return [s[0] for s in self._sources]
-
-    # -- decap maps -------------------------------------------------------------
-
-    def set_decap_density(
-        self,
-        density,
-        cap_per_unit_f: float,
-        esr_per_unit_ohm: float = 0.0,
-        esl_per_unit_h: float = 0.0,
-    ) -> None:
-        """Attach decaps as a per-node *density* of one unit cell.
-
-        ``density`` (scalar or (ny, nx) array, >= 0) counts identical
-        unit cells — C with series ESR and ESL — in parallel at each
-        node, the way MIM/deep-trench decap budgets are allocated per
-        tile.  A uniform density (plus purely resistive mesh metal)
-        unlocks the structured impedance-map engine; any other map runs
-        the general ``selinv`` engine.
-        """
-        _require_finite(cap_per_unit_f, "cap_per_unit_f")
-        _require_finite(esr_per_unit_ohm, "esr_per_unit_ohm")
-        _require_finite(esl_per_unit_h, "esl_per_unit_h")
-        if cap_per_unit_f <= 0:
-            raise ConfigError("unit decap capacitance must be positive")
-        if esr_per_unit_ohm < 0 or esl_per_unit_h < 0:
-            raise ConfigError("unit decap ESR/ESL must be non-negative")
-        alpha = np.asarray(density, dtype=float)
-        if alpha.ndim == 0:
-            alpha = np.full((self.ny, self.nx), float(alpha))
-        if alpha.shape != (self.ny, self.nx):
-            raise ConfigError(
-                f"density map must be shaped ({self.ny}, {self.nx})"
-            )
-        _require_finite(alpha, "density")
-        if np.any(alpha < 0):
-            raise ConfigError("decap density must be non-negative")
-        if not np.any(alpha > 0):
-            raise ConfigError("decap density map is all zero")
-        self._decap = (
-            "density",
-            alpha.copy(),
-            float(cap_per_unit_f),
-            float(esr_per_unit_ohm),
-            float(esl_per_unit_h),
-        )
-        self._rev += 1
-
-    def set_decap_map(self, cap_f, esr_ohm=0.0, esl_h=0.0) -> None:
-        """Attach arbitrary per-node decap maps.
-
-        ``cap_f``/``esr_ohm``/``esl_h`` are scalars or (ny, nx)
-        arrays; a node with zero capacitance carries no decap branch.
-        All-scalar arguments are equivalent to a uniform unit density
-        of one cell per node (and are stored that way, keeping the
-        structured engine available); array arguments go through the
-        general ``selinv`` engine.
-        """
-        if np.ndim(cap_f) == 0 and np.ndim(esr_ohm) == 0 and np.ndim(esl_h) == 0:
-            _require_finite(cap_f, "cap_f")
-            _require_finite(esr_ohm, "esr_ohm")
-            _require_finite(esl_h, "esl_h")
-            self.set_decap_density(
-                1.0, float(cap_f), float(esr_ohm), float(esl_h)
-            )
-            return
-
-        def as_map(value, name: str, label: str) -> np.ndarray:
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim == 0:
-                arr = np.full((self.ny, self.nx), float(arr))
-            if arr.shape != (self.ny, self.nx):
-                raise ConfigError(
-                    f"{label} map must be shaped ({self.ny}, {self.nx})"
-                )
-            _require_finite(arr, name)
-            if np.any(arr < 0):
-                raise ConfigError(f"{label} map must be non-negative")
-            return arr.copy()
-
-        c = as_map(cap_f, "cap_f", "capacitance")
-        if not np.any(c > 0):
-            raise ConfigError("capacitance map is all zero")
-        self._decap = (
-            "map",
-            c,
-            as_map(esr_ohm, "esr_ohm", "ESR"),
-            as_map(esl_h, "esl_h", "ESL"),
-        )
-        self._rev += 1
-
-    def scale_decap(self, factor: float) -> None:
-        """Multiply the attached decap allocation by ``factor``.
-
-        Semantically "add more unit cells in parallel": capacitance
-        scales up while ESR and ESL scale down, for either decap
-        representation.  The decap sizing search is built on this.
-        """
-        _require_finite(factor, "factor")
-        if factor <= 0:
-            raise ConfigError("decap scale factor must be positive")
-        if self._decap is None:
-            raise ConfigError("no decaps attached; set a decap map first")
-        if self._decap[0] == "density":
-            _, alpha, c, esr, esl = self._decap
-            self._decap = ("density", alpha * factor, c, esr, esl)
-        else:
-            _, c, esr, esl = self._decap
-            self._decap = ("map", c * factor, esr / factor, esl / factor)
-        self._rev += 1
-
-    def decap_snapshot(self) -> tuple:
-        """The exact decap state, for :meth:`restore_decap`.
-
-        Captures the stored representation (kind, arrays, unit values)
-        plus the topology revision, so a search that mutates the
-        allocation — :func:`~repro.pdn.impedance.size_grid_decap_for_target`,
-        the placement optimizer — can put the grid back bit-exactly
-        instead of round-tripping values through lossy scale factors.
-        """
-        if self._decap is None:
-            state: tuple | None = None
-        else:
-            state = tuple(
-                part.copy() if isinstance(part, np.ndarray) else part
-                for part in self._decap
-            )
-        return (state, self._rev)
-
-    def restore_decap(self, snapshot: tuple) -> None:
-        """Restore a :meth:`decap_snapshot` bit-exactly.
-
-        The topology revision is restored too, so structures cached
-        *before* the snapshot stay valid; any structure built at an
-        intermediate revision (which could alias a future revision
-        number once the counter is rewound) is dropped.
-        """
-        state, rev = snapshot
-        if state is None:
-            self._decap = None
-        else:
-            self._decap = tuple(
-                part.copy() if isinstance(part, np.ndarray) else part
-                for part in state
-            )
-        self._rev = rev
-        if self._reduced is not None and self._reduced.rev != rev:
-            self._reduced = None
-        if self._selinv is not None and self._selinv.rev != rev:
-            self._selinv = None
-        if self._spectral is not None and self._spectral.rev != rev:
-            self._spectral = None
-        if self._structured is not None and self._structured.rev != rev:
-            self._structured = None
-        if self._compiled is not None and self._compiled[0] != rev:
-            self._compiled = None
-
-    @property
-    def total_decap_farad(self) -> float:
-        """Total attached decoupling capacitance over the mesh."""
-        if self._decap is None:
-            return 0.0
-        return float(self._decap_arrays()[0].sum())
-
-    def _decap_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened per-node (C, ESR, ESL) arrays; zero C = no decap."""
-        cells = self.nx * self.ny
-        if self._decap is None:
-            zero = np.zeros(cells)
-            return zero, zero.copy(), zero.copy()
-        if self._decap[0] == "density":
-            _, alpha, c_u, esr_u, esl_u = self._decap
-            alpha = alpha.ravel()
-            live = alpha > 0
-            c = np.where(live, alpha * c_u, 0.0)
-            with np.errstate(divide="ignore"):
-                esr = np.where(live, esr_u / np.where(live, alpha, 1.0), 0.0)
-                esl = np.where(live, esl_u / np.where(live, alpha, 1.0), 0.0)
-            return c, esr, esl
-        _, c, esr, esl = self._decap
-        return c.ravel().copy(), esr.ravel().copy(), esl.ravel().copy()
-
-    # -- edge parameters --------------------------------------------------------
-
-    @property
-    def edge_resistance_x_ohm(self) -> float:
-        """Resistance of one x-direction edge (R_sq * dx / dy_strip)."""
-        if self.nx < 2:
-            raise ConfigError("a 1-wide grid has no x edges")
-        dx = self.width_m / (self.nx - 1)
-        strip = self.height_m / self.ny
-        return self.sheet_ohm_sq * dx / strip
-
-    @property
-    def edge_resistance_y_ohm(self) -> float:
-        """Resistance of one y-direction edge."""
-        if self.ny < 2:
-            raise ConfigError("a 1-tall grid has no y edges")
-        dy = self.height_m / (self.ny - 1)
-        strip = self.width_m / self.nx
-        return self.sheet_ohm_sq * dy / strip
-
-    def _edge_arrays(self) -> tuple[np.ndarray, ...]:
-        """All constant-topology edges: mesh x, mesh y, ring segments.
-
-        Returns ``(a, b, r, l)`` — endpoint rows plus per-edge series
-        resistance and inductance.
-        """
-        x_a, x_b, y_a, y_b = mesh_edge_rows(self.nx, self.ny)
-        ring = self._ring_segments()
-        ring_a = np.array([a for a, _ in ring], dtype=np.int64)
-        ring_b = np.array([b for _, b in ring], dtype=np.int64)
-        a = np.concatenate([x_a, y_a, ring_a])
-        b = np.concatenate([x_b, y_b, ring_b])
-        r = np.concatenate(
-            [
-                np.full(x_a.size, self.edge_resistance_x_ohm if x_a.size else 0.0),
-                np.full(y_a.size, self.edge_resistance_y_ohm if y_a.size else 0.0),
-                np.full(len(ring), self._ring_bus_ohm or 0.0),
-            ]
-        )
-        l = np.concatenate(
-            [
-                np.full(x_a.size, self.edge_inductance_x_h),
-                np.full(y_a.size, self.edge_inductance_y_h),
-                np.zeros(len(ring)),
-            ]
-        )
-        return a, b, r, l
-
-    def _ring_segments(self) -> list[tuple[int, int]]:
-        """Ring-bus segments as (row_a, row_b), degenerates skipped."""
-        if self._ring_bus_ohm is None:
-            return []
-        segments: list[tuple[int, int]] = []
-        count = len(self._sources)
-        for k in range(count):
-            _, ix_a, iy_a, *_ = self._sources[k]
-            _, ix_b, iy_b, *_ = self._sources[(k + 1) % count]
-            if (ix_a, iy_a) == (ix_b, iy_b):
-                continue
-            segments.append(
-                (iy_a * self.nx + ix_a, iy_b * self.nx + ix_b)
-            )
-        return segments
 
     # -- shunt admittances ------------------------------------------------------
 
@@ -1529,7 +881,7 @@ class GridACPDN:
         ``y = 1 / (ESR + j(ω·ESL − 1/(ω·C)))``; nodes without decap
         contribute zero.
         """
-        c, esr, esl = self._decap_arrays()
+        c, esr, esl = self.design.decap_arrays()
         live = c > 0
         y = np.zeros((omega.size, c.size), dtype=complex)
         if np.any(live):
@@ -1540,15 +892,9 @@ class GridACPDN:
 
     def _source_admittance(self, omega: np.ndarray) -> np.ndarray:
         """Per-source zeroed-EMF branch admittance, (n_freqs, s)."""
-        rout = np.array([s[4] for s in self._sources])
-        l_src = np.array([s[5] for s in self._sources])
+        rout = self.design.source_values("output_resistance_ohm")
+        l_src = self.design.source_values("inductance_h")
         return 1.0 / (rout[None, :] + 1j * omega[:, None] * l_src[None, :])
-
-    def _source_attach_rows(self) -> np.ndarray:
-        return np.array(
-            [iy * self.nx + ix for _, ix, iy, *_ in self._sources],
-            dtype=np.int64,
-        )
 
     # -- impedance map ----------------------------------------------------------
 
@@ -1581,8 +927,7 @@ class GridACPDN:
             SolverError: singular/resonant system at a sweep point.
         """
         freqs = check_frequencies(frequencies_hz)
-        if not self._sources:
-            raise ConfigError("no sources attached; call add_source first")
+        self._require()
         engine = self.impedance_engine(method)
         omega = 2.0 * math.pi * freqs
         if engine == "structured":
@@ -1627,8 +972,7 @@ class GridACPDN:
         )))
         if freqs.size != 1:
             raise ConfigError("impedance_columns takes a single frequency")
-        if not self._sources:
-            raise ConfigError("no sources attached; call add_source first")
+        self._require()
         cells = self.nx * self.ny
         rows = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
         if rows.ndim != 1 or rows.size == 0:
@@ -1638,21 +982,9 @@ class GridACPDN:
         structure = self._ensure_reduced()
         omega = 2.0 * math.pi * freqs
         data = self._reduced_csc_data(structure, omega)
-        matrix = sp.csc_matrix(
-            (data[0], structure.csc_rows, structure.indptr),
-            shape=(cells, cells),
-        )
         rhs = np.zeros((cells, rows.size), dtype=complex)
         rhs[rows, np.arange(rows.size)] = 1.0
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", spla.MatrixRankWarning)
-            try:
-                columns = spla.splu(matrix).solve(rhs)
-            except RuntimeError as exc:
-                raise SolverError(
-                    "grid impedance solve failed at "
-                    f"{freqs[0]:.6g} Hz: {exc}"
-                ) from exc
+        _, columns = _reduced_solve(structure, data[0], rhs, freqs[0])
         if not np.all(np.isfinite(columns)):
             raise SolverError(
                 f"grid impedance is singular at {freqs[0]:.6g} Hz "
@@ -1688,10 +1020,10 @@ class GridACPDN:
         return method
 
     def _spectral_eligible(self) -> bool:
+        decap = self.design.decap
         return (
-            self._decap is not None
-            and self._decap[0] == "density"
-            and bool(np.all(self._decap[1] > 0))
+            isinstance(decap, DecapDensity)
+            and bool(np.all(decap.density > 0))
             and self.edge_inductance_x_h == 0.0
             and self.edge_inductance_y_h == 0.0
         )
@@ -1702,40 +1034,36 @@ class GridACPDN:
         basis)."""
         if not self._spectral_eligible():
             return False
-        alpha = self._decap[1]
+        alpha = self.design.decap.density
         return bool(np.all(alpha == alpha.flat[0]))
 
     def _ensure_spectral(self) -> _SpectralACStructure:
-        if self._spectral is not None and self._spectral.rev == self._rev:
-            return self._spectral
+        return cached(
+            self, "_spectral", self.design.key, self._build_spectral
+        )
+
+    def _build_spectral(self) -> _SpectralACStructure:
+        design = self.design
         cells = self.nx * self.ny
-        a, b, r, _ = self._edge_arrays()
+        a, b, r, _ = design.lateral_edges()
         rows, cols, vals = admittance_stamp_entries(a, b, 1.0 / r)
         g = np.zeros((cells, cells))
         np.add.at(g, (rows, cols), vals)
-        _, alpha, c_u, esr_u, esl_u = self._decap
-        alpha = alpha.ravel()
+        decap = design.decap
+        alpha = decap.density.ravel()
         # Symmetrized generalized eigenproblem G q = λ D_α q: scale by
         # D_α^(-1/2), take the ordinary symmetric eigendecomposition,
         # and unscale — Qᵀ D_α Q = I, Qᵀ G Q = Λ by construction.
         dinv = 1.0 / np.sqrt(alpha)
         lam, v = np.linalg.eigh(g * dinv[:, None] * dinv[None, :])
         q = dinv[:, None] * v
-        attach = self._source_attach_rows()
-        self._spectral = _SpectralACStructure(
-            rev=self._rev,
+        attach = design.attach_rows()
+        return _SpectralACStructure(
             lam=lam,
             q=q,
             q_sq=q * q,
             p=q[attach, :].T.copy(),
-            attach=attach,
-            rout=np.array([s[4] for s in self._sources]),
-            l_src=np.array([s[5] for s in self._sources]),
-            unit_c=c_u,
-            unit_esr=esr_u,
-            unit_esl=esl_u,
         )
-        return self._spectral
 
     def _impedance_spectral(self, omega: np.ndarray) -> np.ndarray:
         """diag(A⁻¹) via the cached eigenbasis, shape (cells, n_freqs).
@@ -1747,21 +1075,19 @@ class GridACPDN:
         inverts per frequency at s×s cost.
         """
         structure = self._ensure_spectral()
-        reactance = omega * structure.unit_esl - 1.0 / (
-            omega * structure.unit_c
-        )
+        design = self.design
+        y_u = design.decap.unit_admittance(omega)
         with np.errstate(divide="ignore", invalid="ignore"):
-            y_u = 1.0 / (structure.unit_esr + 1j * reactance)
             w = 1.0 / (structure.lam[None, :] + y_u[:, None])  # (F, n)
         diag = w @ structure.q_sq.T  # (F, cells)
-        s_count = len(structure.rout)
+        s_count = len(design.sources)
         if s_count:
             tmp = w[:, :, None] * structure.p[None, :, :]  # (F, n, s)
             influence = structure.q[None, :, :] @ tmp  # M⁻¹U, (F, cells, s)
             t = structure.p.T[None, :, :] @ tmp  # UᵀM⁻¹U, (F, s, s)
             y_branch_inv = (
-                structure.rout[None, :]
-                + 1j * omega[:, None] * structure.l_src[None, :]
+                design.source_values("output_resistance_ohm")[None, :]
+                + 1j * omega[:, None] * design.source_values("inductance_h")
             )
             capacitance = t + (
                 y_branch_inv[:, :, None] * np.eye(s_count)[None, :, :]
@@ -1779,13 +1105,14 @@ class GridACPDN:
         return diag.T
 
     def _ensure_structured(self) -> _StructuredACStructure:
-        if (
-            self._structured is not None
-            and self._structured.rev == self._rev
-        ):
-            return self._structured
+        return cached(
+            self, "_structured", self.design.key, self._build_structured
+        )
+
+    def _build_structured(self) -> _StructuredACStructure:
         import scipy.fft as sfft
 
+        design = self.design
         nx, ny = self.nx, self.ny
         cells = nx * ny
         gx = 1.0 / self.edge_resistance_x_ohm if nx > 1 else 0.0
@@ -1794,8 +1121,7 @@ class GridACPDN:
             gy * poisson_mode_eigenvalues(ny)[:, None]
             + gx * poisson_mode_eigenvalues(nx)[None, :]
         ).ravel()
-        attach = self._source_attach_rows()
-        ring = self._ring_segments()
+        _, ring_a, ring_b = design.ring_segments()
         # Deflate the mesh zero mode: at low frequency 1/(α·y_u) dwarfs
         # every other modal weight and its near-exact cancellation by
         # the source correction destroys ~5 digits.  Shift lam[0] by
@@ -1807,15 +1133,10 @@ class GridACPDN:
         if defl:
             lam = lam.copy()
             lam[0] += tau
-        k = defl + attach.size + len(ring)
-        u = np.zeros((cells, k))
-        if defl:
-            u[:, 0] = 1.0 / math.sqrt(cells)
-        for t, row in enumerate(attach, start=defl):
-            u[row, t] += 1.0
-        for t, (a, b) in enumerate(ring, start=defl + attach.size):
-            u[a, t] += 1.0
-            u[b, t] -= 1.0
+        u = branch_columns(
+            cells, bool(defl), design.attach_rows(), ring_a, ring_b
+        )
+        k = u.shape[1]
         u_hat = (
             sfft.dctn(
                 u.T.reshape(k, ny, nx), type=2, axes=(1, 2), norm="ortho"
@@ -1823,23 +1144,15 @@ class GridACPDN:
             if k
             else u
         )
-        _, alpha_map, c_u, esr_u, esl_u = self._decap
-        self._structured = _StructuredACStructure(
-            rev=self._rev,
+        return _StructuredACStructure(
             lam=lam,
             tau=tau if defl else 0.0,
             bx_sq=dct2_basis(nx) ** 2,
             by_sq=dct2_basis(ny) ** 2,
             u_hat=u_hat,
-            alpha=float(alpha_map.flat[0]),
-            unit_c=c_u,
-            unit_esr=esr_u,
-            unit_esl=esl_u,
-            rout=np.array([s[4] for s in self._sources]),
-            l_src=np.array([s[5] for s in self._sources]),
-            ring_g=np.full(len(ring), 1.0 / (self._ring_bus_ohm or 1.0)),
+            alpha=float(design.decap.density.flat[0]),
+            ring_g=np.full(ring_a.size, 1.0 / (design.ring_bus_ohm or 1.0)),
         )
-        return self._structured
 
     def _impedance_structured(self, omega: np.ndarray) -> np.ndarray:
         """diag(A⁻¹) via the DCT eigenstructure, shape (cells, F).
@@ -1858,15 +1171,8 @@ class GridACPDN:
         nx, ny = self.nx, self.ny
         cells = nx * ny
         k = structure.u_hat.shape[1]
-        reactance = omega * structure.unit_esl - 1.0 / (
-            omega * structure.unit_c
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y_u = 1.0 / (structure.unit_esr + 1j * reactance)
-        y_src = 1.0 / (
-            structure.rout[None, :]
-            + 1j * omega[:, None] * structure.l_src[None, :]
-        )
+        y_u = self.design.decap.unit_admittance(omega)
+        y_src = self._source_admittance(omega)
         z = np.empty((cells, omega.size), dtype=complex)
         chunk = max(1, _DENSE_BATCH_ENTRIES // (max(k, 1) * cells))
         for lo in range(0, omega.size, chunk):
@@ -1927,19 +1233,19 @@ class GridACPDN:
         return z
 
     def _ensure_reduced(self) -> _ReducedACStructure:
-        if self._reduced is not None and self._reduced.rev == self._rev:
-            return self._reduced
+        return cached(self, "_reduced", self.design.key, self._build_reduced)
+
+    def _build_reduced(self) -> _ReducedACStructure:
         cells = self.nx * self.ny
-        a, b, r, l = self._edge_arrays()
-        rows, cols, edge, sign = _admittance_entry_map(a, b)
+        a, b, r, l = self.design.lateral_edges()
+        rows, cols, edge, sign = admittance_entry_map(a, b)
         diag = np.arange(cells, dtype=np.int64)
         all_rows = np.concatenate([rows, diag])
         all_cols = np.concatenate([cols, diag])
         order, starts, csc_rows, csc_cols, indptr = shared_csc_pattern(
             all_rows, all_cols, cells
         )
-        self._reduced = _ReducedACStructure(
-            rev=self._rev,
+        return _ReducedACStructure(
             edge_r=r,
             edge_l=l,
             entry_rows=all_rows,
@@ -1952,7 +1258,6 @@ class GridACPDN:
             csc_cols=csc_cols,
             indptr=indptr,
         )
-        return self._reduced
 
     def _reduced_csc_data(
         self, structure: _ReducedACStructure, omega: np.ndarray
@@ -1965,7 +1270,7 @@ class GridACPDN:
         )
         shunt = self._decap_admittance(omega)
         y_src = self._source_admittance(omega)
-        attach = self._source_attach_rows()
+        attach = self.design.attach_rows()
         np.add.at(shunt, (slice(None), attach), y_src)
         vals = np.concatenate(
             [
@@ -1980,8 +1285,9 @@ class GridACPDN:
         )
 
     def _ensure_selinv(self) -> _SelinvPlan:
-        if self._selinv is not None and self._selinv.rev == self._rev:
-            return self._selinv
+        return cached(self, "_selinv", self.design.key, self._build_selinv)
+
+    def _build_selinv(self) -> _SelinvPlan:
         structure = self._ensure_reduced()
         nx, ny = self.nx, self.ny
         cells = nx * ny
@@ -2014,8 +1320,7 @@ class GridACPDN:
         same = level[rows] == level[cols]
         upper = level[cols] == level[rows] + 1
         free = np.setdiff1d(np.arange(counts.size * width), slot)
-        self._selinv = _SelinvPlan(
-            rev=self._rev,
+        return _SelinvPlan(
             levels=counts.size,
             width=width,
             slot=slot,
@@ -2025,7 +1330,6 @@ class GridACPDN:
             upper_src=np.nonzero(upper)[0],
             pad_dst=free * width + free % width,
         )
-        return self._selinv
 
     def _impedance_selinv(
         self, omega: np.ndarray, freqs: np.ndarray
@@ -2145,19 +1449,9 @@ class GridACPDN:
             hi = min(lo + chunk, count)
             data = self._reduced_csc_data(structure, omega[lo:hi])
             for k in range(lo, hi):
-                matrix = sp.csc_matrix(
-                    (data[k - lo], structure.csc_rows, structure.indptr),
-                    shape=(cells, cells),
+                matrix, solved = _reduced_solve(
+                    structure, data[k - lo], identity, freqs[k]
                 )
-                with np.errstate(all="ignore"), warnings.catch_warnings():
-                    warnings.simplefilter("ignore", spla.MatrixRankWarning)
-                    try:
-                        solved = spla.splu(matrix).solve(identity)
-                    except RuntimeError as exc:
-                        raise SolverError(
-                            "grid impedance solve failed at "
-                            f"{freqs[k]:.6g} Hz: {exc}"
-                        ) from exc
                 z[:, k] = np.diagonal(solved)
                 with np.errstate(all="ignore"):
                     probe_error[k] = float(
@@ -2178,22 +1472,25 @@ class GridACPDN:
         straight into :meth:`CompiledACNetlist.from_arrays`, no
         per-element Python objects.
         """
-        if self._sink_map is None:
-            raise ConfigError("no sinks attached; call set_sinks first")
-        if not self._sources:
-            raise ConfigError("no sources attached; call add_source first")
-        if (
-            self._compiled is not None
-            and self._compiled[0] == self._rev
-            and self._compiled[1] == self._sink_rev
-        ):
-            return self._compiled[2]
+        design = self._require(sinks=True)
+        sinks = np.ascontiguousarray(design.sinks, dtype=float).ravel()
+        volts = design.source_values("voltage_v")
+        # The sinks and source voltages are baked in, so they join the
+        # design key in the tag.
+        return cached(
+            self,
+            "_compiled",
+            (design.key, sinks.tobytes(), volts.tobytes()),
+            lambda: self._build_compiled_ac(sinks, volts),
+        )
 
+    def _build_compiled_ac(
+        self, sinks: np.ndarray, volts: np.ndarray
+    ) -> CompiledACNetlist:
+        design = self.design
         nx, ny = self.nx, self.ny
         cells = nx * ny
-        x_a, x_b, y_a, y_b = mesh_edge_rows(nx, ny)
-        ring = self._ring_segments()
-        c_map, esr_map, esl_map = self._decap_arrays()
+        c_map, esr_map, esl_map = design.decap_arrays()
         has_c = c_map > 0
         has_r = has_c & (esr_map > 0)
         has_l = has_c & (esl_map > 0)
@@ -2201,54 +1498,19 @@ class GridACPDN:
         second = has_r & has_l
 
         nodes: list = [("g", ix, iy) for iy in range(ny) for ix in range(nx)]
-        res_a: list[np.ndarray] = []
-        res_b: list[np.ndarray] = []
-        res_v: list[np.ndarray] = []
-        ind_a: list[np.ndarray] = []
-        ind_b: list[np.ndarray] = []
-        ind_v: list[np.ndarray] = []
-
-        def mesh_edges(
-            a: np.ndarray, b: np.ndarray, r: float, l: float, axis: str
-        ) -> None:
-            """One mesh axis: plain resistors, or R + L via internal
-            nodes when the metal is inductive."""
-            if not a.size:
-                return
-            if l > 0:
-                mid = len(nodes) + np.arange(a.size, dtype=np.int64)
-                nodes.extend(
-                    (f"edge.{axis}", int(k)) for k in range(a.size)
-                )
-                res_a.append(a)
-                res_b.append(mid)
-                res_v.append(np.full(a.size, r))
-                ind_a.append(mid)
-                ind_b.append(b)
-                ind_v.append(np.full(a.size, l))
-            else:
-                res_a.append(a)
-                res_b.append(b)
-                res_v.append(np.full(a.size, r))
-
-        mesh_edges(
-            x_a,
-            x_b,
-            self.edge_resistance_x_ohm if x_a.size else 0.0,
-            self.edge_inductance_x_h,
-            "x",
-        )
-        mesh_edges(
-            y_a,
-            y_b,
-            self.edge_resistance_y_ohm if y_a.size else 0.0,
-            self.edge_inductance_y_h,
-            "y",
-        )
-        if ring:
-            res_a.append(np.array([a for a, _ in ring], dtype=np.int64))
-            res_b.append(np.array([b for _, b in ring], dtype=np.int64))
-            res_v.append(np.full(len(ring), self._ring_bus_ohm))
+        # Mesh and ring edges: plain resistors, or R + L through an
+        # internal node where the metal is inductive.
+        edge_a, edge_b, edge_r, edge_l = design.lateral_edges()
+        inductive = np.nonzero(edge_l > 0)[0]
+        far = edge_b.copy()
+        far[inductive] = len(nodes) + np.arange(inductive.size)
+        nodes.extend(("edge", int(k)) for k in inductive)
+        res_a: list[np.ndarray] = [edge_a]
+        res_b: list[np.ndarray] = [far]
+        res_v: list[np.ndarray] = [edge_r]
+        ind_a: list[np.ndarray] = [far[inductive]]
+        ind_b: list[np.ndarray] = [edge_b[inductive]]
+        ind_v: list[np.ndarray] = [edge_l[inductive]]
 
         # Decap chains: node —C→ [first] —ESR→ [second] —ESL→ ground,
         # with stages collapsing away wherever ESR/ESL are zero.
@@ -2275,14 +1537,14 @@ class GridACPDN:
 
         # Source branches: emf —rout→ [mid —L→] attach node.
         vs_plus = []
-        vs_volt = []
-        for name, ix, iy, voltage, r_out, l_src in self._sources:
-            attach = iy * nx + ix
+        for source, attach in zip(design.sources, design.attach_rows()):
+            r_out = source.output_resistance_ohm
+            l_src = source.inductance_h
             emf = len(nodes)
-            nodes.append(("src", name, "emf"))
+            nodes.append(("src", source.name, "emf"))
             if l_src > 0:
                 mid = len(nodes)
-                nodes.append(("src", name, "mid"))
+                nodes.append(("src", source.name, "mid"))
                 res_a.append(np.array([emf], dtype=np.int64))
                 res_b.append(np.array([mid], dtype=np.int64))
                 res_v.append(np.array([r_out]))
@@ -2294,14 +1556,13 @@ class GridACPDN:
                 res_b.append(np.array([attach], dtype=np.int64))
                 res_v.append(np.array([r_out]))
             vs_plus.append(emf)
-            vs_volt.append(voltage)
 
         def cat(parts: list[np.ndarray], dtype) -> np.ndarray:
             if not parts:
                 return np.empty(0, dtype=dtype)
             return np.concatenate(parts).astype(dtype, copy=False)
 
-        compiled = CompiledACNetlist.from_arrays(
+        return CompiledACNetlist.from_arrays(
             nodes=tuple(nodes),
             res_a=cat(res_a, np.int64),
             res_b=cat(res_b, np.int64),
@@ -2314,13 +1575,11 @@ class GridACPDN:
             cap_f=cap_v,
             vs_plus=np.array(vs_plus, dtype=np.int64),
             vs_minus=np.full(len(vs_plus), GROUND_INDEX, dtype=np.int64),
-            vs_volt=np.array(vs_volt),
+            vs_volt=volts,
             cs_from=mesh_rows,
             cs_to=np.full(cells, GROUND_INDEX, dtype=np.int64),
-            cs_amp=np.ascontiguousarray(self._sink_map, dtype=float).ravel(),
+            cs_amp=sinks,
         )
-        self._compiled = (self._rev, self._sink_rev, compiled)
-        return compiled
 
     def solve(self, frequencies_hz: np.ndarray) -> GridACSweepSolution:
         """Driven phasor sweep: sources at their EMFs, sinks as AC
@@ -2337,14 +1596,26 @@ class GridACPDN:
         )
 
 
-def _require_finite(value, name: str) -> None:
-    """Reject NaN/inf anywhere in a scalar or array input, by name.
-
-    The range guards (``<= 0``, ``< 0``) are all false for NaN, so this
-    check runs first at every :class:`GridACPDN` boundary.
-    """
-    if not np.all(np.isfinite(value)):
-        raise ConfigError(f"{name} must be finite")
+def _reduced_solve(
+    structure: _ReducedACStructure,
+    data: np.ndarray,
+    rhs: np.ndarray,
+    frequency_hz: float,
+) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The reduced matrix of one frequency's CSC values and its sparse-LU
+    solution for ``rhs``."""
+    cells = structure.indptr.size - 1
+    matrix = sp.csc_matrix(
+        (data, structure.csc_rows, structure.indptr), shape=(cells, cells)
+    )
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", spla.MatrixRankWarning)
+        try:
+            return matrix, spla.splu(matrix).solve(rhs)
+        except RuntimeError as exc:
+            raise SolverError(
+                f"grid impedance solve failed at {frequency_hz:.6g} Hz: {exc}"
+            ) from exc
 
 
 def _check_probe(probe_error: np.ndarray, freqs: np.ndarray) -> None:
@@ -2356,34 +1627,3 @@ def _check_probe(probe_error: np.ndarray, freqs: np.ndarray) -> None:
             f"{freqs[np.nonzero(bad)[0][0]]:.6g} Hz "
             "(resonant singularity or floating mesh)"
         )
-
-
-def _admittance_entry_map(
-    a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """COO positions of two-terminal admittance stamps, value-free.
-
-    The per-entry layout of
-    :func:`repro.pdn.network.admittance_stamp_entries` with the values
-    replaced by ``(element index, sign)`` pairs, so frequency-varying
-    element admittances can be scattered onto a fixed pattern with one
-    fancy-index per sweep chunk.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    index = np.arange(len(a))
-    in_a = a != GROUND_INDEX
-    in_b = b != GROUND_INDEX
-    in_ab = in_a & in_b
-    rows = np.concatenate([a[in_a], b[in_b], a[in_ab], b[in_ab]])
-    cols = np.concatenate([a[in_a], b[in_b], b[in_ab], a[in_ab]])
-    edge = np.concatenate([index[in_a], index[in_b], index[in_ab], index[in_ab]])
-    sign = np.concatenate(
-        [
-            np.ones(int(in_a.sum())),
-            np.ones(int(in_b.sum())),
-            -np.ones(int(in_ab.sum())),
-            -np.ones(int(in_ab.sum())),
-        ]
-    )
-    return rows, cols, edge, sign

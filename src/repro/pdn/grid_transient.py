@@ -2,9 +2,10 @@
 
 The lumped :class:`~repro.pdn.transient.PDNTransient` ladder shows the
 droop *waveform*; this module shows where on the die it lands.  The
-mesh of :class:`~repro.pdn.grid.GridPDN` — per-node decap maps and VR
-output branches as in :class:`~repro.pdn.grid.GridACPDN` — is
-discretized in time with the trapezoidal (Tustin) rule: every reactive
+:class:`~repro.pdn.mesh.MeshDesign` that :class:`~repro.pdn.grid.GridPDN`
+and :class:`~repro.pdn.grid.GridACPDN` analyze — per-node decap maps
+and VR output branches included — is discretized in time with the
+trapezoidal (Tustin) rule: every reactive
 branch collapses into its companion model (a conductance plus a
 history current), so each time step is one linear solve
 
@@ -63,10 +64,15 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from ..errors import ConfigError
-from .fast_poisson import FastPoissonOperator, StructuredGridPDN, StructuredSolveError
-from .grid import GridPDN, STRUCTURED_AUTO_MIN_CELLS, mesh_edge_rows
+from .fast_poisson import (
+    FastPoissonOperator,
+    StructuredGridPDN,
+    StructuredSolveError,
+    branch_columns,
+)
+from .grid import check_engine, resolve_engine
+from .mesh import MeshDesign, MeshView, cached, mesh_edge_rows, require_finite
 from .network import GROUND_INDEX, CompiledNetlist
-from .powermap import PowerMap
 from .transient import droop_and_settle
 
 #: The structured engine carries decap-map non-uniformity as Woodbury
@@ -141,31 +147,19 @@ class _FastTransient:
     deflation column ride in the correction.  Decap-free (zero-shift)
     systems get one refinement round on the exact stencil matvec;
     shifted systems are diagonally dominant enough that the plain
-    Woodbury apply already lands at ~1e-13 relative.
+    Woodbury apply already lands at ~1e-13 relative.  Built from the
+    companion conductances of one :class:`_TransientStructure`.
     """
 
-    def __init__(
-        self,
-        nx: int,
-        ny: int,
-        gx: float,
-        gy: float,
-        g_node: np.ndarray,
-        attach: np.ndarray,
-        g_src: np.ndarray,
-        ring_a: np.ndarray,
-        ring_b: np.ndarray,
-        g_ring: np.ndarray,
-    ) -> None:
-        cells = nx * ny
+    def __init__(self, st: "_TransientStructure") -> None:
+        nx, ny, cells = st.nx, st.ny, st.cells
         self.nx, self.ny, self.cells = nx, ny, cells
+        gx, gy = st.g_x, st.g_y
         self.gx, self.gy = gx, gy
-        self.g_node = np.asarray(g_node, dtype=float)
-        self.attach = np.asarray(attach, dtype=np.int64)
-        self.g_src = np.asarray(g_src, dtype=float)
-        self.ring_a = np.asarray(ring_a, dtype=np.int64)
-        self.ring_b = np.asarray(ring_b, dtype=np.int64)
-        self.g_ring = np.asarray(g_ring, dtype=float)
+        self.g_node = st.g_node
+        self.attach = st.attach
+        self.g_src = st.g_s
+        self.ring_a, self.ring_b, self.g_ring = st.ring_a, st.ring_b, st.g_ring
 
         values, counts = np.unique(self.g_node, return_counts=True)
         base = float(values[int(np.argmax(counts))])
@@ -180,27 +174,22 @@ class _FastTransient:
             nx, ny, gx if nx > 1 else 0.0, gy if ny > 1 else 0.0, shift=base
         )
         deflate = self.op.deflation_tau is not None
-        m = int(deflate) + dev_rows.size + self.attach.size + self.ring_a.size
-        u = np.zeros((cells, m))
-        c = np.empty(m)
-        col = 0
-        if deflate:
-            u[:, 0] = 1.0 / np.sqrt(cells)
-            c[0] = -self.op.deflation_tau
-            col = 1
-        for row in dev_rows:
-            u[row, col] = 1.0
-            c[col] = self.g_node[row] - base
-            col += 1
-        for row, g in zip(self.attach, self.g_src):
-            u[row, col] += 1.0
-            c[col] = g
-            col += 1
-        for a, b, g in zip(self.ring_a, self.ring_b, self.g_ring):
-            u[a, col] += 1.0
-            u[b, col] -= 1.0
-            c[col] = g
-            col += 1
+        u = branch_columns(
+            cells,
+            deflate,
+            np.concatenate([dev_rows, self.attach]),
+            self.ring_a,
+            self.ring_b,
+        )
+        c = np.concatenate(
+            [
+                [-self.op.deflation_tau] if deflate else [],
+                self.g_node[dev_rows] - base,
+                self.g_src,
+                self.g_ring,
+            ]
+        )
+        m = c.size
         self._u = u
         self._c = c
         self._z = self.op.solve(u) if m else np.zeros((cells, 0))
@@ -275,31 +264,25 @@ class _TransientStructure:
     Holds the trapezoidal companion constants, the compiled reduced
     netlists (transient stamp and DC-init stamp), and — lazily — the
     two engines for each.  The transient LU is keyed in the shared
-    factorization cache with a ``(Δt, C_eff)`` salt.
+    factorization cache with a ``(Δt, C_eff)`` salt.  Source voltages
+    are right-hand-side data: they are passed to each run, so a
+    setpoint change reuses the structure.
     """
 
-    def __init__(
-        self,
-        nx: int,
-        ny: int,
-        dt_s: float,
-        r_x: float | None,
-        r_y: float | None,
-        l_x: float,
-        l_y: float,
-        ring_a: np.ndarray,
-        ring_b: np.ndarray,
-        ring_ohm: float | None,
-        dec_c: np.ndarray,
-        dec_esr: np.ndarray,
-        dec_esl: np.ndarray,
-        attach: np.ndarray,
-        volt: np.ndarray,
-        rout: np.ndarray,
-        l_src: np.ndarray,
-    ) -> None:
+    def __init__(self, design: MeshDesign, dt_s: float) -> None:
+        nx, ny = design.nx, design.ny
+        r_x = design.edge_resistance_x_ohm if nx > 1 else None
+        r_y = design.edge_resistance_y_ohm if ny > 1 else None
+        l_x, l_y = design.edge_inductance_x_h, design.edge_inductance_y_h
+        _, ring_a, ring_b = design.ring_segments()
+        ring_ohm = design.ring_bus_ohm
+        dec_c, dec_esr, dec_esl = design.decap_arrays()
+        attach = design.attach_rows()
+        rout = design.source_values("output_resistance_ohm")
+        l_src = design.source_values("inductance_h")
         cells = nx * ny
         h = dt_s
+        self.design = design
         self.nx, self.ny, self.cells, self.dt_s = nx, ny, cells, h
         x_a, x_b, y_a, y_b = mesh_edge_rows(nx, ny)
         self.x_a, self.x_b, self.y_a, self.y_b = x_a, x_b, y_a, y_b
@@ -332,7 +315,6 @@ class _TransientStructure:
 
         # VR output companions.
         self.attach = attach
-        self.volt = volt
         self.w_s = 2.0 * l_src / h
         self.g_s = 1.0 / (rout + self.w_s)
         self.g_dc = 1.0 / rout
@@ -371,6 +353,21 @@ class _TransientStructure:
         def shunt(rows: np.ndarray) -> np.ndarray:
             return np.full(rows.size, GROUND_INDEX, dtype=np.int64)
 
+        def reduced_netlist(
+            res_a: np.ndarray, res_b: np.ndarray, res_ohm: np.ndarray, tag: str
+        ) -> CompiledNetlist:
+            """A resistor-only netlist over the mesh nodes."""
+            return CompiledNetlist(
+                nodes=lambda: tuple(f"n{i}" for i in range(cells)),
+                n_nodes=cells,
+                res_a=res_a,
+                res_b=res_b,
+                res_ohm=res_ohm,
+                res_names=lambda: tuple(
+                    f"gt.{tag}{i}" for i in range(res_ohm.size)
+                ),
+            )
+
         def compile_reduced(
             extra_rows: np.ndarray, extra_ohm: np.ndarray, gx: float, gy: float
         ) -> CompiledNetlist:
@@ -386,16 +383,7 @@ class _TransientStructure:
                     extra_ohm,
                 ]
             )
-            return CompiledNetlist(
-                nodes=lambda: tuple(f"n{i}" for i in range(cells)),
-                n_nodes=cells,
-                res_a=res_a,
-                res_b=res_b,
-                res_ohm=res_ohm,
-                res_names=lambda: tuple(
-                    f"gt.r{i}" for i in range(res_ohm.size)
-                ),
-            )
+            return reduced_netlist(res_a, res_b, res_ohm, "r")
 
         # Transient stamp: mesh + ring + decap shunts + VR shunts.
         self.compiled = compile_reduced(
@@ -453,18 +441,11 @@ class _TransientStructure:
                 j_a.append(attach[live])
                 j_b.append(shunt(attach[live]))
                 j_ohm.append(rout[live])
-            j_res_a = np.concatenate(j_a)
-            j_res_b = np.concatenate(j_b)
-            j_res_ohm = np.concatenate(j_ohm)
-            self.jump_compiled = CompiledNetlist(
-                nodes=lambda: tuple(f"n{i}" for i in range(cells)),
-                n_nodes=cells,
-                res_a=j_res_a,
-                res_b=j_res_b,
-                res_ohm=j_res_ohm,
-                res_names=lambda: tuple(
-                    f"gt.j{i}" for i in range(j_res_ohm.size)
-                ),
+            self.jump_compiled = reduced_netlist(
+                np.concatenate(j_a),
+                np.concatenate(j_b),
+                np.concatenate(j_ohm),
+                "j",
             )
         # The (Δt, C_eff) salt: the companion resistances already
         # encode Δt, but the salt guarantees distinct time steps never
@@ -510,48 +491,29 @@ class _TransientStructure:
 
     def fast(self) -> _FastTransient:
         if self._fast is None:
-            self._fast = _FastTransient(
-                self.nx,
-                self.ny,
-                self.g_x,
-                self.g_y,
-                self.g_node,
-                self.attach,
-                self.g_s,
-                self.ring_a,
-                self.ring_b,
-                self.g_ring,
-            )
+            self._fast = _FastTransient(self)
         return self._fast
 
     def dc_fast(self) -> StructuredGridPDN:
         if self._dc_fast is None:
-            self._dc_fast = StructuredGridPDN(
-                compiled=self.dc_compiled,
-                nx=self.nx,
-                ny=self.ny,
-                edge_conductance_x=self.g_x_dc,
-                edge_conductance_y=self.g_y_dc,
-                attach_rows=self.attach,
-                source_conductance=self.g_dc,
-                ring_a=self.ring_a,
-                ring_b=self.ring_b,
-                ring_conductance=self.g_ring,
-            )
+            self._dc_fast = StructuredGridPDN(self.dc_compiled, self.design)
         return self._dc_fast
 
 
-class GridTransientPDN:
+class GridTransientPDN(MeshView):
     """Time-domain load-step analysis on the die/interposer mesh.
 
-    The transient counterpart of :class:`~repro.pdn.grid.GridACPDN`:
-    the same rectangular one-polarity mesh with per-node decap maps
+    The transient view of a :class:`~repro.pdn.mesh.MeshDesign`, the
+    counterpart of :class:`~repro.pdn.grid.GridACPDN`: the same
+    rectangular one-polarity mesh with per-node decap maps
     (C + ESR + ESL), optional per-edge metal inductance, and VR output
     branches (EMF + r_out + bump/TSV inductance), driven by arbitrary
     per-node sink-current waveforms.  Degenerate 1-D chains
     (``nx == 1`` or ``ny == 1``) are allowed — they are the lattice on
     which the lumped :class:`~repro.pdn.transient.PDNTransient`
-    matrix-exponential oracle pins this engine.
+    matrix-exponential oracle pins this engine.  Per-edge resistance
+    variation has no companion path, so a design that carries it is
+    rejected.
 
     Three analysis surfaces:
 
@@ -561,6 +523,10 @@ class GridTransientPDN:
       multi-RHS back-substitutions;
     * :meth:`simulate_step` — the classic load step, scaled over the
       attached sink map, with a DC-exact settle reference.
+
+    Run-time arguments (time step, duration, load levels, waveform
+    samples, settle band) are checked like design fields: NaN or inf
+    raises :class:`~repro.errors.ConfigError` naming the argument.
     """
 
     def __init__(
@@ -574,350 +540,31 @@ class GridTransientPDN:
         edge_inductance_y_h: float = 0.0,
         engine: str = "auto",
     ) -> None:
-        if width_m <= 0 or height_m <= 0:
-            raise ConfigError("grid extents must be positive")
-        if sheet_ohm_sq <= 0:
-            raise ConfigError("sheet resistance must be positive")
-        if nx < 1 or ny < 1 or nx * ny < 2:
-            raise ConfigError("grid needs at least two nodes")
-        if edge_inductance_x_h < 0 or edge_inductance_y_h < 0:
-            raise ConfigError("edge inductance must be non-negative")
-        if engine not in ("auto", "structured", "factorized"):
-            raise ConfigError(
-                "engine must be 'auto', 'structured', or 'factorized'"
-            )
-        self.width_m = width_m
-        self.height_m = height_m
-        self.sheet_ohm_sq = sheet_ohm_sq
-        self.nx = nx
-        self.ny = ny
-        self.edge_inductance_x_h = edge_inductance_x_h
-        self.edge_inductance_y_h = edge_inductance_y_h
-        self.engine = engine
-        # (name, ix, iy, voltage, r_out, l_src)
-        self._sources: list[tuple[str, int, int, float, float, float]] = []
-        self._sink_map: np.ndarray | None = None
-        self._ring_bus_ohm: float | None = None
-        self._decap: tuple | None = None
-        self._structures: dict[tuple, _TransientStructure] = {}
-
-    @classmethod
-    def from_grid(
-        cls,
-        grid: GridPDN,
-        source_inductance_h: float = 0.0,
-        engine: str = "auto",
-    ) -> "GridTransientPDN":
-        """Mirror a DC grid's mesh, sinks, sources, and ring bus.
-
-        ``source_inductance_h`` adds the vertical bump/TSV loop
-        inductance in series with every copied VR output.  Decap maps
-        are attached separately.  Per-edge variation has no transient
-        companion path, so scaled grids are rejected.
-        """
-        if grid._edge_scale_x is not None or grid._edge_scale_y is not None:
-            raise ConfigError(
-                "the transient engine does not support per-edge "
-                "variation; build from an unscaled grid"
-            )
-        pdn = cls(
-            grid.width_m,
-            grid.height_m,
-            grid.sheet_ohm_sq,
-            nx=grid.nx,
-            ny=grid.ny,
-            engine=engine,
-        )
-        if grid._sink_map is not None:
-            pdn.set_sink_array(grid._sink_map)
-        for name, ix, iy, voltage, r_out in grid._sources:
-            pdn._add_source_at(
-                name, ix, iy, voltage, r_out, source_inductance_h
-            )
-        if grid._ring_bus_ohm is not None:
-            pdn._ring_bus_ohm = grid._ring_bus_ohm
-        return pdn
-
-    # -- construction -----------------------------------------------------------
-
-    def set_sinks(self, power_map: PowerMap, total_current_a: float) -> None:
-        """Attach the load's spatial profile from a power map."""
-        self._sink_map = power_map.cell_currents(
-            self.nx, self.ny, total_current_a
-        )
-
-    def set_sink_array(self, cell_currents: np.ndarray) -> None:
-        """Attach the load's spatial profile as an explicit (ny, nx) array."""
-        arr = np.asarray(cell_currents, dtype=float)
-        if arr.shape != (self.ny, self.nx):
-            raise ConfigError(
-                f"sink array must be shaped ({self.ny}, {self.nx})"
-            )
-        if np.any(arr < 0):
-            raise ConfigError("sink currents must be non-negative")
-        self._sink_map = arr
-
-    def _add_source_at(
-        self,
-        name: str,
-        ix: int,
-        iy: int,
-        voltage_v: float,
-        output_resistance_ohm: float,
-        inductance_h: float,
-    ) -> None:
-        if output_resistance_ohm <= 0:
-            raise ConfigError("source output resistance must be positive")
-        if inductance_h < 0:
-            raise ConfigError("source inductance must be non-negative")
-        if any(existing == name for existing, *_ in self._sources):
-            raise ConfigError(f"duplicate source name: {name!r}")
-        self._sources.append(
-            (name, ix, iy, voltage_v, output_resistance_ohm, inductance_h)
-        )
-        self._structures.clear()
-
-    def add_source(
-        self,
-        name: str,
-        x_frac: float,
-        y_frac: float,
-        voltage_v: float,
-        output_resistance_ohm: float,
-        inductance_h: float = 0.0,
-    ) -> None:
-        """Attach a VR output at fractional die coordinates
-        (:meth:`GridACPDN.add_source` semantics)."""
-        if not 0.0 <= x_frac <= 1.0 or not 0.0 <= y_frac <= 1.0:
-            raise ConfigError("source position must be inside the die")
-        ix = min(int(round(x_frac * (self.nx - 1))), self.nx - 1)
-        iy = min(int(round(y_frac * (self.ny - 1))), self.ny - 1)
-        self._add_source_at(
-            name, ix, iy, voltage_v, output_resistance_ohm, inductance_h
-        )
-
-    def clear_sources(self) -> None:
-        """Remove all attached sources (and any ring bus)."""
-        self._sources.clear()
-        self._ring_bus_ohm = None
-        self._structures.clear()
-
-    def connect_sources_with_ring_bus(
-        self, segment_resistance_ohm: float
-    ) -> None:
-        """Join consecutive sources with a dedicated ring bus."""
-        if segment_resistance_ohm <= 0:
-            raise ConfigError("ring segment resistance must be positive")
-        if len(self._sources) < 3:
-            raise ConfigError("a ring bus needs at least three sources")
-        self._ring_bus_ohm = segment_resistance_ohm
-        self._structures.clear()
-
-    @property
-    def source_names(self) -> list[str]:
-        """Names of attached sources in attachment order."""
-        return [s[0] for s in self._sources]
-
-    # -- decap maps (GridACPDN semantics) ----------------------------------------
-
-    def set_decap_density(
-        self,
-        density,
-        cap_per_unit_f: float,
-        esr_per_unit_ohm: float = 0.0,
-        esl_per_unit_h: float = 0.0,
-    ) -> None:
-        """Attach decaps as a per-node *density* of one unit cell.
-
-        A uniform density keeps the per-node shunt conductance uniform,
-        which is what makes the structured engine's correction rank
-        stay small.
-        """
-        if cap_per_unit_f <= 0:
-            raise ConfigError("unit decap capacitance must be positive")
-        if esr_per_unit_ohm < 0 or esl_per_unit_h < 0:
-            raise ConfigError("unit decap ESR/ESL must be non-negative")
-        alpha = np.asarray(density, dtype=float)
-        if alpha.ndim == 0:
-            alpha = np.full((self.ny, self.nx), float(alpha))
-        if alpha.shape != (self.ny, self.nx):
-            raise ConfigError(
-                f"density map must be shaped ({self.ny}, {self.nx})"
-            )
-        if np.any(alpha < 0):
-            raise ConfigError("decap density must be non-negative")
-        if not np.any(alpha > 0):
-            raise ConfigError("decap density map is all zero")
-        self._decap = (
-            "density",
-            alpha.copy(),
-            float(cap_per_unit_f),
-            float(esr_per_unit_ohm),
-            float(esl_per_unit_h),
-        )
-        self._structures.clear()
-
-    def set_decap_map(self, cap_f, esr_ohm=0.0, esl_h=0.0) -> None:
-        """Attach arbitrary per-node decap maps (scalars broadcast; a
-        node with zero capacitance carries no decap branch)."""
-        if np.ndim(cap_f) == 0 and np.ndim(esr_ohm) == 0 and np.ndim(esl_h) == 0:
-            self.set_decap_density(
-                1.0, float(cap_f), float(esr_ohm), float(esl_h)
-            )
-            return
-
-        def as_map(value, label: str) -> np.ndarray:
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim == 0:
-                arr = np.full((self.ny, self.nx), float(arr))
-            if arr.shape != (self.ny, self.nx):
-                raise ConfigError(
-                    f"{label} map must be shaped ({self.ny}, {self.nx})"
-                )
-            if np.any(arr < 0):
-                raise ConfigError(f"{label} map must be non-negative")
-            return arr.copy()
-
-        c = as_map(cap_f, "capacitance")
-        if not np.any(c > 0):
-            raise ConfigError("capacitance map is all zero")
-        self._decap = ("map", c, as_map(esr_ohm, "ESR"), as_map(esl_h, "ESL"))
-        self._structures.clear()
-
-    @property
-    def total_decap_farad(self) -> float:
-        """Total attached decoupling capacitance over the mesh."""
-        if self._decap is None:
-            return 0.0
-        return float(self._decap_arrays()[0].sum())
-
-    def _decap_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened per-node (C, ESR, ESL) arrays; zero C = no decap."""
-        cells = self.nx * self.ny
-        if self._decap is None:
-            zero = np.zeros(cells)
-            return zero, zero.copy(), zero.copy()
-        if self._decap[0] == "density":
-            _, alpha, c_u, esr_u, esl_u = self._decap
-            alpha = alpha.ravel()
-            live = alpha > 0
-            c = np.where(live, alpha * c_u, 0.0)
-            with np.errstate(divide="ignore"):
-                esr = np.where(live, esr_u / np.where(live, alpha, 1.0), 0.0)
-                esl = np.where(live, esl_u / np.where(live, alpha, 1.0), 0.0)
-            return c, esr, esl
-        _, c, esr, esl = self._decap
-        return c.ravel().copy(), esr.ravel().copy(), esl.ravel().copy()
-
-    # -- edge parameters --------------------------------------------------------
-
-    @property
-    def edge_resistance_x_ohm(self) -> float:
-        """Resistance of one x-direction edge (R_sq * dx / dy_strip)."""
-        if self.nx < 2:
-            raise ConfigError("a 1-wide grid has no x edges")
-        dx = self.width_m / (self.nx - 1)
-        strip = self.height_m / self.ny
-        return self.sheet_ohm_sq * dx / strip
-
-    @property
-    def edge_resistance_y_ohm(self) -> float:
-        """Resistance of one y-direction edge."""
-        if self.ny < 2:
-            raise ConfigError("a 1-tall grid has no y edges")
-        dy = self.height_m / (self.ny - 1)
-        strip = self.width_m / self.nx
-        return self.sheet_ohm_sq * dy / strip
-
-    def _ring_segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ring-bus segment endpoint rows, degenerates skipped."""
-        if self._ring_bus_ohm is None:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        rows_a: list[int] = []
-        rows_b: list[int] = []
-        count = len(self._sources)
-        for k in range(count):
-            _, ix_a, iy_a, *_ = self._sources[k]
-            _, ix_b, iy_b, *_ = self._sources[(k + 1) % count]
-            if (ix_a, iy_a) == (ix_b, iy_b):
-                continue
-            rows_a.append(iy_a * self.nx + ix_a)
-            rows_b.append(iy_b * self.nx + ix_b)
-        return (
-            np.asarray(rows_a, dtype=np.int64),
-            np.asarray(rows_b, dtype=np.int64),
+        self.engine = check_engine(engine)
+        super().__init__(
+            width_m,
+            height_m,
+            sheet_ohm_sq,
+            nx,
+            ny,
+            edge_inductance_x_h,
+            edge_inductance_y_h,
         )
 
     # -- structure cache --------------------------------------------------------
 
-    def _structure_key(self, dt_s: float) -> tuple:
-        if self._decap is None:
-            decap_key: tuple = ("none",)
-        elif self._decap[0] == "density":
-            _, alpha, c_u, esr_u, esl_u = self._decap
-            decap_key = ("density", alpha.tobytes(), c_u, esr_u, esl_u)
-        else:
-            _, c, esr, esl = self._decap
-            decap_key = ("map", c.tobytes(), esr.tobytes(), esl.tobytes())
-        return (
-            self.nx,
-            self.ny,
-            self.width_m,
-            self.height_m,
-            self.sheet_ohm_sq,
-            self.edge_inductance_x_h,
-            self.edge_inductance_y_h,
-            tuple((ix, iy, v, r, l) for _, ix, iy, v, r, l in self._sources),
-            self._ring_bus_ohm,
-            decap_key,
-            float(dt_s),
-        )
-
     def _structure(self, dt_s: float) -> _TransientStructure:
-        key = self._structure_key(dt_s)
-        structure = self._structures.get(key)
-        if structure is None:
-            ring_a, ring_b = self._ring_segments()
-            dec_c, dec_esr, dec_esl = self._decap_arrays()
-            attach = np.asarray(
-                [iy * self.nx + ix for _, ix, iy, *_ in self._sources],
-                dtype=np.int64,
-            )
-            structure = _TransientStructure(
-                self.nx,
-                self.ny,
-                dt_s,
-                self.edge_resistance_x_ohm if self.nx > 1 else None,
-                self.edge_resistance_y_ohm if self.ny > 1 else None,
-                self.edge_inductance_x_h,
-                self.edge_inductance_y_h,
-                ring_a,
-                ring_b,
-                self._ring_bus_ohm,
-                dec_c,
-                dec_esr,
-                dec_esl,
-                attach,
-                np.asarray([s[3] for s in self._sources], dtype=float),
-                np.asarray([s[4] for s in self._sources], dtype=float),
-                np.asarray([s[5] for s in self._sources], dtype=float),
-            )
-            self._structures[key] = structure
-        return structure
+        """The companions for the current design and ``dt_s``, cached
+        in one slot under ``(design key, Δt)``."""
+        design = self.design
+        return cached(
+            self,
+            "_companions",
+            (design.key, float(dt_s)),
+            lambda: _TransientStructure(design, dt_s),
+        )
 
     # -- simulation -------------------------------------------------------------
-
-    def _resolve_engine(self) -> str:
-        if self.engine != "auto":
-            return self.engine
-        return (
-            "structured"
-            if self.nx * self.ny >= STRUCTURED_AUTO_MIN_CELLS
-            else "factorized"
-        )
 
     def _probe_rows(self, probe_nodes) -> tuple[int, ...]:
         rows: list[int] = []
@@ -932,9 +579,12 @@ class GridTransientPDN:
             rows.append(row)
         return tuple(rows)
 
-    def _normalize_waveforms(self, waveforms_a) -> np.ndarray:
+    def _normalize_waveforms(
+        self, waveforms_a, name: str = "waveforms_a"
+    ) -> np.ndarray:
         """Coerce to (T, S, cells); accepts (S, cells), (S, ny, nx),
-        (T, S, cells), (T, S, ny, nx), or a sequence of traces."""
+        (T, S, cells), (T, S, ny, nx), or a sequence of traces.
+        ``name`` is the argument named when a sample is not finite."""
         cells = self.nx * self.ny
         arr = np.asarray(waveforms_a, dtype=float)
         if arr.ndim == 2 and arr.shape[1] == cells:
@@ -952,6 +602,7 @@ class GridTransientPDN:
             )
         if arr.shape[1] < 2:
             raise ConfigError("waveforms need at least two samples")
+        require_finite(arr, name)
         if np.any(arr < 0):
             raise ConfigError("sink-current waveforms must be non-negative")
         return np.ascontiguousarray(arr)
@@ -972,7 +623,7 @@ class GridTransientPDN:
         sample 1).
         """
         return self.simulate_many(
-            self._normalize_waveforms(waveform_a),
+            self._normalize_waveforms(waveform_a, "waveform_a"),
             dt_s,
             probe_nodes=probe_nodes,
             settle_band_v=settle_band_v,
@@ -1009,17 +660,20 @@ class GridTransientPDN:
         post-step DC solution (one extra solve), matching
         :meth:`PDNTransient.simulate_step` semantics.
         """
+        for value, name in (
+            (i_before_a, "i_before_a"),
+            (i_after_a, "i_after_a"),
+            (duration_s, "duration_s"),
+            (dt_s, "dt_s"),
+        ):
+            require_finite(value, name)
         if duration_s <= 0 or dt_s <= 0:
             raise ConfigError("duration and dt must be positive")
         if duration_s < 10 * dt_s:
             raise ConfigError("duration must cover at least 10 steps")
         if i_before_a < 0 or i_after_a < 0:
             raise ConfigError("load currents must be non-negative")
-        if self._sink_map is None:
-            raise ConfigError(
-                "attach a sink map first (set_sinks/set_sink_array)"
-            )
-        profile = self._sink_map.ravel()
+        profile = self._require(sinks=True).sinks.ravel()
         total = profile.sum()
         if total <= 0:
             raise ConfigError("sink map carries no current")
@@ -1046,29 +700,32 @@ class GridTransientPDN:
         settle_band_v: float | None,
         final_load: np.ndarray | None,
     ) -> list[GridTransientResult]:
+        require_finite(dt_s, "dt_s")
         if dt_s <= 0:
             raise ConfigError("dt must be positive")
-        if not self._sources:
-            raise ConfigError("attach at least one source first")
+        if settle_band_v is not None:
+            require_finite(settle_band_v, "settle_band_v")
+        volt = self._require().source_values("voltage_v")
         structure = self._structure(dt_s)
-        mode = self._resolve_engine()
+        mode = resolve_engine(self.engine, self.nx * self.ny)
         if mode == "structured":
             try:
                 return self._run(
-                    structure, waves, probe_rows, settle_band_v,
+                    structure, volt, waves, probe_rows, settle_band_v,
                     final_load, "structured",
                 )
             except StructuredSolveError:
                 if self.engine == "structured":
                     raise
         return self._run(
-            structure, waves, probe_rows, settle_band_v,
+            structure, volt, waves, probe_rows, settle_band_v,
             final_load, "factorized",
         )
 
     def _run(
         self,
         st: _TransientStructure,
+        volt: np.ndarray,
         waves: np.ndarray,
         probe_rows: tuple[int, ...],
         settle_band_v: float | None,
@@ -1104,7 +761,6 @@ class GridTransientPDN:
                     dc_solver.solve_many(np.ascontiguousarray(b.T)).T
                 )
 
-        volt = st.volt
         attach = st.attach
         src_inject = st.g_dc * volt  # DC source Norton injection
 

@@ -291,11 +291,12 @@ def size_grid_decap_for_target(
     :meth:`~repro.pdn.grid.GridACPDN.scale_decap`) and re-sweeps the
     *real* per-node impedance map, so the verdict reflects the worst
     mesh node under the actual VR placement instead of a lumped die
-    stage.  The grid's decap state is restored bit-exactly before
-    returning — including when a trial evaluation raises mid-search —
-    and the recommendation reports total mesh capacitance.  On failure
-    the recommendation is capped at ``original * max_scale``, mirroring
-    the lumped sizer's ``min(candidate, max_farad)``.
+    stage.  The grid's design is saved and assigned back bit-exactly
+    before returning — including when a trial evaluation raises
+    mid-search — and the recommendation reports total mesh
+    capacitance.  On failure the recommendation is capped at
+    ``original * max_scale``, mirroring the lumped sizer's
+    ``min(candidate, max_farad)``.
     """
     if target_ohm <= 0:
         raise ConfigError("target impedance must be positive")
@@ -306,12 +307,11 @@ def size_grid_decap_for_target(
         raise ConfigError("grid has no decaps attached; set a decap map first")
     if frequencies_hz is None:
         frequencies_hz = np.logspace(3, 9, 121)
-    # Snapshot the exact decap state: scale_decap(s) then
-    # scale_decap(1/s) round-trips C/ESR/ESL through a float
-    # multiply-then-divide, which is lossy for non-power-of-two
-    # factors, and a trial that raises mid-search would otherwise
-    # leave the grid mutated.
-    snapshot = pdn.decap_snapshot()
+    # Save the design itself: scale_decap(s) then scale_decap(1/s)
+    # round-trips C/ESR/ESL through a float multiply-then-divide,
+    # which is lossy for non-power-of-two factors, and a trial that
+    # raises mid-search would otherwise leave the grid mutated.
+    saved = pdn.design
     scale = 1.0
     try:
         while True:
@@ -334,4 +334,4 @@ def size_grid_decap_for_target(
             pdn.scale_decap(2.0)
             scale *= 2.0
     finally:
-        pdn.restore_decap(snapshot)
+        pdn.design = saved

@@ -32,8 +32,35 @@ NodeId = Hashable
 GROUND_INDEX = -1
 
 
+def admittance_entry_map(
+    node_a: np.ndarray, node_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """COO positions of two-terminal admittance stamps, value-free.
+
+    The per-entry layout of :func:`admittance_stamp_entries` with the
+    values replaced by ``(element index, sign)`` pairs, so
+    frequency-varying element admittances can be scattered onto a
+    fixed pattern with one fancy-index per sweep chunk.
+    """
+    a = np.asarray(node_a)
+    b = np.asarray(node_b)
+    index = np.arange(len(a))
+    in_a = a != GROUND_INDEX
+    in_b = b != GROUND_INDEX
+    in_ab = in_a & in_b
+    rows = np.concatenate([a[in_a], b[in_b], a[in_ab], b[in_ab]])
+    cols = np.concatenate([a[in_a], b[in_b], b[in_ab], a[in_ab]])
+    element = np.concatenate(
+        [index[in_a], index[in_b], index[in_ab], index[in_ab]]
+    )
+    # Diagonal entries add, the two off-diagonal copies subtract.
+    off = 2 * int(in_ab.sum())
+    sign = np.concatenate([np.ones(rows.size - off), -np.ones(off)])
+    return rows, cols, element, sign
+
+
 def admittance_stamp_entries(
-    node_a: np.ndarray, node_b: np.ndarray, values: np.ndarray, xp=np
+    node_a: np.ndarray, node_b: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """COO entries for two-terminal admittance stamps (vectorized).
 
@@ -47,21 +74,9 @@ def admittance_stamp_entries(
     Shared by the DC MNA stamp (:meth:`CompiledNetlist.mna_coo`) and
     the AC stamp structure (:class:`repro.pdn.ac.CompiledACNetlist`),
     so both solvers agree on the stamp convention by construction.
-    ``xp`` selects the array namespace the stamps are built in (see
-    :mod:`repro.pdn.backend`); the default is host numpy.
     """
-    a = xp.asarray(node_a)
-    b = xp.asarray(node_b)
-    vals = xp.asarray(values)
-    in_a = a != GROUND_INDEX
-    in_b = b != GROUND_INDEX
-    in_ab = in_a & in_b
-    rows = xp.concatenate([a[in_a], b[in_b], a[in_ab], b[in_ab]])
-    cols = xp.concatenate([a[in_a], b[in_b], b[in_ab], a[in_ab]])
-    entry_vals = xp.concatenate(
-        [vals[in_a], vals[in_b], -vals[in_ab], -vals[in_ab]]
-    )
-    return rows, cols, entry_vals
+    rows, cols, element, sign = admittance_entry_map(node_a, node_b)
+    return rows, cols, sign * np.asarray(values)[element]
 
 
 @dataclass(frozen=True)
@@ -507,28 +522,27 @@ class CompiledNetlist:
 
     # -- MNA stamps -------------------------------------------------------------------
 
-    def mna_coo(self, xp=np) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def mna_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """COO stamps ``(rows, cols, vals)`` of the DC MNA matrix.
 
         The ``[G B; B^T 0]`` system over ``size`` rows: conductance
         stamps from the resistors plus the voltage-source incidence
         entries.  Duplicates are not summed (sparse constructors and
         :class:`repro.pdn.mna.FactorizedPDN` handle accumulation).
-        ``xp`` selects the array namespace (:mod:`repro.pdn.backend`).
         """
         n = self.n_nodes
         g_rows, g_cols, g_vals = admittance_stamp_entries(
-            self.res_a, self.res_b, 1.0 / self.res_ohm, xp=xp
+            self.res_a, self.res_b, 1.0 / self.res_ohm
         )
-        kp = xp.nonzero(xp.asarray(self.vs_plus) != GROUND_INDEX)[0]
-        km = xp.nonzero(xp.asarray(self.vs_minus) != GROUND_INDEX)[0]
-        plus = xp.asarray(self.vs_plus)[kp]
-        minus = xp.asarray(self.vs_minus)[km]
-        ones_p = xp.ones(len(kp))
-        ones_m = xp.ones(len(km))
-        rows = xp.concatenate([g_rows, plus, n + kp, minus, n + km])
-        cols = xp.concatenate([g_cols, n + kp, plus, n + km, minus])
-        vals = xp.concatenate([g_vals, ones_p, ones_p, -ones_m, -ones_m])
+        kp = np.nonzero(self.vs_plus != GROUND_INDEX)[0]
+        km = np.nonzero(self.vs_minus != GROUND_INDEX)[0]
+        plus = self.vs_plus[kp]
+        minus = self.vs_minus[km]
+        ones_p = np.ones(len(kp))
+        ones_m = np.ones(len(km))
+        rows = np.concatenate([g_rows, plus, n + kp, minus, n + km])
+        cols = np.concatenate([g_cols, n + kp, plus, n + km, minus])
+        vals = np.concatenate([g_vals, ones_p, ones_p, -ones_m, -ones_m])
         return rows, cols, vals
 
     # -- scenario values --------------------------------------------------------------

@@ -8,9 +8,6 @@ fast-Poisson solve of the uniform-mean version of the same system
 variation for CG to iterate away: spectra that uniform-mesh DCT
 diagonalization cannot capture converge in a few tens of iterations
 regardless of mesh size.
-
-Kernels route their vector algebra through an array namespace (``xp``)
-so GPU backends (:mod:`repro.pdn.backend`) drop in unchanged.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ def pcg_solve(
     preconditioner: Callable[[Any], Any] | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    xp: Any = np,
 ) -> PCGResult:
     """Solve ``A x = b`` (SPD ``A``) by preconditioned CG.
 
@@ -65,36 +61,35 @@ def pcg_solve(
             when omitted.
         tol: relative residual target per column (``|r| <= tol |b|``).
         max_iter: iteration cap per column.
-        xp: array namespace the vectors live in.
 
     Returns:
         :class:`PCGResult`; ``converged`` is False (never an
         exception) when a column stalls, so callers choose their own
         fallback.
     """
-    b = xp.asarray(rhs)
+    b = np.asarray(rhs)
     single = b.ndim == 1
     columns = b.reshape(-1, 1) if single else b
-    x = xp.zeros_like(columns)
+    x = np.zeros_like(columns)
     worst_iterations = 0
     worst_residual = 0.0
     all_converged = True
 
     for j in range(columns.shape[1]):
         bj = columns[:, j]
-        b_norm = float(xp.linalg.norm(bj))
+        b_norm = float(np.linalg.norm(bj))
         if b_norm == 0.0:
             continue
-        xj = xp.zeros_like(bj)
+        xj = np.zeros_like(bj)
         r = bj - matvec(xj)
         z = preconditioner(r) if preconditioner is not None else r
         p = z.copy()
-        rz = float(xp.real(xp.vdot(r, z)))
+        rz = float(np.real(np.vdot(r, z)))
         iterations = 0
-        residual = float(xp.linalg.norm(r)) / b_norm
+        residual = float(np.linalg.norm(r)) / b_norm
         while residual > tol and iterations < max_iter:
             ap = matvec(p)
-            pap = float(xp.real(xp.vdot(p, ap)))
+            pap = float(np.real(np.vdot(p, ap)))
             if pap <= 0.0 or not np.isfinite(pap):
                 # Not SPD along this direction — bail out; the caller
                 # falls back to the factorized engine.
@@ -102,12 +97,12 @@ def pcg_solve(
             alpha = rz / pap
             xj = xj + alpha * p
             r = r - alpha * ap
-            residual = float(xp.linalg.norm(r)) / b_norm
+            residual = float(np.linalg.norm(r)) / b_norm
             iterations += 1
             if residual <= tol:
                 break
             z = preconditioner(r) if preconditioner is not None else r
-            rz_next = float(xp.real(xp.vdot(r, z)))
+            rz_next = float(np.real(np.vdot(r, z)))
             beta = rz_next / rz
             rz = rz_next
             p = z + beta * p

@@ -235,33 +235,39 @@ def hotspot_grid(n: int = 12) -> GridPDN:
 
 
 class TestGridFactorizationCache:
+    """The factorization is cached under the design key, which sink
+    and voltage edits keep and topology edits change."""
+
     def test_sink_change_reuses_factorization(self):
         grid = hotspot_grid()
         grid.solve()
-        structure = grid._structure
+        key, structure = grid.design.key, grid._ensure_structure()
         grid.set_sinks(PowerMap.uniform(), 50.0)
+        assert grid.design.key == key
         grid.solve()
-        assert grid._structure is structure
+        assert grid._ensure_structure() is structure
 
     def test_voltage_change_reuses_factorization(self):
         grid = hotspot_grid()
         grid.solve()
-        structure = grid._structure
+        key, structure = grid.design.key, grid._ensure_structure()
         grid.clear_sources()
         grid.add_source("a", 0.0, 0.5, 0.95, 1e-3)
         grid.add_source("b", 1.0, 0.5, 0.95, 1e-3)
+        assert grid.design.key == key
         grid.solve()
-        assert grid._structure is structure
+        assert grid._ensure_structure() is structure
 
     def test_source_move_refactorizes(self):
         grid = hotspot_grid()
         grid.solve()
-        structure = grid._structure
+        key, structure = grid.design.key, grid._ensure_structure()
         grid.clear_sources()
         grid.add_source("a", 0.5, 0.5, 1.0, 1e-3)
         grid.add_source("b", 1.0, 0.5, 1.0, 1e-3)
+        assert grid.design.key != key
         grid.solve()
-        assert grid._structure is not structure
+        assert grid._ensure_structure() is not structure
 
     def test_cached_solution_matches_fresh_grid(self):
         """A sink change solved through the cache equals a cold solve."""
@@ -329,7 +335,7 @@ class TestGridFactorizationCache:
         (or later duplicating) an LU decomposition."""
         grid = hotspot_grid()
         grid.compile()
-        assert grid._structure is not None
-        assert grid._structure._solver is None
+        structure = grid._ensure_structure()
+        assert structure._solver is None
         grid.solve()
-        assert grid._structure._solver is not None
+        assert structure._solver is not None

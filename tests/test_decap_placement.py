@@ -46,16 +46,16 @@ def _contrast_pdn():
 
 def _uniform_peaks(pdn, freqs):
     """Peak map of the uniform allocation at the attached budget."""
-    snapshot = pdn.decap_snapshot()
-    _, density, c_u, esr_u, esl_u = pdn._decap
-    uniform = np.full_like(
-        np.asarray(density, dtype=float), density.sum() / density.size
-    )
+    saved = pdn.design
+    decap = saved.decap
+    uniform = np.full_like(decap.density, decap.density.sum() / decap.density.size)
     try:
-        pdn.set_decap_density(uniform, c_u, esr_u, esl_u)
+        pdn.set_decap_density(
+            uniform, decap.cap_per_unit_f, decap.esr_per_unit_ohm, decap.esl_per_unit_h
+        )
         return pdn.impedance_map(freqs).peak_map()
     finally:
-        pdn.restore_decap(snapshot)
+        pdn.design = saved
 
 
 class TestGridMapping:
@@ -148,7 +148,8 @@ class TestOptimizer:
 
     def test_history_monotone_and_state_restored(self):
         pdn, freqs, target = _contrast_pdn()
-        before = pdn.decap_snapshot()
+        before = pdn.design
+        density = before.decap.density.copy()
         result = optimize_decap_placement(
             pdn,
             target,
@@ -162,11 +163,10 @@ class TestOptimizer:
             for earlier, later in zip(history, history[1:])
         )
         assert history[-1] == result.violating_fraction_after
-        after = pdn.decap_snapshot()
-        assert after[1] == before[1]
-        state_before, state_after = before[0], after[0]
-        assert state_after[0] == state_before[0]
-        np.testing.assert_array_equal(state_after[1], state_before[1])
+        # The saved design is assigned back: same key, same decap bits.
+        assert pdn.design is before
+        assert pdn.design.key == before.key
+        np.testing.assert_array_equal(pdn.design.decap.density, density)
 
     def test_budget_exact_and_apply_to(self):
         pdn, freqs, target = _contrast_pdn()

@@ -319,11 +319,11 @@ class TestSolveDisabled:
     def test_shares_one_factorization_across_scenarios(self):
         grid = self.powered_grid()
         grid.solve()
-        structure = grid._structure
+        structure = grid._ensure_structure()
         solver = structure._solver
         for k in range(3):
             grid.solve_disabled((k,))
-        assert grid._structure is structure
+        assert grid._ensure_structure() is structure
         assert structure._solver is solver
 
     def test_baseline_empty_disable_equals_solve(self):
@@ -344,13 +344,13 @@ class TestGridACDCLimit:
     """Grid-AC driven sweeps must converge to the DC grid solution."""
 
     def pair(self):
-        from repro.pdn.grid import GridACPDN
-
+        """One design, two views: the DC view shorts the bump/TSV
+        inductance and ignores the decap the AC view attaches."""
         grid = make_grid(nx=6, ny=6)
         grid.set_sinks(PowerMap.hotspot_mixture(), 40.0)
-        grid.add_source("a", 0.0, 0.0, 1.0, 1e-3)
-        grid.add_source("b", 1.0, 1.0, 1.02, 2e-3)
-        ac = GridACPDN.from_grid(grid, source_inductance_h=1e-11)
+        grid.add_source("a", 0.0, 0.0, 1.0, 1e-3, 1e-11)
+        grid.add_source("b", 1.0, 1.0, 1.02, 2e-3, 1e-11)
+        ac = GridACPDN.from_design(grid.design)
         ac.set_decap_density(1.0, 1e-6, 2e-3, 1e-10)
         return grid, ac
 
@@ -371,10 +371,10 @@ class TestGridACDCLimit:
     def test_from_grid_mirrors_topology(self):
         grid, ac = self.pair()
         assert ac.source_names == grid.source_names
+        assert ac.design.sources == grid.design.sources
+        assert ac.design.sinks is grid.design.sinks
         assert (ac.nx, ac.ny) == (grid.nx, grid.ny)
-        assert ac.edge_resistance_x_ohm == pytest.approx(
-            grid.edge_resistance_x_ohm
-        )
+        assert ac.edge_resistance_x_ohm == grid.edge_resistance_x_ohm
 
     def test_impedance_map_rejects_nonpositive_frequencies(self):
         _, ac = self.pair()
@@ -519,7 +519,7 @@ class TestSolveDisabledMany:
     def test_preload_failure_sweep_warms_influence_cache(self):
         grid = self.powered_grid()
         grid.preload_failure_sweep()
-        solver = grid._structure.solver
+        solver = grid._ensure_structure().solver
         assert all(("vs", j) in solver._influence for j in range(5))
         fast = grid.solve_disabled((2,))
         oracle = grid.solve_disabled((2,), method="refactor")

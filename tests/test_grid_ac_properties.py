@@ -419,7 +419,8 @@ def test_selinv_ring_bus_with_row_skipping_segments():
         pdn.add_source(f"vr{k}", position.x, position.y, 1.0, 5e-3, 1e-11)
         sources.append((*snap(pdn, position.x, position.y), 1.0, 5e-3, 1e-11))
     pdn.connect_sources_with_ring_bus(2e-3)
-    assert any(abs(a // n - b // n) == 2 for a, b in pdn._ring_segments())
+    _, ring_a, ring_b = pdn.design.ring_segments()
+    assert np.any(np.abs(ring_a // n - ring_b // n) == 2)
     assert pdn.impedance_engine() == "selinv"
     freqs = np.array([3e6, 2e8])
     net = lumped_equivalent(
@@ -530,9 +531,10 @@ def test_selinv_floating_mesh_fails_the_probe(monkeypatch, nx, ny):
 
 
 def test_selinv_restore_decap_is_bit_exact():
-    """snapshot → mutate → evaluate → restore_decap → evaluate returns
-    the pre-snapshot map bit for bit, and the plan cached at the
-    intermediate revision is dropped rather than aliased."""
+    """save the design → mutate → evaluate → assign the saved design
+    back → evaluate returns the saved map bit for bit, and the plan
+    cached for the intermediate design is replaced rather than
+    aliased: every cache is tagged with its design's content key."""
     rng = np.random.default_rng(3)
     pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=6, ny=5)
     pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-2, 1e-11)
@@ -541,14 +543,15 @@ def test_selinv_restore_decap_is_bit_exact():
     freqs = np.logspace(4, 9, 9)
     before = pdn.impedance_map(freqs).z_ohm
     assert pdn.impedance_engine() == "selinv"
-    snapshot = pdn.decap_snapshot()
+    saved = pdn.design
     pdn.scale_decap(3.0)
     pdn.set_decap_density(rng.uniform(0.3, 1.7, (5, 6)), 2e-7, 1e-3, 0.0)
     mutated = pdn.impedance_map(freqs).z_ohm
     assert not np.allclose(mutated, before)
-    pdn.restore_decap(snapshot)
-    assert pdn._selinv is None
+    assert pdn._selinv[0] == pdn.design.key != saved.key
+    pdn.design = saved
     np.testing.assert_array_equal(pdn.impedance_map(freqs).z_ohm, before)
+    assert pdn._selinv[0] == saved.key
 
 
 @given(

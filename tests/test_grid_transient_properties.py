@@ -206,30 +206,30 @@ class TestDCLimit:
     def dc_pair(self):
         grid = GridPDN(0.02, 0.02, 0.004, nx=12, ny=12)
         for i, (x, y) in enumerate([(0.1, 0.1), (0.9, 0.1), (0.5, 0.9)]):
-            grid.add_source(f"vr{i}", x, y, 1.0, 0.02)
+            grid.add_source(f"vr{i}", x, y, 1.0, 0.02, 5e-12)
         grid.connect_sources_with_ring_bus(0.005)
         grid.set_sinks(PowerMap.hotspot_mixture(), 120.0)
-        tp = GridTransientPDN.from_grid(grid, source_inductance_h=5e-12)
+        tp = GridTransientPDN.from_design(grid.design)
         tp.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
         return grid, tp
 
     def test_initial_map_matches_dc_solve(self):
         grid, tp = self.dc_pair()
         sol = grid.solve()
-        wave = np.repeat(grid._sink_map.ravel()[None, :], 64, axis=0)
+        wave = np.repeat(grid.design.sinks.ravel()[None, :], 64, axis=0)
         res = tp.simulate(wave, 1e-10)
         assert np.max(np.abs(res.v_pre_map - sol.voltage_map)) <= 1e-9
 
     def test_constant_load_does_not_drift(self):
         grid, tp = self.dc_pair()
-        wave = np.repeat(grid._sink_map.ravel()[None, :], 64, axis=0)
+        wave = np.repeat(grid.design.sinks.ravel()[None, :], 64, axis=0)
         res = tp.simulate(wave, 1e-10)
         assert np.max(np.abs(res.v_min_map - res.v_pre_map)) <= 1e-9
         assert res.droop_v <= 1e-9
 
     def test_batched_traces_match_single_runs(self):
         grid, tp = self.dc_pair()
-        base = grid._sink_map.ravel()
+        base = grid.design.sinks.ravel()
         rng = np.random.default_rng(11)
         waves = np.stack(
             [
@@ -339,5 +339,8 @@ class TestValidation:
         grid = GridPDN(0.02, 0.02, 0.004, nx=6, ny=6)
         grid.add_source("vr", 0.5, 0.5, 1.0, 0.02)
         grid.set_edge_resistance_scale(x_scale=np.full((6, 5), 1.1))
-        with pytest.raises(ConfigError):
-            GridTransientPDN.from_grid(grid)
+        with pytest.raises(ConfigError, match="per-edge variation"):
+            GridTransientPDN.from_design(grid.design)
+        pdn = GridTransientPDN.from_design(grid.design.with_edge_scales())
+        with pytest.raises(ConfigError, match="per-edge variation"):
+            pdn.set_edge_resistance_scale(x_scale=np.full((6, 5), 1.1))

@@ -332,17 +332,18 @@ class TestGridDecapSizing:
             size_grid_decap_for_target(bare, 1e-3)
 
     @staticmethod
-    def _assert_snapshots_equal(before, after):
+    def _assert_decap_restored(before, after):
+        """``after`` (the grid's design now) carries the decap state of
+        ``before`` (the design saved up front) bit for bit."""
+        from dataclasses import fields
+
         import numpy as np
 
-        state_before, rev_before = before
-        state_after, rev_after = after
-        assert rev_after == rev_before
-        assert (state_after is None) == (state_before is None)
-        if state_before is None:
-            return
-        assert len(state_after) == len(state_before)
-        for part_before, part_after in zip(state_before, state_after):
+        assert after.key == before.key
+        assert type(after.decap) is type(before.decap)
+        for field in fields(before.decap):
+            part_before = getattr(before.decap, field.name)
+            part_after = getattr(after.decap, field.name)
             if isinstance(part_before, np.ndarray):
                 assert np.array_equal(
                     part_after, part_before
@@ -353,7 +354,7 @@ class TestGridDecapSizing:
     def test_sizing_restores_map_representation_bit_exactly(self):
         # Regression: the sizer used to undo trials with
         # scale_decap(1/total_scale), a lossy float round-trip for a
-        # "map" allocation; it must restore the snapshot instead.
+        # "map" allocation; it must put the saved design back instead.
         import numpy as np
 
         from repro.pdn.grid import GridACPDN
@@ -365,13 +366,13 @@ class TestGridDecapSizing:
         pdn.set_decap_map(cap, 2e-3, 1e-12)
         pdn.add_source("a", 0.0, 0.0, 1.0, 1e-4, 2e-9)
         freqs = np.logspace(4, 9, 31)
-        before = pdn.decap_snapshot()
+        before = pdn.design
         baseline = pdn.impedance_map(freqs).peak_impedance_ohm
         rec = size_grid_decap_for_target(
             pdn, baseline * 0.5, frequencies_hz=freqs
         )
         assert rec.meets_target
-        self._assert_snapshots_equal(before, pdn.decap_snapshot())
+        self._assert_decap_restored(before, pdn.design)
         # The restored grid reproduces the pre-search sweep exactly.
         assert pdn.impedance_map(freqs).peak_impedance_ohm == baseline
 
@@ -381,7 +382,7 @@ class TestGridDecapSizing:
         from repro.pdn.impedance import size_grid_decap_for_target
 
         pdn, freqs = self.make_pdn()
-        before = pdn.decap_snapshot()
+        before = pdn.design
         calls = {"n": 0}
         real_map = pdn.impedance_map
 
@@ -399,13 +400,13 @@ class TestGridDecapSizing:
                 )
         finally:
             del pdn.impedance_map
-        self._assert_snapshots_equal(before, pdn.decap_snapshot())
+        self._assert_decap_restored(before, pdn.design)
 
     def test_sizing_failure_caps_recommendation_at_max_scale(self):
         from repro.pdn.impedance import size_grid_decap_for_target
 
         pdn, freqs = self.make_pdn()
-        before = pdn.decap_snapshot()
+        before = pdn.design
         rec = size_grid_decap_for_target(
             pdn, 1e-12, max_scale=4.0, frequencies_hz=freqs
         )
@@ -413,5 +414,5 @@ class TestGridDecapSizing:
         assert rec.recommended_farad == pytest.approx(
             rec.original_farad * 4.0
         )
-        self._assert_snapshots_equal(before, pdn.decap_snapshot())
+        self._assert_decap_restored(before, pdn.design)
         assert pdn.total_decap_farad == pytest.approx(rec.original_farad)
