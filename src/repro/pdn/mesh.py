@@ -86,11 +86,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _finite_fields(obj, names: tuple[str, ...], kind=float) -> None:
     """Check numeric fields of a frozen dataclass and store them as
     plain ``kind`` values (floats with ``-0.0`` as ``0.0``), so equal
-    content hashes equally."""
+    content hashes equally.  An ``int`` field must hold a whole number."""
     for name in names:
         value = getattr(obj, name)
         require_finite(value, name)
-        object.__setattr__(obj, name, kind(value) + kind(0))
+        plain = kind(value) + kind(0)
+        if kind is int and plain != value:
+            raise ConfigError(f"{name} must be an integer")
+        object.__setattr__(obj, name, plain)
 
 
 @dataclass(frozen=True)

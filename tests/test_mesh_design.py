@@ -212,6 +212,13 @@ class TestDesignValue:
         y_only = design.with_edge_scales(y_scale=np.full((2, 3), 1.5))
         assert x_only.key != y_only.key
 
+    def test_node_counts_and_indices_must_be_whole(self):
+        with pytest.raises(ConfigError, match="^nx must be an integer$"):
+            MeshDesign(0.01, 0.01, 0.01, nx=2.5, ny=3)
+        with pytest.raises(ConfigError, match="^iy must be an integer$"):
+            Source("a", 1, 0.5, 1.0, 1e-3)
+        assert MeshDesign(0.01, 0.01, 0.01, nx=np.int64(3), ny=4.0).ny == 4
+
     def test_design_arrays_are_read_only(self):
         design = MeshDesign(0.01, 0.01, 0.01, nx=3, ny=2).with_sinks(
             np.ones((2, 3))
