@@ -23,6 +23,8 @@ shapes the system-level sweeps rely on:
 * ``test_grid_ac_impedance_map`` — the grid-level AC engine: die-seen
   per-node Z(f) over a 200-point sweep at mesh sizes 8/16/24
   (``GridACPDN.impedance_map``, compile once / revalue per frequency),
+  and ``..._many_vr`` — the same sweep under a 48-VR ring-bus bank at
+  12/24, where ``auto`` routes the uniform density to selinv,
 * ``test_grid_solve_structured`` / ``test_grid_solve_factorized_large``
   / ``test_grid_solve_structured_warm`` — the fast-Poisson DC engine
   at 128/192/256 meshes against the sparse-LU path, plus the 256×256
@@ -300,7 +302,29 @@ def test_grid_ac_impedance_map(benchmark, n):
     """Die-seen Z(f) at every mesh node, 200-point sweep, warm cache."""
     pdn = make_grid_ac(n)
     freqs = np.logspace(4, 9, GRID_AC_POINTS)
+    assert pdn.impedance_engine() == "structured"
     pdn.impedance_map(freqs)  # compile + eigendecomposition, once
+
+    impedance = benchmark(pdn.impedance_map, freqs)
+    assert impedance.peak_impedance_ohm > 0
+    assert np.all(np.isfinite(impedance.z_ohm))
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_grid_ac_impedance_map_many_vr(benchmark, n):
+    """Uniform density under the paper's 48-VR periphery bank on a ring
+    bus, 200 points through ``auto``: a structured Woodbury rank near
+    100, where the cost rule routes the sweep to selinv."""
+    from repro.placement.geometry import periphery_positions
+
+    pdn = GridACPDN(0.0224, 0.0224, 0.62e-3, nx=n, ny=n)
+    pdn.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
+    for k, position in enumerate(periphery_positions(48)):
+        pdn.add_source(f"vr{k}", position.x, position.y, 1.0, 1e-3, 5e-12)
+    pdn.connect_sources_with_ring_bus(2e-3)
+    freqs = np.logspace(4, 9, GRID_AC_POINTS)
+    assert pdn.impedance_engine() == "selinv"
+    pdn.impedance_map(freqs)
 
     impedance = benchmark(pdn.impedance_map, freqs)
     assert impedance.peak_impedance_ohm > 0

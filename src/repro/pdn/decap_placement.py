@@ -65,7 +65,7 @@ from ..errors import ConfigError
 from ..parallel.executor import run_sweep_collect
 from ..parallel.scenario import Scenario, SweepPlan
 from .grid import GridACPDN, GridPDN
-from .mesh import DecapDensity, MeshDesign
+from .mesh import DecapDensity, MeshDesign, require_finite
 
 __all__ = [
     "PlacementResult",
@@ -525,6 +525,7 @@ def optimize_decap_placement(
         A :class:`PlacementResult`; the grid's design is restored
         before returning (including on error).
     """
+    require_finite(target_ohm, "target_ohm")
     if target_ohm <= 0:
         raise ConfigError("target impedance must be positive")
     saved = pdn.design
@@ -560,9 +561,22 @@ def optimize_decap_placement(
     total_units = budget_f / c_u
     floor = floor_fraction * total_units / cells
 
+    # Each distinct allocation is evaluated once: the attached one
+    # doubles as the "before" map, and a uniform attachment is its own
+    # budget rescale and the uniform start.
+    evaluated: list[tuple[np.ndarray, _Evaluation]] = []
+
+    def evaluate(alpha: np.ndarray) -> _Evaluation:
+        for seen, evaluation in evaluated:
+            if np.array_equal(seen, alpha):
+                return evaluation
+        evaluation = _evaluate(pdn, alpha, unit, freqs, target_ohm, method)
+        evaluated.append((alpha, evaluation))
+        return evaluation
+
     try:
-        peak_map_before = (
-            pdn.impedance_map(freqs, method=method).peak_map()
+        peak_map_before = evaluate(density_before.ravel()).peaks.reshape(
+            pdn.ny, pdn.nx
         )
 
         # Candidate warm starts, best-of (violating fraction, peak):
@@ -627,7 +641,7 @@ def optimize_decap_placement(
         alpha: np.ndarray | None = None
         best: _Evaluation | None = None
         for start in starts:
-            trial = _evaluate(pdn, start, unit, freqs, target_ohm, method)
+            trial = evaluate(start)
             if best is None or _better(trial, best):
                 alpha, best = start, trial
         assert alpha is not None and best is not None
@@ -645,9 +659,7 @@ def optimize_decap_placement(
                 )
                 if proposal is None:
                     break
-                trial = _evaluate(
-                    pdn, proposal, unit, freqs, target_ohm, method
-                )
+                trial = evaluate(proposal)
                 if _better(trial, best):
                     alpha, best = proposal, trial
                     history.append(best.violating_fraction)
@@ -676,9 +688,7 @@ def optimize_decap_placement(
                 proposal = _project_budget(
                     alpha - eta * gradient, floor, total_units
                 )
-                trial = _evaluate(
-                    pdn, proposal, unit, freqs, target_ohm, method
-                )
+                trial = evaluate(proposal)
                 if _better(trial, best):
                     alpha, best = proposal, trial
                     history.append(best.violating_fraction)

@@ -61,6 +61,7 @@ from .mesh import (
     MeshView,
     cached,
     require_finite,
+    require_indices,
 )
 from .network import (
     GROUND_INDEX,
@@ -659,6 +660,8 @@ class GridImpedanceMap:
 
     def node_profile(self, ix: int, iy: int) -> ImpedanceProfile:
         """The |Z(f)| profile seen at one mesh node."""
+        ix = int(require_indices(ix, "ix"))
+        iy = int(require_indices(iy, "iy"))
         if not (0 <= ix < self.nx and 0 <= iy < self.ny):
             raise ConfigError("node index outside the mesh")
         return ImpedanceProfile(
@@ -697,6 +700,7 @@ class GridImpedanceMap:
 
     def meets_target(self, target_ohm: float) -> bool:
         """True if every node stays at or below the target everywhere."""
+        require_finite(target_ohm, "target_ohm")
         if target_ohm <= 0:
             raise ConfigError("target impedance must be positive")
         return bool(
@@ -709,6 +713,7 @@ class GridImpedanceMap:
         Uses the same rounding tolerance as :meth:`meets_target`, so a
         map that "meets target" always reports zero violating nodes.
         """
+        require_finite(target_ohm, "target_ohm")
         if target_ohm <= 0:
             raise ConfigError("target impedance must be positive")
         peaks = np.abs(self.z_ohm).max(axis=1)
@@ -838,6 +843,15 @@ class _SelinvPlan:
     pad_dst: np.ndarray  # flat diagonal index of every padding slot
 
 
+#: Weights of the per-frequency operation counts ``auto`` compares
+#: (see :meth:`GridACPDN.impedance_engine`): structured's two
+#: ``k²·cells`` products, and selinv's cost per ``levels·width³``
+#: fitted to the crossover table in ``docs/structured-solvers.md``
+#: (every weight in 2.7–4.4 picks the faster engine on all of it).
+_STRUCTURED_COST_WEIGHT = 2
+_SELINV_COST_WEIGHT = 3.5
+
+
 class GridACPDN(MeshView):
     """Grid-level AC impedance analysis of the die/interposer mesh.
 
@@ -859,9 +873,10 @@ class GridACPDN(MeshView):
     :class:`~repro.pdn.ac.CompiledACNetlist` (array assembly, shared
     CSC pattern, batched solves), and the impedance map runs on a
     *reduced* node-only system — decap chains and source branches fold
-    into per-node shunt admittances — solved by the DCT-diagonalized
-    ``structured`` engine when the decap density is uniform and by
-    exact block-tridiagonal selected inversion (``selinv``) otherwise.
+    into per-node shunt admittances — solved by exact block-tridiagonal
+    selected inversion (``selinv``), or by the DCT-diagonalized
+    ``structured`` engine when the decap density is uniform and its
+    rank-k branch correction is the cheaper of the two.
     Each structure is cached under the design's
     :attr:`~repro.pdn.mesh.MeshDesign.key`.
 
@@ -919,7 +934,9 @@ class GridACPDN(MeshView):
           dense eigendecomposition per decap change.  Explicit only.
         * ``"direct"`` — per-frequency sparse-LU full inverse, the
           oracle the other engines are tested against.  Explicit only.
-        * ``"auto"`` — ``structured`` when eligible, else ``selinv``.
+        * ``"auto"`` — of ``structured`` and ``selinv``, the one the
+          design allows with the smaller per-frequency operation
+          count (see :meth:`impedance_engine`).
 
         Raises:
             ConfigError: no sources attached, bad frequencies, or an
@@ -974,7 +991,7 @@ class GridACPDN(MeshView):
             raise ConfigError("impedance_columns takes a single frequency")
         self._require()
         cells = self.nx * self.ny
-        rows = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
+        rows = np.atleast_1d(require_indices(nodes, "nodes"))
         if rows.ndim != 1 or rows.size == 0:
             raise ConfigError("nodes must be a non-empty 1-D index list")
         if np.any(rows < 0) or np.any(rows >= cells):
@@ -998,7 +1015,22 @@ class GridACPDN(MeshView):
         Returns ``"structured"``, ``"selinv"``, ``"spectral"`` or
         ``"direct"`` — the regression surface the engine-selection
         tests assert against.  ``"auto"`` resolves to ``"structured"``
-        when the topology allows it and to ``"selinv"`` otherwise;
+        when the topology allows it (uniform positive density,
+        resistive mesh) *and* its per-frequency operation count is the
+        smaller one, and to ``"selinv"`` otherwise.  The counts are
+        read from the design's shape:
+
+        * structured ≈ 2·k²·cells + k³ for its rank-k branch
+          correction, k = 1 (zero-mode deflation) + sources + ring
+          segments: the ``UᵀM⁻¹U`` product and the correction gather
+          over every cell, then one k×k inverse;
+        * selinv ≈ 3.5·levels·width³ from the cached level plan (one
+          block inverse and four block products per level), the
+          weight fitted to the crossover table measured in
+          ``docs/structured-solvers.md``.
+
+        A few VRs keep structured on any mesh, while the paper's 48-VR
+        banks run selinv up to 32².
         ``"spectral"`` and the ``"direct"`` oracle run only when asked
         for.  Raises :class:`~repro.errors.ConfigError` for an unknown
         method or an explicit method the current topology cannot run.
@@ -1016,8 +1048,20 @@ class GridACPDN(MeshView):
                 "density map and a purely resistive mesh"
             )
         if method == "auto":
-            return "structured" if self._structured_eligible() else "selinv"
+            if self._structured_eligible() and self._structured_cheaper():
+                return "structured"
+            return "selinv"
         return method
+
+    def _structured_cheaper(self) -> bool:
+        """The operation-count comparison of :meth:`impedance_engine`."""
+        design = self.design
+        k = 1 + len(design.sources) + design.ring_segments()[0].size
+        plan = self._ensure_selinv()
+        return (
+            _STRUCTURED_COST_WEIGHT * k * k * self.nx * self.ny + k**3
+            < _SELINV_COST_WEIGHT * plan.levels * plan.width**3
+        )
 
     def _spectral_eligible(self) -> bool:
         decap = self.design.decap

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ConfigError
+from .mesh import require_finite
 from .transient import PDNStage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,12 +58,14 @@ class ImpedanceProfile:
 
     def meets_target(self, target_ohm: float) -> bool:
         """True if |Z| stays at or below the target everywhere."""
+        require_finite(target_ohm, "target_ohm")
         if target_ohm <= 0:
             raise ConfigError("target impedance must be positive")
         return bool(np.all(self.impedance_ohm <= target_ohm * (1 + 1e-12)))
 
     def violation_band_hz(self, target_ohm: float) -> tuple[float, float] | None:
         """(first, last) frequency violating the target, or None."""
+        require_finite(target_ohm, "target_ohm")
         if target_ohm <= 0:
             raise ConfigError("target impedance must be positive")
         mask = self.impedance_ohm > target_ohm
@@ -239,6 +242,7 @@ def size_die_decap_for_target(
     passes or ``max_farad`` is reached.  Returns the recommendation
     either way (``meets_target`` reports the outcome).
     """
+    require_finite(target_ohm, "target_ohm")
     if target_ohm <= 0:
         raise ConfigError("target impedance must be positive")
     if not stages:
@@ -298,6 +302,7 @@ def size_grid_decap_for_target(
     ``original * max_scale``, mirroring the lumped sizer's
     ``min(candidate, max_farad)``.
     """
+    require_finite(target_ohm, "target_ohm")
     if target_ohm <= 0:
         raise ConfigError("target impedance must be positive")
     if max_scale < 1.0:

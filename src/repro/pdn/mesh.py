@@ -58,6 +58,26 @@ def require_finite(value, name: str) -> None:
         raise ConfigError(f"{name} must be finite")
 
 
+def require_indices(value, name: str) -> np.ndarray:
+    """Node indices (a scalar or an array) as int64, checked by name.
+
+    The whole-number rule of the design's node counts: ``2`` and
+    ``2.0`` are node 2, while a fraction, NaN/inf, a boolean or a
+    non-number raises :class:`~repro.errors.ConfigError` — a plain
+    ``astype(int)`` would probe node 2 for ``2.7`` and node 1 for
+    ``True``.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind == "f":
+        require_finite(arr, name)
+        whole = np.array_equal(arr, np.trunc(arr))
+    else:
+        whole = arr.dtype.kind in "iu"
+    if not whole:
+        raise ConfigError(f"{name} must be whole-number node indices")
+    return arr.astype(np.int64)
+
+
 def mesh_edge_rows(nx: int, ny: int) -> tuple[np.ndarray, ...]:
     """Endpoint row indices of a rectangular mesh's edges.
 

@@ -261,6 +261,38 @@ class TestOptimizer:
         )
         assert off.coarse_shape is None
 
+    def test_each_allocation_is_evaluated_once(self, monkeypatch):
+        """A capped multi-resolution run on a uniform allocation sweeps
+        each (design, frequency grid) pair once: at both levels the
+        attached allocation is also the budget-rescaled and the uniform
+        start, and its evaluation supplies the "before" map."""
+        pdn = GridACPDN(0.01, 0.01, 2e-2, nx=8, ny=8)
+        pdn.set_decap_density(1.0, 10e-9, 1e-3, 1e-12)
+        pdn.add_source("a", 0.0, 0.0, 1.0, 1e-4, 1e-11)
+        pdn.add_source("b", 1.0, 0.25, 1.0, 1e-4, 1e-11)
+        freqs = np.logspace(6, 9, 13)
+        uniform = pdn.impedance_map(freqs).peak_map()
+        swept = []
+        impedance_map = GridACPDN.impedance_map
+
+        def spy(self, frequencies_hz, method="auto"):
+            freqs_key = np.asarray(frequencies_hz).tobytes()
+            swept.append((self.design.key, freqs_key))
+            return impedance_map(self, frequencies_hz, method)
+
+        monkeypatch.setattr(GridACPDN, "impedance_map", spy)
+        result = optimize_decap_placement(
+            pdn,
+            0.6 * float(uniform.max()),
+            frequencies_hz=freqs,
+            max_iterations=3,
+            gradient_steps=1,
+            multi_resolution=True,
+        )
+        assert result.coarse_shape == (4, 4)
+        assert len(swept) == len(set(swept))
+        np.testing.assert_array_equal(result.peak_map_before, uniform)
+
     def test_zero_budgets_return_best_start(self):
         pdn, freqs, target = _contrast_pdn()
         result = optimize_decap_placement(
@@ -279,6 +311,9 @@ class TestOptimizer:
         pdn, freqs, target = _contrast_pdn()
         with pytest.raises(ConfigError):
             optimize_decap_placement(pdn, 0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="target_ohm"):
+                optimize_decap_placement(pdn, bad)
         with pytest.raises(ConfigError):
             optimize_decap_placement(pdn, target, floor_fraction=0.0)
         with pytest.raises(ConfigError):
@@ -326,6 +361,9 @@ class TestSizer:
 
     def test_rejects_bad_parameters(self):
         pdn, freqs, target = _contrast_pdn()
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="target_ohm"):
+                size_decap_placement_for_target(pdn, bad)
         with pytest.raises(ConfigError):
             size_decap_placement_for_target(
                 pdn, target, max_budget_factor=0.5

@@ -448,6 +448,16 @@ def _partly(value):
     return arr
 
 
+def _sourced():
+    pdn = _decapped()
+    pdn.add_source("s", 0.0, 0.0, 1.0, 1e-3)
+    return pdn
+
+
+def _swept():
+    return _sourced().impedance_map(np.array([1e5, 1e7]))
+
+
 # (parameter name, call that passes the non-finite value to it)
 NON_FINITE_SETTERS = [
     ("width_m", lambda v: _ac_grid(width_m=v)),
@@ -473,6 +483,8 @@ NON_FINITE_SETTERS = [
     ("esr_ohm", lambda v: _ac_grid().set_decap_map(np.ones((4, 4)), _partly(v))),
     ("esl_h", lambda v: _ac_grid().set_decap_map(np.ones((4, 4)), 0.0, v)),
     ("factor", lambda v: _decapped().scale_decap(v)),
+    ("target_ohm", lambda v: _swept().meets_target(v)),
+    ("target_ohm", lambda v: _swept().violating_node_fraction(v)),
 ]
 
 
@@ -488,6 +500,30 @@ def test_grid_ac_rejects_non_finite_inputs_by_name(name, call, value):
     read as "map is all zero" and partly-NaN maps that used to pass."""
     with pytest.raises(ConfigError, match=name):
         call(value)
+
+
+def test_node_indices_must_be_whole_numbers():
+    """Probe and profile indices follow the node-count rule: a
+    fraction, a boolean or a non-number raises a ConfigError naming
+    the argument instead of being truncated onto a neighbouring node,
+    while a whole-valued float is that node."""
+    pdn = _sourced()
+    for nodes in ([2.7], [True, False], [np.nan], ["2"]):
+        with pytest.raises(ConfigError, match="^nodes "):
+            pdn.impedance_columns(1e6, nodes)
+    np.testing.assert_array_equal(
+        pdn.impedance_columns(1e6, [2.0, 5.0]),
+        pdn.impedance_columns(1e6, [2, 5]),
+    )
+    imap = _swept()
+    with pytest.raises(ConfigError, match="^ix "):
+        imap.node_profile(1.5, 1)
+    with pytest.raises(ConfigError, match="^iy "):
+        imap.node_profile(1, True)
+    np.testing.assert_array_equal(
+        imap.node_profile(1.0, 2).impedance_ohm,
+        imap.node_profile(1, 2).impedance_ohm,
+    )
 
 
 class TestSolveDisabledMany:

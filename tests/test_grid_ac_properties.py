@@ -648,7 +648,7 @@ def test_structured_impedance_map_matches_scalar_oracle(
     pdn = GridACPDN(1e-2, 1e-2, sheet, nx=nx, ny=ny)
     pdn.set_decap_density(density, unit_c, unit_esr, unit_esl)
     sources = attach_sources(pdn, source_draws)
-    assert pdn.impedance_engine() == "structured"
+    assert pdn.impedance_engine("structured") == "structured"
     alpha = np.full((ny, nx), density)
     net = lumped_equivalent(
         nx,
@@ -708,7 +708,7 @@ def test_structured_ring_bus_matches_scalar_oracle(
         ix, iy = snap(pdn, x, y)
         sources.append((ix, iy, 1.0, rout, l_src))
     pdn.connect_sources_with_ring_bus(ring)
-    assert pdn.impedance_engine() == "structured"
+    assert pdn.impedance_engine("structured") == "structured"
 
     alpha = np.full((ny, nx), density)
     net = lumped_equivalent(
@@ -734,9 +734,10 @@ def test_structured_ring_bus_matches_scalar_oracle(
 
 
 def test_impedance_engine_selection_by_topology():
-    """Auto picks structured when the topology allows it and selinv
-    otherwise; spectral and the direct oracle run only when asked for,
-    and explicit ineligible methods are configuration errors."""
+    """Auto picks structured when the topology allows it (and, with one
+    source, it is the cheaper engine) and selinv otherwise; spectral
+    and the direct oracle run only when asked for, and explicit
+    ineligible methods are configuration errors."""
     pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=3, ny=3)
     pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-2)
 
@@ -778,6 +779,46 @@ def test_impedance_engine_selection_by_topology():
     assert pdn.impedance_engine() == "selinv"
     with pytest.raises(ConfigError):
         pdn.impedance_engine("spectral")
+
+
+def eight_vr_mesh(n: int) -> GridACPDN:
+    """The solver benchmark's die mesh: 8 VRs alternating between the
+    top and bottom edges."""
+    pdn = GridACPDN(0.0224, 0.0224, 0.62e-3, nx=n, ny=n)
+    for k in range(8):
+        pdn.add_source(
+            f"s{k}", k / 8.0, 0.0 if k % 2 else 1.0, 1.0, 1e-3, 5e-12
+        )
+    return pdn
+
+
+COST_ROUTES = [("8 VRs", n, "structured") for n in (8, 12, 16, 24, 32)] + [
+    (bank, n, "selinv") for bank in ("A2", "A1+ring") for n in (12, 24)
+]
+
+
+@pytest.mark.parametrize("bank, n, engine", COST_ROUTES)
+def test_auto_routes_uniform_meshes_by_cost(bank, n, engine):
+    """On a uniform density both exact engines are allowed, and auto
+    runs the one with the smaller operation count: the structured
+    Woodbury rank stays at 9 with 8 VRs, but is 49 for the 48-VR A2
+    array and up to 97 for the A1 periphery bank with its ring bus,
+    where selinv is the cheaper engine on the crossover table's
+    meshes.  The map auto returns is the chosen engine's, bit for
+    bit."""
+    if bank == "8 VRs":
+        pdn = eight_vr_mesh(n)
+    else:
+        arch = single_stage_a2 if bank == "A2" else single_stage_a1
+        pdn = design_study_mesh(arch, n)
+    pdn.set_decap_density(1.0, 2e-9, 2e-3, 5e-12)
+    assert pdn.impedance_engine("structured") == "structured"
+    assert pdn.impedance_engine() == engine
+    freqs = np.logspace(4, 9, 7)
+    np.testing.assert_array_equal(
+        pdn.impedance_map(freqs).z_ohm,
+        pdn.impedance_map(freqs, method=engine).z_ohm,
+    )
 
 
 def test_inductive_mesh_disables_modal_engines():

@@ -81,6 +81,13 @@ class TestImpedanceProfile:
         target = profile.peak_impedance_ohm * 1.1
         assert profile.violation_band_hz(target) is None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_target_checks_reject_non_finite_target(self, profile, bad):
+        with pytest.raises(ConfigError, match="target_ohm"):
+            profile.meets_target(bad)
+        with pytest.raises(ConfigError, match="target_ohm"):
+            profile.violation_band_hz(bad)
+
     def test_custom_frequency_grid(self):
         freqs = np.logspace(4, 8, 50)
         profile = pdn_impedance(simple_stages(), frequencies_hz=freqs)
@@ -167,6 +174,9 @@ class TestDecapSizing:
     def test_rejects_bad_target(self):
         with pytest.raises(ConfigError):
             size_die_decap_for_target(simple_stages(), 0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="target_ohm"):
+                size_die_decap_for_target(simple_stages(), bad)
 
 
 class TestGridLadderCollapse:
@@ -326,6 +336,9 @@ class TestGridDecapSizing:
         pdn, _ = self.make_pdn()
         with pytest.raises(ConfigError):
             size_grid_decap_for_target(pdn, 0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="target_ohm"):
+                size_grid_decap_for_target(pdn, bad)
         bare = GridACPDN(0.02, 0.02, 1e-3, nx=4, ny=4)
         bare.add_source("a", 0.5, 0.5, 1.0, 1e-3)
         with pytest.raises(ConfigError):
