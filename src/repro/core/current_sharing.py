@@ -25,7 +25,7 @@ from ..errors import ConfigError
 from ..pdn.grid import GridPDN
 from ..pdn.powermap import PowerMap
 from ..pdn.stackup import default_stack
-from ..placement.planner import PlacementPlan, plan_placement
+from ..placement.planner import PlacementPlan, PlacementStyle, plan_placement
 from .architectures import ArchitectureSpec
 
 #: Default droop (output) resistance of each VR used for sharing.
@@ -84,6 +84,65 @@ class SharingResult:
         return int(np.count_nonzero(self.currents_a > limit))
 
 
+def _die_grid_with_bank(
+    arch: ArchitectureSpec,
+    topology: ConverterSpec,
+    spec: SystemSpec,
+    power_map: PowerMap | None,
+    grid_nodes: int,
+    setpoint_v: float,
+    output_resistance_ohm: float,
+    source_inductance_h: float = 0.0,
+):
+    """The die-level grid with the architecture's VR bank attached.
+
+    One builder shared by current sharing, the DC IR-drop, AC impedance
+    and load-step maps (:mod:`repro.core.ir_drop`) and the fault sweeps
+    (:mod:`repro.core.redundancy`): the AC and transient analyses view
+    the returned grid's design, so every analysis sees the identical
+    mesh, sheet resistance, VR placement, and ring bus.
+    ``source_inductance_h`` is the bump/TSV loop behind each VR output
+    (shorted at DC).  Returns ``(grid, plan)``.
+    """
+    if not arch.is_vertical:
+        raise ConfigError("die-grid maps apply to on-package VR stages")
+    plan = plan_placement(
+        topology,
+        arch.pol_stage_style,
+        spec.pol_current_a,
+        spec.die_area_mm2,
+    )
+    stack = default_stack(spec)
+    sheet = stack.level("Interposer").lateral.sheet_ohm_sq
+    grid = GridPDN(
+        width_m=spec.die_side_m,
+        height_m=spec.die_side_m,
+        sheet_ohm_sq=sheet,
+        nx=grid_nodes,
+        ny=grid_nodes,
+    )
+    if power_map is not None:
+        grid.set_sinks(power_map, spec.pol_current_a)
+    for index, position in enumerate(plan.positions):
+        grid.add_source(
+            f"vr{index}",
+            position.x,
+            position.y,
+            setpoint_v,
+            output_resistance_ohm,
+            source_inductance_h,
+        )
+    if plan.style is PlacementStyle.PERIPHERY and plan.vr_count >= 3:
+        # Periphery VRs share the contiguous output ring of Fig. 5(a);
+        # each inter-VR segment is (spacing / ring width) squares of
+        # the dedicated thick ring metal.
+        spacing = 4.0 * spec.die_side_m / plan.vr_count
+        grid.connect_sources_with_ring_bus(
+            RING_BUS_SHEET_OHM_SQ * spacing / RING_BUS_WIDTH_M
+        )
+    return grid, plan
+
+
 def analyze_current_sharing(
     arch: ArchitectureSpec,
     topology: ConverterSpec,
@@ -111,40 +170,15 @@ def analyze_current_sharing(
     spec = spec or SystemSpec()
     power_map = power_map or PowerMap.hotspot_mixture()
 
-    plan = plan_placement(
+    grid, plan = _die_grid_with_bank(
+        arch,
         topology,
-        arch.pol_stage_style,
-        spec.pol_current_a,
-        spec.die_area_mm2,
+        spec,
+        power_map,
+        grid_nodes,
+        spec.pol_voltage_v,
+        output_resistance_ohm,
     )
-
-    stack = default_stack(spec)
-    sheet = stack.level("Interposer").lateral.sheet_ohm_sq
-    grid = GridPDN(
-        width_m=spec.die_side_m,
-        height_m=spec.die_side_m,
-        sheet_ohm_sq=sheet,
-        nx=grid_nodes,
-        ny=grid_nodes,
-    )
-    grid.set_sinks(power_map, spec.pol_current_a)
-    for index, position in enumerate(plan.positions):
-        grid.add_source(
-            f"vr{index}",
-            position.x,
-            position.y,
-            spec.pol_voltage_v,
-            output_resistance_ohm,
-        )
-    from ..placement.planner import PlacementStyle
-
-    if plan.style is PlacementStyle.PERIPHERY and plan.vr_count >= 3:
-        # Periphery VRs share the contiguous output ring of Fig. 5(a);
-        # each inter-VR segment is (spacing / ring width) squares of
-        # the dedicated thick ring metal.
-        spacing = 4.0 * spec.die_side_m / plan.vr_count
-        segment = RING_BUS_SHEET_OHM_SQ * spacing / RING_BUS_WIDTH_M
-        grid.connect_sources_with_ring_bus(segment)
     solution = grid.solve()
     return SharingResult(
         architecture=arch.name,

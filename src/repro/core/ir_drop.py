@@ -29,18 +29,12 @@ from ..pdn.decap_placement import (
     optimize_decap_placement,
     size_decap_placement_for_target,
 )
-from ..pdn.grid import GridACPDN, GridImpedanceMap, GridPDN
+from ..pdn.grid import GridACPDN, GridImpedanceMap
 from ..pdn.grid_transient import GridTransientPDN
 from ..pdn.impedance import target_impedance_ohm
 from ..pdn.powermap import PowerMap
-from ..pdn.stackup import default_stack
-from ..placement.planner import PlacementStyle, plan_placement
 from .architectures import ArchitectureSpec
-from .current_sharing import (
-    DEFAULT_OUTPUT_RESISTANCE_OHM,
-    RING_BUS_SHEET_OHM_SQ,
-    RING_BUS_WIDTH_M,
-)
+from .current_sharing import DEFAULT_OUTPUT_RESISTANCE_OHM, _die_grid_with_bank
 
 #: Default droop budget: the die must stay within 5% of nominal.
 DEFAULT_DROOP_BUDGET_FRACTION = 0.05
@@ -92,61 +86,6 @@ class IRDropReport:
     def droop_fraction(self) -> float:
         """Worst droop as a fraction of nominal."""
         return self.worst_droop_v / self.nominal_v
-
-
-def _die_grid_with_bank(
-    arch: ArchitectureSpec,
-    topology: ConverterSpec,
-    spec: SystemSpec,
-    power_map: PowerMap | None,
-    grid_nodes: int,
-    setpoint_v: float,
-    output_resistance_ohm: float,
-    source_inductance_h: float = 0.0,
-):
-    """The die-level grid with the architecture's VR bank attached.
-
-    One builder shared by the DC IR-drop, AC impedance and load-step
-    maps: the AC and transient analyses view the returned grid's
-    design, so every analysis sees the identical mesh, sheet
-    resistance, VR placement, and ring bus.  ``source_inductance_h``
-    is the bump/TSV loop behind each VR output (shorted at DC).
-    Returns ``(grid, plan)``.
-    """
-    if not arch.is_vertical:
-        raise ConfigError("die-grid maps apply to on-package VR stages")
-    plan = plan_placement(
-        topology,
-        arch.pol_stage_style,
-        spec.pol_current_a,
-        spec.die_area_mm2,
-    )
-    stack = default_stack(spec)
-    sheet = stack.level("Interposer").lateral.sheet_ohm_sq
-    grid = GridPDN(
-        width_m=spec.die_side_m,
-        height_m=spec.die_side_m,
-        sheet_ohm_sq=sheet,
-        nx=grid_nodes,
-        ny=grid_nodes,
-    )
-    if power_map is not None:
-        grid.set_sinks(power_map, spec.pol_current_a)
-    for index, position in enumerate(plan.positions):
-        grid.add_source(
-            f"vr{index}",
-            position.x,
-            position.y,
-            setpoint_v,
-            output_resistance_ohm,
-            source_inductance_h,
-        )
-    if plan.style is PlacementStyle.PERIPHERY and plan.vr_count >= 3:
-        spacing = 4.0 * spec.die_side_m / plan.vr_count
-        grid.connect_sources_with_ring_bus(
-            RING_BUS_SHEET_OHM_SQ * spacing / RING_BUS_WIDTH_M
-        )
-    return grid, plan
 
 
 def analyze_ir_drop(

@@ -8,7 +8,7 @@ robustness a first-class requirement.  This module answers:
 * if *k* VRs drop out, does the remaining bank still carry the load
   within its ratings (`inject_failures`)?
 * how many arbitrary failures can the design absorb in the worst case
-  (`failure_tolerance`)?
+  (`failure_tolerance`, `multi_failure_samples`)?
 
 Failures are modeled by open-circuiting the failed VRs' sources on
 the die-level grid and re-solving: surviving neighbours pick up the
@@ -20,19 +20,22 @@ loop drops out, i.e. its source branch is forced to carry zero
 current.
 
 That formulation makes every scenario a rank-k correction of one
-shared system: the whole bank is attached and factorized once per
-sweep, and each failure set is solved with a Sherman–Morrison–Woodbury
-update (:meth:`repro.pdn.mna.FactorizedPDN.solve_modified` via
-:meth:`repro.pdn.grid.GridPDN.solve_disabled`) instead of
-refactorizing the grid per scenario.
+shared system.  Every entry point builds the full bank once, with the
+VR-bank builder shared by current sharing and the die maps
+(:func:`repro.core.current_sharing._die_grid_with_bank`), and solves
+its failure sets through one batched Sherman–Morrison–Woodbury path
+(:meth:`repro.pdn.grid.GridPDN.solve_disabled_many` on
+:meth:`repro.pdn.mna.FactorizedPDN.solve_modified_many`) instead of
+refactorizing the grid per scenario; `inject_failures` is a
+one-scenario sweep.
 
 Sweeps (``failure_tolerance``, ``multi_failure_samples``) route their
 scenario lists through the chunked executor (:mod:`repro.parallel`).
-Each chunk rebuilds the shared grid from a picklable payload (spec +
-sampled sink currents + placement plan) and solves its scenarios
-through the batched Woodbury path; the process-wide factorization
-cache makes the rebuild cheap, and fixed chunk boundaries make
-``jobs=N`` results bit-identical to ``jobs=1``.
+The payload is the bank's frozen, picklable
+:class:`~repro.pdn.mesh.MeshDesign` (the power map is sampled into its
+sink array in the calling process); each chunk views it as a grid, the
+process-wide factorization cache makes that view cheap, and fixed chunk
+boundaries make ``jobs=N`` results bit-identical to ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -47,15 +50,10 @@ from ..converters.catalog import ConverterSpec
 from ..errors import ConfigError
 from ..parallel import Scenario, SweepPlan, run_sweep_collect
 from ..pdn.grid import GridPDN
+from ..pdn.mesh import require_indices
 from ..pdn.powermap import PowerMap
-from ..pdn.stackup import default_stack
-from ..placement.planner import PlacementStyle, plan_placement
 from .architectures import ArchitectureSpec
-from .current_sharing import (
-    DEFAULT_OUTPUT_RESISTANCE_OHM,
-    RING_BUS_SHEET_OHM_SQ,
-    RING_BUS_WIDTH_M,
-)
+from .current_sharing import DEFAULT_OUTPUT_RESISTANCE_OHM, _die_grid_with_bank
 
 #: Default die-grid resolution for fault-injection solves; shared by
 #: every entry point so single- and multi-failure results stay
@@ -88,56 +86,17 @@ class FailureResult:
         return self.overloaded_count == 0
 
 
-def _base_grid(
-    spec: SystemSpec, power_map: PowerMap, grid_nodes: int
-) -> GridPDN:
-    """The die-level grid with sinks attached but no sources yet.
-
-    Built once per sweep: the mesh and sink map are scenario
-    independent, so every fault scenario shares this structure.
-    """
-    stack = default_stack(spec)
-    sheet = stack.level("Interposer").lateral.sheet_ohm_sq
-    grid = GridPDN(
-        width_m=spec.die_side_m,
-        height_m=spec.die_side_m,
-        sheet_ohm_sq=sheet,
-        nx=grid_nodes,
-        ny=grid_nodes,
-    )
-    grid.set_sinks(power_map, spec.pol_current_a)
-    return grid
-
-
-def _attach_bank(
-    grid: GridPDN,
-    plan,
-    spec: SystemSpec,
-    output_resistance_ohm: float,
-) -> None:
-    """Attach the full VR bank (and its ring bus) to a sweep grid.
-
-    Every fault scenario shares this one topology and factorization;
-    failures are expressed per scenario by disabling source branches,
-    never by re-attaching a survivor subset.
-    """
-    for index, position in enumerate(plan.positions):
-        grid.add_source(
-            f"vr{index}",
-            position.x,
-            position.y,
-            spec.pol_voltage_v,
-            output_resistance_ohm,
-        )
-    if plan.style is PlacementStyle.PERIPHERY and plan.vr_count >= 3:
-        spacing = 4.0 * spec.die_side_m / plan.vr_count
-        grid.connect_sources_with_ring_bus(
-            RING_BUS_SHEET_OHM_SQ * spacing / RING_BUS_WIDTH_M
-        )
+def _check_failed(vr_count: int, failed) -> tuple[int, ...]:
+    """One scenario's failed VR indices, validated."""
+    failed = tuple(int(i) for i in require_indices(failed, "failed_indices"))
+    if any(i < 0 or i >= vr_count for i in failed):
+        raise ConfigError("failed index out of range")
+    if len(failed) >= vr_count:
+        raise ConfigError("cannot fail every VR")
+    return failed
 
 
 def _failure_result(
-    plan,
     topology: ConverterSpec,
     failed: tuple[int, ...],
     solution,
@@ -147,7 +106,7 @@ def _failure_result(
     limit = topology.max_load_a
     overloaded = int(np.count_nonzero(currents > limit * (1 + 1e-9)))
     return FailureResult(
-        failed_indices=tuple(failed),
+        failed_indices=failed,
         survivor_currents_a=currents,
         overloaded_count=overloaded,
         worst_overload_fraction=float(currents.max() / limit),
@@ -155,142 +114,61 @@ def _failure_result(
     )
 
 
-def _check_failed(plan, failed: tuple[int, ...]) -> None:
-    if any(i < 0 or i >= plan.vr_count for i in failed):
-        raise ConfigError("failed index out of range")
-    if len(failed) >= plan.vr_count:
-        raise ConfigError("cannot fail every VR")
-
-
-def _solve_scenario(
-    grid: GridPDN,
-    plan,
-    topology: ConverterSpec,
-    failed: tuple[int, ...],
-) -> FailureResult:
-    """Solve one fault scenario on the shared full-bank grid.
-
-    The grid must already carry the full bank (:func:`_attach_bank`);
-    the failed VRs are disabled via the Woodbury-corrected solve, so
-    every scenario after the first costs back-substitutions only.
-    """
-    _check_failed(plan, failed)
-    return _failure_result(plan, topology, failed, grid.solve_disabled(failed))
-
-
 def _solve_scenarios(
     grid: GridPDN,
-    plan,
     topology: ConverterSpec,
     scenarios: list[tuple[int, ...]],
 ) -> list[FailureResult]:
-    """Solve a whole fault sweep through the batched Woodbury path.
+    """Solve checked fault scenarios on the full-bank grid in one batch.
 
     One shared factorization, with the influence columns and modified
     right-hand sides of every scenario stacked into batched
     back-substitutions (:meth:`repro.pdn.grid.GridPDN.solve_disabled_many`).
     """
-    for failed in scenarios:
-        _check_failed(plan, failed)
     solutions = grid.solve_disabled_many(scenarios)
     return [
-        _failure_result(plan, topology, failed, solution)
+        _failure_result(topology, failed, solution)
         for failed, solution in zip(scenarios, solutions)
     ]
 
 
-def _grid_from_cells(
-    spec: SystemSpec, sink_cells: np.ndarray, grid_nodes: int
-) -> GridPDN:
-    """Rebuild the sweep grid from an explicit sink-current array.
-
-    The picklable twin of :func:`_base_grid`: power maps carry density
-    closures that cannot cross a process boundary, so sweep payloads
-    ship the sampled ``(ny, nx)`` cell currents instead.
-    """
-    stack = default_stack(spec)
-    sheet = stack.level("Interposer").lateral.sheet_ohm_sq
-    grid = GridPDN(
-        width_m=spec.die_side_m,
-        height_m=spec.die_side_m,
-        sheet_ohm_sq=sheet,
-        nx=grid_nodes,
-        ny=grid_nodes,
-    )
-    grid.set_sink_array(sink_cells)
-    return grid
-
-
 def _failure_chunk(payload: tuple, scenarios: tuple) -> list:
-    """Evaluate one chunk of fault scenarios on a rebuilt sweep grid.
+    """Evaluate one chunk of fault scenarios on a view of the bank.
 
-    The grid assembly is repeated per chunk, but its factorization is
+    The view assembles its matrix per chunk, but the factorization is
     shared through the process-wide content-hashed cache
     (:mod:`repro.parallel.cache`), so each worker pays one LU per
     topology across its whole lifetime.
     """
-    spec, sink_cells, plan, topology, grid_nodes, output_resistance_ohm = (
-        payload
-    )
-    grid = _grid_from_cells(spec, sink_cells, grid_nodes)
-    _attach_bank(grid, plan, spec, output_resistance_ohm)
+    design, topology = payload
     return _solve_scenarios(
-        grid, plan, topology, [scenario.params for scenario in scenarios]
+        GridPDN.from_design(design),
+        topology,
+        [scenario.params for scenario in scenarios],
     )
 
 
 def _run_failure_sweep(
-    spec: SystemSpec,
-    sink_cells: np.ndarray,
-    plan,
+    grid: GridPDN,
     topology: ConverterSpec,
-    grid_nodes: int,
-    output_resistance_ohm: float,
     scenarios: list[tuple[int, ...]],
     label: str,
     jobs: "int | str | None",
     chunk_size: int | None,
 ) -> list[FailureResult]:
     """Route a fault-scenario list through the sweep executor."""
-    for failed in scenarios:
-        _check_failed(plan, failed)
+    vr_count = len(grid.source_names)
+    scenarios = [_check_failed(vr_count, failed) for failed in scenarios]
     plan_obj = SweepPlan(
         scenarios=tuple(
             Scenario(key=failed, params=failed) for failed in scenarios
         ),
         runner=_failure_chunk,
-        payload=(
-            spec,
-            sink_cells,
-            plan,
-            topology,
-            grid_nodes,
-            output_resistance_ohm,
-        ),
+        payload=(grid.design, topology),
         chunk_size=chunk_size,
         label=label,
     )
     return run_sweep_collect(plan_obj, jobs=jobs, chunk_size=chunk_size)
-
-
-def _solve_with_failures(
-    arch: ArchitectureSpec,
-    topology: ConverterSpec,
-    failed: tuple[int, ...],
-    spec: SystemSpec,
-    power_map: PowerMap,
-    grid_nodes: int,
-    output_resistance_ohm: float,
-) -> FailureResult:
-    plan = plan_placement(
-        topology,
-        arch.pol_stage_style,
-        spec.pol_current_a,
-        spec.die_area_mm2,
-    )
-    grid = _base_grid(spec, power_map, grid_nodes)
-    _attach_bank(grid, plan, spec, output_resistance_ohm)
-    return _solve_scenario(grid, plan, topology, failed)
 
 
 def inject_failures(
@@ -306,16 +184,17 @@ def inject_failures(
     if not arch.is_vertical:
         raise ConfigError("fault injection applies to on-package VR banks")
     spec = spec or SystemSpec()
-    power_map = power_map or PowerMap.hotspot_mixture()
-    return _solve_with_failures(
+    grid, plan = _die_grid_with_bank(
         arch,
         topology,
-        tuple(failed_indices),
         spec,
-        power_map,
+        power_map or PowerMap.hotspot_mixture(),
         grid_nodes,
+        spec.pol_voltage_v,
         output_resistance_ohm,
     )
+    failed = _check_failed(plan.vr_count, failed_indices)
+    return _solve_scenarios(grid, topology, [failed])[0]
 
 
 @dataclass(frozen=True)
@@ -353,12 +232,14 @@ def failure_tolerance(
     if not arch.is_vertical:
         raise ConfigError("fault injection applies to on-package VR banks")
     spec = spec or SystemSpec()
-    power_map = power_map or PowerMap.hotspot_mixture()
-    plan = plan_placement(
+    grid, plan = _die_grid_with_bank(
+        arch,
         topology,
-        arch.pol_stage_style,
-        spec.pol_current_a,
-        spec.die_area_mm2,
+        spec,
+        power_map or PowerMap.hotspot_mixture(),
+        grid_nodes,
+        spec.pol_voltage_v,
+        DEFAULT_OUTPUT_RESISTANCE_OHM,
     )
     indices = list(range(plan.vr_count))
     if sample_limit is not None:
@@ -370,19 +251,12 @@ def failure_tolerance(
     # scenarios: the N−1 enumeration goes through stacked
     # back-substitutions, chunked and optionally sharded across
     # processes by the sweep executor.
-    sink_cells = power_map.cell_currents(
-        grid_nodes, grid_nodes, spec.pol_current_a
-    )
     worst_fraction = 0.0
     worst_index = -1
     all_survive = True
     results = _run_failure_sweep(
-        spec,
-        sink_cells,
-        plan,
+        grid,
         topology,
-        grid_nodes,
-        DEFAULT_OUTPUT_RESISTANCE_OHM,
         [(index,) for index in indices],
         "N-1 failure tolerance",
         jobs,
@@ -427,27 +301,23 @@ def multi_failure_samples(
     if not arch.is_vertical:
         raise ConfigError("fault injection applies to on-package VR banks")
     spec = spec or SystemSpec()
-    plan = plan_placement(
+    grid, plan = _die_grid_with_bank(
+        arch,
         topology,
-        arch.pol_stage_style,
-        spec.pol_current_a,
-        spec.die_area_mm2,
+        spec,
+        PowerMap.hotspot_mixture(),
+        DEFAULT_GRID_NODES,
+        spec.pol_voltage_v,
+        DEFAULT_OUTPUT_RESISTANCE_OHM,
     )
     scenarios = []
     for combo in combinations(range(plan.vr_count), failure_count):
         scenarios.append(combo)
         if len(scenarios) >= max_scenarios:
             break
-    sink_cells = PowerMap.hotspot_mixture().cell_currents(
-        DEFAULT_GRID_NODES, DEFAULT_GRID_NODES, spec.pol_current_a
-    )
     return _run_failure_sweep(
-        spec,
-        sink_cells,
-        plan,
+        grid,
         topology,
-        DEFAULT_GRID_NODES,
-        DEFAULT_OUTPUT_RESISTANCE_OHM,
         scenarios,
         f"N-{failure_count} failure samples",
         jobs,

@@ -20,9 +20,9 @@ structure as a small correction:
 * Source output conductances (rank-1 each), ring-bus segments (rank-1
   each), and the deflation column enter as a rank-k Woodbury
   correction ``A = M + U C Uᵀ`` on the fast operator ``M`` — the same
-  identity :meth:`repro.pdn.mna.FactorizedPDN.solve_modified` uses on
-  the cached LU, here with ``M⁻¹`` a transform pair instead of a
-  back-substitution.
+  identity :meth:`repro.pdn.mna.FactorizedPDN.solve_modified_many`
+  uses on the cached LU, here with ``M⁻¹`` a transform pair instead
+  of a back-substitution.
 * Per-edge metal variation makes the interior genuinely non-uniform;
   those systems run preconditioned CG (:mod:`repro.pdn.pcg`) with the
   *exact* uniform-mean structured solve as the preconditioner.
@@ -482,29 +482,17 @@ class StructuredGridPDN:
             disabled if disabled.size else None,
         )
 
-    def _normalize_disabled(self, disable_sources) -> np.ndarray:
-        disabled = np.unique(np.asarray(disable_sources, dtype=np.int64))
-        if disabled.size and (
-            disabled.min() < 0 or disabled.max() >= self.attach.size
-        ):
-            raise SolverError("disable_sources index out of range")
-        if disabled.size >= self.attach.size:
-            raise SolverError("cannot disable every source")
-        return disabled
-
     def solve(
         self,
         cs_amp: np.ndarray,
         vs_volt: np.ndarray,
         check: bool = True,
-        disable_sources: "np.ndarray | tuple[int, ...] | list[int]" = (),
     ) -> DCSolution:
-        """Solve one operating point (optionally with open sources)."""
+        """Solve one operating point with every source live."""
         amp, volt = self._scenario_values(cs_amp, vs_volt)
-        disabled = self._normalize_disabled(disable_sources)
-        b = self._reduced_rhs(amp, volt, disabled)
-        v = self.solve_reduced(b, disabled)
-        return self._package(v, amp, volt, disabled, check)
+        none = np.empty(0, dtype=np.int64)
+        v = self.solve_reduced(self._reduced_rhs(amp, volt, none), none)
+        return self._package(v, amp, volt, none, check)
 
     def solve_many(
         self,
@@ -545,7 +533,13 @@ class StructuredGridPDN:
         amp, volt = self._scenario_values(cs_amp, vs_volt)
         solutions: list[DCSolution] = []
         for scenario in scenarios:
-            disabled = self._normalize_disabled(scenario)
+            disabled = np.unique(np.asarray(scenario, dtype=np.int64))
+            if disabled.size and (
+                disabled.min() < 0 or disabled.max() >= self.attach.size
+            ):
+                raise SolverError("disable_sources index out of range")
+            if disabled.size >= self.attach.size:
+                raise SolverError("cannot disable every source")
             b = self._reduced_rhs(amp, volt, disabled)
             v = self.solve_reduced(b, disabled)
             solutions.append(self._package(v, amp, volt, disabled, check))

@@ -477,39 +477,11 @@ class GridPDN(MeshView):
         check: bool = True,
         method: str = "auto",
     ) -> GridSolution:
-        """Solve with a subset of the attached sources disabled.
-
-        A disabled source's branch current is forced to zero (an
-        open-circuited regulator: its output resistor and ring tap
-        stay in the metal but carry nothing), expressed as a rank-k
-        Woodbury correction on the *shared* factorization — an N−1/N−k
-        sweep pays one factorization for the whole bank and k+1
-        back-substitutions per scenario.  Indices follow attachment
-        order; disabled sources report exactly 0 A.  ``method`` is
-        forwarded to :meth:`~repro.pdn.mna.FactorizedPDN.solve_modified`
-        (``"auto"`` falls back to refactorization when the correction
-        is ill-conditioned).
-        """
-        indices = self._normalize_disabled(disabled_sources)
-        structure, sinks, volts = self._solve_inputs()
-
-        def factorized() -> DCSolution:
-            return structure.solver.solve_modified(
-                disable_sources=indices,
-                cs_amp=sinks,
-                vs_volt=volts,
-                check=check,
-                method=method,
-            )
-
-        dc = self._engine_call(
-            structure,
-            lambda fast: fast.solve(
-                sinks, volts, check=check, disable_sources=indices
-            ),
-            factorized,
-        )
-        return self._package_disabled(structure, dc, sinks, indices)
+        """Solve with a subset of the attached sources disabled: a
+        one-scenario :meth:`solve_disabled_many`."""
+        return self.solve_disabled_many(
+            [disabled_sources], check=check, method=method
+        )[0]
 
     def solve_disabled_many(
         self,
@@ -517,15 +489,19 @@ class GridPDN(MeshView):
         check: bool = True,
         method: str = "auto",
     ) -> list[GridSolution]:
-        """Solve a whole failure sweep with batched back-substitutions.
+        """Solve a failure sweep, each scenario a set of disabled sources.
 
-        Each scenario is a tuple of source indices to disable
-        (:meth:`solve_disabled` semantics).  All scenarios share one
-        factorization, and the influence columns, modified right-hand
-        sides, and refinement round are stacked through
-        :meth:`~repro.pdn.mna.FactorizedPDN.solve_modified_many`, so
-        an exhaustive N−k enumeration pays three batched solves for
-        the entire sweep.
+        A disabled source's branch current is forced to zero (an
+        open-circuited regulator: its output resistor and ring tap
+        stay in the metal but carry nothing), expressed as a rank-k
+        Woodbury correction on the *shared* factorization.  Indices
+        follow attachment order; disabled sources report exactly 0 A.
+        On the factorized engine the influence columns, modified
+        right-hand sides, and refinement round are stacked through
+        :meth:`~repro.pdn.mna.FactorizedPDN.solve_modified_many`
+        (``method`` is forwarded: ``"auto"`` refactorizes a scenario
+        whose correction is ill-conditioned), so an exhaustive N−k
+        enumeration pays three batched solves for the entire sweep.
         """
         normalized = [
             self._normalize_disabled(scenario) for scenario in scenarios
@@ -556,7 +532,10 @@ class GridPDN(MeshView):
     def _normalize_disabled(self, disabled_sources) -> tuple[int, ...]:
         """Validate one disable scenario's source indices."""
         count = len(self.design.sources)
-        indices = tuple(int(i) for i in disabled_sources)
+        indices = tuple(
+            int(i)
+            for i in require_indices(disabled_sources, "disabled_sources")
+        )
         if any(i < 0 or i >= count for i in indices):
             raise ConfigError("disabled source index out of range")
         if len(set(indices)) >= count:
@@ -584,7 +563,7 @@ class GridPDN(MeshView):
         Factorizes the full attached topology (if not already cached)
         and back-substitutes the influence columns for the given
         source indices (default: all) in one call, so each subsequent
-        :meth:`solve_disabled` scenario pays only two
+        :meth:`solve_disabled_many` scenario pays only two
         back-substitutions.
         """
         structure, _, _ = self._solve_inputs()

@@ -59,13 +59,13 @@ def require_finite(value, name: str) -> None:
 
 
 def require_indices(value, name: str) -> np.ndarray:
-    """Node indices (a scalar or an array) as int64, checked by name.
+    """Indices (a scalar or an array) as int64, checked by name.
 
     The whole-number rule of the design's node counts: ``2`` and
-    ``2.0`` are node 2, while a fraction, NaN/inf, a boolean or a
+    ``2.0`` are index 2, while a fraction, NaN/inf, a boolean or a
     non-number raises :class:`~repro.errors.ConfigError` — a plain
-    ``astype(int)`` would probe node 2 for ``2.7`` and node 1 for
-    ``True``.
+    ``astype(int)`` would pick index 2 for ``2.7`` and index 1 for
+    ``True``.  An empty sequence is a valid (empty) index set.
     """
     arr = np.asarray(value)
     if arr.dtype.kind == "f":
@@ -74,7 +74,7 @@ def require_indices(value, name: str) -> np.ndarray:
     else:
         whole = arr.dtype.kind in "iu"
     if not whole:
-        raise ConfigError(f"{name} must be whole-number node indices")
+        raise ConfigError(f"{name} must be whole-number indices")
     return arr.astype(np.int64)
 
 

@@ -45,6 +45,12 @@ INFLUENCE_CACHE_COLUMNS = 1024
 #: singular/non-singular verdict for the same matrix.
 SINGULARITY_PROBE_TOL = 1e-3
 
+#: Woodbury gate of :meth:`FactorizedPDN.solve_modified_many`: a
+#: scenario whose capacitance matrix ``S = I + W^T Z`` has its smallest
+#: singular value at or below ``max(1, sigma_max) / _WOODBURY_COND_LIMIT``
+#: is refactorized (or rejected under ``method="woodbury"``).
+_WOODBURY_COND_LIMIT = 1e10
+
 
 def singularity_probe(size: int) -> np.ndarray:
     """The known probe solution ``w`` used to detect rounded pivots.
@@ -352,8 +358,9 @@ class FactorizedPDN:
         """Post-process a raw MNA solution vector into a DCSolution.
 
         ``conductance`` is the per-resistor conductance used for branch
-        currents — :meth:`solve_modified` passes a copy with removed
-        elements zeroed so their reported currents and losses vanish.
+        currents — :meth:`solve_modified_many` passes a copy with
+        removed elements zeroed so their reported currents and losses
+        vanish.
         """
         return package_dc_solution(
             self.compiled, x, amp, volt, conductance, check, disabled_sources
@@ -501,6 +508,22 @@ class FactorizedPDN:
             )
         return lu
 
+    def _solve_refactored(
+        self, rhs: np.ndarray, u: np.ndarray, w: np.ndarray
+    ) -> np.ndarray:
+        """Solve ``(A + U W^T) x = rhs`` on its own factorization, with
+        one refinement step: ``method="refactor"`` and the
+        ill-conditioned Woodbury fallback."""
+        lu = self._refactorize_modified(u, w)
+        x = lu.solve(rhs)
+        residual = rhs - (self._matrix @ x + u @ (w.T @ x))
+        x = x + lu.solve(residual)
+        if not np.all(np.isfinite(x)):
+            raise SolverError(
+                "modified MNA solution contains non-finite values"
+            )
+        return x
+
     def solve_modified(
         self,
         disable_sources: "np.ndarray | tuple[int, ...] | list[int]" = (),
@@ -509,115 +532,16 @@ class FactorizedPDN:
         vs_volt: np.ndarray | None = None,
         check: bool = True,
         method: str = "auto",
-        cond_limit: float = 1e10,
     ) -> DCSolution:
-        """Solve a structurally modified scenario on the base factorization.
-
-        A failure/ablation sweep removes a handful of elements per
-        scenario; refactorizing each time costs a full LU.  Instead the
-        modification is expressed as a rank-k update ``A + U W^T`` and
-        solved with the Sherman–Morrison–Woodbury identity
-
-        ``x = y - Z (I_k + W^T Z)^{-1} W^T y``
-
-        where ``y = A^{-1} b_mod`` and ``Z = A^{-1} U`` cost k+1
-        back-substitutions on the *cached* factorization.
-
-        Args:
-            disable_sources: voltage-source indices whose constraint is
-                replaced by ``i = 0`` (an open-circuited regulator: the
-                source branch carries no current; its series elements
-                stay in the matrix but go dead).
-            remove_resistors: resistor indices whose conductance stamp
-                is subtracted (an open lateral edge).  Removed
-                resistors report zero current and loss.
-            method: ``"auto"`` uses Woodbury and falls back to an
-                explicit refactorization when the k-by-k capacitance
-                matrix ``S = I + W^T Z`` is ill-conditioned (its
-                smallest singular value below
-                ``max(1, sigma_max) / cond_limit``); ``"woodbury"`` raises
-                :class:`~repro.errors.SolverError` instead of falling
-                back; ``"refactor"`` always rebuilds (the parity
-                oracle for the correction).
-
-        Raises:
-            SolverError: invalid indices, disconnecting modification,
-                or (with ``method="woodbury"``) an ill-conditioned
-                correction.
-        """
-        if method not in ("auto", "woodbury", "refactor"):
-            raise SolverError(f"unknown solve_modified method: {method!r}")
-        compiled = self.compiled
-        disabled = np.unique(np.asarray(disable_sources, dtype=np.int64))
-        removed = np.unique(np.asarray(remove_resistors, dtype=np.int64))
-        if disabled.size and (
-            disabled.min() < 0 or disabled.max() >= compiled.n_vsources
-        ):
-            raise SolverError("disable_sources index out of range")
-        if removed.size and (
-            removed.min() < 0 or removed.max() >= len(compiled.res_ohm)
-        ):
-            raise SolverError("remove_resistors index out of range")
-        amp, volt = self._scenario_values(cs_amp, vs_volt)
-        if not disabled.size and not removed.size:
-            x = self.solve_rhs(self.rhs(amp, volt))
-            return self._package(x, amp, volt, self._conductance, check)
-
-        rhs = self.rhs(amp, volt)
-        rhs[self._n + disabled] = 0.0
-        u, w = self._modification_factors(disabled, removed)
-
-        x: np.ndarray | None = None
-        if method in ("auto", "woodbury"):
-            z = self._influence_solve(u, disabled, removed)
-            s = np.eye(u.shape[1]) + w.T @ z
-            # Gate on the smallest singular value against an absolute
-            # floor: cond(S) alone cannot flag a uniformly tiny S (for
-            # k=1 it is identically 1), but sigma_min -> 0 is exactly
-            # the near-singular modified system Woodbury cannot solve.
-            with np.errstate(all="ignore"):
-                singular_values = np.linalg.svd(s, compute_uv=False)
-            sigma_max = float(singular_values[0])
-            sigma_min = float(singular_values[-1])
-            cond = sigma_max / sigma_min if sigma_min > 0 else np.inf
-            if (
-                np.all(np.isfinite(singular_values))
-                and sigma_min > max(1.0, sigma_max) / cond_limit
-            ):
-
-                def correct(b: np.ndarray) -> np.ndarray:
-                    yb = self._lu.solve(b)
-                    return yb - z @ np.linalg.solve(s, w.T @ yb)
-
-                x = correct(rhs)
-                # One step of iterative refinement on the modified
-                # system tightens the correction from ~1e-9 to ~1e-12
-                # relative for one extra back-substitution.
-                residual = rhs - (self._matrix @ x + u @ (w.T @ x))
-                x = x + correct(residual)
-                if not np.all(np.isfinite(x)):
-                    x = None
-            if x is None and method == "woodbury":
-                raise SolverError(
-                    "Woodbury correction is ill-conditioned "
-                    f"(cond(S) = {cond:.3e}); the scenario likely "
-                    "disconnects the network"
-                )
-        if x is None:  # method == "refactor" or ill-conditioned fallback
-            lu = self._refactorize_modified(u, w)
-            x = lu.solve(rhs)
-            residual = rhs - (self._matrix @ x + u @ (w.T @ x))
-            x = x + lu.solve(residual)
-            if not np.all(np.isfinite(x)):
-                raise SolverError(
-                    "modified MNA solution contains non-finite values"
-                )
-
-        conductance = self._conductance
-        if removed.size:
-            conductance = conductance.copy()
-            conductance[removed] = 0.0
-        return self._package(x, amp, volt, conductance, check, disabled)
+        """Solve one structurally modified scenario: a one-scenario
+        :meth:`solve_modified_many` (see there for the arguments)."""
+        return self.solve_modified_many(
+            [(disable_sources, remove_resistors)],
+            cs_amp=cs_amp,
+            vs_volt=vs_volt,
+            check=check,
+            method=method,
+        )[0]
 
     def _preload_modification_influence(
         self, scenarios: list[tuple[np.ndarray, np.ndarray]]
@@ -661,27 +585,49 @@ class FactorizedPDN:
         vs_volt: np.ndarray | None = None,
         check: bool = True,
         method: str = "auto",
-        cond_limit: float = 1e10,
     ) -> list[DCSolution]:
-        """Solve many modified scenarios with batched back-substitutions.
+        """Solve structurally modified scenarios on the base factorization.
 
-        The batched form of :meth:`solve_modified`: every scenario is
-        a ``(disable_sources, remove_resistors)`` pair sharing the same
-        load/source overrides.  Where a per-scenario loop performs
-        ``O(k)`` separate back-substitutions per scenario, this path
-        batches the whole sweep through three stacked
-        :meth:`solve_many`-style calls on the cached factorization —
-        the union of influence columns ``Z = A⁻¹U``, the modified
-        right-hand sides, and one iterative-refinement round — leaving
-        only k×k algebra per scenario.  Exhaustive N−k enumerations
-        are the intended workload.
+        A failure/ablation sweep removes a handful of elements per
+        scenario; refactorizing each time costs a full LU.  Instead each
+        modification is expressed as a rank-k update ``A + U W^T`` and
+        solved with the Sherman–Morrison–Woodbury identity
 
-        ``method`` follows :meth:`solve_modified`: ``"auto"`` falls
-        back to per-scenario refactorization for ill-conditioned
-        corrections, ``"woodbury"`` raises instead, and ``"refactor"``
-        solves every scenario explicitly (the parity oracle).
+        ``x = y - Z (I_k + W^T Z)^{-1} W^T y``
+
+        where ``y = A^{-1} b_mod`` and ``Z = A^{-1} U`` come from the
+        *cached* factorization.  The sweep is batched through three
+        stacked :meth:`solve_many`-style calls — the union of influence
+        columns ``Z``, the modified right-hand sides, and one
+        iterative-refinement round — leaving only k×k algebra per
+        scenario.  Exhaustive N−k enumerations are the intended
+        workload; :meth:`solve_modified` is the one-scenario call.
+
+        Args:
+            scenarios: ``(disable_sources, remove_resistors)`` pairs
+                sharing the load/source overrides.  ``disable_sources``
+                are voltage-source indices whose constraint is replaced
+                by ``i = 0`` (an open-circuited regulator: the source
+                branch carries no current; its series elements stay in
+                the matrix but go dead).  ``remove_resistors`` are
+                resistor indices whose conductance stamp is subtracted
+                (an open lateral edge); removed resistors report zero
+                current and loss.
+            method: ``"auto"`` uses Woodbury and refactorizes a
+                scenario whose k-by-k capacitance matrix
+                ``S = I + W^T Z`` is ill-conditioned (smallest singular
+                value at or below ``max(1, sigma_max) /``
+                :data:`_WOODBURY_COND_LIMIT`); ``"woodbury"`` raises
+                :class:`~repro.errors.SolverError` instead; ``"refactor"``
+                rebuilds every scenario (the parity oracle for the
+                correction).
 
         Returns one :class:`DCSolution` per scenario, in order.
+
+        Raises:
+            SolverError: invalid indices, disconnecting modification,
+                or (with ``method="woodbury"``) an ill-conditioned
+                correction.
         """
         if method not in ("auto", "woodbury", "refactor"):
             raise SolverError(f"unknown solve_modified method: {method!r}")
@@ -709,101 +655,30 @@ class FactorizedPDN:
         amp, volt = self._scenario_values(cs_amp, vs_volt)
         if not normalized:
             return []
-        if method == "refactor":
-            return [
-                self.solve_modified(
-                    disable_sources=disabled,
-                    remove_resistors=removed,
-                    cs_amp=amp,
-                    vs_volt=volt,
-                    check=check,
-                    method="refactor",
-                )
-                for disabled, removed in normalized
-            ]
 
-        self._preload_modification_influence(normalized)
         count = len(normalized)
         rhs_matrix = np.repeat(self.rhs(amp, volt)[:, None], count, axis=1)
         for i, (disabled, _) in enumerate(normalized):
             rhs_matrix[self._n + disabled, i] = 0.0
-        y = self.solve_many(rhs_matrix)
-
-        x = np.empty_like(y)
-        factors: list[tuple | None] = []
-        conds: list[float] = []
-        fallback: set[int] = set()
-
-        def ill_conditioned(index: int, cond: float) -> None:
-            if method == "woodbury":
-                raise SolverError(
-                    "Woodbury correction is ill-conditioned "
-                    f"(cond(S) = {cond:.3e}) in scenario {index}; the "
-                    "scenario likely disconnects the network"
-                )
-            fallback.add(index)
-
-        for i, (disabled, removed) in enumerate(normalized):
-            if not disabled.size and not removed.size:
-                x[:, i] = y[:, i]
-                factors.append(None)
-                conds.append(1.0)
-                continue
-            u, w = self._modification_factors(disabled, removed)
-            z = self._influence_solve(u, disabled, removed)
-            s = np.eye(u.shape[1]) + w.T @ z
-            with np.errstate(all="ignore"):
-                singular_values = np.linalg.svd(s, compute_uv=False)
-            sigma_max = float(singular_values[0])
-            sigma_min = float(singular_values[-1])
-            cond = sigma_max / sigma_min if sigma_min > 0 else np.inf
-            factors.append((u, w, z, s))
-            conds.append(cond)
-            if not (
-                np.all(np.isfinite(singular_values))
-                and sigma_min > max(1.0, sigma_max) / cond_limit
-            ):
-                ill_conditioned(i, cond)
-                continue
-            x[:, i] = y[:, i] - z @ np.linalg.solve(s, w.T @ y[:, i])
-            if not np.all(np.isfinite(x[:, i])):
-                ill_conditioned(i, cond)
-
-        # One batched refinement round over the Woodbury-solved columns
-        # (the same +1 step solve_modified applies per scenario).
-        live = [
-            i
-            for i in range(count)
-            if i not in fallback and factors[i] is not None
-        ]
-        if live:
-            residual = rhs_matrix[:, live] - self._matrix @ x[:, live]
-            for column, i in enumerate(live):
-                u, w, _, _ = factors[i]
-                residual[:, column] -= u @ (w.T @ x[:, i])
-            refined = self.solve_many(residual)
-            for column, i in enumerate(live):
-                u, w, z, s = factors[i]
-                x[:, i] += refined[:, column] - z @ np.linalg.solve(
-                    s, w.T @ refined[:, column]
-                )
-                if not np.all(np.isfinite(x[:, i])):
-                    ill_conditioned(i, conds[i])
+        factors = {
+            i: self._modification_factors(disabled, removed)
+            for i, (disabled, removed) in enumerate(normalized)
+            if disabled.size or removed.size
+        }
+        if method == "refactor":
+            x = np.column_stack(
+                [
+                    self._solve_refactored(rhs_matrix[:, i], *factors[i])
+                    if i in factors
+                    else self.solve_rhs(rhs_matrix[:, i])
+                    for i in range(count)
+                ]
+            )
+        else:
+            x = self._solve_woodbury(rhs_matrix, normalized, factors, method)
 
         solutions: list[DCSolution] = []
         for i, (disabled, removed) in enumerate(normalized):
-            if i in fallback:
-                solutions.append(
-                    self.solve_modified(
-                        disable_sources=disabled,
-                        remove_resistors=removed,
-                        cs_amp=amp,
-                        vs_volt=volt,
-                        check=check,
-                        method="refactor",
-                    )
-                )
-                continue
             conductance = self._conductance
             if removed.size:
                 conductance = conductance.copy()
@@ -812,6 +687,79 @@ class FactorizedPDN:
                 self._package(x[:, i], amp, volt, conductance, check, disabled)
             )
         return solutions
+
+    def _solve_woodbury(
+        self,
+        rhs_matrix: np.ndarray,
+        normalized: list[tuple[np.ndarray, np.ndarray]],
+        factors: dict[int, tuple[np.ndarray, np.ndarray]],
+        method: str,
+    ) -> np.ndarray:
+        """The Woodbury half of :meth:`solve_modified_many`: one column
+        of ``x`` per scenario, refactorizing (``"auto"``) or raising
+        (``"woodbury"``) where the correction is ill-conditioned."""
+        self._preload_modification_influence(normalized)
+        y = self.solve_many(rhs_matrix)
+        x = np.empty_like(y)
+        corrections: dict[int, tuple[np.ndarray, ...]] = {}
+        conds: dict[int, float] = {}
+        fallback: list[int] = []
+
+        def ill_conditioned(index: int) -> None:
+            if method == "woodbury":
+                raise SolverError(
+                    "Woodbury correction is ill-conditioned "
+                    f"(cond(S) = {conds[index]:.3e}) in scenario {index}; "
+                    "the scenario likely disconnects the network"
+                )
+            fallback.append(index)
+
+        for i, (disabled, removed) in enumerate(normalized):
+            if i not in factors:
+                x[:, i] = y[:, i]
+                continue
+            u, w = factors[i]
+            z = self._influence_solve(u, disabled, removed)
+            s = np.eye(u.shape[1]) + w.T @ z
+            # Gate on the smallest singular value against an absolute
+            # floor: cond(S) alone cannot flag a uniformly tiny S (for
+            # k=1 it is identically 1), but sigma_min -> 0 is exactly
+            # the near-singular modified system Woodbury cannot solve.
+            with np.errstate(all="ignore"):
+                singular_values = np.linalg.svd(s, compute_uv=False)
+            sigma_max = float(singular_values[0])
+            sigma_min = float(singular_values[-1])
+            conds[i] = sigma_max / sigma_min if sigma_min > 0 else np.inf
+            if not (
+                np.all(np.isfinite(singular_values))
+                and sigma_min > max(1.0, sigma_max) / _WOODBURY_COND_LIMIT
+            ):
+                ill_conditioned(i)
+                continue
+            corrections[i] = (u, w, z, s)
+            x[:, i] = y[:, i] - z @ np.linalg.solve(s, w.T @ y[:, i])
+            if not np.all(np.isfinite(x[:, i])):
+                ill_conditioned(i)
+
+        # One batched refinement round over the Woodbury-solved columns
+        # tightens the correction from ~1e-9 to ~1e-12 relative.
+        live = [i for i in corrections if i not in fallback]
+        if live:
+            applied = self._matrix @ x[:, live]
+            for column, i in enumerate(live):
+                u, w, _, _ = corrections[i]
+                applied[:, column] += u @ (w.T @ x[:, i])
+            refined = self.solve_many(rhs_matrix[:, live] - applied)
+            for column, i in enumerate(live):
+                _, w, z, s = corrections[i]
+                x[:, i] += refined[:, column] - z @ np.linalg.solve(
+                    s, w.T @ refined[:, column]
+                )
+                if not np.all(np.isfinite(x[:, i])):
+                    ill_conditioned(i)
+        for i in fallback:
+            x[:, i] = self._solve_refactored(rhs_matrix[:, i], *factors[i])
+        return x
 
 
 def package_dc_solution(

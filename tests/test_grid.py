@@ -338,6 +338,16 @@ class TestSolveDisabled:
             grid.solve_disabled((5,))
         with pytest.raises(ConfigError):
             grid.solve_disabled((0, 1))
+        # A fraction or a boolean is not a source index (int() would
+        # quietly disable source 1), and NaN is rejected by name.
+        for bad in ([1.5], [True], [float("nan")]):
+            with pytest.raises(ConfigError, match="disabled_sources"):
+                grid.solve_disabled(bad)
+        with pytest.raises(ConfigError, match="disabled_sources"):
+            grid.solve_disabled_many([[0], [1.9]])
+        # Whole-valued floats and the empty scenario stay valid.
+        assert grid.solve_disabled([1.0]).source_currents_a[1] == 0.0
+        assert grid.solve_disabled([]).source_currents_a.sum() > 0.0
 
 
 class TestGridACDCLimit:

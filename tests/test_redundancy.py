@@ -60,6 +60,9 @@ class TestInjectFailures:
             inject_failures(single_stage_a1(), DSCH, (99,))
         with pytest.raises(ConfigError):
             inject_failures(single_stage_a1(), DSCH, tuple(range(48)))
+        for bad in ((1.5,), (True,), (float("nan"),)):
+            with pytest.raises(ConfigError, match="failed_indices"):
+                inject_failures(single_stage_a1(), DSCH, bad)
 
 
 class TestFailureTolerance:
@@ -144,27 +147,22 @@ class TestWoodburySweepParity:
     def test_scenario_matches_refactorized_oracle(self):
         """The sweep's Woodbury scenarios equal full refactorized
         solves of the same failure model (<= 1e-9 relative)."""
-        from repro.core.redundancy import (
-            DEFAULT_GRID_NODES,
-            _attach_bank,
-            _base_grid,
-        )
         from repro.core.current_sharing import (
             DEFAULT_OUTPUT_RESISTANCE_OHM,
+            _die_grid_with_bank,
         )
-        from repro.placement.planner import plan_placement
+        from repro.core.redundancy import DEFAULT_GRID_NODES
 
         spec = SystemSpec()
-        power_map = PowerMap.hotspot_mixture()
-        arch = single_stage_a1()
-        plan = plan_placement(
+        grid, _ = _die_grid_with_bank(
+            single_stage_a1(),
             DSCH,
-            arch.pol_stage_style,
-            spec.pol_current_a,
-            spec.die_area_mm2,
+            spec,
+            PowerMap.hotspot_mixture(),
+            DEFAULT_GRID_NODES,
+            spec.pol_voltage_v,
+            DEFAULT_OUTPUT_RESISTANCE_OHM,
         )
-        grid = _base_grid(spec, power_map, DEFAULT_GRID_NODES)
-        _attach_bank(grid, plan, spec, DEFAULT_OUTPUT_RESISTANCE_OHM)
         for failed in [(0,), (7,), (3, 19)]:
             fast = grid.solve_disabled(failed, method="woodbury")
             oracle = grid.solve_disabled(failed, method="refactor")
