@@ -18,30 +18,44 @@ structure as a small correction:
   deflated by a rank-1 shift ``τ·u₀u₀ᵀ`` that is subtracted back out
   through the same correction that carries the source branches.
 * Source output conductances (rank-1 each), ring-bus segments (rank-1
-  each), and the deflation column enter as a rank-k Woodbury
-  correction ``A = M + U C Uᵀ`` on the fast operator ``M`` — the same
-  identity :meth:`repro.pdn.mna.FactorizedPDN.solve_modified_many`
-  uses on the cached LU, here with ``M⁻¹`` a transform pair instead
-  of a back-substitution.
+  each), per-node shunt deviations and the deflation column enter as a
+  rank-k Woodbury correction ``A = M + U C Uᵀ`` on the fast operator
+  ``M`` — the same identity
+  :meth:`repro.pdn.mna.FactorizedPDN.solve_modified_many` uses on the
+  cached LU, here with ``M⁻¹`` a transform pair instead of a
+  back-substitution.
 * Per-edge metal variation makes the interior genuinely non-uniform;
   those systems run preconditioned CG (:mod:`repro.pdn.pcg`) with the
   *exact* uniform-mean structured solve as the preconditioner.
 
-Disabling a source (an open-circuited regulator) simply drops its
-column from the correction, so N−1/N−k sweeps share every transform
-and memoized influence column across scenarios.
+:class:`StructuredOperator` is that one real kernel; the structured DC
+engine (:class:`StructuredGridPDN`, N−k sweeps included) and both
+structured transient stamps of :mod:`repro.pdn.grid_transient` run on
+it.  A batch of right-hand sides costs one transform pair and one
+``coeff @ Zᵀ`` GEMM per Woodbury apply, with ``S = UᵀZ + C⁻¹``
+factored once; a deflated (zero-shift) operator adds one refinement
+round.  Disabling a source (an open-circuited regulator) gives its
+column an identity row in that scenario's ``S``, so a whole N−k sweep
+shares every transform and the stored influence rows ``Zᵀ``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.fft as sfft
+from scipy.linalg import lu_factor, lu_solve
 
 from ..errors import ConfigError, SolverError
 from .mesh import MeshDesign
 from .mna import DCSolution, package_dc_solution
 from .network import CompiledNetlist
 from .pcg import DEFAULT_MAX_ITER, DEFAULT_TOL, pcg_solve
+
+#: The structured engines carry shunt-map non-uniformity (per-node
+#: decap deviations from the most common value) as Woodbury columns;
+#: past this many deviating nodes the correction stops being
+#: "low-rank" and the sparse LU wins.
+MAX_STRUCTURED_DECAP_DEVIATIONS = 64
 
 
 class StructuredSolveError(SolverError):
@@ -169,20 +183,12 @@ class FastPoissonOperator:
         """``M⁻¹ @ rhs`` for one column ``(cells,)`` or a stack
         ``(cells, k)`` — one batched DCT-II pair regardless of k."""
         arr = np.asarray(rhs)
-        single = arr.ndim == 1
-        columns = arr[:, None] if single else arr
-        if columns.shape[0] != self.cells:
+        if arr.shape[0] != self.cells:
             raise ConfigError(
-                f"rhs must have {self.cells} rows, got {columns.shape[0]}"
+                f"rhs must have {self.cells} rows, got {arr.shape[0]}"
             )
-        field = np.ascontiguousarray(columns.T).reshape(
-            -1, self.ny, self.nx
-        )
-        hat = sfft.dctn(field, type=2, axes=(1, 2), norm="ortho")
-        hat = hat / self._lam[None, :, :]
-        out = sfft.idctn(hat, type=2, axes=(1, 2), norm="ortho")
-        solved = out.reshape(-1, self.cells).T
-        return solved[:, 0] if single else solved
+        rows = self.solve_rows(arr.reshape(self.cells, -1).T)
+        return rows.T.reshape(arr.shape)
 
     def solve_rows(self, rhs: np.ndarray) -> np.ndarray:
         """``(M⁻¹ @ rhsᵀ)ᵀ`` for a C-contiguous row stack ``(k, cells)``.
@@ -191,7 +197,7 @@ class FastPoissonOperator:
         a ``(ny, nx)`` field, so — unlike :meth:`solve` — no transpose
         copies bracket the DCT pair.
         """
-        arr = np.ascontiguousarray(rhs)
+        arr = np.ascontiguousarray(rhs, np.result_type(rhs, self._lam))
         if arr.ndim != 2 or arr.shape[1] != self.cells:
             raise ConfigError(
                 f"row rhs must be (k, {self.cells}), got {arr.shape}"
@@ -203,23 +209,190 @@ class FastPoissonOperator:
         return out.reshape(-1, self.cells)
 
 
+def _finite(x: np.ndarray) -> np.ndarray:
+    """``x``, once every entry is finite."""
+    if not np.all(np.isfinite(x)):
+        raise StructuredSolveError(
+            "structured solve produced non-finite values"
+        )
+    return x
+
+
+class StructuredOperator:
+    """``A = stencil(gx, gy) + diag(g_node) + Σ g_src·e·eᵀ + ring``.
+
+    The real structured kernel under the DC, N−k and transient solves.
+    ``A`` is split as ``M + U C Uᵀ``: ``M`` is
+    :class:`FastPoissonOperator` on the mean axis conductances, shifted
+    by the most common ``g_node`` value, and the Woodbury columns ``U``
+    are, in order, the deflation column (zero shift only), one unit
+    column per deviating shunt row, one per source and one ``±1``
+    column per ring segment (``ring_a[t] — ring_b[t]``).  ``Zᵀ =
+    (M⁻¹U)ᵀ`` is stored once as rows and ``S = UᵀZ + C⁻¹`` is
+    LU-factored once.
+
+    Everything works in row layout: a right-hand-side stack is
+    ``(m, cells)``, so each row views as an ``(ny, nx)`` field.
+    ``gx``/``gy`` are scalars or per-edge ``(ny, nx−1)``/``(ny−1, nx)``
+    conductance fields; with fields, ``M`` is the uniform-mean
+    operator and :meth:`apply` is a preconditioner for the ``A`` that
+    :meth:`matvec` applies.
+
+    ``live`` — an ``(m, sources)`` boolean mask, one row per
+    right-hand side, ``None`` for every source live — open-circuits
+    sources: a dead source's column gets an identity row and column
+    in that row's ``S`` and a zero right-hand-side entry, so ``Z`` is
+    never sliced.
+
+    Raises:
+        StructuredSolveError: more deviating shunt rows than the
+            correction budget, or a singular or non-finite ``S``.
+    """
+
+    def __init__(
+        self,
+        nx: int,
+        ny: int,
+        gx: "float | np.ndarray",
+        gy: "float | np.ndarray",
+        g_node: np.ndarray,
+        attach: np.ndarray,
+        g_src: np.ndarray,
+        ring_a: np.ndarray,
+        ring_b: np.ndarray,
+        g_ring: np.ndarray,
+    ) -> None:
+        cells = nx * ny
+        values, counts = np.unique(g_node, return_counts=True)
+        base = float(values[int(np.argmax(counts))])
+        dev_rows = np.nonzero(g_node != base)[0]
+        limit = min(MAX_STRUCTURED_DECAP_DEVIATIONS, max(1, cells // 4))
+        if dev_rows.size > limit:
+            raise StructuredSolveError(
+                f"{dev_rows.size} decap-map deviations exceed the "
+                f"rank-{limit} correction budget"
+            )
+        self.nx, self.ny, self.cells = nx, ny, cells
+        self.gx, self.gy, self.g_node = gx, gy, g_node
+        self.attach, self.g_src = attach, g_src
+        self.ring_a, self.ring_b, self.g_ring = ring_a, ring_b, g_ring
+        self.poisson = FastPoissonOperator(
+            nx, ny, float(np.mean(gx)), float(np.mean(gy)), shift=base
+        )
+        tau = self.poisson.deflation_tau
+        self.deflated = tau is not None
+        self._rows = np.concatenate([dev_rows, attach])
+        lead = int(self.deflated) + dev_rows.size
+        self._sources = slice(lead, lead + attach.size)
+        c = np.concatenate(
+            [[-tau] if self.deflated else [], g_node[dev_rows] - base,
+             g_src, g_ring]
+        )
+        self._zt = self.poisson.solve_rows(
+            branch_columns(cells, self.deflated, self._rows, ring_a, ring_b).T
+        )
+        with np.errstate(all="ignore"):
+            self._s = self._gather(self._zt).T + np.diag(1.0 / c)
+        if not np.all(np.isfinite(self._s)):
+            raise StructuredSolveError("structured correction is non-finite")
+        self._s_lu = lu_factor(self._s, check_finite=False)
+        if not np.all(np.diagonal(self._s_lu[0])):
+            raise StructuredSolveError("structured correction is singular")
+
+    def _gather(self, y: np.ndarray) -> np.ndarray:
+        """``(Uᵀ yᵀ)ᵀ`` for rows ``(m, cells)``: a scaled row sum, gathers
+        and ring differences — never a dense ``U`` product."""
+        parts = [y[:, self._rows], y[:, self.ring_a] - y[:, self.ring_b]]
+        if self.deflated:
+            parts.insert(
+                0, y.sum(axis=1, keepdims=True) / np.sqrt(self.cells)
+            )
+        return np.concatenate(parts, axis=1)
+
+    def matvec(self, v: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+        """Exact ``(A vᵀ)ᵀ`` for rows ``(m, cells)``, applied as a stencil
+        on the fields: no sparse matrix is ever assembled."""
+        field = v.reshape(-1, self.ny, self.nx)
+        out = np.zeros_like(field)
+        dx = (field[:, :, :-1] - field[:, :, 1:]) * self.gx
+        out[:, :, :-1] += dx
+        out[:, :, 1:] -= dx
+        dy = (field[:, :-1, :] - field[:, 1:, :]) * self.gy
+        out[:, :-1, :] += dy
+        out[:, 1:, :] -= dy
+        out = out.reshape(v.shape)
+        out += self.g_node * v
+        g_src = self.g_src if live is None else self.g_src * live
+        np.add.at(out, (slice(None), self.attach), g_src * v[:, self.attach])
+        drop = self.g_ring * (v[:, self.ring_a] - v[:, self.ring_b])
+        np.add.at(out, (slice(None), self.ring_a), drop)
+        np.add.at(out, (slice(None), self.ring_b), -drop)
+        return out
+
+    def apply(self, b: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+        """``((M + U C Uᵀ)⁻¹ bᵀ)ᵀ`` for rows ``(m, cells)``: one transform
+        pair, the k×k solves and one ``coeff @ Zᵀ`` GEMM.  Exact on
+        uniform conductances; the PCG preconditioner otherwise."""
+        y = self.poisson.solve_rows(b)
+        w = self._gather(y)
+        with np.errstate(all="ignore"):
+            coeff = lu_solve(self._s_lu, w.T, check_finite=False).T
+            if live is not None and not live.all():
+                part = ~live.all(axis=1)
+                coeff[part] = self._open_circuit(w[part], live[part])
+        y -= coeff @ self._zt
+        return y
+
+    def _open_circuit(self, w: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Woodbury coefficients of rows with dead sources: each row's
+        ``S`` with an identity row and column per dead source."""
+        dead = np.zeros(w.shape, dtype=bool)
+        dead[:, self._sources] = ~live
+        s = np.repeat(self._s[None], len(w), axis=0)
+        row, col = np.nonzero(dead)
+        s[row, col, :] = 0.0
+        s[row, :, col] = 0.0
+        s[row, col, col] = 1.0
+        try:
+            return np.linalg.solve(s, np.where(dead, 0.0, w)[:, :, None])[
+                :, :, 0
+            ]
+        except np.linalg.LinAlgError as exc:
+            raise StructuredSolveError(
+                f"structured correction is singular: {exc}"
+            ) from exc
+
+    def solve(self, b: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+        """``(A⁻¹ bᵀ)ᵀ`` for rows ``(m, cells)`` on uniform conductances.
+
+        A deflated (zero-shift) operator loses digits in the Woodbury
+        apply, so it gets one refinement round on the exact stencil
+        (~1e-13 relative); a shifted one is diagonally dominant enough
+        that the plain apply already lands there.
+        """
+        x = self.apply(b, live)
+        if self.deflated:
+            x += self.apply(b - self.matvec(x, live), live)
+        return _finite(x)
+
+
 class StructuredGridPDN:
     """The fast-Poisson engine behind :class:`~repro.pdn.grid.GridPDN`.
 
     Solves the *reduced* (mesh-node-only) system — source branches
-    eliminated into diagonal conductances and RHS injections — then
-    reconstructs the full MNA vector (EMF node voltages, branch
-    currents) so solutions are packaged and physics-verified through
-    exactly the same :func:`repro.pdn.mna.package_dc_solution` path as
-    the factorized engine.
+    eliminated into diagonal conductances and RHS injections — on one
+    :class:`StructuredOperator`, then reconstructs the full MNA vector
+    (EMF node voltages, branch currents) so solutions are packaged and
+    physics-verified through exactly the same
+    :func:`repro.pdn.mna.package_dc_solution` path as the factorized
+    engine.
 
     Two modes, chosen by the presence of per-edge variation:
 
-    * **uniform** — exact: DCT-diagonalized interior + rank-k Woodbury
-      correction + one iterative-refinement round.
+    * **uniform** — exact: :meth:`StructuredOperator.solve`.
     * **pcg** — per-edge conductance scale maps break the structure;
-      CG iterates on the true sparse operator with the uniform-mean
-      structured solve as preconditioner.
+      CG iterates on the true stencil with the uniform-mean structured
+      apply as preconditioner.
     """
 
     def __init__(
@@ -234,175 +407,56 @@ class StructuredGridPDN:
         only the fields the design's key covers are read."""
         nx, ny = design.nx, design.ny
         self.compiled = compiled
-        self.nx = nx
-        self.ny = ny
         self.cells = nx * ny
         self.attach = design.attach_rows()
         if not self.attach.size:
             raise ConfigError("structured engine needs at least one source")
         self.g_src = 1.0 / design.source_values("output_resistance_ohm")
-        _, self.ring_a, self.ring_b = design.ring_segments()
-        self.g_ring = np.full(
-            self.ring_a.size, 1.0 / (design.ring_bus_ohm or 1.0)
-        )
+        _, ring_a, ring_b = design.ring_segments()
         scale_x, scale_y = design.edge_scale_x, design.edge_scale_y
-        self._scale_x = None if scale_x is None else scale_x.ravel()
-        self._scale_y = None if scale_y is None else scale_y.ravel()
         self.mode = (
-            "pcg" if self._scale_x is not None or self._scale_y is not None
-            else "uniform"
+            "uniform" if scale_x is None and scale_y is None else "pcg"
         )
         self.cg_tol = cg_tol
         self.cg_max_iter = cg_max_iter
-
         # Conductance scale maps multiply *resistance*, so per-edge
-        # conductance divides by them; the operator (and hence the CG
-        # preconditioner) uses the mean per-axis conductance.
+        # conductance divides by them.
         gx = 1.0 / design.edge_resistance_x_ohm if nx > 1 else 0.0
         gy = 1.0 / design.edge_resistance_y_ohm if ny > 1 else 0.0
-        gx_op = gx * float(np.mean(1.0 / self._scale_x)) if (
-            self._scale_x is not None and self._scale_x.size
-        ) else gx
-        gy_op = gy * float(np.mean(1.0 / self._scale_y)) if (
-            self._scale_y is not None and self._scale_y.size
-        ) else gy
-        self.gx = gx
-        self.gy = gy
-        self.op = FastPoissonOperator(nx, ny, gx_op, gy_op)
-
-        # Woodbury columns of A = M + U C Uᵀ: the deflation column
-        # (subtracting the τ·u₀u₀ᵀ shift back out), one per source
-        # branch, one per ring segment.
-        u = branch_columns(
-            self.cells, True, self.attach, self.ring_a, self.ring_b
+        self.op = StructuredOperator(
+            nx,
+            ny,
+            gx if scale_x is None else gx / scale_x,
+            gy if scale_y is None else gy / scale_y,
+            np.zeros(self.cells),
+            self.attach,
+            self.g_src,
+            ring_a,
+            ring_b,
+            np.full(ring_a.size, 1.0 / (design.ring_bus_ohm or 1.0)),
         )
-        self._u = u
-        self._c = np.concatenate(
-            [[-self.op.deflation_tau], self.g_src, self.g_ring]
-        )
-        # Z = M⁻¹U: one batched transform pair, paid at construction.
-        self._z = self.op.solve(u)
-        self._t0 = u.T @ self._z  # UᵀM⁻¹U, shape (k, k)
-        # Per-edge conductance fields for the stencil matvec (scalars
-        # in uniform mode; (ny, nx−1)/(ny−1, nx) maps under variation).
-        self._gx_edges: "float | np.ndarray" = (
-            gx if self._scale_x is None
-            else gx / self._scale_x.reshape(ny, nx - 1)
-        )
-        self._gy_edges: "float | np.ndarray" = (
-            gy if self._scale_y is None
-            else gy / self._scale_y.reshape(ny - 1, nx)
-        )
-
-    # -- reduced operator ---------------------------------------------------------
-
-    def _matvec(self, v: np.ndarray, disabled: np.ndarray) -> np.ndarray:
-        """``A_live @ v`` for columns ``(cells,)`` or ``(cells, k)``.
-
-        Applied as a stencil on the (ny, nx) field — no sparse matrix
-        is ever assembled, so refinement and CG iterations stay O(n²)
-        with small constants at any mesh size.
-        """
-        single = v.ndim == 1
-        field = np.ascontiguousarray(
-            (v[None] if single else v.T)
-        ).reshape(-1, self.ny, self.nx)
-        out = np.zeros_like(field)
-        dx = (field[:, :, :-1] - field[:, :, 1:]) * self._gx_edges
-        out[:, :, :-1] += dx
-        out[:, :, 1:] -= dx
-        dy = (field[:, :-1, :] - field[:, 1:, :]) * self._gy_edges
-        out[:, :-1, :] += dy
-        out[:, 1:, :] -= dy
-        flat = out.reshape(-1, self.cells)
-        vf = field.reshape(-1, self.cells)
-        batch = np.arange(flat.shape[0])[:, None]
-        if self.ring_a.size:
-            drop = (vf[:, self.ring_a] - vf[:, self.ring_b]) * self.g_ring
-            np.add.at(flat, (batch, self.ring_a[None, :]), drop)
-            np.add.at(flat, (batch, self.ring_b[None, :]), -drop)
-        live = np.ones(self.attach.size, dtype=bool)
-        live[disabled] = False
-        rows = self.attach[live]
-        np.add.at(
-            flat, (batch, rows[None, :]), self.g_src[live] * vf[:, rows]
-        )
-        return flat[0] if single else flat.T
-
-    # -- Woodbury correction -------------------------------------------------------
-
-    def _live_columns(self, disabled: np.ndarray) -> np.ndarray:
-        live = np.ones(self._c.size, dtype=bool)
-        live[1 + disabled] = False
-        return np.nonzero(live)[0]
-
-    def _u_transpose_dot(self, y: np.ndarray) -> np.ndarray:
-        """``Uᵀ y`` from the column structure — the deflation row is a
-        scaled sum, sources are gathers, ring segments differences —
-        never a dense (cells × k) product."""
-        head = y.sum(axis=0, keepdims=True) / np.sqrt(self.cells)
-        return np.concatenate(
-            [head, y[self.attach], y[self.ring_a] - y[self.ring_b]],
-            axis=0,
-        )
-
-    def _correct(self, y: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """Apply the Woodbury identity to ``y = M⁻¹ b``.
-
-        ``x = y − Z_c (C_c⁻¹ + UᵀZ|_c)⁻¹ U_cᵀ y`` over the live column
-        subset ``columns``.
-        """
-        z = self._z[:, columns]
-        s = self._t0[np.ix_(columns, columns)] + np.diag(
-            1.0 / self._c[columns]
-        )
-        rhs = self._u_transpose_dot(y)[columns]
-        with np.errstate(all="ignore"):
-            try:
-                coeff = np.linalg.solve(s, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise StructuredSolveError(
-                    f"structured correction is singular: {exc}"
-                ) from exc
-        return y - z @ coeff
-
-    def _uniform_solve(
-        self, b: np.ndarray, columns: np.ndarray
-    ) -> np.ndarray:
-        """Exact structured solve of the uniform-mean system."""
-        return self._correct(self.op.solve(b), columns)
-
-    # -- reduced solves --------------------------------------------------------------
 
     def solve_reduced(
-        self, b: np.ndarray, disabled: np.ndarray | None = None
+        self, b: np.ndarray, live: np.ndarray | None = None
     ) -> np.ndarray:
-        """Mesh node voltages for reduced RHS columns.
+        """Mesh node voltages for reduced right-hand-side rows.
 
-        ``b`` is ``(cells,)`` or ``(cells, k)``; ``disabled`` indexes
-        open-circuited sources (their conductance column is dropped).
+        ``b`` is ``(m, cells)``; ``live`` is the ``(m, sources)``
+        live-source mask of each row (``None``: every source live).
 
         Raises:
             StructuredSolveError: CG stall (pcg mode) or a singular
                 correction — auto-mode callers fall back to sparse LU.
         """
-        disabled = (
-            np.empty(0, dtype=np.int64)
-            if disabled is None
-            else np.asarray(disabled, dtype=np.int64)
-        )
-        columns = self._live_columns(disabled)
         if self.mode == "uniform":
-            x = self._uniform_solve(b, columns)
-            # One refinement round on the true operator tightens the
-            # correction to ~1e-13 relative for one extra transform.
-            residual = b - self._matvec(x, disabled)
-            x = x + self._uniform_solve(residual, columns)
-        else:
+            return self.op.solve(b, live)
+        x = np.empty_like(b)
+        for k, row in enumerate(b):
+            mask = None if live is None else live[k : k + 1]
             result = pcg_solve(
-                lambda v: self._matvec(v, disabled),
-                b,
-                preconditioner=lambda r: self._uniform_solve(r, columns),
+                lambda v: self.op.matvec(v[None], mask)[0],
+                row,
+                preconditioner=lambda r: self.op.apply(r[None], mask)[0],
                 tol=self.cg_tol,
                 max_iter=self.cg_max_iter,
             )
@@ -412,12 +466,8 @@ class StructuredGridPDN:
                     f"{result.residual_norm:.3e} after "
                     f"{result.iterations} iterations"
                 )
-            x = result.x
-        if not np.all(np.isfinite(x)):
-            raise StructuredSolveError(
-                "structured solve produced non-finite values"
-            )
-        return x
+            x[k] = result.x
+        return _finite(x)
 
     # -- full MNA solutions ----------------------------------------------------------
 
@@ -439,23 +489,12 @@ class StructuredGridPDN:
             raise SolverError("load currents must be non-negative")
         return amp, volt
 
-    def _reduced_rhs(
-        self, amp: np.ndarray, volt: np.ndarray, disabled: np.ndarray
-    ) -> np.ndarray:
-        b = -amp.astype(float, copy=True)
-        live = np.ones(self.attach.size, dtype=bool)
-        live[disabled] = False
-        np.add.at(
-            b, self.attach[live], self.g_src[live] * volt[live]
-        )
-        return b
-
     def _package(
         self,
         v: np.ndarray,
         amp: np.ndarray,
         volt: np.ndarray,
-        disabled: np.ndarray,
+        live: np.ndarray,
         check: bool,
     ) -> DCSolution:
         """Rebuild the full MNA vector and package it.
@@ -468,9 +507,8 @@ class StructuredGridPDN:
         v_attach = v[self.attach]
         i_src = self.g_src * (volt - v_attach)
         v_emf = volt.copy()
-        if disabled.size:
-            i_src[disabled] = 0.0
-            v_emf[disabled] = v_attach[disabled]
+        i_src[~live] = 0.0
+        v_emf[~live] = v_attach[~live]
         x = np.concatenate([v, v_emf, -i_src])
         return package_dc_solution(
             self.compiled,
@@ -479,8 +517,29 @@ class StructuredGridPDN:
             volt,
             1.0 / self.compiled.res_ohm,
             check,
-            disabled if disabled.size else None,
+            np.nonzero(~live)[0],
         )
+
+    def _solve_batch(
+        self,
+        amps: np.ndarray,
+        volt: np.ndarray,
+        live: np.ndarray | None,
+        check: bool,
+    ) -> list[DCSolution]:
+        """The one DC batch: each row's sink draw plus its live sources'
+        Norton injections, one :meth:`solve_reduced`, then packaging."""
+        if not len(amps):
+            return []
+        if live is None:
+            live = np.ones((len(amps), self.attach.size), dtype=bool)
+        b = -amps
+        np.add.at(b, (slice(None), self.attach), self.g_src * volt * live)
+        v = self.solve_reduced(b, live)
+        return [
+            self._package(v[i], amps[i], volt, live[i], check)
+            for i in range(len(amps))
+        ]
 
     def solve(
         self,
@@ -490,9 +549,7 @@ class StructuredGridPDN:
     ) -> DCSolution:
         """Solve one operating point with every source live."""
         amp, volt = self._scenario_values(cs_amp, vs_volt)
-        none = np.empty(0, dtype=np.int64)
-        v = self.solve_reduced(self._reduced_rhs(amp, volt, none), none)
-        return self._package(v, amp, volt, none, check)
+        return self._solve_batch(amp[None], volt, None, check)[0]
 
     def solve_many(
         self,
@@ -504,18 +561,10 @@ class StructuredGridPDN:
         list of flattened maps, through one batched transform pair."""
         stack = np.atleast_2d(np.asarray(cs_amp_matrix, dtype=float))
         volt = np.asarray(vs_volt, dtype=float).ravel()
-        scenarios = [
-            self._scenario_values(row, volt)[0] for row in stack
-        ]
-        none = np.empty(0, dtype=np.int64)
-        b = np.column_stack(
-            [self._reduced_rhs(amp, volt, none) for amp in scenarios]
+        amps = np.array(
+            [self._scenario_values(row, volt)[0] for row in stack]
         )
-        v = self.solve_reduced(b, none)
-        return [
-            self._package(v[:, i], amp, volt, none, check)
-            for i, amp in enumerate(scenarios)
-        ]
+        return self._solve_batch(amps, volt, None, check)
 
     def solve_disabled_many(
         self,
@@ -524,23 +573,19 @@ class StructuredGridPDN:
         vs_volt: np.ndarray,
         check: bool = True,
     ) -> list[DCSolution]:
-        """A whole failure sweep on shared transforms.
-
-        Every scenario reuses the memoized influence columns ``Z``;
-        per scenario the extra cost is one k×k solve plus the
-        refinement transform pair.
-        """
+        """A whole failure sweep as one batch: each scenario is one
+        right-hand-side row whose disabled sources are masked dead, so
+        the sweep shares its transform pairs and ``Zᵀ`` GEMMs."""
         amp, volt = self._scenario_values(cs_amp, vs_volt)
-        solutions: list[DCSolution] = []
-        for scenario in scenarios:
-            disabled = np.unique(np.asarray(scenario, dtype=np.int64))
+        live = np.ones((len(scenarios), self.attach.size), dtype=bool)
+        for row, scenario in zip(live, scenarios):
+            disabled = np.asarray(scenario, dtype=np.int64)
             if disabled.size and (
                 disabled.min() < 0 or disabled.max() >= self.attach.size
             ):
-                raise SolverError("disable_sources index out of range")
-            if disabled.size >= self.attach.size:
+                raise SolverError("disabled_sources index out of range")
+            row[disabled] = False
+            if not row.any():
                 raise SolverError("cannot disable every source")
-            b = self._reduced_rhs(amp, volt, disabled)
-            v = self.solve_reduced(b, disabled)
-            solutions.append(self._package(v, amp, volt, disabled, check))
-        return solutions
+        amps = np.broadcast_to(amp, (len(scenarios), self.cells))
+        return self._solve_batch(amps, volt, live, check)

@@ -42,11 +42,11 @@ from .ac import (
     shared_csc_pattern,
 )
 from .fast_poisson import (
+    FastPoissonOperator,
     StructuredGridPDN,
     StructuredSolveError,
     branch_columns,
     dct2_basis,
-    poisson_mode_eigenvalues,
 )
 from .impedance import ImpedanceProfile
 from .mna import (
@@ -1140,25 +1140,15 @@ class GridACPDN(MeshView):
         cells = nx * ny
         gx = 1.0 / self.edge_resistance_x_ohm if nx > 1 else 0.0
         gy = 1.0 / self.edge_resistance_y_ohm if ny > 1 else 0.0
-        lam = (
-            gy * poisson_mode_eigenvalues(ny)[:, None]
-            + gx * poisson_mode_eigenvalues(nx)[None, :]
-        ).ravel()
+        # The deflated mesh operator of the DC fast path: at low
+        # frequency 1/(α·y_u) dwarfs every other modal weight and its
+        # near-exact cancellation by the source correction destroys ~5
+        # digits, so the zero mode sits at τ and comes back as a −τ
+        # rank-one branch in the Woodbury block, where the cancellation
+        # resolves inside a full-precision dense solve.
+        mesh = FastPoissonOperator(nx, ny, gx, gy)
         _, ring_a, ring_b = design.ring_segments()
-        # Deflate the mesh zero mode: at low frequency 1/(α·y_u) dwarfs
-        # every other modal weight and its near-exact cancellation by
-        # the source correction destroys ~5 digits.  Shift lam[0] by
-        # τ = gx + gy and reinstate the mode as a −τ rank-one branch in
-        # the Woodbury block, where the cancellation resolves inside a
-        # full-precision dense solve (same trick as the DC fast path).
-        tau = gx + gy
-        defl = 1 if tau > 0 else 0
-        if defl:
-            lam = lam.copy()
-            lam[0] += tau
-        u = branch_columns(
-            cells, bool(defl), design.attach_rows(), ring_a, ring_b
-        )
+        u = branch_columns(cells, True, design.attach_rows(), ring_a, ring_b)
         k = u.shape[1]
         u_hat = (
             sfft.dctn(
@@ -1168,8 +1158,8 @@ class GridACPDN(MeshView):
             else u
         )
         return _StructuredACStructure(
-            lam=lam,
-            tau=tau if defl else 0.0,
+            lam=mesh.eigenvalues().ravel(),
+            tau=mesh.deflation_tau,
             bx_sq=dct2_basis(nx) ** 2,
             by_sq=dct2_basis(ny) ** 2,
             u_hat=u_hat,
@@ -1222,17 +1212,17 @@ class GridACPDN(MeshView):
                     workers=-1,
                 ).reshape(hi - lo, k, cells)
                 t = fields @ structure.u_hat  # UᵀM⁻¹U, (F, k, k)
-                columns = [y_src[lo:hi]]
-                if structure.tau > 0:
-                    columns.insert(
-                        0, np.full((hi - lo, 1), -structure.tau, complex)
-                    )
-                columns.append(
-                    np.broadcast_to(
-                        structure.ring_g, (hi - lo, len(structure.ring_g))
-                    )
+                y_branch = np.concatenate(
+                    [
+                        np.full((hi - lo, 1), -structure.tau, complex),
+                        y_src[lo:hi],
+                        np.broadcast_to(
+                            structure.ring_g,
+                            (hi - lo, len(structure.ring_g)),
+                        ),
+                    ],
+                    axis=1,
                 )
-                y_branch = np.concatenate(columns, axis=1)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     capacitance = t + (
                         (1.0 / y_branch)[:, :, None] * np.eye(k)[None]

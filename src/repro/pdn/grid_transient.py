@@ -45,14 +45,14 @@ Two engines, mirroring :class:`~repro.pdn.grid.GridPDN`:
 * ``factorized`` — the companion matrix as a reduced node-only
   :class:`~repro.pdn.network.CompiledNetlist` through the shared
   sparse-LU cache;
-* ``structured`` — the DCT-II diagonalization of
-  :mod:`~repro.pdn.fast_poisson` with the uniform part of the decap
-  diagonal as the operator shift and everything irregular (decap
-  non-uniformity, VR branches, ring segments, deflation) as a rank-s
-  Woodbury correction plus one refinement round, so large meshes step
-  in O(n² log n) without ever forming the LU.  ``engine="auto"``
-  selects by mesh size and falls back on
-  :class:`~repro.pdn.fast_poisson.StructuredSolveError`.
+* ``structured`` — the companion and DC-init stamps, each on a
+  :class:`~repro.pdn.fast_poisson.StructuredOperator` (the DCT-II +
+  Woodbury kernel of the structured DC engine): the most common decap
+  conductance is the operator shift and everything irregular (decap
+  non-uniformity, VR branches, ring segments, deflation) is a rank-s
+  correction, so large meshes step in O(n² log n) without ever
+  forming the LU.  ``engine="auto"`` selects by mesh size and falls
+  back on :class:`~repro.pdn.fast_poisson.StructuredSolveError`.
 """
 
 from __future__ import annotations
@@ -61,24 +61,20 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from ..errors import ConfigError
-from .fast_poisson import (
-    FastPoissonOperator,
-    StructuredGridPDN,
-    StructuredSolveError,
-    branch_columns,
-)
+from .fast_poisson import StructuredOperator, StructuredSolveError
 from .grid import check_engine, resolve_engine
-from .mesh import MeshDesign, MeshView, cached, mesh_edge_rows, require_finite
+from .mesh import (
+    MeshDesign,
+    MeshView,
+    cached,
+    mesh_edge_rows,
+    require_finite,
+    require_indices,
+)
 from .network import GROUND_INDEX, CompiledNetlist
 from .transient import droop_and_settle
-
-#: The structured engine carries decap-map non-uniformity as Woodbury
-#: columns; past this many deviating nodes the correction stops being
-#: "low-rank" and the sparse LU wins.
-MAX_STRUCTURED_DECAP_DEVIATIONS = 64
 
 
 @dataclass(frozen=True)
@@ -136,128 +132,6 @@ class GridTransientResult:
         return int(ix), int(iy)
 
 
-class _FastTransient:
-    """DCT-II + Woodbury solver for the trapezoidal companion matrix.
-
-    ``A = L(gx, gy) + diag(g_node) + Σ g_src·e·eᵀ + ring`` is split as
-    ``M + U C Uᵀ`` with ``M`` the uniform Poisson operator shifted by
-    the *most common* per-node shunt conductance (a uniform decap
-    density makes the deviation set empty); per-node deviations, VR
-    branches, ring segments, and — when the base shift is zero — the
-    deflation column ride in the correction.  Decap-free (zero-shift)
-    systems get one refinement round on the exact stencil matvec;
-    shifted systems are diagonally dominant enough that the plain
-    Woodbury apply already lands at ~1e-13 relative.  Built from the
-    companion conductances of one :class:`_TransientStructure`.
-    """
-
-    def __init__(self, st: "_TransientStructure") -> None:
-        nx, ny, cells = st.nx, st.ny, st.cells
-        self.nx, self.ny, self.cells = nx, ny, cells
-        gx, gy = st.g_x, st.g_y
-        self.gx, self.gy = gx, gy
-        self.g_node = st.g_node
-        self.attach = st.attach
-        self.g_src = st.g_s
-        self.ring_a, self.ring_b, self.g_ring = st.ring_a, st.ring_b, st.g_ring
-
-        values, counts = np.unique(self.g_node, return_counts=True)
-        base = float(values[int(np.argmax(counts))])
-        dev_rows = np.nonzero(self.g_node != base)[0]
-        limit = min(MAX_STRUCTURED_DECAP_DEVIATIONS, max(1, cells // 4))
-        if dev_rows.size > limit:
-            raise StructuredSolveError(
-                f"{dev_rows.size} decap-map deviations exceed the "
-                f"rank-{limit} correction budget"
-            )
-        self.op = FastPoissonOperator(
-            nx, ny, gx if nx > 1 else 0.0, gy if ny > 1 else 0.0, shift=base
-        )
-        deflate = self.op.deflation_tau is not None
-        u = branch_columns(
-            cells,
-            deflate,
-            np.concatenate([dev_rows, self.attach]),
-            self.ring_a,
-            self.ring_b,
-        )
-        c = np.concatenate(
-            [
-                [-self.op.deflation_tau] if deflate else [],
-                self.g_node[dev_rows] - base,
-                self.g_src,
-                self.g_ring,
-            ]
-        )
-        m = c.size
-        self._u = u
-        self._c = c
-        self._z = self.op.solve(u) if m else np.zeros((cells, 0))
-        s = self._u.T @ self._z + np.diag(1.0 / c) if m else np.zeros((0, 0))
-        if not np.all(np.isfinite(s)):
-            raise StructuredSolveError(
-                "structured transient correction is non-finite"
-            )
-        try:
-            self._s_lu = lu_factor(s) if m else None
-        except ValueError as exc:  # pragma: no cover - singular S
-            raise StructuredSolveError(
-                f"structured transient correction failed: {exc}"
-            ) from exc
-
-    def _matvec_rows(self, v: np.ndarray) -> np.ndarray:
-        """Exact ``(A @ vᵀ)ᵀ`` for (k, cells) rows — stencil, no matrix."""
-        field = np.ascontiguousarray(v).reshape(-1, self.ny, self.nx)
-        sten = np.zeros_like(field)
-        if self.nx > 1:
-            dx = (field[:, :, :-1] - field[:, :, 1:]) * self.gx
-            sten[:, :, :-1] += dx
-            sten[:, :, 1:] -= dx
-        if self.ny > 1:
-            dy = (field[:, :-1, :] - field[:, 1:, :]) * self.gy
-            sten[:, :-1, :] += dy
-            sten[:, 1:, :] -= dy
-        out = sten.reshape(-1, self.cells) + self.g_node * v
-        np.add.at(
-            out, (slice(None), self.attach), self.g_src * v[:, self.attach]
-        )
-        if self.ring_a.size:
-            drop = self.g_ring * (v[:, self.ring_a] - v[:, self.ring_b])
-            np.add.at(out, (slice(None), self.ring_a), drop)
-            np.add.at(out, (slice(None), self.ring_b), -drop)
-        return out
-
-    def _apply_rows(self, b: np.ndarray) -> np.ndarray:
-        y = self.op.solve_rows(b)
-        if self._s_lu is None:
-            return y
-        w = lu_solve(self._s_lu, (y @ self._u).T)
-        return y - w.T @ self._z.T
-
-    def solve_rows(self, b: np.ndarray) -> np.ndarray:
-        """``(A⁻¹ bᵀ)ᵀ`` for a C-contiguous row stack (k, cells).
-
-        The trapezoidal stamp carries every decap branch's companion
-        conductance on the diagonal, so the operator is strongly
-        diagonally dominant and a single Woodbury-corrected apply is
-        already accurate to ~1e-13 relative — the refinement round is
-        reserved for zero-shift (decap-free) systems where the deflated
-        Poisson solve loses digits.
-        """
-        x = self._apply_rows(b)
-        if self.op.deflation_tau is not None:
-            x = x + self._apply_rows(b - self._matvec_rows(x))
-        if not np.all(np.isfinite(x)):
-            raise StructuredSolveError(
-                "structured transient solve produced non-finite values"
-            )
-        return x
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """``A⁻¹ b`` for (cells, k) columns (row-layout core)."""
-        return np.asarray(self.solve_rows(np.ascontiguousarray(b.T)).T)
-
-
 class _TransientStructure:
     """Everything assembled once per (topology, Δt).
 
@@ -282,7 +156,6 @@ class _TransientStructure:
         l_src = design.source_values("inductance_h")
         cells = nx * ny
         h = dt_s
-        self.design = design
         self.nx, self.ny, self.cells, self.dt_s = nx, ny, cells, h
         x_a, x_b, y_a, y_b = mesh_edge_rows(nx, ny)
         self.x_a, self.x_b, self.y_a, self.y_b = x_a, x_b, y_a, y_b
@@ -455,8 +328,8 @@ class _TransientStructure:
         self._solver = None
         self._dc_solver = None
         self._jump_solver = None
-        self._fast: _FastTransient | None = None
-        self._dc_fast: StructuredGridPDN | None = None
+        self._fast: StructuredOperator | None = None
+        self._dc_fast: StructuredOperator | None = None
 
     # -- factorized engine -------------------------------------------------------
 
@@ -489,14 +362,26 @@ class _TransientStructure:
 
     # -- structured engine -------------------------------------------------------
 
-    def fast(self) -> _FastTransient:
+    def _operator(self, g_x, g_y, g_node, g_src) -> StructuredOperator:
+        return StructuredOperator(
+            self.nx, self.ny, g_x, g_y, g_node, self.attach, g_src,
+            self.ring_a, self.ring_b, self.g_ring,
+        )
+
+    def fast(self) -> StructuredOperator:
+        """The structured operator of the companion stamp."""
         if self._fast is None:
-            self._fast = _FastTransient(self)
+            self._fast = self._operator(
+                self.g_x, self.g_y, self.g_node, self.g_s
+            )
         return self._fast
 
-    def dc_fast(self) -> StructuredGridPDN:
+    def dc_fast(self) -> StructuredOperator:
+        """The structured operator of the capacitors-open DC stamp."""
         if self._dc_fast is None:
-            self._dc_fast = StructuredGridPDN(self.dc_compiled, self.design)
+            self._dc_fast = self._operator(
+                self.g_x_dc, self.g_y_dc, np.zeros(self.cells), self.g_dc
+            )
         return self._dc_fast
 
 
@@ -567,14 +452,21 @@ class GridTransientPDN(MeshView):
     # -- simulation -------------------------------------------------------------
 
     def _probe_rows(self, probe_nodes) -> tuple[int, ...]:
+        """Flattened mesh rows of ``probe_nodes``, each a row index or
+        an ``(ix, iy)`` pair whose axes are checked one by one."""
         rows: list[int] = []
         for probe in probe_nodes:
             if np.ndim(probe) == 0:
-                row = int(probe)
+                row = int(require_indices(probe, "probe_nodes"))
+                inside = 0 <= row < self.nx * self.ny
             else:
-                ix, iy = probe
-                row = int(iy) * self.nx + int(ix)
-            if not 0 <= row < self.nx * self.ny:
+                ix, iy = (
+                    int(require_indices(axis, "probe_nodes"))
+                    for axis in probe
+                )
+                row = iy * self.nx + ix
+                inside = 0 <= ix < self.nx and 0 <= iy < self.ny
+            if not inside:
                 raise ConfigError(f"probe node {probe!r} outside the mesh")
             rows.append(row)
         return tuple(rows)
@@ -738,15 +630,8 @@ class GridTransientPDN(MeshView):
         # transpose copies, and edge scatters are stencil slices.
         n_traces, samples, cells = waves.shape
         if mode == "structured":
-            fast = st.fast()
-            dc_fast = st.dc_fast()
-            solve = fast.solve_rows
-
-            def dc_solve_rows(b: np.ndarray) -> np.ndarray:
-                return np.ascontiguousarray(
-                    np.asarray(dc_fast.solve_reduced(b.T)).T
-                )
-
+            solve = st.fast().solve
+            dc_solve_rows = st.dc_fast().solve
         else:
             solver = st.solver()
             dc_solver = st.dc_solver()

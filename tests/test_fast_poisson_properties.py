@@ -247,6 +247,25 @@ def test_batched_paths_match_oracle(n, sources, seed):
         )
 
 
+def test_failure_sweep_is_one_reduced_solve(monkeypatch):
+    """A whole N−k sweep on a uniform mesh is one batched reduced
+    solve: one right-hand-side row per scenario, one call."""
+    structured, _ = build_pair(
+        6, 1e-2, [(0.0, 0.0), (1.0, 1.0), (0.5, 0.5)], 1e-3, 0.1, 3
+    )
+    engine = structured._ensure_structure().fast
+    solve_reduced = engine.solve_reduced
+    rows = []
+
+    def counted(b, *args):
+        rows.append(len(b))
+        return solve_reduced(b, *args)
+
+    monkeypatch.setattr(engine, "solve_reduced", counted)
+    structured.solve_disabled_many([(), (0,), (1, 2)])
+    assert rows == [3]
+
+
 # -- parity: per-edge variation (PCG mode) --------------------------------------------
 
 

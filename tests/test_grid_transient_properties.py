@@ -329,6 +329,30 @@ class TestValidation:
         with pytest.raises(ConfigError):
             pdn.simulate_step(0.0, 10.0)
 
+    @pytest.mark.parametrize(
+        "probe",
+        [(12, 0), (0, 12), (-1, 3), 144, -1, 1.5, (True, 2), (2.7, 3),
+         (float("nan"), 1), True],
+    )
+    def test_rejects_bad_probe_nodes(self, probe):
+        """Each probe axis is a whole-number index inside the mesh: an
+        x index past the edge does not wrap onto the next row, and a
+        fraction, NaN or boolean raises by name."""
+        pdn = mesh_fixture("factorized")
+        pdn.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
+        wave = np.full((4, 144), 0.1)
+        with pytest.raises(ConfigError, match="probe"):
+            pdn.simulate(wave, 1e-10, probe_nodes=[probe])
+
+    def test_probe_nodes_accept_rows_and_pairs(self):
+        pdn = mesh_fixture("factorized")
+        pdn.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
+        wave = np.full((4, 144), 0.1)
+        res = pdn.simulate(
+            wave, 1e-10, probe_nodes=[13, (1, 1), (11.0, 11), np.int64(143)]
+        )
+        assert res.probe_rows == (13, 13, 143, 143)
+
     def test_rejects_bad_waveform_shape(self):
         pdn = GridTransientPDN(1.0, 1.0, 1.0, nx=4, ny=4)
         pdn.add_source("vr", 0.5, 0.5, 1.0, 0.1)
