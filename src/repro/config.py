@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .units import mm, mm2
 
 
@@ -40,6 +40,10 @@ class PCBGeometry:
     plane_thickness_m: float = 70e-6
 
     def __post_init__(self) -> None:
+        for name in (
+            "vrm_distance_m", "plane_width_m", "plane_pairs", "plane_thickness_m"
+        ):
+            require_finite(getattr(self, name), name)
         if self.vrm_distance_m <= 0 or self.plane_width_m <= 0:
             raise ConfigError("PCB geometry lengths must be positive")
         if self.plane_pairs < 1:
@@ -65,6 +69,15 @@ class SystemSpec:
     pcb: PCBGeometry = field(default_factory=PCBGeometry)
 
     def __post_init__(self) -> None:
+        for name in (
+            "pol_power_w",
+            "pol_voltage_v",
+            "input_voltage_v",
+            "current_density_a_per_mm2",
+        ):
+            require_finite(getattr(self, name), name)
+        if self.die_area_m2 is not None:
+            require_finite(self.die_area_m2, "die_area_m2")
         if self.pol_power_w <= 0:
             raise ConfigError("POL power must be positive")
         if self.pol_voltage_v <= 0:

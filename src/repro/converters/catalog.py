@@ -88,8 +88,9 @@ class ConverterSpec:
     # -- feasibility ------------------------------------------------------------
 
     def is_feasible_load(self, i_out_a: float) -> bool:
-        """True if a per-VR output current is within the rating."""
-        return 0.0 <= i_out_a <= self.max_load_a * (1.0 + 1e-9)
+        """True if a per-VR output current is within the rating
+        (elementwise for an array of currents)."""
+        return (0.0 <= i_out_a) & (i_out_a <= self.max_load_a * (1.0 + 1e-9))
 
     def require_feasible(self, i_out_a: float) -> None:
         """Raise :class:`InfeasibleError` when the rating is exceeded —
@@ -119,13 +120,50 @@ class ConverterSpec:
                 against the new output voltage; RATIO_SCALED re-rates
                 the coefficients for the new input voltage first.
         """
-        if v_out_v >= v_in_v:
-            raise ConfigError("stage must step the voltage down")
-        if mode is StageModelMode.AS_PUBLISHED:
-            return self.loss_model.reused_at_output_voltage(v_out_v)
-        return self.loss_model.scaled_to_ratio(
-            v_in_old_v=48.0, v_in_new_v=v_in_v, v_out_new_v=v_out_v
+        return _stage_model(self.loss_model, v_in_v, v_out_v, mode)
+
+    def stage_coefficient_factors(
+        self,
+        v_in_v: float,
+        v_out_v: float,
+        mode: StageModelMode = StageModelMode.AS_PUBLISHED,
+    ) -> tuple[float, float, float]:
+        """The factors :meth:`stage_loss_model` multiplies the published
+        a, b and c by.
+
+        Both modes rescale each coefficient by a function of the
+        voltages alone, so the factors are the stage model of a
+        unit-coefficient curve.  A caller that scales the published
+        coefficients first (Monte-Carlo tolerances) multiplies by these
+        after its scale, exactly as the stage model of the scaled curve
+        would.
+        """
+        published = self.loss_model
+        unit = QuadraticLossModel(
+            v_out_v=published.v_out_v,
+            a_w=1.0,
+            b_v=1.0,
+            c_ohm=1.0,
+            i_max_a=published.i_max_a,
         )
+        stage = _stage_model(unit, v_in_v, v_out_v, mode)
+        return stage.a_w, stage.b_v, stage.c_ohm
+
+
+def _stage_model(
+    loss_model: QuadraticLossModel,
+    v_in_v: float,
+    v_out_v: float,
+    mode: StageModelMode,
+) -> QuadraticLossModel:
+    """``loss_model`` used as a stage from ``v_in_v`` to ``v_out_v``."""
+    if v_out_v >= v_in_v:
+        raise ConfigError("stage must step the voltage down")
+    if mode is StageModelMode.AS_PUBLISHED:
+        return loss_model.reused_at_output_voltage(v_out_v)
+    return loss_model.scaled_to_ratio(
+        v_in_old_v=48.0, v_in_new_v=v_in_v, v_out_new_v=v_out_v
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -145,8 +145,9 @@ class QuadraticLossModel:
         return self.efficiency(min(self.i_peak_a, self.i_max_a))
 
     def is_feasible(self, i_out_a: float) -> bool:
-        """True if the current is within the converter's rating."""
-        return 0.0 <= i_out_a <= self.i_max_a * (1.0 + 1e-9)
+        """True if the current is within the converter's rating
+        (elementwise for an array of currents)."""
+        return (0.0 <= i_out_a) & (i_out_a <= self.i_max_a * (1.0 + 1e-9))
 
     # -- transformation -----------------------------------------------------------
 

@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 
 from ..converters.catalog import DPMIH, ConverterSpec
-from ..errors import ConfigError
+from ..errors import ConfigError, require_finite
 from ..pdn.interconnect import ADVANCED_CU_PAD, MICRO_BUMP, VerticalInterconnect
 from ..placement.planner import PlacementStyle
 
@@ -60,6 +60,8 @@ class ArchitectureSpec:
     stage1_converter: ConverterSpec | None = None
 
     def __post_init__(self) -> None:
+        if self.intermediate_voltage_v is not None:
+            require_finite(self.intermediate_voltage_v, "intermediate_voltage_v")
         if self.kind is ArchitectureKind.PCB_CONVERSION:
             if self.pol_stage_style is not None:
                 raise ConfigError("A0 has no on-package POL stage")

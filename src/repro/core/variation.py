@@ -10,27 +10,28 @@ methodology [11] centers on.
 
 Sampling is deterministic given the seed (numpy Generator).  All
 random factors are drawn in one batched call up front (one
-``(samples, 4)`` normal draw instead of per-sample scalar draws), and
-the packaging stack is built once and shared across the per-sample
-analyzers.  The per-sample evaluation loop routes through the sweep
-executor (:mod:`repro.parallel`): because the factors are drawn in the
-parent before sharding, ``jobs=N`` evaluates exactly the draws
-``jobs=1`` does — bit-identical results, any worker count.
+``(samples, 4)`` normal draw instead of per-sample scalar draws).  The
+draws route through the sweep executor (:mod:`repro.parallel`), and
+each chunk of draws is one :meth:`LossAnalyzer.analyze_many` call on
+the nominal analyzer: one batched walk of the loss chain, with no
+per-draw converter, parameter set or analyzer.  Because the factors
+are drawn in the parent before sharding, ``jobs=N`` evaluates exactly
+the draws ``jobs=1`` does — bit-identical results, any worker count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ..config import SystemSpec
 from ..converters.catalog import ConverterSpec
-from ..converters.loss_model import QuadraticLossModel
 from ..core.architectures import ArchitectureSpec
-from ..core.loss_analysis import LossAnalyzer, LossModelParameters
-from ..errors import ConfigError, InfeasibleError
+from ..core.loss_analysis import LossAnalyzer
+from ..errors import ConfigError, InfeasibleError, require_finite
 from ..parallel import Scenario, SweepPlan, run_sweep
 
 
@@ -93,25 +94,27 @@ class VariationResult:
         """Fraction of samples meeting an efficiency floor."""
         if not 0.0 < min_efficiency < 1.0:
             raise ConfigError("efficiency floor must be in (0, 1)")
+        require_finite(pol_power_w, "pol_power_w")
+        if pol_power_w <= 0:
+            raise ConfigError("pol_power_w must be positive")
         max_loss = pol_power_w * (1.0 / min_efficiency - 1.0)
         total = len(self.samples_w) + self.infeasible_count
         good = int(np.count_nonzero(self.samples_w <= max_loss))
         return good / total
 
 
-def _perturbed_spec(
-    topology: ConverterSpec, factors: np.ndarray
-) -> ConverterSpec:
-    """A copy of the converter spec with scaled loss coefficients."""
-    base = topology.loss_model
-    model = QuadraticLossModel(
-        v_out_v=base.v_out_v,
-        a_w=base.a_w * factors[0],
-        b_v=base.b_v * factors[1],
-        c_ohm=base.c_ohm * factors[2],
-        i_max_a=base.i_max_a,
+def _sample_count(samples, minimum: int) -> int:
+    """``samples`` as an int: a whole number (``3`` or ``3.0``) of at
+    least ``minimum``; a fraction, NaN/inf, a boolean or a non-number
+    raises :class:`ConfigError`."""
+    whole = isinstance(samples, numbers.Integral) or (
+        isinstance(samples, numbers.Real) and float(samples).is_integer()
     )
-    return replace(topology, loss_model=model)
+    if isinstance(samples, bool) or not whole:
+        raise ConfigError(f"samples must be a whole number, got {samples!r}")
+    if samples < minimum:
+        raise ConfigError(f"samples must be at least {minimum}, got {samples}")
+    return int(samples)
 
 
 def spawn_variation_seeds(
@@ -147,6 +150,7 @@ def sample_variation_factors(
     or integer seed gives callers — worker processes in particular —
     an explicit, non-overlapping stream.
     """
+    samples = _sample_count(samples, 1)
     if rng is None:
         rng = np.random.default_rng(variation.seed)
     elif not isinstance(rng, np.random.Generator):
@@ -158,28 +162,23 @@ def sample_variation_factors(
 
 
 def _variation_chunk(payload: tuple, scenarios: tuple) -> list:
-    """Evaluate one chunk of Monte-Carlo draws.
+    """Evaluate one chunk of Monte-Carlo draws in one batched loss
+    evaluation.
 
     Returns per-scenario ``total_loss_w`` floats, or ``None`` for
     draws where the perturbed converter is infeasible.
     """
-    arch, topology, spec, stack = payload
-    results: list = []
-    for scenario in scenarios:
-        loss_factor, rdl_factor = scenario.params
-        perturbed_topology = _perturbed_spec(topology, loss_factor)
-        params = LossModelParameters(
-            die_grid_resistance_ohm=6.0e-6 * rdl_factor,
-            intermediate_rail_squares=0.97 * rdl_factor,
-        )
-        analyzer = LossAnalyzer(spec=spec, params=params, stack=stack)
-        try:
-            breakdown = analyzer.analyze(arch, perturbed_topology)
-        except InfeasibleError:
-            results.append(None)
-        else:
-            results.append(breakdown.total_loss_w)
-    return results
+    analyzer, arch, topology = payload
+    totals, feasible = analyzer.analyze_many(
+        arch,
+        topology,
+        np.array([scenario.params[0] for scenario in scenarios]),
+        np.array([scenario.params[1] for scenario in scenarios]),
+    )
+    return [
+        total if ok else None
+        for total, ok in zip(totals.tolist(), feasible.tolist())
+    ]
 
 
 def monte_carlo_loss(
@@ -204,19 +203,21 @@ def monte_carlo_loss(
             the 95% confidence-interval half-width of the mean loss is
             below this many watts (at least two chunks are always
             evaluated).  The retained samples are a deterministic
-            prefix of the chunk stream.
+            prefix of the chunk stream.  Finite and positive.
         progress: optional ``callback(samples_done, samples_total)``.
     """
-    if samples < 2:
-        raise ConfigError("need at least two samples")
+    samples = _sample_count(samples, 2)
+    if target_ci_w is not None:
+        require_finite(target_ci_w, "target_ci_w")
+        if target_ci_w <= 0:
+            raise ConfigError("target_ci_w must be positive")
     spec = spec or SystemSpec()
     variation = variation or VariationSpec()
 
-    nominal_analyzer = LossAnalyzer(spec=spec)
-    nominal = nominal_analyzer.analyze(arch, topology)
-    # The stack depends only on the spec: share it across samples
-    # instead of rebuilding the packaging hierarchy per draw.
-    stack = nominal_analyzer.stack
+    # The nominal analyzer also evaluates every chunk of draws, which
+    # scale its converter coefficients and RDL resistances.
+    analyzer = LossAnalyzer(spec=spec)
+    nominal = analyzer.analyze(arch, topology)
 
     # Factors are drawn once, in the parent, before sharding: workers
     # receive explicit (loss_factor, rdl_factor) rows, so the result
@@ -229,7 +230,7 @@ def monte_carlo_loss(
     plan = SweepPlan(
         scenarios=scenarios,
         runner=_variation_chunk,
-        payload=(arch, topology, spec, stack),
+        payload=(analyzer, arch, topology),
         chunk_size=chunk_size,
         label="monte-carlo loss",
     )

@@ -7,6 +7,10 @@ masking programming errors (``TypeError`` and friends pass through).
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 
 class ReproError(Exception):
     """Base class for all library-raised errors."""
@@ -14,6 +18,21 @@ class ReproError(Exception):
 
 class ConfigError(ReproError):
     """A system/architecture configuration is inconsistent or out of range."""
+
+
+def require_finite(value, name: str) -> None:
+    """Reject NaN/inf anywhere in a scalar or array input, by name.
+
+    The range guards (``<= 0``, ``< 0``) are all false for NaN, so this
+    check runs first at every boundary.  Plain Python numbers skip
+    numpy: building a design checks thousands of scalars.
+    """
+    if isinstance(value, (int, float)):
+        finite = math.isfinite(value)
+    else:
+        finite = np.all(np.isfinite(value))
+    if not finite:
+        raise ConfigError(f"{name} must be finite")
 
 
 class InfeasibleError(ReproError):

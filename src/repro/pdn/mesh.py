@@ -33,29 +33,13 @@ structure a view cached under it (see :func:`cached`).
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, fields
 from functools import cached_property, update_wrapper
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_finite
 from .powermap import PowerMap
-
-
-def require_finite(value, name: str) -> None:
-    """Reject NaN/inf anywhere in a scalar or array input, by name.
-
-    The range guards (``<= 0``, ``< 0``) are all false for NaN, so this
-    check runs first at every boundary.  Plain Python numbers skip
-    numpy: building a design checks thousands of scalars.
-    """
-    if isinstance(value, (int, float)):
-        finite = math.isfinite(value)
-    else:
-        finite = np.all(np.isfinite(value))
-    if not finite:
-        raise ConfigError(f"{name} must be finite")
 
 
 def require_indices(value, name: str) -> np.ndarray:

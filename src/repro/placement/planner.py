@@ -27,10 +27,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..converters.catalog import ConverterSpec
 from ..converters.loss_model import QuadraticLossModel
-from ..errors import ConfigError, InfeasibleError
+from ..errors import ConfigError, InfeasibleError, require_finite
 from .area_budget import (
     AreaBudget,
     below_die_budget,
@@ -61,11 +62,16 @@ class PlacementStyle(enum.Enum):
 class PlacementPlan:
     """A concrete VR placement.
 
+    Only :func:`plan_placement` builds plans.  The VR layout is not a
+    field: :attr:`positions` is derived from the counts below the first
+    time it is read, so the loss engine, which needs only the counts,
+    never lays a bank out.  Equality, hashing and pickling see the
+    fields alone, whether or not the layout has been read.
+
     Attributes:
         style: periphery or below-die.
         converter: the converter spec being placed.
         vr_count: number of VRs.
-        positions: fractional die coordinates per VR.
         below_die_count: VRs inside the die shadow (below-die style).
         overflow_count: VRs placed beyond the primary region.
         area_used_mm2: total VR footprint.
@@ -76,7 +82,6 @@ class PlacementPlan:
     style: PlacementStyle
     converter: ConverterSpec
     vr_count: int
-    positions: tuple[Position, ...]
     below_die_count: int
     overflow_count: int
     area_used_mm2: float
@@ -85,8 +90,26 @@ class PlacementPlan:
     def __post_init__(self) -> None:
         if self.vr_count < 1:
             raise ConfigError("plan must place at least one VR")
-        if len(self.positions) != self.vr_count:
-            raise ConfigError("positions must match the VR count")
+        if (
+            self.style is PlacementStyle.BELOW_DIE
+            and self.below_die_count + self.overflow_count != self.vr_count
+        ):
+            raise ConfigError("below-die and overflow VRs must make the VR count")
+
+    @cached_property
+    def positions(self) -> tuple[Position, ...]:
+        """Fractional die coordinates per VR, laid out on first read:
+        periphery rings, an under-die grid, or the grid plus a ring of
+        overflow VRs."""
+        if self.style is PlacementStyle.PERIPHERY:
+            layout = _periphery_layout(
+                self.converter.vrs_along_periphery, self.vr_count
+            )
+        elif self.overflow_count > 0:
+            layout = mixed_positions(self.below_die_count, self.overflow_count)
+        else:
+            layout = grid_positions(self.vr_count)
+        return tuple(layout)
 
     @property
     def is_multi_row(self) -> bool:
@@ -120,6 +143,9 @@ def plan_placement(
             above rating with no overflow allowed, or area exhausted) —
             the rule that drops 3LHD from the paper's Fig. 7.
     """
+    require_finite(total_current_a, "total_current_a")
+    require_finite(die_area_mm2, "die_area_mm2")
+    require_finite(interposer_area_mm2, "interposer_area_mm2")
     if total_current_a <= 0:
         raise ConfigError("total current must be positive")
     if die_area_mm2 <= 0:
@@ -155,7 +181,6 @@ def plan_placement(
     area_used = count * spec.area_mm2
     if style is PlacementStyle.PERIPHERY:
         _check_periphery_area(spec, count, peripheral)
-        positions = _periphery_layout(spec, slots, count)
         below_count = 0
     else:
         below_count = min(count, slots, below.capacity(spec.area_mm2))
@@ -168,11 +193,6 @@ def plan_placement(
                 f"not fit the periphery budget "
                 f"({peripheral.available_mm2:.0f} mm2)"
             )
-        positions = (
-            mixed_positions(below_count, ring_count)
-            if ring_count > 0
-            else grid_positions(count)
-        )
         overflow = ring_count
 
     per_vr = total_current_a / count
@@ -181,7 +201,6 @@ def plan_placement(
         style=style,
         converter=spec,
         vr_count=count,
-        positions=tuple(positions),
         below_die_count=below_count,
         overflow_count=overflow,
         area_used_mm2=area_used,
@@ -200,9 +219,7 @@ def _check_periphery_area(
         )
 
 
-def _periphery_layout(
-    spec: ConverterSpec, slots: int, count: int
-) -> list[Position]:
+def _periphery_layout(slots: int, count: int) -> list[Position]:
     """Positions for a periphery plan, adding rows beyond the slot
     count when needed ("additional rows of VRs farther away from the
     perimeter of the die")."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.converters.catalog import DPMIH, DSCH
@@ -100,6 +102,11 @@ class TestA3:
     def test_rejects_rail_at_pol_voltage(self):
         with pytest.raises(ConfigError):
             dual_stage_a3(1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_rail_by_name(self, value):
+        with pytest.raises(ConfigError, match="intermediate_voltage_v"):
+            dual_stage_a3(value)
 
 
 class TestInvariantValidation:

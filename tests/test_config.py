@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import ConfigError, SystemSpec
@@ -91,6 +93,22 @@ class TestSystemSpecValidation:
         with pytest.raises(ConfigError):
             SystemSpec(die_area_m2=-1.0)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "pol_power_w",
+            "pol_voltage_v",
+            "input_voltage_v",
+            "current_density_a_per_mm2",
+            "die_area_m2",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_by_name(self, name, value):
+        # The ``<= 0`` guards are false for NaN, and inf passes them.
+        with pytest.raises(ConfigError, match=name):
+            SystemSpec(**{name: value})
+
 
 class TestPCBGeometry:
     def test_defaults_positive(self):
@@ -113,3 +131,12 @@ class TestPCBGeometry:
     def test_rejects_zero_thickness(self):
         with pytest.raises(ConfigError):
             PCBGeometry(plane_thickness_m=0.0)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["vrm_distance_m", "plane_width_m", "plane_pairs", "plane_thickness_m"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_by_name(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            PCBGeometry(**{name: value})

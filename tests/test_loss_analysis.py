@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import SystemSpec
@@ -228,3 +230,18 @@ class TestScaling:
     def test_params_validation(self):
         with pytest.raises(ConfigError):
             LossModelParameters(die_grid_resistance_ohm=0.0)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "die_grid_resistance_ohm",
+            "intermediate_rail_squares",
+            "interposer_area_mm2",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_params_reject_non_finite_by_name(self, name, value):
+        # Unchecked, NaN fails later inside plan_placement and inf rail
+        # squares overflow on A3@12V.
+        with pytest.raises(ConfigError, match=name):
+            LossModelParameters(**{name: value})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -248,6 +249,12 @@ class TestPlanner:
         plan = plan_placement(DPMIH, PlacementStyle.BELOW_DIE, 1000.0, DIE_MM2)
         assert len(plan.positions) == plan.vr_count
 
+    def test_below_die_counts_must_make_the_vr_count(self):
+        # The layout is derived from the counts, so they must agree.
+        plan = plan_placement(DPMIH, PlacementStyle.BELOW_DIE, 1000.0, DIE_MM2)
+        with pytest.raises(ConfigError):
+            replace(plan, overflow_count=plan.overflow_count + 1)
+
     def test_area_accounting(self):
         plan = plan_placement(DSCH, PlacementStyle.PERIPHERY, 1000.0, DIE_MM2)
         assert plan.area_used_mm2 == pytest.approx(48 * DSCH.area_mm2)
@@ -259,6 +266,21 @@ class TestPlanner:
     def test_rejects_zero_current(self):
         with pytest.raises(ConfigError):
             plan_placement(DSCH, PlacementStyle.PERIPHERY, 0.0, DIE_MM2)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name", ["total_current_a", "die_area_mm2", "interposer_area_mm2"]
+    )
+    def test_rejects_non_finite_by_name(self, name, value):
+        # Unchecked, NaN fails inside math.ceil and inf overflows it.
+        args = {
+            "total_current_a": 1000.0,
+            "die_area_mm2": DIE_MM2,
+            "interposer_area_mm2": 1200.0,
+            name: value,
+        }
+        with pytest.raises(ConfigError, match=name):
+            plan_placement(DSCH, PlacementStyle.PERIPHERY, **args)
 
 
 class TestOptimalStageCount:

@@ -7,9 +7,11 @@ import pytest
 
 from repro.converters.catalog import DSCH, THREE_LEVEL_HYBRID_DICKSON
 from repro.core.architectures import single_stage_a1, single_stage_a2
+from repro.core.loss_analysis import LossAnalyzer
 from repro.core.variation import (
     VariationSpec,
     monte_carlo_loss,
+    sample_variation_factors,
 )
 from repro.errors import ConfigError
 
@@ -77,6 +79,12 @@ class TestYield:
         with pytest.raises(ConfigError):
             a1_variation.yield_at_efficiency(0.0, 1000.0)
 
+    @pytest.mark.parametrize("power", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_yield_rejects_bad_power_by_name(self, a1_variation, power):
+        # Unchecked, these give a yield of 0.0 instead of an error.
+        with pytest.raises(ConfigError, match="pol_power_w"):
+            a1_variation.yield_at_efficiency(0.8, power)
+
 
 class TestSensitivity:
     def test_larger_sigma_larger_spread(self):
@@ -123,3 +131,59 @@ class TestValidation:
     def test_percentile_bounds(self, a1_variation):
         with pytest.raises(ConfigError):
             a1_variation.percentile_w(101.0)
+
+    @pytest.mark.parametrize("samples", [2.5, float("nan"), True, "64", None])
+    def test_samples_must_be_a_whole_number(self, samples):
+        # Unchecked, 2.5 fails inside numpy with a bare TypeError.
+        with pytest.raises(ConfigError, match="samples"):
+            monte_carlo_loss(single_stage_a1(), DSCH, samples=samples)
+
+    def test_whole_float_samples_count(self):
+        by_float = monte_carlo_loss(single_stage_a1(), DSCH, samples=4.0)
+        by_int = monte_carlo_loss(single_stage_a1(), DSCH, samples=4)
+        assert np.array_equal(by_float.samples_w, by_int.samples_w)
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_target_ci_must_be_finite_and_positive(self, target):
+        # Unchecked, NaN, 0 and -1 never stop the run.
+        with pytest.raises(ConfigError, match="target_ci_w"):
+            monte_carlo_loss(
+                single_stage_a1(), DSCH, samples=8, target_ci_w=target
+            )
+
+    @pytest.mark.parametrize("samples", [0, -3, 1.5])
+    def test_factor_draw_needs_a_whole_positive_count(self, samples):
+        # Unchecked, zero returns empty arrays.
+        with pytest.raises(ConfigError, match="samples"):
+            sample_variation_factors(VariationSpec(), samples)
+
+    def test_factor_draw_accepts_one_sample(self):
+        loss, rdl = sample_variation_factors(VariationSpec(), 1)
+        assert loss.shape == (1, 3) and rdl.shape == (1,)
+
+
+class TestAnalyzeManyValidation:
+    @pytest.fixture(scope="class")
+    def analyzer(self):
+        return LossAnalyzer()
+
+    @pytest.mark.parametrize(
+        "loss_scales, rdl_scales, name",
+        [
+            (np.ones((4, 2)), np.ones(4), "loss_scales"),
+            (np.ones(4), np.ones(4), "loss_scales"),
+            (np.ones((3, 3)), np.ones(4), "loss_scales"),
+            (np.ones((4, 3)), np.ones((4, 1)), "rdl_scales"),
+            (np.ones((0, 3)), np.ones(0), "rdl_scales"),
+            (np.full((2, 3), np.nan), np.ones(2), "loss_scales"),
+            (np.ones((2, 3)), np.array([1.0, np.inf]), "rdl_scales"),
+            (np.zeros((2, 3)), np.ones(2), "loss_scales"),
+            (np.ones((2, 3)), np.array([1.0, -0.5]), "rdl_scales"),
+            (np.ones((2, 3)), ["a", "b"], "rdl_scales"),
+        ],
+    )
+    def test_rejects_bad_scales_by_name(
+        self, analyzer, loss_scales, rdl_scales, name
+    ):
+        with pytest.raises(ConfigError, match=name):
+            analyzer.analyze_many(single_stage_a1(), DSCH, loss_scales, rdl_scales)
