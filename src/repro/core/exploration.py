@@ -25,7 +25,7 @@ from ..config import SystemSpec
 from ..converters.catalog import DSCH, ConverterSpec, StageModelMode
 from ..converters.devices import Capacitor, Inductor, PowerSwitch
 from ..converters.topologies.buck import SynchronousBuck
-from ..errors import ConfigError, InfeasibleError
+from ..errors import ConfigError, InfeasibleError, require_finite
 from ..materials import GAN_100V, SI_POWER_MOSFET, TransistorTechnology
 from ..parallel import Scenario, SweepPlan, run_sweep_collect
 from ..pdn.powermap import PowerMap
@@ -338,6 +338,19 @@ def si_vs_gan_buck(
     return results
 
 
+def _sweep_values(values, name: str) -> tuple[float, ...]:
+    """A grid-study sweep axis as floats: at least one value, each
+    finite and positive, or a :class:`ConfigError` naming ``name`` —
+    raised before any sweep chunk starts."""
+    values = tuple(float(v) for v in values)
+    if not values:
+        raise ConfigError(f"{name} needs at least one value")
+    require_finite(values, name)
+    if min(values) <= 0:
+        raise ConfigError(f"{name} must be positive")
+    return values
+
+
 @dataclass(frozen=True)
 class DecapDensityPoint:
     """Worst-node impedance at one per-node decap allocation."""
@@ -443,14 +456,11 @@ def load_step_ensemble(
     worker processes (one density per chunk by default) with results
     identical for any worker count.
     """
-    if not densities:
-        raise ConfigError("at least one density required")
+    densities = _sweep_values(densities, "densities")
     spec = spec or SystemSpec()
     arch = arch or single_stage_a2()
     plan = SweepPlan(
-        scenarios=tuple(
-            Scenario(key=float(d), params=float(d)) for d in densities
-        ),
+        scenarios=tuple(Scenario(key=d, params=d) for d in densities),
         runner=_transient_chunk,
         payload=(spec, topology, arch, grid_nodes, kwargs),
         chunk_size=1 if chunk_size is None else chunk_size,
@@ -483,14 +493,11 @@ def decap_density_sweep(
     density per chunk; ``jobs`` fans the points across processes with
     identical results for any worker count.
     """
-    if not densities:
-        raise ConfigError("at least one density required")
+    densities = _sweep_values(densities, "densities")
     spec = spec or SystemSpec()
     arch = arch or single_stage_a2()
     plan = SweepPlan(
-        scenarios=tuple(
-            Scenario(key=float(d), params=float(d)) for d in densities
-        ),
+        scenarios=tuple(Scenario(key=d, params=d) for d in densities),
         runner=_decap_chunk,
         payload=(spec, topology, arch, grid_nodes, kwargs),
         chunk_size=1 if chunk_size is None else chunk_size,
@@ -573,16 +580,16 @@ def placement_budget_sweep(
     one budget per chunk; ``jobs`` fans the points across worker
     processes with results identical for any worker count.
     """
-    if not budget_scales:
-        raise ConfigError("at least one budget scale required")
-    if any(s <= 0 for s in budget_scales):
-        raise ConfigError("budget scales must be positive")
+    budget_scales = _sweep_values(budget_scales, "budget_scales")
+    if "budget_f" in kwargs or kwargs.get("size_budget"):
+        raise ConfigError(
+            "placement_budget_sweep sets budget_f from budget_scales; "
+            "pass neither budget_f nor size_budget=True"
+        )
     spec = spec or SystemSpec()
     arch = arch or single_stage_a2()
     plan = SweepPlan(
-        scenarios=tuple(
-            Scenario(key=float(s), params=float(s)) for s in budget_scales
-        ),
+        scenarios=tuple(Scenario(key=s, params=s) for s in budget_scales),
         runner=_placement_chunk,
         payload=(spec, topology, arch, grid_nodes, kwargs),
         chunk_size=1 if chunk_size is None else chunk_size,

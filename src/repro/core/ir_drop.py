@@ -216,6 +216,11 @@ def analyze_impedance_map(
     if decap_density <= 0:
         raise ConfigError("decap density must be positive")
     spec = spec or SystemSpec()
+    target = target_impedance_ohm(
+        spec.pol_voltage_v,
+        ripple_fraction,
+        transient_fraction * spec.pol_current_a,
+    )
     if frequencies_hz is None:
         frequencies_hz = np.logspace(4, 9, 121)
 
@@ -234,12 +239,6 @@ def analyze_impedance_map(
         decap_density, decap_per_unit_f, decap_esr_ohm, decap_esl_h
     )
     impedance = pdn.impedance_map(frequencies_hz)
-
-    target = target_impedance_ohm(
-        spec.pol_voltage_v,
-        ripple_fraction,
-        transient_fraction * spec.pol_current_a,
-    )
     ix, iy = impedance.worst_node()
     denom_x = max(impedance.nx - 1, 1)
     denom_y = max(impedance.ny - 1, 1)
@@ -324,7 +323,17 @@ def optimize_decap_placement_map(
         raise ConfigError("transient fraction must be in (0, 1]")
     if decap_density <= 0:
         raise ConfigError("decap density must be positive")
+    if size_budget and "budget_f" in placement_kwargs:
+        raise ConfigError(
+            "budget_f cannot be given with size_budget=True, which "
+            "searches the budget itself"
+        )
     spec = spec or SystemSpec()
+    target = target_impedance_ohm(
+        spec.pol_voltage_v,
+        ripple_fraction,
+        transient_fraction * spec.pol_current_a,
+    )
     if frequencies_hz is None:
         frequencies_hz = np.logspace(4, 9, 121)
 
@@ -341,11 +350,6 @@ def optimize_decap_placement_map(
     pdn = GridACPDN.from_design(grid.design)
     pdn.set_decap_density(
         decap_density, decap_per_unit_f, decap_esr_ohm, decap_esl_h
-    )
-    target = target_impedance_ohm(
-        spec.pol_voltage_v,
-        ripple_fraction,
-        transient_fraction * spec.pol_current_a,
     )
     if size_budget:
         placement = size_decap_placement_for_target(

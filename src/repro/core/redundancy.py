@@ -47,7 +47,7 @@ import numpy as np
 
 from ..config import SystemSpec
 from ..converters.catalog import ConverterSpec
-from ..errors import ConfigError
+from ..errors import ConfigError, require_count
 from ..parallel import Scenario, SweepPlan, run_sweep_collect
 from ..pdn.grid import GridPDN
 from ..pdn.mesh import require_indices
@@ -168,7 +168,7 @@ def _run_failure_sweep(
         chunk_size=chunk_size,
         label=label,
     )
-    return run_sweep_collect(plan_obj, jobs=jobs, chunk_size=chunk_size)
+    return run_sweep_collect(plan_obj, jobs=jobs)
 
 
 def inject_failures(
@@ -231,6 +231,8 @@ def failure_tolerance(
     """
     if not arch.is_vertical:
         raise ConfigError("fault injection applies to on-package VR banks")
+    if sample_limit is not None:
+        sample_limit = require_count(sample_limit, "sample_limit", 1)
     spec = spec or SystemSpec()
     grid, plan = _die_grid_with_bank(
         arch,
@@ -241,11 +243,7 @@ def failure_tolerance(
         spec.pol_voltage_v,
         DEFAULT_OUTPUT_RESISTANCE_OHM,
     )
-    indices = list(range(plan.vr_count))
-    if sample_limit is not None:
-        if sample_limit < 1:
-            raise ConfigError("sample limit must be >= 1")
-        indices = indices[:sample_limit]
+    indices = list(range(plan.vr_count))[:sample_limit]
 
     # One shared topology, one cached factorization, and batched
     # scenarios: the N−1 enumeration goes through stacked
@@ -294,10 +292,8 @@ def multi_failure_samples(
     processes through the sweep executor; results are identical for
     any worker count.
     """
-    if failure_count < 1:
-        raise ConfigError("failure count must be >= 1")
-    if max_scenarios < 1:
-        raise ConfigError("need at least one scenario")
+    failure_count = require_count(failure_count, "failure_count", 1)
+    max_scenarios = require_count(max_scenarios, "max_scenarios", 1)
     if not arch.is_vertical:
         raise ConfigError("fault injection applies to on-package VR banks")
     spec = spec or SystemSpec()

@@ -21,7 +21,6 @@ the draws ``jobs=1`` does — bit-identical results, any worker count.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +30,12 @@ from ..config import SystemSpec
 from ..converters.catalog import ConverterSpec
 from ..core.architectures import ArchitectureSpec
 from ..core.loss_analysis import LossAnalyzer
-from ..errors import ConfigError, InfeasibleError, require_finite
+from ..errors import (
+    ConfigError,
+    InfeasibleError,
+    require_count,
+    require_finite,
+)
 from ..parallel import Scenario, SweepPlan, run_sweep
 
 
@@ -103,20 +107,6 @@ class VariationResult:
         return good / total
 
 
-def _sample_count(samples, minimum: int) -> int:
-    """``samples`` as an int: a whole number (``3`` or ``3.0``) of at
-    least ``minimum``; a fraction, NaN/inf, a boolean or a non-number
-    raises :class:`ConfigError`."""
-    whole = isinstance(samples, numbers.Integral) or (
-        isinstance(samples, numbers.Real) and float(samples).is_integer()
-    )
-    if isinstance(samples, bool) or not whole:
-        raise ConfigError(f"samples must be a whole number, got {samples!r}")
-    if samples < minimum:
-        raise ConfigError(f"samples must be at least {minimum}, got {samples}")
-    return int(samples)
-
-
 def spawn_variation_seeds(
     variation: VariationSpec, count: int
 ) -> list[np.random.SeedSequence]:
@@ -150,7 +140,7 @@ def sample_variation_factors(
     or integer seed gives callers — worker processes in particular —
     an explicit, non-overlapping stream.
     """
-    samples = _sample_count(samples, 1)
+    samples = require_count(samples, "samples", 1)
     if rng is None:
         rng = np.random.default_rng(variation.seed)
     elif not isinstance(rng, np.random.Generator):
@@ -206,7 +196,7 @@ def monte_carlo_loss(
             prefix of the chunk stream.  Finite and positive.
         progress: optional ``callback(samples_done, samples_total)``.
     """
-    samples = _sample_count(samples, 2)
+    samples = require_count(samples, "samples", 2)
     if target_ci_w is not None:
         require_finite(target_ci_w, "target_ci_w")
         if target_ci_w <= 0:
@@ -239,7 +229,7 @@ def monte_carlo_loss(
     # sample set (and any early-stop decision) follows plan order.
     by_index: dict[int, tuple] = {}
     done = 0
-    stream = run_sweep(plan, jobs=jobs, chunk_size=chunk_size)
+    stream = run_sweep(plan, jobs=jobs)
     for chunk in stream:
         by_index[chunk.index] = chunk.results
         done += len(chunk.results)

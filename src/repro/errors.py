@@ -8,6 +8,7 @@ masking programming errors (``TypeError`` and friends pass through).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -33,6 +34,20 @@ def require_finite(value, name: str) -> None:
         finite = np.all(np.isfinite(value))
     if not finite:
         raise ConfigError(f"{name} must be finite")
+
+
+def require_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int: a whole number (``3`` or ``3.0``) of at
+    least ``minimum``; a fraction, NaN/inf, a boolean or a non-number
+    raises :class:`ConfigError` naming ``name``."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 class InfeasibleError(ReproError):

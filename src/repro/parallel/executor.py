@@ -180,7 +180,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 def run_sweep(
     plan: SweepPlan,
     jobs: int | str | None = 1,
-    chunk_size: int | None = None,
     progress: ProgressCallback | None = None,
 ) -> Iterator[ChunkResult]:
     """Execute a sweep plan, streaming chunk results as they land.
@@ -193,14 +192,13 @@ def run_sweep(
     Args:
         plan: the sweep to run.
         jobs: worker processes (int, ``"auto"``, or ``None``/1 for the
-            in-process serial path).
-        chunk_size: scenarios per chunk; overrides the plan's setting.
-            Chunk boundaries never depend on ``jobs``.
+            in-process serial path).  Chunk boundaries come from the
+            plan's ``chunk_size`` and never depend on ``jobs``.
         progress: optional ``callback(chunk, done, total)`` invoked
             after each chunk lands (before it is yielded).
     """
     workers = resolve_jobs(jobs)
-    chunks = plan.chunks(chunk_size)
+    chunks = plan.chunks()
     total = len(chunks)
     effective = min(workers, total)
     if effective <= 1:
@@ -259,7 +257,6 @@ def run_sweep(
 def run_sweep_collect(
     plan: SweepPlan,
     jobs: int | str | None = 1,
-    chunk_size: int | None = None,
     progress: ProgressCallback | None = None,
 ) -> list:
     """Run a sweep to completion; results flat, in scenario order.
@@ -270,7 +267,7 @@ def run_sweep_collect(
     what makes ``jobs=N`` output indistinguishable from ``jobs=1``.
     """
     by_index: dict[int, tuple] = {}
-    for chunk in run_sweep(plan, jobs=jobs, chunk_size=chunk_size, progress=progress):
+    for chunk in run_sweep(plan, jobs=jobs, progress=progress):
         by_index[chunk.index] = chunk.results
     flat: list = []
     for index in sorted(by_index):

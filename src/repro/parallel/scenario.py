@@ -124,26 +124,17 @@ class SweepPlan:
             label=label,
         )
 
-    def resolved_chunk_size(self, override: int | None = None) -> int:
-        """The chunk size this plan will run with.
-
-        ``override`` (the executor-level knob) wins over the plan's own
-        setting; both fall back to :data:`DEFAULT_CHUNK_SIZE`.  The
-        result never depends on the worker count — see the module
-        docstring.
+    def resolved_chunk_size(self) -> int:
+        """The chunk size this plan will run with: its own
+        ``chunk_size``, else :data:`DEFAULT_CHUNK_SIZE`, capped at the
+        scenario count.  It never depends on the worker count — see
+        the module docstring.
         """
-        size = override if override is not None else self.chunk_size
-        if size is None:
-            size = DEFAULT_CHUNK_SIZE
-        if size < 1:
-            raise ConfigError(f"{self.label}: chunk size must be >= 1")
-        return min(size, len(self.scenarios))
+        return min(self.chunk_size or DEFAULT_CHUNK_SIZE, len(self.scenarios))
 
-    def chunks(
-        self, chunk_size: int | None = None
-    ) -> list[tuple[Scenario, ...]]:
+    def chunks(self) -> list[tuple[Scenario, ...]]:
         """Shard the scenario list into runner-sized batches."""
-        size = self.resolved_chunk_size(chunk_size)
+        size = self.resolved_chunk_size()
         return [
             self.scenarios[start : start + size]
             for start in range(0, len(self.scenarios), size)

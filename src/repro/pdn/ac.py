@@ -35,6 +35,7 @@ from ..errors import ConfigError, SolverError
 from .mna import SINGULARITY_PROBE_TOL, singularity_probe
 from .network import (
     GROUND_INDEX,
+    CompiledNetlist,
     Netlist,
     NodeId,
     admittance_stamp_entries,
@@ -131,8 +132,27 @@ class ACNetlist(Netlist):
 
     def compile_ac(self) -> "CompiledACNetlist":
         """Snapshot into the array-backed sweep form (built once,
-        reused for any number of frequencies)."""
-        return CompiledACNetlist(self)
+        reused for any number of frequencies): :meth:`compile` plus
+        the reactive elements on its node rows."""
+        compiled = self.compile()
+        index = compiled.node_index
+
+        def ends(elements) -> np.ndarray:
+            return np.array(
+                [(index[e.node_a], index[e.node_b]) for e in elements],
+                dtype=np.int64,
+            ).reshape(-1, 2)
+
+        ind, cap = ends(self.inductors), ends(self.capacitors)
+        return CompiledACNetlist(
+            compiled,
+            ind[:, 0],
+            ind[:, 1],
+            [l.inductance_h for l in self.inductors],
+            cap[:, 0],
+            cap[:, 1],
+            [c.capacitance_f for c in self.capacitors],
+        )
 
 
 @dataclass(frozen=True)
@@ -322,12 +342,16 @@ def shared_csc_pattern(
 class CompiledACNetlist:
     """An AC netlist compiled to a reusable frequency-sweep structure.
 
-    Built once from an :class:`ACNetlist` (or directly from arrays via
-    :meth:`from_arrays`): nodes are mapped to integer rows and every
-    matrix entry is recorded as COO coordinates plus three per-entry
-    coefficient arrays — resistive (frequency independent), capacitive
-    (scaled by ``jω``), and inductive (scaled by ``1/(jω)``) — so the
-    complex value vector at any frequency is
+    A :class:`~repro.pdn.network.CompiledNetlist` — the resistors,
+    sources and node rows, whose
+    :meth:`~repro.pdn.network.CompiledNetlist.mna_coo` supplies the
+    ``[G B; Bᵀ 0]`` stamp — plus inductor and capacitor arrays over the
+    same rows (ground encoded as
+    :data:`~repro.pdn.network.GROUND_INDEX`).  Every matrix entry is
+    recorded as COO coordinates plus three per-entry coefficient arrays
+    — resistive (frequency independent), capacitive (scaled by ``jω``),
+    and inductive (scaled by ``1/(jω)``) — so the complex value vector
+    at any frequency is
 
     ``vals(ω) = const + j(ω·cap − ind/ω)``
 
@@ -336,150 +360,28 @@ class CompiledACNetlist:
     computed once and shared by every frequency in a sweep; only the
     numeric values change.  The right-hand side (source phasors) is
     frequency independent and also precomputed.
+
+    The netlist is held, not inherited, so an AC netlist is never
+    mistaken for a DC one by :class:`~repro.pdn.mna.FactorizedPDN`.
     """
 
-    def __init__(self, netlist: ACNetlist) -> None:
-        netlist.validate()
-        nodes = netlist.nodes()
-        index = {node: i for i, node in enumerate(nodes)}
-        index[netlist.GROUND] = GROUND_INDEX
-
-        def endpoint_rows(pairs: list[tuple[NodeId, NodeId]]) -> np.ndarray:
-            flat = np.fromiter(
-                (index[node] for pair in pairs for node in pair),
-                dtype=np.int64,
-                count=2 * len(pairs),
-            )
-            return flat.reshape(-1, 2)
-
-        res = endpoint_rows(
-            [(r.node_a, r.node_b) for r in netlist.resistors]
-        )
-        ind = endpoint_rows(
-            [(l.node_a, l.node_b) for l in netlist.inductors]
-        )
-        cap = endpoint_rows(
-            [(c.node_a, c.node_b) for c in netlist.capacitors]
-        )
-        vs = endpoint_rows(
-            [(v.node_plus, v.node_minus) for v in netlist.voltage_sources]
-        )
-        cs = endpoint_rows(
-            [(s.node_from, s.node_to) for s in netlist.current_sources]
-        )
-        self._init_arrays(
-            nodes=tuple(nodes),
-            res_a=res[:, 0],
-            res_b=res[:, 1],
-            res_ohm=np.array([r.resistance_ohm for r in netlist.resistors]),
-            ind_a=ind[:, 0],
-            ind_b=ind[:, 1],
-            ind_h=np.array([l.inductance_h for l in netlist.inductors]),
-            cap_a=cap[:, 0],
-            cap_b=cap[:, 1],
-            cap_f=np.array([c.capacitance_f for c in netlist.capacitors]),
-            vs_plus=vs[:, 0],
-            vs_minus=vs[:, 1],
-            vs_volt=np.array([v.voltage_v for v in netlist.voltage_sources]),
-            cs_from=cs[:, 0],
-            cs_to=cs[:, 1],
-            cs_amp=np.array([s.current_a for s in netlist.current_sources]),
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        *,
-        nodes: tuple[NodeId, ...],
-        res_a: np.ndarray | None = None,
-        res_b: np.ndarray | None = None,
-        res_ohm: np.ndarray | None = None,
-        ind_a: np.ndarray | None = None,
-        ind_b: np.ndarray | None = None,
-        ind_h: np.ndarray | None = None,
-        cap_a: np.ndarray | None = None,
-        cap_b: np.ndarray | None = None,
-        cap_f: np.ndarray | None = None,
-        vs_plus: np.ndarray | None = None,
-        vs_minus: np.ndarray | None = None,
-        vs_volt: np.ndarray | None = None,
-        cs_from: np.ndarray | None = None,
-        cs_to: np.ndarray | None = None,
-        cs_amp: np.ndarray | None = None,
-    ) -> "CompiledACNetlist":
-        """Compile directly from integer-indexed element arrays.
-
-        The array-native construction path for regular builders (the
-        grid mesh): endpoints are rows into ``nodes`` with ground
-        encoded as :data:`~repro.pdn.network.GROUND_INDEX`, exactly as
-        in :class:`~repro.pdn.network.CompiledNetlist`, and no
-        per-element Python objects are ever created.
-        """
-
-        def ints(values: np.ndarray | None) -> np.ndarray:
-            if values is None:
-                return np.empty(0, dtype=np.int64)
-            return np.ascontiguousarray(values, dtype=np.int64)
-
-        def floats(values: np.ndarray | None) -> np.ndarray:
-            if values is None:
-                return np.empty(0)
-            return np.ascontiguousarray(values, dtype=float)
-
-        self = object.__new__(cls)
-        self._init_arrays(
-            nodes=tuple(nodes),
-            res_a=ints(res_a),
-            res_b=ints(res_b),
-            res_ohm=floats(res_ohm),
-            ind_a=ints(ind_a),
-            ind_b=ints(ind_b),
-            ind_h=floats(ind_h),
-            cap_a=ints(cap_a),
-            cap_b=ints(cap_b),
-            cap_f=floats(cap_f),
-            vs_plus=ints(vs_plus),
-            vs_minus=ints(vs_minus),
-            vs_volt=floats(vs_volt),
-            cs_from=ints(cs_from),
-            cs_to=ints(cs_to),
-            cs_amp=floats(cs_amp),
-        )
-        return self
-
-    def _init_arrays(
+    def __init__(
         self,
-        *,
-        nodes: tuple[NodeId, ...],
-        res_a: np.ndarray,
-        res_b: np.ndarray,
-        res_ohm: np.ndarray,
+        compiled: CompiledNetlist,
         ind_a: np.ndarray,
         ind_b: np.ndarray,
         ind_h: np.ndarray,
         cap_a: np.ndarray,
         cap_b: np.ndarray,
         cap_f: np.ndarray,
-        vs_plus: np.ndarray,
-        vs_minus: np.ndarray,
-        vs_volt: np.ndarray,
-        cs_from: np.ndarray,
-        cs_to: np.ndarray,
-        cs_amp: np.ndarray,
     ) -> None:
-        n = len(nodes)
-        m = len(vs_volt)
-        self.nodes: tuple[NodeId, ...] = nodes
-        self.n_nodes = n
-        self.size = n + m
+        self.compiled = compiled
+        n = compiled.n_nodes
 
-        for label, a, b, values, positive in (
-            ("resistor", res_a, res_b, res_ohm, True),
-            ("inductor", ind_a, ind_b, ind_h, True),
-            ("capacitor", cap_a, cap_b, cap_f, True),
-            ("voltage source", vs_plus, vs_minus, vs_volt, False),
-            ("current source", cs_from, cs_to, cs_amp, False),
-        ):
+        def checked(label, a, b, values):
+            a = np.ascontiguousarray(a, dtype=np.int64)
+            b = np.ascontiguousarray(b, dtype=np.int64)
+            values = np.ascontiguousarray(values, dtype=float)
             if not (len(a) == len(b) == len(values)):
                 raise ConfigError(f"{label} arrays have mismatched lengths")
             for endpoint in (a, b):
@@ -487,41 +389,30 @@ class CompiledACNetlist:
                     endpoint.min() < GROUND_INDEX or endpoint.max() >= n
                 ):
                     raise ConfigError(f"{label} endpoint index out of range")
-            if positive and values.size and np.any(values <= 0):
+            if values.size and not np.all(values > 0):
                 raise ConfigError(f"compiled {label} values must be positive")
-        if not len(res_ohm) and not len(vs_volt) and not len(ind_h) and not len(cap_f):
-            raise ConfigError("netlist has no elements")
+            return a, b, values
 
-        g_rows, g_cols, g_vals = admittance_stamp_entries(
-            res_a, res_b, 1.0 / res_ohm
-        )
+        ind_a, ind_b, ind_h = checked("inductor", ind_a, ind_b, ind_h)
+        cap_a, cap_b, cap_f = checked("capacitor", cap_a, cap_b, cap_f)
+        g_rows, g_cols, g_vals = compiled.mna_coo()
+        c_rows, c_cols, c_vals = admittance_stamp_entries(cap_a, cap_b, cap_f)
         l_rows, l_cols, l_vals = admittance_stamp_entries(
             ind_a, ind_b, 1.0 / ind_h
         )
-        c_rows, c_cols, c_vals = admittance_stamp_entries(
-            cap_a, cap_b, cap_f
-        )
 
-        kp = np.nonzero(vs_plus != GROUND_INDEX)[0]
-        km = np.nonzero(vs_minus != GROUND_INDEX)[0]
-        b_rows = np.concatenate([vs_plus[kp], n + kp, vs_minus[km], n + km])
-        b_cols = np.concatenate([n + kp, vs_plus[kp], n + km, vs_minus[km]])
-        b_vals = np.concatenate(
-            [np.ones(len(kp)), np.ones(len(kp)),
-             -np.ones(len(km)), -np.ones(len(km))]
-        )
-
-        rows = np.concatenate([g_rows, b_rows, c_rows, l_rows])
-        cols = np.concatenate([g_cols, b_cols, c_cols, l_cols])
-        nnz = len(rows)
-        self._const = np.zeros(nnz)
-        self._cap = np.zeros(nnz)
-        self._ind = np.zeros(nnz)
-        fixed = len(g_rows) + len(b_rows)
-        self._const[: len(g_rows)] = g_vals
-        self._const[len(g_rows) : fixed] = b_vals
-        self._cap[fixed : fixed + len(c_rows)] = c_vals
-        self._ind[fixed + len(c_rows) :] = l_vals
+        # Entry order G+B, C, L: each kind owns one slice of its
+        # coefficient array.
+        rows = np.concatenate([g_rows, c_rows, l_rows])
+        cols = np.concatenate([g_cols, c_cols, l_cols])
+        fixed = g_rows.size
+        reactive = fixed + c_rows.size
+        self._const = np.zeros(rows.size)
+        self._cap = np.zeros(rows.size)
+        self._ind = np.zeros(rows.size)
+        self._const[:fixed] = g_vals
+        self._cap[fixed:reactive] = c_vals
+        self._ind[reactive:] = l_vals
         self._rows = rows
         self._cols = cols
 
@@ -535,6 +426,8 @@ class CompiledACNetlist:
 
         # Frequency-independent RHS: source magnitudes at phase 0.
         rhs = np.zeros(self.size, dtype=complex)
+        cs_from, cs_to = compiled.cs_from, compiled.cs_to
+        cs_amp = compiled.cs_amp
         if cs_amp.size:
             out_of = cs_from != GROUND_INDEX
             into = cs_to != GROUND_INDEX
@@ -544,8 +437,23 @@ class CompiledACNetlist:
             rhs[:n] -= np.bincount(
                 cs_from[out_of], weights=cs_amp[out_of], minlength=n
             )
-        rhs[n:] = vs_volt
+        rhs[n:] = compiled.vs_volt
         self.rhs = rhs
+
+    @property
+    def nodes(self) -> tuple[NodeId, ...]:
+        """Node ids in row order."""
+        return self.compiled.nodes
+
+    @property
+    def n_nodes(self) -> int:
+        """Number of non-ground nodes."""
+        return self.compiled.n_nodes
+
+    @property
+    def size(self) -> int:
+        """Dimension of the MNA system."""
+        return self.compiled.size
 
     # -- per-frequency values -------------------------------------------------
 

@@ -885,7 +885,7 @@ def select_vr_sites(
             chunk_size=chunk_size,
             label="vr-site selection",
         )
-        scores = run_sweep_collect(plan, jobs=jobs, chunk_size=chunk_size)
+        scores = run_sweep_collect(plan, jobs=jobs)
         best_index, best_score = max(
             zip(remaining, scores), key=lambda pair: (pair[1], -pair[0])
         )

@@ -761,15 +761,17 @@ class _SpectralACStructure:
     is a positive per-node *density* of one unit cell: the system is
     ``A(ω) = G + y_u(ω) D_α + U Y(ω) Uᵀ`` with ``G`` constant, so one
     generalized eigendecomposition turns every frequency into diagonal
-    updates plus a rank-s (source-branch) Woodbury correction.  The
+    updates plus a rank-(1 + s) Woodbury correction: the deflated zero
+    mode and the s source branches.  The
     unit cell and source branches are read from the design the
     structure is cached under.
     """
 
-    lam: np.ndarray  # generalized eigenvalues (n,)
+    lam: np.ndarray  # generalized eigenvalues (n,), zero mode at τ
+    tau: float  # zero-mode deflation shift folded into lam[0]
     q: np.ndarray  # eigenvectors, Qᵀ D_α Q = I
     q_sq: np.ndarray  # Q ∘ Q, for diag(M⁻¹) gathers
-    p: np.ndarray  # Qᵀ U, shape (n, s)
+    p: np.ndarray  # Qᵀ U, shape (n, 1 + s): deflation e₀, then sources
 
 
 @dataclass
@@ -1080,51 +1082,58 @@ class GridACPDN(MeshView):
         dinv = 1.0 / np.sqrt(alpha)
         lam, v = np.linalg.eigh(g * dinv[:, None] * dinv[None, :])
         q = dinv[:, None] * v
+        # Zero-mode deflation, as in the structured engine: the mesh's
+        # constant mode (λ = 0, first in eigh's ascending order) would
+        # leave 1/y_u to cancel against the source correction at low
+        # frequency, so it sits at τ and comes back as a −τ branch
+        # whose modal column is e₀.
+        tau = float(lam[-1])
+        lam[0] = tau
         attach = design.attach_rows()
-        return _SpectralACStructure(
-            lam=lam,
-            q=q,
-            q_sq=q * q,
-            p=q[attach, :].T.copy(),
-        )
+        p = np.zeros((cells, 1 + attach.size))
+        p[0, 0] = 1.0
+        p[:, 1:] = q[attach, :].T
+        return _SpectralACStructure(lam=lam, tau=tau, q=q, q_sq=q * q, p=p)
 
     def _impedance_spectral(self, omega: np.ndarray) -> np.ndarray:
         """diag(A⁻¹) via the cached eigenbasis, shape (cells, n_freqs).
 
         ``A(ω) = M(ω) + U Y(ω) Uᵀ`` with ``M = G + y_u(ω) D_α``
         diagonal in the eigenbasis, so ``diag(M⁻¹)`` is one GEMM over
-        the whole sweep and the source branches enter as a rank-s
-        Sherman–Morrison–Woodbury correction whose capacitance matrix
-        inverts per frequency at s×s cost.
+        the whole sweep; the deflated zero mode and the s source
+        branches enter as a rank-(1 + s) Sherman–Morrison–Woodbury
+        correction whose capacitance matrix inverts per frequency at
+        (1 + s)² cost.
         """
         structure = self._ensure_spectral()
         design = self.design
         y_u = design.decap.unit_admittance(omega)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = 1.0 / (structure.lam[None, :] + y_u[:, None])  # (F, n)
-        diag = w @ structure.q_sq.T  # (F, cells)
-        s_count = len(design.sources)
-        if s_count:
-            tmp = w[:, :, None] * structure.p[None, :, :]  # (F, n, s)
-            influence = structure.q[None, :, :] @ tmp  # M⁻¹U, (F, cells, s)
-            t = structure.p.T[None, :, :] @ tmp  # UᵀM⁻¹U, (F, s, s)
-            y_branch_inv = (
+        tmp = w[:, :, None] * structure.p[None, :, :]  # (F, n, k)
+        influence = structure.q[None, :, :] @ tmp  # M⁻¹U, (F, cells, k)
+        t = structure.p.T[None, :, :] @ tmp  # UᵀM⁻¹U, (F, k, k)
+        # Branch impedances: the deflated zero mode's −1/τ, then each
+        # source's zeroed-EMF branch.
+        z_branch = np.concatenate(
+            [
+                np.full((omega.size, 1), -1.0 / structure.tau),
                 design.source_values("output_resistance_ohm")[None, :]
-                + 1j * omega[:, None] * design.source_values("inductance_h")
-            )
-            capacitance = t + (
-                y_branch_inv[:, :, None] * np.eye(s_count)[None, :, :]
-            )
-            try:
-                with np.errstate(all="ignore"):
-                    k = np.linalg.inv(capacitance)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    f"grid impedance source correction is singular: {exc}"
-                ) from exc
-            diag = diag - np.einsum(
-                "fks,fst,fkt->fk", influence, k, influence, optimize=True
-            )
+                + 1j * omega[:, None] * design.source_values("inductance_h"),
+            ],
+            axis=1,
+        )
+        capacitance = t + z_branch[:, :, None] * np.eye(t.shape[1])[None]
+        try:
+            with np.errstate(all="ignore"):
+                k = np.linalg.inv(capacitance)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                f"grid impedance source correction is singular: {exc}"
+            ) from exc
+        diag = w @ structure.q_sq.T - np.einsum(
+            "fks,fst,fkt->fk", influence, k, influence, optimize=True
+        )
         return diag.T
 
     def _ensure_structured(self) -> _StructuredACStructure:
@@ -1482,8 +1491,8 @@ class GridACPDN(MeshView):
         inductive), every decap chain, the ring bus, the sink map as
         AC load magnitudes, and each source as an ideal EMF behind its
         output resistance and bump/TSV inductance — array assembly
-        straight into :meth:`CompiledACNetlist.from_arrays`, no
-        per-element Python objects.
+        straight into a :class:`~repro.pdn.network.CompiledNetlist` plus
+        its L/C arrays, no per-element Python objects.
         """
         design = self._require(sinks=True)
         sinks = np.ascontiguousarray(design.sinks, dtype=float).ravel()
@@ -1570,28 +1579,26 @@ class GridACPDN(MeshView):
                 res_v.append(np.array([r_out]))
             vs_plus.append(emf)
 
-        def cat(parts: list[np.ndarray], dtype) -> np.ndarray:
-            if not parts:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(parts).astype(dtype, copy=False)
-
-        return CompiledACNetlist.from_arrays(
+        compiled = CompiledNetlist(
             nodes=tuple(nodes),
-            res_a=cat(res_a, np.int64),
-            res_b=cat(res_b, np.int64),
-            res_ohm=cat(res_v, float),
-            ind_a=cat(ind_a, np.int64),
-            ind_b=cat(ind_b, np.int64),
-            ind_h=cat(ind_v, float),
-            cap_a=cap_a,
-            cap_b=cap_b,
-            cap_f=cap_v,
+            res_a=np.concatenate(res_a),
+            res_b=np.concatenate(res_b),
+            res_ohm=np.concatenate(res_v),
             vs_plus=np.array(vs_plus, dtype=np.int64),
             vs_minus=np.full(len(vs_plus), GROUND_INDEX, dtype=np.int64),
             vs_volt=volts,
             cs_from=mesh_rows,
             cs_to=np.full(cells, GROUND_INDEX, dtype=np.int64),
             cs_amp=sinks,
+        )
+        return CompiledACNetlist(
+            compiled,
+            np.concatenate(ind_a),
+            np.concatenate(ind_b),
+            np.concatenate(ind_v),
+            cap_a,
+            cap_b,
+            cap_v,
         )
 
     def solve(self, frequencies_hz: np.ndarray) -> GridACSweepSolution:

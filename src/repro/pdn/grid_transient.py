@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,7 @@ from .mesh import (
     require_finite,
     require_indices,
 )
+from .mna import FactorizedPDN
 from .network import GROUND_INDEX, CompiledNetlist
 from .transient import droop_and_settle
 
@@ -135,12 +137,16 @@ class GridTransientResult:
 class _TransientStructure:
     """Everything assembled once per (topology, Δt).
 
-    Holds the trapezoidal companion constants, the compiled reduced
-    netlists (transient stamp and DC-init stamp), and — lazily — the
-    two engines for each.  The transient LU is keyed in the shared
-    factorization cache with a ``(Δt, C_eff)`` salt.  Source voltages
-    are right-hand-side data: they are passed to each run, so a
-    setpoint change reuses the structure.
+    Holds the trapezoidal companion constants and three reduced
+    resistor stamps, all assembled by one local ``stamp`` function: the
+    transient (companion) stamp, the capacitors-open DC-init stamp and,
+    on smooth fully-decapped designs, the t = 0⁺ jump stamp.  Their
+    engines are built on first read: a factorization per stamp, and a
+    structured operator for the companion and DC stamps.  The
+    transient LU is keyed in the shared factorization cache with a
+    ``(Δt, C_eff)`` salt.  Source voltages are right-hand-side data:
+    they are passed to each run, so a setpoint change reuses the
+    structure.
     """
 
     def __init__(self, design: MeshDesign, dt_s: float) -> None:
@@ -158,9 +164,8 @@ class _TransientStructure:
         h = dt_s
         self.nx, self.ny, self.cells, self.dt_s = nx, ny, cells, h
         x_a, x_b, y_a, y_b = mesh_edge_rows(nx, ny)
-        self.x_a, self.x_b, self.y_a, self.y_b = x_a, x_b, y_a, y_b
+        self.x_a, self.y_a = x_a, y_a
         self.ring_a, self.ring_b = ring_a, ring_b
-        self.ring_ohm = ring_ohm
 
         # Edge companions (series R + L): g = 1/(r + 2L/h).
         self.w_x = 2.0 * l_x / h
@@ -223,51 +228,45 @@ class _TransientStructure:
                     )
         self.smooth_startup = bool(h * rate <= 0.5)
 
-        def shunt(rows: np.ndarray) -> np.ndarray:
-            return np.full(rows.size, GROUND_INDEX, dtype=np.int64)
-
-        def reduced_netlist(
-            res_a: np.ndarray, res_b: np.ndarray, res_ohm: np.ndarray, tag: str
-        ) -> CompiledNetlist:
-            """A resistor-only netlist over the mesh nodes."""
+        def stamp(r_x, r_y, rows, shunt_ohm) -> CompiledNetlist:
+            """A resistor-only netlist over the mesh rows: the x and y
+            edges of each axis given a resistance, the ring, and one
+            shunt to ground per entry of ``rows``."""
+            branches = [
+                (a, b, ohm)
+                for a, b, ohm in (
+                    (x_a, x_b, r_x),
+                    (y_a, y_b, r_y),
+                    (ring_a, ring_b, ring_ohm),
+                )
+                if ohm is not None
+            ]
+            rows = np.concatenate(rows)
+            ground = np.full(rows.size, GROUND_INDEX, dtype=np.int64)
             return CompiledNetlist(
                 nodes=lambda: tuple(f"n{i}" for i in range(cells)),
                 n_nodes=cells,
-                res_a=res_a,
-                res_b=res_b,
-                res_ohm=res_ohm,
-                res_names=lambda: tuple(
-                    f"gt.{tag}{i}" for i in range(res_ohm.size)
+                res_a=np.concatenate([a for a, _, _ in branches] + [rows]),
+                res_b=np.concatenate([b for _, b, _ in branches] + [ground]),
+                res_ohm=np.concatenate(
+                    [np.full(a.size, ohm) for a, _, ohm in branches]
+                    + list(shunt_ohm)
                 ),
             )
 
-        def compile_reduced(
-            extra_rows: np.ndarray, extra_ohm: np.ndarray, gx: float, gy: float
-        ) -> CompiledNetlist:
-            res_a = np.concatenate([x_a, y_a, ring_a, extra_rows])
-            res_b = np.concatenate(
-                [x_b, y_b, ring_b, shunt(extra_rows)]
-            )
-            res_ohm = np.concatenate(
-                [
-                    np.full(x_a.size, 1.0 / gx if x_a.size else 1.0),
-                    np.full(y_a.size, 1.0 / gy if y_a.size else 1.0),
-                    np.full(ring_a.size, ring_ohm or 1.0),
-                    extra_ohm,
-                ]
-            )
-            return reduced_netlist(res_a, res_b, res_ohm, "r")
-
         # Transient stamp: mesh + ring + decap shunts + VR shunts.
-        self.compiled = compile_reduced(
-            np.concatenate([self.dec_rows, attach]),
-            np.concatenate([z_b, 1.0 / self.g_s]),
-            self.g_x,
-            self.g_y,
+        self.compiled = stamp(
+            1.0 / self.g_x if r_x is not None else None,
+            1.0 / self.g_y if r_y is not None else None,
+            [self.dec_rows, attach],
+            [z_b, 1.0 / self.g_s],
         )
         # DC-init stamp: mesh + ring + VR shunts only (capacitors open).
-        self.dc_compiled = compile_reduced(
-            attach, rout, self.g_x_dc, self.g_y_dc
+        self.dc_compiled = stamp(
+            1.0 / self.g_x_dc if r_x is not None else None,
+            1.0 / self.g_y_dc if r_y is not None else None,
+            [attach],
+            [rout],
         )
 
         # t = 0+ jump stamp.  Inductor currents and capacitor voltages
@@ -291,74 +290,41 @@ class _TransientStructure:
         if self.exact_jump:
             self.jump_g_dec = np.zeros(cells)
             self.jump_g_dec[self.dec_rows] = 1.0 / esr
-            j_a = [self.dec_rows]
-            j_b = [shunt(self.dec_rows)]
-            j_ohm = [esr]
             self.jump_x_frozen = l_x > 0
-            if not self.jump_x_frozen and r_x is not None and x_a.size:
-                j_a.append(x_a)
-                j_b.append(x_b)
-                j_ohm.append(np.full(x_a.size, r_x))
             self.jump_y_frozen = l_y > 0
-            if not self.jump_y_frozen and r_y is not None and y_a.size:
-                j_a.append(y_a)
-                j_b.append(y_b)
-                j_ohm.append(np.full(y_a.size, r_y))
-            if ring_ohm is not None and ring_a.size:
-                j_a.append(ring_a)
-                j_b.append(ring_b)
-                j_ohm.append(np.full(ring_a.size, ring_ohm))
             self.jump_src_frozen = l_src > 0
             live = ~self.jump_src_frozen
-            if np.any(live):
-                j_a.append(attach[live])
-                j_b.append(shunt(attach[live]))
-                j_ohm.append(rout[live])
-            self.jump_compiled = reduced_netlist(
-                np.concatenate(j_a),
-                np.concatenate(j_b),
-                np.concatenate(j_ohm),
-                "j",
+            self.jump_compiled = stamp(
+                None if self.jump_x_frozen else r_x,
+                None if self.jump_y_frozen else r_y,
+                [self.dec_rows, attach[live]],
+                [esr, rout[live]],
             )
         # The (Δt, C_eff) salt: the companion resistances already
         # encode Δt, but the salt guarantees distinct time steps never
         # share a cache key even on value coincidences.
         self.salt = struct.pack("<d", h) + self.g_node.tobytes()
 
-        self._solver = None
-        self._dc_solver = None
-        self._jump_solver = None
-        self._fast: StructuredOperator | None = None
-        self._dc_fast: StructuredOperator | None = None
-
     # -- factorized engine -------------------------------------------------------
 
-    def solver(self):
-        if self._solver is None:
-            # Lazy import: the parallel layer sits above pdn.
-            from ..parallel.cache import get_factorized
+    @cached_property
+    def solver(self) -> FactorizedPDN:
+        """The companion stamp's factorization, salted with (Δt, C_eff)."""
+        return _factorized(self.compiled, self.salt)
 
-            self._solver = get_factorized(self.compiled, extra=self.salt)
-        return self._solver
+    @cached_property
+    def dc_solver(self) -> FactorizedPDN:
+        """The capacitors-open DC stamp's factorization."""
+        return _factorized(self.dc_compiled)
 
-    def dc_solver(self):
-        if self._dc_solver is None:
-            from ..parallel.cache import get_factorized
-
-            self._dc_solver = get_factorized(self.dc_compiled)
-        return self._dc_solver
-
-    def jump_solver(self):
-        """Cached factorization of the t = 0+ frozen-inductor stamp.
+    @cached_property
+    def jump_solver(self) -> FactorizedPDN:
+        """The t = 0+ frozen-inductor stamp's factorization.
 
         Shared by both engines — one small solve per simulate call, so
         a structured variant would buy nothing.
         """
-        if self._jump_solver is None:
-            from ..parallel.cache import get_factorized
-
-            self._jump_solver = get_factorized(self.jump_compiled)
-        return self._jump_solver
+        return _factorized(self.jump_compiled)
 
     # -- structured engine -------------------------------------------------------
 
@@ -368,21 +334,37 @@ class _TransientStructure:
             self.ring_a, self.ring_b, self.g_ring,
         )
 
+    @cached_property
     def fast(self) -> StructuredOperator:
         """The structured operator of the companion stamp."""
-        if self._fast is None:
-            self._fast = self._operator(
-                self.g_x, self.g_y, self.g_node, self.g_s
-            )
-        return self._fast
+        return self._operator(self.g_x, self.g_y, self.g_node, self.g_s)
 
+    @cached_property
     def dc_fast(self) -> StructuredOperator:
         """The structured operator of the capacitors-open DC stamp."""
-        if self._dc_fast is None:
-            self._dc_fast = self._operator(
-                self.g_x_dc, self.g_y_dc, np.zeros(self.cells), self.g_dc
-            )
-        return self._dc_fast
+        return self._operator(
+            self.g_x_dc, self.g_y_dc, np.zeros(self.cells), self.g_dc
+        )
+
+
+def _factorized(compiled: CompiledNetlist, extra: bytes | None = None):
+    """The shared cache's factorization of one reduced stamp."""
+    # Lazy import: the parallel layer sits above pdn.
+    from ..parallel.cache import get_factorized
+
+    return get_factorized(compiled, extra=extra)
+
+
+def _row_solve(lu: FactorizedPDN):
+    """A factorization's column solve as a row-layout solve:
+    ``(traces, cells)`` right-hand sides in, solutions out."""
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(
+            lu.solve_many(np.ascontiguousarray(b.T)).T
+        )
+
+    return solve
 
 
 class GridTransientPDN(MeshView):
@@ -630,21 +612,10 @@ class GridTransientPDN(MeshView):
         # transpose copies, and edge scatters are stencil slices.
         n_traces, samples, cells = waves.shape
         if mode == "structured":
-            solve = st.fast().solve
-            dc_solve_rows = st.dc_fast().solve
+            solve, dc_solve_rows = st.fast.solve, st.dc_fast.solve
         else:
-            solver = st.solver()
-            dc_solver = st.dc_solver()
-
-            def solve(b: np.ndarray) -> np.ndarray:  # type: ignore[misc]
-                return np.ascontiguousarray(
-                    solver.solve_many(np.ascontiguousarray(b.T)).T
-                )
-
-            def dc_solve_rows(b: np.ndarray) -> np.ndarray:
-                return np.ascontiguousarray(
-                    dc_solver.solve_many(np.ascontiguousarray(b.T)).T
-                )
+            solve = _row_solve(st.solver)
+            dc_solve_rows = _row_solve(st.dc_solver)
 
         attach = st.attach
         src_inject = st.g_dc * volt  # DC source Norton injection
@@ -737,7 +708,6 @@ class GridTransientPDN(MeshView):
             # from the right limits so trapezoidal integration starts
             # consistently.  Sample 0 keeps the pre-step DC values —
             # same convention as the lumped oracle.
-            jump = st.jump_solver()
             b = buf_b
             np.negative(waves_t[1], out=b)
             b += st.jump_g_dec * v
@@ -758,7 +728,7 @@ class GridTransientPDN(MeshView):
                     (slice(None), attach[~frozen]),
                     (st.g_dc * volt)[~frozen],
                 )
-            v = np.ascontiguousarray(jump.solve_many(b.T).T)
+            v = _row_solve(st.jump_solver)(b)
             v3 = v.reshape(n_traces, ny3, nx3)
             # Right-limit branch states: decap currents jump through
             # the ESR (ESL = 0 on this path), resistive VR branches

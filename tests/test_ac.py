@@ -226,6 +226,54 @@ class TestCompiledACNetlist:
         )[0]
         assert np.allclose(fast @ x, compiled.rhs, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "inductors, capacitors",
+        [
+            (([0, 1], [1], [1e-6]), ([], [], [])),
+            (([0], [1], [1e-6]), ([0], [-1], [1e-9, 2e-9])),
+            (([0], [99], [1e-6]), ([], [], [])),
+            (([], [], []), ([-2], [0], [1e-9])),
+            (([0], [1], [0.0]), ([], [], [])),
+            (([], [], []), ([0], [-1], [-1e-9])),
+            (([], [], []), ([0], [-1], [float("nan")])),
+        ],
+        ids=[
+            "inductor-lengths",
+            "capacitor-lengths",
+            "inductor-endpoint",
+            "capacitor-endpoint",
+            "zero-inductance",
+            "negative-capacitance",
+            "nan-capacitance",
+        ],
+    )
+    def test_reactive_arrays_are_checked(self, inductors, capacitors):
+        """The constructor checks the L/C arrays it adds to a compiled
+        netlist: lengths, endpoint rows and positive values."""
+        compiled = self.build().compile()
+        with pytest.raises(ConfigError):
+            CompiledACNetlist(compiled, *inductors, *capacitors)
+
+    def test_constructor_matches_compile_ac(self):
+        """Building from a compiled netlist plus L/C rows is exactly
+        what compile_ac does."""
+        net = self.build()
+        compiled = net.compile()
+        index = compiled.node_index
+        direct = CompiledACNetlist(
+            compiled,
+            [index["out"]],
+            [index["tail"]],
+            [1e-6],
+            [index["out"]],
+            [index[net.GROUND]],
+            [1e-9],
+        )
+        reference = net.compile_ac()
+        assert direct.nodes == reference.nodes
+        assert np.array_equal(direct.values_at(1e6), reference.values_at(1e6))
+        assert np.array_equal(direct.rhs, reference.rhs)
+
     def test_values_at_splits_kinds(self):
         """Resistive entries are frequency flat; reactive ones scale."""
         compiled = self.build().compile_ac()

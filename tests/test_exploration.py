@@ -207,3 +207,52 @@ class TestDecapDensitySweep:
 
         with pytest.raises(ConfigError):
             decap_density_sweep(densities=())
+
+
+class TestGridStudyValidation:
+    """A bad grid-study sweep axis fails by name before the sweep
+    executor starts a single chunk."""
+
+    @pytest.fixture(autouse=True)
+    def no_executor(self, monkeypatch):
+        import repro.core.exploration as exploration
+
+        def started(*args, **kwargs):
+            raise AssertionError("the sweep executor started")
+
+        monkeypatch.setattr(exploration, "run_sweep_collect", started)
+
+    @pytest.mark.parametrize(
+        "densities", [(math.nan,), (-1.0,), (1.0, math.inf)]
+    )
+    def test_decap_density_sweep(self, densities):
+        from repro.core.exploration import decap_density_sweep
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="densities"):
+            decap_density_sweep(densities=densities)
+
+    def test_load_step_ensemble(self):
+        from repro.core.exploration import load_step_ensemble
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="densities"):
+            load_step_ensemble(densities=(math.nan,))
+
+    @pytest.mark.parametrize("scales", [(math.nan,), (math.inf,), (0.0,)])
+    def test_placement_budget_scales(self, scales):
+        from repro.core.exploration import placement_budget_sweep
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="budget_scales"):
+            placement_budget_sweep(budget_scales=scales)
+
+    @pytest.mark.parametrize(
+        "knob", [{"size_budget": True}, {"budget_f": 1e-6}]
+    )
+    def test_placement_budget_owns_the_budget(self, knob):
+        from repro.core.exploration import placement_budget_sweep
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="budget_f"):
+            placement_budget_sweep(**knob)

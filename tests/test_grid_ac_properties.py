@@ -613,6 +613,34 @@ def test_spectral_impedance_map_matches_scalar_oracle(
         assert np.abs(z - direct.z_ohm).max() <= RTOL * scale, other
 
 
+def test_spectral_low_frequency_zero_mode():
+    """A small 2×3 mesh at 10 kHz–1 MHz: the constant mode's 1/y_u
+    dwarfs every other modal weight, and without deflation its
+    cancellation against the source correction cost the spectral
+    engine ~5 digits (5e-6 relative at 10 kHz)."""
+    pdn = GridACPDN(1e-2, 1e-2, 1e-3, nx=2, ny=3)
+    pdn.set_decap_density(1.0, 1e-8, 0.0625, 1e-10)
+    pdn.add_source("s0", 0, 0, 1.0, 1e-3)
+    pdn.add_source("s1", 0, 0.5, 1.0, 1e-3)
+    alpha = np.ones((3, 2))
+    net = lumped_equivalent(
+        2,
+        3,
+        pdn.edge_resistance_x_ohm,
+        pdn.edge_resistance_y_ohm,
+        alpha * 1e-8,
+        0.0625 / alpha,
+        1e-10 / alpha,
+        [(0, 0, 1.0, 1e-3, 0.0), (0, 1, 1.0, 1e-3, 0.0)],
+    )
+    freqs = np.array([1e4, 1e5, 1e6])
+    assert_impedance_parity(pdn, net, freqs, method="spectral")
+    spectral = pdn.impedance_map(freqs, method="spectral").z_ohm
+    structured = pdn.impedance_map(freqs, method="structured").z_ohm
+    scale = float(np.abs(spectral).max())
+    assert np.abs(structured - spectral).max() <= STRUCTURED_RTOL * scale
+
+
 @given(
     nx=st.integers(min_value=2, max_value=4),
     ny=st.integers(min_value=2, max_value=4),

@@ -203,3 +203,28 @@ class TestImpedanceMap:
             analyze_impedance_map(
                 single_stage_a2(), DSCH, decap_density=-1.0
             )
+
+    def test_rejects_nan_ripple_before_sweeping(self, monkeypatch):
+        from repro.core.ir_drop import analyze_impedance_map
+        from repro.pdn.grid import GridACPDN
+
+        def swept(*args, **kwargs):
+            raise AssertionError("the impedance map was swept")
+
+        monkeypatch.setattr(GridACPDN, "impedance_map", swept)
+        with pytest.raises(ConfigError, match="ripple"):
+            analyze_impedance_map(
+                single_stage_a2(), DSCH, ripple_fraction=float("nan")
+            )
+
+    def test_placement_rejects_budget_with_size_budget(self):
+        from repro.core.ir_drop import optimize_decap_placement_map
+
+        with pytest.raises(ConfigError, match="budget_f"):
+            optimize_decap_placement_map(
+                single_stage_a2(),
+                DSCH,
+                grid_nodes=8,
+                size_budget=True,
+                budget_f=1e-6,
+            )

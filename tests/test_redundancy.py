@@ -107,6 +107,9 @@ class TestFailureTolerance:
     def test_sample_limit_validation(self):
         with pytest.raises(ConfigError):
             failure_tolerance(single_stage_a1(), DSCH, sample_limit=0)
+        for bad in (2.5, True, float("nan")):
+            with pytest.raises(ConfigError, match="sample_limit"):
+                failure_tolerance(single_stage_a1(), DSCH, sample_limit=bad)
 
 
 class TestMultiFailure:
@@ -131,6 +134,13 @@ class TestMultiFailure:
     def test_validation(self):
         with pytest.raises(ConfigError):
             multi_failure_samples(single_stage_a1(), DSCH, 0)
+        for bad in (1.5, True):
+            with pytest.raises(ConfigError, match="failure_count"):
+                multi_failure_samples(single_stage_a1(), DSCH, bad)
+        with pytest.raises(ConfigError, match="max_scenarios"):
+            multi_failure_samples(
+                single_stage_a1(), DSCH, 1, max_scenarios=2.5
+            )
 
 
 class TestSmallSystem:
