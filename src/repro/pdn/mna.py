@@ -10,7 +10,10 @@ numpy concatenation — no per-element Python loop.  Factorization is
 SuperLU (``scipy.sparse.linalg.splu``) wrapped in
 :class:`FactorizedPDN`, which callers with fixed topology keep around
 to solve new load/source vectors at back-substitution cost
-(``solve_rhs`` / ``solve_many``).
+(``solve_rhs`` / ``solve_many``).  A resistor-only stamp is symmetric
+positive definite and is factored in SuperLU's symmetric mode; an MNA
+stamp with voltage-source rows keeps the unsymmetric ordering and
+partial pivoting.
 
 The solver also verifies the physics of the returned solution:
 Kirchhoff's current law at every node (via ``np.bincount``) and global
@@ -28,6 +31,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from ..errors import SolverError
 from .network import GROUND_INDEX, CompiledNetlist, Netlist, NodeId
@@ -51,6 +55,16 @@ SINGULARITY_PROBE_TOL = 1e-3
 #: is refactorized (or rejected under ``method="woodbury"``).
 _WOODBURY_COND_LIMIT = 1e10
 
+#: SuperLU settings for a stamp without voltage sources: a resistor
+#: network whose every node reaches ground is symmetric positive
+#: definite, so it is ordered by minimum degree on ``A + Aᵀ`` and
+#: factored on its diagonal pivots.
+_SPD_LU_OPTIONS = dict(
+    permc_spec="MMD_AT_PLUS_A",
+    diag_pivot_thresh=0.0,
+    options=dict(SymmetricMode=True),
+)
+
 
 def singularity_probe(size: int) -> np.ndarray:
     """The known probe solution ``w`` used to detect rounded pivots.
@@ -72,6 +86,31 @@ def factorization_probe_error(lu: "spla.SuperLU", matrix: sp.csc_matrix) -> floa
     with np.errstate(all="ignore"):
         recovered = lu.solve(matrix @ probe)
         return float(np.abs(recovered - probe).max(initial=0.0))
+
+
+def _require_grounded(compiled: CompiledNetlist) -> None:
+    """Raise :class:`~repro.errors.SolverError` naming a floating node.
+
+    Every node must reach ground through resistors and voltage sources
+    (a current source fixes no potential).  A part that does not is a
+    structurally singular block whose voltages are arbitrary; the
+    factorization probe sees such a block only for some pivot orders,
+    so it is rejected here by structure.
+    """
+    n = compiled.n_nodes
+    a = np.concatenate([compiled.res_a, compiled.vs_plus])
+    b = np.concatenate([compiled.res_b, compiled.vs_minus])
+    # Ground is the extra vertex n.
+    a[a == GROUND_INDEX] = n
+    b[b == GROUND_INDEX] = n
+    graph = sp.csr_matrix((np.ones(a.size), (a, b)), shape=(n + 1, n + 1))
+    count, labels = connected_components(graph, directed=False)
+    if count > 1:
+        node = int(np.argmax(labels != labels[n]))
+        raise SolverError(
+            f"node {compiled.nodes[node]!r} floats: no path of resistors "
+            "or voltage sources connects it to ground"
+        )
 
 
 class DCSolution:
@@ -198,6 +237,7 @@ class FactorizedPDN:
             netlist.compile() if isinstance(netlist, Netlist) else netlist
         )
         compiled.validate()
+        _require_grounded(compiled)
         self.compiled = compiled
         n = compiled.n_nodes
         size = compiled.size
@@ -206,16 +246,7 @@ class FactorizedPDN:
         matrix = sp.coo_matrix(
             (vals, (rows, cols)), shape=(size, size)
         ).tocsc()
-
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", spla.MatrixRankWarning)
-            try:
-                self._lu = spla.splu(matrix)
-            except RuntimeError as exc:  # SuperLU signals singularity
-                raise SolverError(
-                    "MNA factorization failed: the network is singular "
-                    f"(floating subcircuit or missing ground?): {exc}"
-                ) from exc
+        self._lu = self._factor(matrix, "the network")
         self._n = n
         self._size = size
         self._conductance = 1.0 / compiled.res_ohm
@@ -238,14 +269,34 @@ class FactorizedPDN:
         self._influence_cap = int(influence_cache_columns)
         self.influence_evictions = 0
 
-        # One matvec plus one back-substitution, paid once per topology.
-        error = factorization_probe_error(self._lu, matrix)
+    def _factor(self, matrix: sp.csc_matrix, subject: str) -> "spla.SuperLU":
+        """SuperLU factors of one MNA matrix of this netlist, probed.
+
+        The stamp picks the ordering: without voltage sources it is a
+        grounded resistor network, symmetric positive definite, and is
+        factored in SuperLU's symmetric mode (:data:`_SPD_LU_OPTIONS`);
+        voltage-source rows put zeros on the diagonal, so an MNA stamp
+        keeps COLAMD with partial pivoting.  The known-solution probe
+        (one matvec plus one back-substitution) rejects a singular
+        system that LU factored through a rounded pivot.
+        """
+        options = {} if len(self.compiled.vs_volt) else _SPD_LU_OPTIONS
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", spla.MatrixRankWarning)
+            try:
+                lu = spla.splu(matrix, **options)
+            except RuntimeError as exc:  # SuperLU signals singularity
+                raise SolverError(
+                    f"MNA factorization of {subject} failed: the system "
+                    f"is singular: {exc}"
+                ) from exc
+        error = factorization_probe_error(lu, matrix)
         if not np.isfinite(error) or error > SINGULARITY_PROBE_TOL:
             raise SolverError(
-                "MNA factorization is numerically singular (probe error "
-                f"{error:.3e}); the network likely has a floating "
-                "subcircuit with a current source"
+                f"MNA factorization of {subject} is numerically singular "
+                f"(probe error {error:.3e})"
             )
+        return lu
 
     # -- RHS assembly -------------------------------------------------------------
 
@@ -487,26 +538,9 @@ class FactorizedPDN:
         # update is assembled sparsely (O(k * size), not size^2).
         delta = sp.csc_matrix(u) @ sp.csc_matrix(w).T
         matrix = (self._matrix + delta).tocsc()
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", spla.MatrixRankWarning)
-            try:
-                lu = spla.splu(matrix)
-            except RuntimeError as exc:
-                raise SolverError(
-                    "modified MNA factorization failed: the scenario "
-                    f"disconnects the network: {exc}"
-                ) from exc
-        # Same known-solution probe as the base factorization: an
-        # exactly singular modified system (a removal that islands a
-        # loaded subgrid) must fail loudly, not via a rounded pivot.
-        error = factorization_probe_error(lu, matrix)
-        if not np.isfinite(error) or error > SINGULARITY_PROBE_TOL:
-            raise SolverError(
-                "modified MNA system is numerically singular (probe "
-                f"error {error:.3e}); the scenario likely leaves a "
-                "floating subcircuit with a current source"
-            )
-        return lu
+        # A removal that islands a loaded subgrid leaves this system
+        # exactly singular; the probe in _factor rejects it.
+        return self._factor(matrix, "the modified scenario")
 
     def _solve_refactored(
         self, rhs: np.ndarray, u: np.ndarray, w: np.ndarray

@@ -20,9 +20,42 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_count, require_finite
 
 DensityFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _cell_centers(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint coordinates of an ``ny x nx`` grid of cells over the
+    unit square, as two ``(ny, nx)`` arrays."""
+    xs = (np.arange(nx) + 0.5) / nx
+    ys = (np.arange(ny) + 0.5) / ny
+    return np.meshgrid(xs, ys)
+
+
+def _check_gaussian(sigma: float, floor: float) -> None:
+    """Reject a non-finite or out-of-range hotspot radius or floor."""
+    require_finite(sigma, "sigma")
+    require_finite(floor, "floor")
+    if sigma <= 0:
+        raise ConfigError("sigma must be positive")
+    if floor < 0:
+        raise ConfigError("floor must be non-negative")
+
+
+def _check_total(total_current_a: float) -> None:
+    """Reject a non-finite or non-positive total current."""
+    require_finite(total_current_a, "total_current_a")
+    if total_current_a <= 0:
+        raise ConfigError("total current must be positive")
+
+
+def _gaussian_density(x, y, cx, cy, sigma: float, floor: float):
+    """A unit-integral Gaussian at ``(cx, cy)`` over a uniform floor;
+    the centers broadcast, so one call can evaluate many of them."""
+    norm = 1.0 / (2.0 * math.pi * sigma**2)
+    r2 = (x - cx) ** 2 + (y - cy) ** 2
+    return floor + norm * np.exp(-r2 / (2.0 * sigma**2))
 
 
 @dataclass(frozen=True)
@@ -61,16 +94,12 @@ class PowerMap:
                 (0 = pure hotspot; 1 = floor integrates to the same
                 total as the Gaussian).
         """
-        if sigma <= 0:
-            raise ConfigError("sigma must be positive")
-        if floor < 0:
-            raise ConfigError("floor must be non-negative")
+        require_finite(center, "center")
+        _check_gaussian(sigma, floor)
         cx, cy = center
-        norm = 1.0 / (2.0 * math.pi * sigma**2)
 
         def density(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            r2 = (x - cx) ** 2 + (y - cy) ** 2
-            return floor + norm * np.exp(-r2 / (2.0 * sigma**2))
+            return _gaussian_density(x, y, cx, cy, sigma, floor)
 
         return PowerMap(f"gaussian(s={sigma},floor={floor})", density)
 
@@ -84,6 +113,8 @@ class PowerMap:
         The default parameters are calibrated so that the A1/A2 per-VR
         current spreads land near the paper's reported ranges.
         """
+        require_finite(uniform_fraction, "uniform_fraction")
+        require_finite(sigma, "sigma")
         if not 0.0 <= uniform_fraction <= 1.0:
             raise ConfigError("uniform fraction must be in [0, 1]")
         if sigma <= 0:
@@ -108,6 +139,9 @@ class PowerMap:
         """Several equal hotspots over a uniform floor (chiplet-style)."""
         if not centers:
             raise ConfigError("at least one hotspot center required")
+        require_finite(centers, "centers")
+        require_finite(sigma, "sigma")
+        require_finite(uniform_fraction, "uniform_fraction")
         if sigma <= 0:
             raise ConfigError("sigma must be positive")
         if not 0.0 <= uniform_fraction <= 1.0:
@@ -132,6 +166,7 @@ class PowerMap:
         grid = np.asarray(values, dtype=float)
         if grid.ndim != 2 or grid.size == 0:
             raise ConfigError("expected a non-empty 2-D array")
+        require_finite(grid, "values")
         if np.any(grid < 0):
             raise ConfigError("densities must be non-negative")
         if not np.any(grid > 0):
@@ -155,16 +190,14 @@ class PowerMap:
         Returns an array of per-cell sink currents summing exactly to
         ``total_current_a`` (midpoint rule + renormalization).
         """
-        if nx < 1 or ny < 1:
-            raise ConfigError("grid must be at least 1x1")
-        if total_current_a <= 0:
-            raise ConfigError("total current must be positive")
-        xs = (np.arange(nx) + 0.5) / nx
-        ys = (np.arange(ny) + 0.5) / ny
-        grid_x, grid_y = np.meshgrid(xs, ys)
+        nx = require_count(nx, "nx", 1)
+        ny = require_count(ny, "ny", 1)
+        _check_total(total_current_a)
+        grid_x, grid_y = _cell_centers(nx, ny)
         raw = np.asarray(self.density(grid_x, grid_y), dtype=float)
         if raw.shape != (ny, nx):
             raise ConfigError("density function returned the wrong shape")
+        require_finite(raw, "density")
         if np.any(raw < 0):
             raise ConfigError("density produced negative values")
         total = raw.sum()
@@ -194,15 +227,21 @@ def hotspot_trajectory(
     map per sample, each integrating to ``total_current_a`` — the
     migrating-workload drive signal for
     :meth:`~repro.pdn.grid_transient.GridTransientPDN.simulate`
-    (every row is a valid ``set_sink_array`` input).
+    (every row is a valid ``set_sink_array`` input).  Frame ``k`` equals
+    ``PowerMap.gaussian(center_k, sigma, floor).cell_currents(nx, ny,
+    total_current_a)``; all frames are evaluated as one array.
     """
-    if steps < 2:
-        raise ConfigError("a trajectory needs at least two samples")
+    steps = require_count(steps, "steps", 2)
+    nx = require_count(nx, "nx", 1)
+    ny = require_count(ny, "ny", 1)
     if len(waypoints) < 2:
         raise ConfigError("a trajectory needs at least two waypoints")
     points = np.asarray(waypoints, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ConfigError("waypoints must be (x, y) pairs")
+    require_finite(points, "waypoints")
+    _check_gaussian(sigma, floor)
+    _check_total(total_current_a)
     if np.any(points < 0.0) or np.any(points > 1.0):
         raise ConfigError("waypoints must lie inside the unit square")
     # Arc-length parameterization so the hotspot moves at constant
@@ -216,9 +255,19 @@ def hotspot_trajectory(
         centers = np.column_stack(
             [np.interp(at, arc, points[:, 0]), np.interp(at, arc, points[:, 1])]
         )
-    frames = np.empty((steps, ny, nx))
-    for k, (cx, cy) in enumerate(centers):
-        frames[k] = PowerMap.gaussian(
-            (float(cx), float(cy)), sigma=sigma, floor=floor
-        ).cell_currents(nx, ny, total_current_a)
-    return frames
+    grid_x, grid_y = _cell_centers(nx, ny)
+    raw = _gaussian_density(
+        grid_x,
+        grid_y,
+        centers[:, 0, None, None],
+        centers[:, 1, None, None],
+        sigma,
+        floor,
+    )
+    # Each frame is normalized by its own sum.  A frame is one
+    # contiguous row here, reduced in the same order as the one-map
+    # ``raw.sum()`` of cell_currents, so the frames match it bit for bit.
+    totals = raw.reshape(steps, -1).sum(axis=1)
+    if not np.all(totals > 0):
+        raise ConfigError("density integrates to zero")
+    return raw * (total_current_a / totals)[:, None, None]

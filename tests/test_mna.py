@@ -174,6 +174,108 @@ class TestFailureModes:
         assert result.voltage("out") == pytest.approx(47.0)
 
 
+def island_netlist(resistors, load=None, source=True) -> Netlist:
+    """A netlist of ``(a, b, ohm)`` resistors ("gnd" is ground), with a
+    1 V source on ``a0`` and an optional ``(from, to, amp)`` load."""
+    net = Netlist()
+    if source:
+        net.add_voltage_source("v", "a0", 1.0)
+    for k, (a, b, ohm) in enumerate(resistors):
+        net.add_resistor(
+            f"r{k}",
+            net.GROUND if a == "gnd" else a,
+            net.GROUND if b == "gnd" else b,
+            ohm,
+        )
+    if load is not None:
+        net.add_current_source("i", *load)
+    return net
+
+
+class TestFloatingSubcircuits:
+    """A part with no path to ground raises by structure, whatever
+    pivot order the factorization takes and however small its probe
+    error would be."""
+
+    def test_loaded_island_under_the_probe_tolerance(self):
+        # The probe error of this island is 2.9e-4, under
+        # SINGULARITY_PROBE_TOL; unchecked, it solves to -230.6 V.
+        net = island_netlist(
+            [
+                ("a0", "gnd", 18.444630160455954),
+                ("a0", "a1", 667.3451127698698),
+                ("f0", "f1", 234.35995835390645),
+                ("f0", "f2", 1.9700737508588866),
+                ("f1", "f3", 3.067877901141093),
+                ("f0", "f2", 78.41268954820855),
+            ],
+            load=("f0", "f3", 2.6995627908897),
+        )
+        with pytest.raises(SolverError, match="'f0' floats"):
+            solve_dc(net)
+
+    def test_island_missed_by_the_colamd_probe(self):
+        net = island_netlist(
+            [
+                ("a0", "gnd", 59.39496341427966),
+                ("a0", "a1", 0.07392682547908994),
+                ("f0", "f1", 0.0025836270726722183),
+                ("f1", "f2", 6.117913032742271),
+                ("f1", "f3", 18.61645212798667),
+            ]
+        )
+        with pytest.raises(SolverError, match="floats"):
+            solve_dc(net)
+
+    def test_island_missed_by_the_minimum_degree_probe(self):
+        net = island_netlist(
+            [
+                ("a0", "gnd", 106.40062114493273),
+                ("a0", "a1", 3.93384021588026),
+                ("a1", "a2", 14.138468288042205),
+                ("a2", "a3", 0.9039509157045229),
+                ("f0", "f1", 0.005604017653096347),
+                ("f0", "f1", 79.02719476700788),
+            ]
+        )
+        with pytest.raises(SolverError, match="floats"):
+            solve_dc(net)
+
+    def test_island_behind_a_floating_voltage_source(self):
+        # A source between two island nodes fixes their difference,
+        # not their level.
+        net = island_netlist([("a0", "gnd", 1.0), ("f0", "f1", 1.0)])
+        net.add_voltage_source("vf", "f0", 0.5, node_minus="f1")
+        with pytest.raises(SolverError, match="floats"):
+            solve_dc(net)
+
+    @pytest.mark.parametrize("source", [False, True], ids=["nodal", "mna"])
+    def test_random_islands_always_raise(self, source):
+        # A grounded chain beside a random floating tree with extra
+        # parallel or loop resistors; with a voltage source, half of
+        # the islands are also fed by a current source.
+        rng = np.random.default_rng([19, int(source)])
+        for _ in range(500):
+            grounded = [("a0", "gnd", 10 ** rng.uniform(-1, 2.5))]
+            for k in range(1, int(rng.integers(1, 4))):
+                grounded.append((f"a{k-1}", f"a{k}", 10 ** rng.uniform(-2, 3)))
+            size = int(rng.integers(2, 5))
+            island = [
+                (f"f{rng.integers(0, k)}", f"f{k}", 10 ** rng.uniform(-3, 3))
+                for k in range(1, size)
+            ]
+            for _ in range(int(rng.integers(0, 3))):
+                p, q = rng.choice(size, 2, replace=False)
+                island.append((f"f{p}", f"f{q}", 10 ** rng.uniform(-3, 3)))
+            load = None
+            if source and rng.random() < 0.5:
+                p, q = rng.choice(size, 2, replace=False)
+                load = (f"f{p}", f"f{q}", rng.uniform(0.1, 5.0))
+            net = island_netlist(grounded + island, load, source)
+            with pytest.raises(SolverError, match="floats"):
+                FactorizedPDN(net)
+
+
 class TestSolveModified:
     """Woodbury-corrected low-rank modified solves."""
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.pdn.powermap import PowerMap
+from repro.pdn.powermap import PowerMap, hotspot_trajectory
 
 
 class TestUniformMap:
@@ -132,3 +132,117 @@ class TestValidation:
     def test_rejects_zero_grid(self):
         with pytest.raises(ConfigError):
             PowerMap.uniform().cell_currents(0, 4, 1.0)
+
+
+class TestHotspotTrajectory:
+    @pytest.mark.parametrize(
+        "waypoints, nx, ny, sigma, floor",
+        [
+            ([(0.1, 0.2), (0.9, 0.7)], 16, 16, 0.1, 0.3),
+            ([(0.3, 0.3), (0.7, 0.2), (0.5, 0.9)], 24, 17, 0.17, 0.0),
+            ([(0.4, 0.6), (0.4, 0.6)], 9, 12, 0.05, 1.0),
+        ],
+    )
+    def test_frames_equal_the_per_frame_maps(
+        self, waypoints, nx, ny, sigma, floor
+    ):
+        # The reference builds one Gaussian map per sample along the
+        # same arc-length parameterization; the array pass must match
+        # it bit for bit.
+        steps, total = 41, 123.4
+        points = np.asarray(waypoints)
+        arc = np.concatenate(
+            [[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))]
+        )
+        at = np.linspace(0.0, arc[-1], steps)
+        if arc[-1] == 0.0:
+            centers = np.repeat(points[:1], steps, axis=0)
+        else:
+            centers = np.column_stack(
+                [np.interp(at, arc, points[:, 0]), np.interp(at, arc, points[:, 1])]
+            )
+        expected = np.stack(
+            [
+                PowerMap.gaussian(
+                    (float(cx), float(cy)), sigma=sigma, floor=floor
+                ).cell_currents(nx, ny, total)
+                for cx, cy in centers
+            ]
+        )
+        frames = hotspot_trajectory(
+            waypoints, steps, nx, ny, total, sigma=sigma, floor=floor
+        )
+        np.testing.assert_array_equal(frames, expected)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(waypoints=[(0.2, 0.2), (np.nan, 0.5)]), "waypoints"),
+            (dict(sigma=np.nan), "sigma"),
+            (dict(floor=np.nan), "floor"),
+            (dict(total_current_a=np.nan), "total_current_a"),
+            (dict(total_current_a=np.inf), "total_current_a"),
+            (dict(steps=2.5), "steps"),
+            (dict(nx=2.5), "nx"),
+            (dict(ny=np.nan), "ny"),
+        ],
+    )
+    def test_bad_inputs_fail_by_name(self, kwargs, name):
+        args = dict(
+            waypoints=[(0.2, 0.2), (0.8, 0.5)],
+            steps=10,
+            nx=4,
+            ny=4,
+            total_current_a=1.0,
+        ) | kwargs
+        with pytest.raises(ConfigError, match=name):
+            hotspot_trajectory(**args)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: PowerMap.gaussian(center=(np.nan, 0.5)), "center"),
+            (lambda: PowerMap.gaussian(sigma=np.nan), "sigma"),
+            (lambda: PowerMap.gaussian(floor=np.inf), "floor"),
+            (lambda: PowerMap.hotspot_mixture(sigma=np.nan), "sigma"),
+            (
+                lambda: PowerMap.hotspot_mixture(uniform_fraction=np.nan),
+                "uniform_fraction",
+            ),
+            (
+                lambda: PowerMap.multi_hotspot([(0.2, 0.2), (0.5, np.nan)]),
+                "centers",
+            ),
+            (lambda: PowerMap.multi_hotspot([(0.5, 0.5)], sigma=np.nan), "sigma"),
+            (
+                lambda: PowerMap.multi_hotspot(
+                    [(0.5, 0.5)], uniform_fraction=np.nan
+                ),
+                "uniform_fraction",
+            ),
+            (lambda: PowerMap.from_array(np.array([[1.0, np.nan]])), "values"),
+        ],
+    )
+    def test_constructors_name_the_argument(self, build, name):
+        with pytest.raises(ConfigError, match=name):
+            build()
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((4, 4, np.nan), "total_current_a"),
+            ((4, 4, np.inf), "total_current_a"),
+            ((2.5, 4, 1.0), "nx"),
+            ((4, 2.5, 1.0), "ny"),
+        ],
+    )
+    def test_cell_currents_name_the_argument(self, args, name):
+        with pytest.raises(ConfigError, match=name):
+            PowerMap.uniform().cell_currents(*args)
+
+    def test_non_finite_density_raises(self):
+        pmap = PowerMap("broken", lambda x, y: np.where(x < 0.5, 1.0, np.nan))
+        with pytest.raises(ConfigError, match="density"):
+            pmap.cell_currents(4, 4, 1.0)
