@@ -47,10 +47,9 @@ import numpy as np
 
 from ..config import SystemSpec
 from ..converters.catalog import ConverterSpec
-from ..errors import ConfigError, require_count
+from ..errors import ConfigError, require_count, require_indices
 from ..parallel import Scenario, SweepPlan, run_sweep_collect
 from ..pdn.grid import GridPDN
-from ..pdn.mesh import require_indices
 from ..pdn.powermap import PowerMap
 from .architectures import ArchitectureSpec
 from .current_sharing import DEFAULT_OUTPUT_RESISTANCE_OHM, _die_grid_with_bank

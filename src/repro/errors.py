@@ -50,6 +50,28 @@ def require_count(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+def require_indices(value, name: str) -> np.ndarray:
+    """Indices (a scalar or an array) as int64, checked by name.
+
+    The whole-number rule of :func:`require_count` for index sets:
+    ``2`` and ``2.0`` are index 2, while a fraction, NaN/inf, a boolean
+    or a non-number raises :class:`ConfigError` — a plain
+    ``astype(int)`` would pick index 2 for ``2.7`` and index 1 for
+    ``True``.  An empty sequence is a valid (empty) index set.
+    """
+    arr = np.asarray(value)
+    if not arr.size:
+        return np.zeros(arr.shape, dtype=np.int64)
+    if arr.dtype.kind == "f":
+        require_finite(arr, name)
+        whole = np.array_equal(arr, np.trunc(arr))
+    else:
+        whole = arr.dtype.kind in "iu"
+    if not whole:
+        raise ConfigError(f"{name} must be whole-number indices")
+    return arr.astype(np.int64)
+
+
 class InfeasibleError(ReproError):
     """A requested design point violates a hard constraint.
 

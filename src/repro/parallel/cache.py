@@ -30,7 +30,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import require_count
 from ..pdn.mna import FactorizedPDN
 from ..pdn.network import CompiledNetlist
 
@@ -116,9 +116,7 @@ class FactorizationCache:
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_ENTRIES) -> None:
-        if maxsize < 1:
-            raise ConfigError("factorization cache needs maxsize >= 1")
-        self.maxsize = int(maxsize)
+        self.maxsize = require_count(maxsize, "maxsize", 1)
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, FactorizedPDN]" = OrderedDict()
         self._lock = threading.Lock()

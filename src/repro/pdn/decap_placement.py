@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_count
 from ..parallel.executor import run_sweep_collect
 from ..parallel.scenario import Scenario, SweepPlan
 from .grid import GridACPDN, GridPDN
@@ -855,7 +855,8 @@ def select_vr_sites(
     """
     design = grid.design
     n = len(design.sources)
-    if count < 1 or count > n:
+    count = require_count(count, "count", 1)
+    if count > n:
         raise ConfigError(
             f"site count must be in [1, {n}] for {n} candidates"
         )

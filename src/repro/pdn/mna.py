@@ -33,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from ..errors import SolverError
+from ..errors import SolverError, require_count, require_indices
 from .network import GROUND_INDEX, CompiledNetlist, Netlist, NodeId
 
 #: Default cap on memoized influence columns per factorization.  Each
@@ -264,9 +264,9 @@ class FactorizedPDN:
         )
         if influence_cache_columns is None:
             influence_cache_columns = INFLUENCE_CACHE_COLUMNS
-        if influence_cache_columns < 1:
-            raise SolverError("influence cache needs at least one column")
-        self._influence_cap = int(influence_cache_columns)
+        self._influence_cap = require_count(
+            influence_cache_columns, "influence_cache_columns", 1
+        )
         self.influence_evictions = 0
 
     def _factor(self, matrix: sp.csc_matrix, subject: str) -> "spla.SuperLU":
@@ -419,10 +419,26 @@ class FactorizedPDN:
 
     # -- low-rank modified solves ---------------------------------------------------
 
+    def _update_columns(self, keys: list[tuple[str, int]]) -> np.ndarray:
+        """The ``U`` column of each modified element, ``(size, k)``:
+        ``e_r`` with ``r = n + j`` for voltage source ``("vs", j)``,
+        ``d = e_a - e_b`` (ground entries dropped) for resistor
+        ``("res", i)``."""
+        u = np.zeros((self._size, len(keys)))
+        for t, (kind, index) in enumerate(keys):
+            if kind == "vs":
+                u[self._n + index, t] = 1.0
+            else:
+                a = self.compiled.res_a[index]
+                b = self.compiled.res_b[index]
+                if a != GROUND_INDEX:
+                    u[a, t] = 1.0
+                if b != GROUND_INDEX:
+                    u[b, t] = -1.0
+        return u
+
     def _modification_factors(
-        self,
-        disabled: np.ndarray,
-        removed: np.ndarray,
+        self, keys: list[tuple[str, int]]
     ) -> tuple[np.ndarray, np.ndarray]:
         """The rank-k update ``A_mod = A + U @ W.T`` for a scenario.
 
@@ -433,77 +449,47 @@ class FactorizedPDN:
         ``g_i d d^T`` with ``d = e_a - e_b`` (ground entries dropped).
         """
         compiled = self.compiled
-        n = self._n
-        k = len(disabled) + len(removed)
-        u = np.zeros((self._size, k))
-        w = np.zeros((self._size, k))
-        for t, j in enumerate(disabled):
-            row = n + j
-            u[row, t] = 1.0
-            w[row, t] = 1.0
-            plus = compiled.vs_plus[j]
-            minus = compiled.vs_minus[j]
-            if plus != GROUND_INDEX:
-                w[plus, t] -= 1.0
-            if minus != GROUND_INDEX:
-                w[minus, t] += 1.0
-        offset = len(disabled)
-        for t, i in enumerate(removed):
-            col = offset + t
-            a = compiled.res_a[i]
-            b = compiled.res_b[i]
-            if a != GROUND_INDEX:
-                u[a, col] = 1.0
-            if b != GROUND_INDEX:
-                u[b, col] = -1.0
-            w[:, col] = -self._conductance[i] * u[:, col]
+        u = self._update_columns(keys)
+        w = u.copy()
+        for t, (kind, index) in enumerate(keys):
+            if kind == "vs":
+                plus = compiled.vs_plus[index]
+                minus = compiled.vs_minus[index]
+                if plus != GROUND_INDEX:
+                    w[plus, t] -= 1.0
+                if minus != GROUND_INDEX:
+                    w[minus, t] += 1.0
+            else:
+                w[:, t] *= -self._conductance[index]
         return u, w
 
-    @staticmethod
-    def _modification_keys(
-        disabled: np.ndarray, removed: np.ndarray
-    ) -> list[tuple[str, int]]:
-        """Memoization keys of one scenario's update columns."""
-        return [("vs", int(j)) for j in disabled] + [
-            ("res", int(i)) for i in removed
-        ]
+    def _influence_columns(
+        self, keys: list[tuple[str, int]]
+    ) -> dict[tuple[str, int], np.ndarray]:
+        """``Z = A^-1 u`` of every key, memoized in a bounded LRU.
 
-    def _influence_store(self, key: tuple[str, int], column: np.ndarray) -> None:
-        """Insert one influence column, evicting LRU entries over the cap."""
-        self._influence[key] = column
-        self._influence.move_to_end(key)
-        while len(self._influence) > self._influence_cap:
-            self._influence.popitem(last=False)
-            self.influence_evictions += 1
-
-    def _influence_solve(
-        self,
-        u: np.ndarray,
-        disabled: np.ndarray,
-        removed: np.ndarray,
-    ) -> np.ndarray:
-        """``Z = A^-1 U`` with per-element memoization (bounded LRU).
-
-        Missing columns are back-substituted in one batched call and
-        cached, so a sweep touching m distinct elements performs m
-        influence solves total, not m per scenario.  The result is
-        assembled from local copies, so it stays correct even when a
-        scenario touches more elements than the cache holds.
+        Hits come from the memo; every miss is back-substituted in one
+        batched call, in first-appearance order, and stored with LRU
+        eviction, so a sweep touching m distinct elements pays one
+        stacked solve for all of them.  The returned columns are held
+        locally, so they stay whole even when a sweep touches more
+        elements than the memo holds.
         """
-        keys = self._modification_keys(disabled, removed)
-        columns: list[np.ndarray | None] = []
+        columns: dict[tuple[str, int], np.ndarray | None] = {}
         for key in keys:
-            cached = self._influence.get(key)
-            if cached is not None:
-                self._influence.move_to_end(key)
-            columns.append(cached)
-        missing = [t for t, column in enumerate(columns) if column is None]
+            if key not in columns:
+                columns[key] = self._influence.get(key)
+                if columns[key] is not None:
+                    self._influence.move_to_end(key)
+        missing = [key for key, column in columns.items() if column is None]
         if missing:
-            solved = self._lu.solve(u[:, missing])
-            for column, t in enumerate(missing):
-                columns[t] = solved[:, column]
-                self._influence_store(keys[t], solved[:, column])
-        return np.column_stack(columns)
+            solved = self._lu.solve(self._update_columns(missing))
+            for t, key in enumerate(missing):
+                columns[key] = self._influence[key] = solved[:, t]
+            while len(self._influence) > self._influence_cap:
+                self._influence.popitem(last=False)
+                self.influence_evictions += 1
+        return columns
 
     def preload_source_influence(
         self, indices: "np.ndarray | tuple[int, ...] | list[int] | None" = None
@@ -516,19 +502,12 @@ class FactorizedPDN:
         every voltage source.
         """
         m = self.compiled.n_vsources
-        if indices is None:
-            indices = range(m)
-        wanted = sorted({int(j) for j in indices})
-        if wanted and (wanted[0] < 0 or wanted[-1] >= m):
-            raise SolverError("source index out of range")
-        self._preload_modification_influence(
-            [
-                (
-                    np.asarray(wanted, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                )
-            ]
+        wanted = np.unique(
+            require_indices(range(m) if indices is None else indices, "indices")
         )
+        if wanted.size and (wanted[0] < 0 or wanted[-1] >= m):
+            raise SolverError("source index out of range")
+        self._influence_columns([("vs", int(j)) for j in wanted])
 
     def _refactorize_modified(
         self, u: np.ndarray, w: np.ndarray
@@ -576,41 +555,6 @@ class FactorizedPDN:
             check=check,
             method=method,
         )[0]
-
-    def _preload_modification_influence(
-        self, scenarios: list[tuple[np.ndarray, np.ndarray]]
-    ) -> None:
-        """Back-substitute every influence column a sweep needs, once.
-
-        Collects the union of uncached update columns over all
-        scenarios and solves them in a single stacked call, so a
-        sweep touching m distinct elements pays one batched
-        back-substitution instead of one per scenario.
-        """
-        compiled = self.compiled
-        missing: list[tuple[str, int]] = []
-        seen: set[tuple[str, int]] = set()
-        for disabled, removed in scenarios:
-            for key in self._modification_keys(disabled, removed):
-                if key not in self._influence and key not in seen:
-                    seen.add(key)
-                    missing.append(key)
-        if not missing:
-            return
-        u = np.zeros((self._size, len(missing)))
-        for t, (kind, j) in enumerate(missing):
-            if kind == "vs":
-                u[self._n + j, t] = 1.0
-            else:
-                a = compiled.res_a[j]
-                b = compiled.res_b[j]
-                if a != GROUND_INDEX:
-                    u[a, t] = 1.0
-                if b != GROUND_INDEX:
-                    u[b, t] = -1.0
-        solved = self._lu.solve(u)
-        for column, key in enumerate(missing):
-            self._influence_store(key, solved[:, column])
 
     def solve_modified_many(
         self,
@@ -675,8 +619,12 @@ class FactorizedPDN:
                     "each scenario must be a (disable_sources, "
                     "remove_resistors) pair"
                 ) from None
-            disabled = np.unique(np.asarray(disable_sources, dtype=np.int64))
-            removed = np.unique(np.asarray(remove_resistors, dtype=np.int64))
+            disabled = np.unique(
+                require_indices(disable_sources, "disable_sources")
+            )
+            removed = np.unique(
+                require_indices(remove_resistors, "remove_resistors")
+            )
             if disabled.size and (
                 disabled.min() < 0 or disabled.max() >= compiled.n_vsources
             ):
@@ -694,10 +642,15 @@ class FactorizedPDN:
         rhs_matrix = np.repeat(self.rhs(amp, volt)[:, None], count, axis=1)
         for i, (disabled, _) in enumerate(normalized):
             rhs_matrix[self._n + disabled, i] = 0.0
+        # One memo key per modified element, in U-column order.
+        keys = [
+            [("vs", int(j)) for j in disabled] + [("res", int(i)) for i in removed]
+            for disabled, removed in normalized
+        ]
         factors = {
-            i: self._modification_factors(disabled, removed)
-            for i, (disabled, removed) in enumerate(normalized)
-            if disabled.size or removed.size
+            i: self._modification_factors(scenario_keys)
+            for i, scenario_keys in enumerate(keys)
+            if scenario_keys
         }
         if method == "refactor":
             x = np.column_stack(
@@ -709,7 +662,7 @@ class FactorizedPDN:
                 ]
             )
         else:
-            x = self._solve_woodbury(rhs_matrix, normalized, factors, method)
+            x = self._solve_woodbury(rhs_matrix, keys, factors, method)
 
         solutions: list[DCSolution] = []
         for i, (disabled, removed) in enumerate(normalized):
@@ -725,14 +678,16 @@ class FactorizedPDN:
     def _solve_woodbury(
         self,
         rhs_matrix: np.ndarray,
-        normalized: list[tuple[np.ndarray, np.ndarray]],
+        keys: list[list[tuple[str, int]]],
         factors: dict[int, tuple[np.ndarray, np.ndarray]],
         method: str,
     ) -> np.ndarray:
         """The Woodbury half of :meth:`solve_modified_many`: one column
         of ``x`` per scenario, refactorizing (``"auto"``) or raising
         (``"woodbury"``) where the correction is ill-conditioned."""
-        self._preload_modification_influence(normalized)
+        influence = self._influence_columns(
+            [key for scenario_keys in keys for key in scenario_keys]
+        )
         y = self.solve_many(rhs_matrix)
         x = np.empty_like(y)
         corrections: dict[int, tuple[np.ndarray, ...]] = {}
@@ -748,12 +703,12 @@ class FactorizedPDN:
                 )
             fallback.append(index)
 
-        for i, (disabled, removed) in enumerate(normalized):
+        for i, scenario_keys in enumerate(keys):
             if i not in factors:
                 x[:, i] = y[:, i]
                 continue
             u, w = factors[i]
-            z = self._influence_solve(u, disabled, removed)
+            z = np.column_stack([influence[key] for key in scenario_keys])
             s = np.eye(u.shape[1]) + w.T @ z
             # Gate on the smallest singular value against an absolute
             # floor: cond(S) alone cannot flag a uniformly tiny S (for

@@ -419,6 +419,17 @@ class TestVRSiteSelection:
             serial.score_history
         )
 
+    def test_rejects_non_count_site_count_by_name(self):
+        # A fraction, a boolean or NaN is not a site count; a
+        # whole-valued float is.
+        grid = _candidate_bank()
+        for bad in (2.5, True, float("nan")):
+            with pytest.raises(ConfigError, match="^count "):
+                select_vr_sites(grid, bad)
+        assert select_vr_sites(grid, 1.0).chosen_indices == (
+            select_vr_sites(grid, 1).chosen_indices
+        )
+
     def test_rejects_bad_count_and_missing_sinks(self):
         grid = _candidate_bank()
         with pytest.raises(ConfigError):

@@ -579,3 +579,77 @@ class TestSolveDisabledMany:
             grid.solve_disabled_many([(9,)])
         with pytest.raises(ConfigError):
             grid.solve_disabled_many([(0, 1, 2, 3, 4)])
+
+    def test_preload_rejects_non_index_values_by_name(self):
+        # A fraction is not a source index: it fails by name and warms
+        # nothing.
+        grid = self.powered_grid()
+        memo = grid._ensure_structure().solver._influence
+        before = list(memo)
+        for bad in ([1.5], [True], [float("nan")]):
+            with pytest.raises(ConfigError, match="^indices "):
+                grid.preload_failure_sweep(bad)
+        assert list(memo) == before
+
+
+def _bank(n: int, engine: str) -> GridPDN:
+    """An n×n grid with a hotspot load and five scattered VRs."""
+    grid = GridPDN(0.02, 0.02, 1e-3, nx=n, ny=n, engine=engine)
+    grid.set_sinks(PowerMap.hotspot_mixture(), 120.0)
+    for k in range(5):
+        grid.add_source(f"s{k}", k / 4, (3 * k % 5) / 4, 1.0, 1e-3)
+    return grid
+
+
+def _assert_identical(got, want) -> None:
+    np.testing.assert_array_equal(got.voltage_map, want.voltage_map)
+    np.testing.assert_array_equal(got.source_currents_a, want.source_currents_a)
+
+
+MIXED_SWEEP = [(), (0,), (1, 3), (4, 2, 0)]
+
+
+class TestOneDCBatch:
+    """Every DC solve of a grid is one batch on one engine, so a
+    single-scenario call is bit-identical to its row in a batch.
+    Structured rows of a larger batch differ in the last bits; the
+    structured engine keeps its 1e-9 parity tests for those."""
+
+    @pytest.mark.parametrize("engine", ["factorized", "structured"])
+    def test_single_scenarios_are_one_row_batches(self, engine):
+        grid = _bank(24, engine)
+        _assert_identical(grid.solve_disabled(()), grid.solve())
+        for scenario in MIXED_SWEEP:
+            _assert_identical(
+                grid.solve_disabled(scenario),
+                grid.solve_disabled_many([scenario])[0],
+            )
+
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_factorized_load_sweep_rows_are_single_solves(self, n):
+        grid = _bank(n, "factorized")
+        maps = np.random.default_rng(n).uniform(0.0, 0.2, (3, n, n))
+        for sink_map, got in zip(maps, grid.solve_many(maps)):
+            view = GridPDN.from_design(grid.design, engine="factorized")
+            view.set_sink_array(sink_map)
+            _assert_identical(got, view.solve())
+
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_factorized_failure_sweep_rows_are_one_scenario_batches(self, n):
+        grid = _bank(n, "factorized")
+        for scenario, got in zip(MIXED_SWEEP, grid.solve_disabled_many(MIXED_SWEEP)):
+            _assert_identical(got, grid.solve_disabled_many([scenario])[0])
+
+    def test_factorized_failure_sweep_is_one_woodbury_call(self, monkeypatch):
+        grid = _bank(24, "factorized")
+        solver = grid._ensure_structure().solver
+        solve_modified_many = solver.solve_modified_many
+        batches = []
+
+        def counted(scenarios, **kwargs):
+            batches.append(len(scenarios))
+            return solve_modified_many(scenarios, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_modified_many", counted)
+        assert len(grid.solve_disabled_many(MIXED_SWEEP)) == len(MIXED_SWEEP)
+        assert batches == [len(MIXED_SWEEP)]

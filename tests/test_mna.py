@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import SolverError
+from repro.errors import ConfigError, SolverError
 from repro.pdn.mna import FactorizedPDN, solve_dc
 from repro.pdn.network import Netlist
 
@@ -350,6 +350,28 @@ class TestSolveModified:
             solver.solve_modified(disable_sources=(-1,))
         with pytest.raises(SolverError):
             solver.solve_modified(disable_sources=(0,), method="sideways")
+
+    def test_rejects_non_index_values_by_name(self):
+        # A fraction or a boolean is not an element index (an int64
+        # cast would quietly pick element 1), and NaN fails by name.
+        solver = FactorizedPDN(self.dual_source())
+        for bad in ((1.7,), (True,), (float("nan"),)):
+            with pytest.raises(ConfigError, match="^disable_sources "):
+                solver.solve_modified(disable_sources=bad)
+        with pytest.raises(ConfigError, match="^indices "):
+            solver.preload_source_influence([1.5])
+        feeds = FactorizedPDN(self.parallel_feeds())
+        with pytest.raises(ConfigError, match="^remove_resistors "):
+            feeds.solve_modified(remove_resistors=(1.7,))
+        # Whole-valued floats name the same element.
+        np.testing.assert_array_equal(
+            solver.solve_modified(disable_sources=(1.0,)).node_voltage_array,
+            solver.solve_modified(disable_sources=(1,)).node_voltage_array,
+        )
+        np.testing.assert_array_equal(
+            feeds.solve_modified(remove_resistors=(1.0,)).node_voltage_array,
+            feeds.solve_modified(remove_resistors=(1,)).node_voltage_array,
+        )
 
     def test_disabling_only_source_fails(self):
         # No live source leaves the load unreferenced: the Woodbury

@@ -233,6 +233,12 @@ class TestFactorizationCache:
         with pytest.raises(ConfigError):
             FactorizationCache(maxsize=0)
 
+    def test_rejects_non_count_maxsize_by_name(self):
+        # A fraction, a boolean or NaN is not an entry count.
+        for bad in (2.5, True, float("nan")):
+            with pytest.raises(ConfigError, match="^maxsize "):
+                FactorizationCache(maxsize=bad)
+
     def test_grid_structure_uses_process_cache(self):
         process_cache().clear()
         a = _small_grid()
@@ -265,6 +271,30 @@ class TestInfluenceCacheBound:
                 np.asarray(list(a.node_voltages.values())),
                 np.asarray(list(b.node_voltages.values())),
             )
+        assert bounded.influence_evictions > 0
+
+    def test_rejects_non_count_cap_by_name(self):
+        compiled = _small_grid().compile()
+        for bad in (2.5, True, float("nan")):
+            with pytest.raises(ConfigError, match="^influence_cache_columns "):
+                FactorizedPDN(compiled, influence_cache_columns=bad)
+
+    def test_sweep_wider_than_the_cap_matches_an_unbounded_memo(self):
+        # A sweep that touches more elements than the memo holds solves
+        # its whole union in one call and keeps the columns it solved,
+        # so it returns the same bits as a sweep that fits.
+        compiled = _small_grid(nx=40).compile()
+        scenarios = [((0,), ()), ((1,), (5, 9)), ((0, 2), (17,)), ((), (3, 9))]
+        bounded = FactorizedPDN(compiled, influence_cache_columns=2)
+        unbounded = FactorizedPDN(compiled)
+        for a, b in zip(
+            bounded.solve_modified_many(scenarios),
+            unbounded.solve_modified_many(scenarios),
+        ):
+            np.testing.assert_array_equal(
+                a.node_voltage_array, b.node_voltage_array
+            )
+        assert len(bounded._influence) == 2
         assert bounded.influence_evictions > 0
 
     def test_rejects_zero_cap(self):
