@@ -1,9 +1,11 @@
 """Structure-exploiting fast-Poisson solver for uniform-mesh PDNs.
 
-The compiled grid operator of :class:`~repro.pdn.grid.GridPDN` is a
-near-Poisson Laplacian: a uniform ``nx × ny`` rectangular mesh whose
-x/y edge conductances are constant, plus a handful of irregularities —
-VR source branches, ring-bus segments, and (optionally) per-edge metal
+The nodal DC operator of :class:`~repro.pdn.grid.GridPDN`
+(:func:`repro.pdn.grid.dc_stamp`) is a near-Poisson Laplacian: a
+uniform ``nx × ny`` rectangular mesh whose x/y edge conductances are
+constant, plus a handful of irregularities — VR output shunts (each
+regulator is an ``r_out`` to ground, its EMF a Norton injection on the
+right-hand side), ring-bus segments, and (optionally) per-edge metal
 variation.  This module solves that system in O(n² log n) instead of
 sparse-LU time by diagonalizing the uniform interior with fast
 trigonometric transforms and handling everything that breaks pure
@@ -17,7 +19,7 @@ structure as a small correction:
 * ``G`` alone is singular (the constant mode); the zero eigenvalue is
   deflated by a rank-1 shift ``τ·u₀u₀ᵀ`` that is subtracted back out
   through the same correction that carries the source branches.
-* Source output conductances (rank-1 each), ring-bus segments (rank-1
+* Source output shunts (rank-1 each), ring-bus segments (rank-1
   each), per-node shunt deviations and the deflation column enter as a
   rank-k Woodbury correction ``A = M + U C Uᵀ`` on the fast operator
   ``M`` — the same identity
@@ -47,8 +49,6 @@ from scipy.linalg import lu_factor, lu_solve
 
 from ..errors import ConfigError, SolverError
 from .mesh import MeshDesign
-from .mna import DCSolution, package_dc_solution
-from .network import CompiledNetlist
 from .pcg import pcg_solve
 
 #: The structured engines carry shunt-map non-uniformity (per-node
@@ -379,13 +379,11 @@ class StructuredOperator:
 class StructuredGridPDN:
     """The fast-Poisson engine behind :class:`~repro.pdn.grid.GridPDN`.
 
-    Solves the *reduced* (mesh-node-only) system — source branches
-    eliminated into diagonal conductances and RHS injections — on one
-    :class:`StructuredOperator`, then reconstructs the full MNA vector
-    (EMF node voltages, branch currents) so solutions are packaged and
-    physics-verified through exactly the same
-    :func:`repro.pdn.mna.package_dc_solution` path as the factorized
-    engine.
+    Solves the nodal DC system of a design (:func:`repro.pdn.grid.dc_stamp`:
+    each source an ``r_out`` shunt plus a Norton injection) on one
+    :class:`StructuredOperator` and returns node voltages;
+    :class:`~repro.pdn.grid.GridPDN` builds the right-hand sides and
+    packages the solutions for both DC engines.
 
     Two modes, chosen by the presence of per-edge variation:
 
@@ -394,22 +392,15 @@ class StructuredGridPDN:
       CG iterates on the true stencil with the uniform-mean structured
       apply as preconditioner, to :mod:`repro.pdn.pcg`'s default
       tolerance and iteration cap.
-
-    Every DC solve is one :meth:`solve_batch` of sink rows and
-    live-source masks; :class:`~repro.pdn.grid.GridPDN` has checked
-    them.
     """
 
-    def __init__(self, compiled: CompiledNetlist, design: MeshDesign) -> None:
-        """The engine for the DC system of ``design`` whose stamp is
-        ``compiled`` (the grid's full MNA netlist, or a reduced one);
-        only the fields the design's key covers are read."""
+    def __init__(self, design: MeshDesign) -> None:
+        """The engine for the DC system of ``design``; only the fields
+        the design's key covers are read."""
         nx, ny = design.nx, design.ny
-        self.compiled = compiled
-        self.attach = design.attach_rows()
-        if not self.attach.size:
+        attach = design.attach_rows()
+        if not attach.size:
             raise ConfigError("structured engine needs at least one source")
-        self.g_src = 1.0 / design.source_values("output_resistance_ohm")
         _, ring_a, ring_b = design.ring_segments()
         scale_x, scale_y = design.edge_scale_x, design.edge_scale_y
         self.mode = (
@@ -425,8 +416,8 @@ class StructuredGridPDN:
             gx if scale_x is None else gx / scale_x,
             gy if scale_y is None else gy / scale_y,
             np.zeros(nx * ny),
-            self.attach,
-            self.g_src,
+            attach,
+            1.0 / design.source_values("output_resistance_ohm"),
             ring_a,
             ring_b,
             np.full(ring_a.size, 1.0 / (design.ring_bus_ohm or 1.0)),
@@ -462,51 +453,3 @@ class StructuredGridPDN:
                 )
             x[k] = result.x
         return _finite(x)
-
-    def solve_batch(
-        self,
-        amps: np.ndarray,
-        volt: np.ndarray,
-        live: np.ndarray | None,
-        check: bool,
-    ) -> list[DCSolution]:
-        """The one DC batch: ``amps`` is an ``(m, cells)`` stack of sink
-        rows, ``volt`` the source voltages and ``live`` the ``(m,
-        sources)`` live-source mask (``None``: every source live).
-
-        Each row's sink draw plus its live sources' Norton injections
-        go through one :meth:`solve_reduced`.  The full MNA vector is
-        then rebuilt per row and packaged: EMF node voltages are exact
-        (``V_j`` when live; the attach node's potential when
-        open-circuited — no drop across a dead output resistor), and
-        branch currents follow Ohm's law through each output
-        resistance.
-        """
-        if live is None:
-            live = np.ones((len(amps), self.attach.size), dtype=bool)
-        b = -amps
-        np.add.at(b, (slice(None), self.attach), self.g_src * volt * live)
-        v = self.solve_reduced(b, live)
-        solutions = []
-        # The conductance is rebuilt per row on purpose: hoisting it out
-        # of the loop raised the peak RSS of a 128² A1 bank's solves by
-        # ~8 MB (glibc malloc, Linux x86-64).
-        for v_row, amp, live_row in zip(v, amps, live):
-            v_attach = v_row[self.attach]
-            i_src = self.g_src * (volt - v_attach)
-            v_emf = volt.copy()
-            i_src[~live_row] = 0.0
-            v_emf[~live_row] = v_attach[~live_row]
-            x = np.concatenate([v_row, v_emf, -i_src])
-            solutions.append(
-                package_dc_solution(
-                    self.compiled,
-                    x,
-                    amp,
-                    volt,
-                    1.0 / self.compiled.res_ohm,
-                    check,
-                    np.nonzero(~live_row)[0],
-                )
-            )
-        return solutions

@@ -4,8 +4,8 @@ Discretizes one polarity of a metal layer (interposer RDL or the die
 BEOL grid) over the die area into an ``nx x ny`` node mesh.  Adjacent
 nodes are connected by resistors derived from the layer's sheet
 resistance; POL sinks come from a :class:`~repro.pdn.powermap.PowerMap`
-and regulator outputs attach as voltage sources with a series output
-resistance at arbitrary grid positions.  The mesh itself is a
+and regulator outputs (an EMF behind an output resistance) attach at
+arbitrary grid positions.  The mesh itself is a
 :class:`~repro.pdn.mesh.MeshDesign`; :class:`GridPDN` (DC) and
 :class:`GridACPDN` (AC) are views of it.
 
@@ -13,12 +13,13 @@ Loss accounting convention: the grid models ONE polarity.  For a
 symmetric power + ground pair the reported lateral loss is doubled via
 ``rail_pair_factor`` (default 2.0).
 
-Solving is array-native: the mesh is assembled directly into a
-:class:`~repro.pdn.network.CompiledNetlist` (vectorized edge
-construction, no per-element Python objects) and the sparse LU
-factorization is cached on the grid, so repeated solves that only
-change the sink map or the source voltages — load sweeps, Monte-Carlo
-scenarios, droop-setpoint studies — pay back-substitution cost only.
+Solving is array-native and nodal: both DC engines solve the mesh
+nodes of :func:`dc_stamp`, where a regulator is an ``r_out`` shunt
+plus a Norton injection, and the sparse LU is cached, so repeated
+solves that only change the sink map or the source voltages — load
+sweeps, Monte-Carlo scenarios, droop-setpoint studies — pay
+back-substitution cost only.  Solutions are packaged on the MNA form
+(:meth:`GridPDN.compile`), so their branch currents stay physical.
 Attaching/removing sources or the ring bus changes the design's key
 and transparently refactorizes.
 """
@@ -51,8 +52,8 @@ from .fast_poisson import (
 from .impedance import ImpedanceProfile
 from .mna import (
     SINGULARITY_PROBE_TOL,
-    DCSolution,
     FactorizedPDN,
+    package_dc_solution,
     singularity_probe,
 )
 from .mesh import DecapDensity, MeshDesign, MeshView, cached
@@ -140,20 +141,57 @@ def resolve_engine(engine: str, cells: int) -> str:
     return "structured" if cells >= STRUCTURED_AUTO_MIN_CELLS else "factorized"
 
 
+def _mesh_nodes(nx: int, ny: int) -> tuple:
+    """Node ids of the mesh rows, ``("g", ix, iy)`` in row order."""
+    return tuple(("g", ix, iy) for iy in range(ny) for ix in range(nx))
+
+
+def dc_stamp(design: MeshDesign) -> CompiledNetlist:
+    """The nodal DC stamp of ``design``, solved by both DC engines and
+    factored for the transient's capacitors-open DC-init.
+
+    Resistors: the lateral edges, then one ``r_out`` shunt to ground
+    per source.  Current sources, zero-valued (callers pass values per
+    solve): one sink per cell, then one Norton injection ``V/r_out``
+    per source into its attach node.  With no voltage-source rows the
+    matrix is symmetric positive definite, and an open-circuited
+    source is its shunt (resistor ``lateral_count + j``) and injection
+    removed.
+    """
+    nx, ny = design.nx, design.ny
+    cells = nx * ny
+    a, b, r, _ = design.lateral_edges()
+    attach = design.attach_rows()
+    ground = np.full(attach.size, GROUND_INDEX, dtype=np.int64)
+    return CompiledNetlist(
+        nodes=lambda: _mesh_nodes(nx, ny),
+        n_nodes=cells,
+        res_a=np.concatenate([a, attach]),
+        res_b=np.concatenate([b, ground]),
+        res_ohm=np.concatenate(
+            [r, design.source_values("output_resistance_ohm")]
+        ),
+        cs_from=np.concatenate([np.arange(cells, dtype=np.int64), ground]),
+        cs_to=np.concatenate(
+            [np.full(cells, GROUND_INDEX, dtype=np.int64), attach]
+        ),
+        cs_amp=np.zeros(cells + attach.size),
+    )
+
+
 @dataclass
 class _GridStructure:
-    """Cached assembly (and, lazily, factorization) of one topology.
+    """Cached assembly (and, lazily, the solve engines) of one topology.
 
     Cached per view under the design's :attr:`~repro.pdn.mesh.MeshDesign.key`,
-    which captures everything that shapes the MNA matrix (mesh
+    which captures everything that shapes the system matrix (mesh
     resistances, source attachment points and output resistances, ring
     bus, per-edge variation).  Sink currents and source voltages are
-    RHS-only and do not participate.  Both engines are created on
-    first use: the sparse LU factorization so that
-    :meth:`GridPDN.compile` can hand out the array form without paying
-    for (or duplicating) an LU decomposition, and the structured
-    fast-Poisson engine so that factorized-only workloads never pay
-    for transforms.
+    RHS-only and do not participate.  ``compiled`` is the MNA form
+    solutions are packaged on.  Both engines are created on first use:
+    the sparse LU of :func:`dc_stamp`, so that :meth:`GridPDN.compile`
+    never pays for an LU decomposition, and the structured fast-Poisson
+    engine, so that factorized-only workloads never pay for transforms.
     """
 
     compiled: CompiledNetlist
@@ -161,7 +199,7 @@ class _GridStructure:
     lateral_count: int  # grid edges + ring segments
     # The design it was assembled from; only the fields its key covers
     # are read, since sink and voltage edits reuse the structure.
-    design: MeshDesign | None = None
+    design: MeshDesign
     _solver: FactorizedPDN | None = None
     _fast: StructuredGridPDN | None = None
 
@@ -169,18 +207,18 @@ class _GridStructure:
     def solver(self) -> FactorizedPDN:
         if self._solver is None:
             # Route through the process-wide content-hashed cache so
-            # grid rebuilds of the same topology (sweep workers, CLI
-            # re-runs) share one LU factorization.  Lazy import: the
+            # grid rebuilds (sweep workers, CLI re-runs) and transient
+            # views of the design share one LU.  Lazy import: the
             # parallel layer sits above pdn in the dependency graph.
             from ..parallel.cache import get_factorized
 
-            self._solver = get_factorized(self.compiled)
+            self._solver = get_factorized(dc_stamp(self.design))
         return self._solver
 
     @property
     def fast(self) -> StructuredGridPDN:
         if self._fast is None:
-            self._fast = StructuredGridPDN(self.compiled, self.design)
+            self._fast = StructuredGridPDN(self.design)
         return self._fast
 
 
@@ -296,46 +334,28 @@ class GridPDN(MeshView):
         nx, ny = self.nx, self.ny
         cells = nx * ny
         names = self.source_names
-        r_out = design.source_values("output_resistance_ohm")
         ring_k = design.ring_segments()[0]
         emf_rows = cells + np.arange(len(names), dtype=np.int64)
-        attach_rows = design.attach_rows()
         lateral_a, lateral_b, lateral_r, _ = design.lateral_edges()
-        res_a = np.concatenate([lateral_a, emf_rows])
-        res_b = np.concatenate([lateral_b, attach_rows])
-        res_ohm = np.concatenate([lateral_r, r_out])
 
         def resistor_names() -> list[str]:
-            names_ = [
-                f"grid.x[{ix},{iy}]"
-                for iy in range(ny)
-                for ix in range(nx - 1)
-            ]
-            names_ += [
-                f"grid.y[{ix},{iy}]"
-                for iy in range(ny - 1)
-                for ix in range(nx)
-            ]
-            names_ += [f"ring[{k}]" for k in ring_k]
-            names_ += [f"src.{name}.rout" for name in names]
-            return names_
-
-        def sink_names() -> list[str]:
-            return [
-                f"sink[{ix},{iy}]" for iy in range(ny) for ix in range(nx)
-            ]
-
-        def node_ids() -> tuple:
-            return tuple(
-                ("g", ix, iy) for iy in range(ny) for ix in range(nx)
-            ) + tuple((f"src.{name}", "emf") for name in names)
+            rows = [("x", iy, ix) for iy in range(ny) for ix in range(nx - 1)]
+            rows += [("y", iy, ix) for iy in range(ny - 1) for ix in range(nx)]
+            return (
+                [f"grid.{axis}[{ix},{iy}]" for axis, iy, ix in rows]
+                + [f"ring[{k}]" for k in ring_k]
+                + [f"src.{name}.rout" for name in names]
+            )
 
         compiled = CompiledNetlist(
-            nodes=node_ids,
+            nodes=lambda: _mesh_nodes(nx, ny)
+            + tuple((f"src.{name}", "emf") for name in names),
             n_nodes=cells + len(names),
-            res_a=res_a,
-            res_b=res_b,
-            res_ohm=res_ohm,
+            res_a=np.concatenate([lateral_a, emf_rows]),
+            res_b=np.concatenate([lateral_b, design.attach_rows()]),
+            res_ohm=np.concatenate(
+                [lateral_r, design.source_values("output_resistance_ohm")]
+            ),
             cs_from=np.arange(cells, dtype=np.int64),
             cs_to=np.full(cells, GROUND_INDEX, dtype=np.int64),
             cs_amp=np.zeros(cells),
@@ -343,7 +363,9 @@ class GridPDN(MeshView):
             vs_minus=np.full(len(names), GROUND_INDEX, dtype=np.int64),
             vs_volt=np.zeros(len(names)),
             res_names=resistor_names,
-            cs_names=sink_names,
+            cs_names=lambda: [
+                f"sink[{ix},{iy}]" for iy in range(ny) for ix in range(nx)
+            ],
             vs_names=tuple(f"src.{name}.v" for name in names),
         )
         return _GridStructure(
@@ -359,7 +381,10 @@ class GridPDN(MeshView):
         )
 
     def compile(self) -> CompiledNetlist:
-        """The grid as a compiled netlist with current sinks/voltages."""
+        """The grid's MNA form with its sinks and source voltages: each
+        regulator an EMF node and voltage source behind ``r_out``.
+        Solutions are packaged on it, and it is the oracle form the
+        nodal engines are checked against."""
         design = self._require(sinks=True)
         return self._ensure_structure().compiled.with_sources(
             cs_amp=_sink_row(design), vs_volt=design.source_values("voltage_v")
@@ -379,13 +404,6 @@ class GridPDN(MeshView):
             if self.engine == "structured":
                 raise
             return fallback()
-
-    def _engine_call(self, structure: _GridStructure, run, factorized):
-        """``run`` on the structured engine when this solve tries it
-        first (see :meth:`_structured_call`), else ``factorized()``."""
-        if self._resolve_engine() == "structured":
-            return self._structured_call(structure, run, factorized)
-        return factorized()
 
     def solve(self, check: bool = True) -> GridSolution:
         """Solve the grid and return per-source currents and losses.
@@ -448,14 +466,14 @@ class GridPDN(MeshView):
     ) -> list[GridSolution]:
         """Solve a failure sweep, each scenario a set of disabled sources.
 
-        A disabled source's branch current is forced to zero (an
-        open-circuited regulator: its output resistor and ring tap
-        stay in the metal but carry nothing), expressed as a rank-k
-        Woodbury correction on the *shared* factorization.  Indices
-        follow attachment order; disabled sources report exactly 0 A.
-        On the factorized engine the influence columns, modified
-        right-hand sides, and refinement round are stacked through
-        :meth:`~repro.pdn.mna.FactorizedPDN.solve_modified_many`
+        A disabled source is an open-circuited regulator: its output
+        shunt and Norton injection leave the nodal system (its ring tap
+        stays in the metal), a rank-k Woodbury correction on the
+        *shared* factorization.  Indices follow attachment order;
+        disabled sources report exactly 0 A.  On the factorized engine
+        the sweep is one
+        :meth:`~repro.pdn.mna.FactorizedPDN.solve_modified_many` call
+        that removes shunts and carries one injection row per scenario
         (``method`` is forwarded: ``"auto"`` refactorizes a scenario
         whose correction is ill-conditioned), so an exhaustive N−k
         enumeration pays three batched solves for the entire sweep.
@@ -485,21 +503,6 @@ class GridPDN(MeshView):
         live[indices] = False
         return live
 
-    def preload_failure_sweep(
-        self,
-        indices: "tuple[int, ...] | list[int] | range | None" = None,
-    ) -> None:
-        """Warm everything an N−1/N−k sweep needs in batched calls.
-
-        Factorizes the full attached topology (if not already cached)
-        and back-substitutes the influence columns for the given
-        source indices (default: all) in one call, so each subsequent
-        :meth:`solve_disabled_many` scenario pays only two
-        back-substitutions.
-        """
-        self._require(sinks=True)
-        self._ensure_structure().solver.preload_source_influence(indices)
-
     def _solve_batch(
         self,
         sinks: np.ndarray,
@@ -512,83 +515,118 @@ class GridPDN(MeshView):
         ``sinks`` is an ``(m, cells)`` stack of sink rows.  ``live`` is
         ``None`` (every source live) or the ``(m, sources)`` live-source
         mask of a failure sweep, whose rows share one sink map.  The
-        public entry points have checked both.  On the factorized
-        engine a row with every source live is one
-        :meth:`~repro.pdn.mna.FactorizedPDN.solve` call (a multi-column
-        back-substitution would round differently), and a failure
-        sweep is one ``solve_modified_many`` call (``method`` is
-        forwarded).
+        public entry points have checked both.  Each engine returns
+        node voltages of :func:`dc_stamp`: the structured one from one
+        ``solve_reduced`` call, the factorized one from one solve per
+        row with every source live (a multi-column back-substitution
+        would round differently) or one ``solve_modified_many`` call
+        per failure sweep (``method`` is forwarded).
         """
         if not len(sinks):
             return []
         structure = self._ensure_structure()
-        volts = self.design.source_values("voltage_v")
+        design = self.design
+        volts = design.source_values("voltage_v")
+        g_src = 1.0 / design.source_values("output_resistance_ohm")
+        mask = np.ones((len(sinks), volts.size), bool) if live is None else live
+        inject = g_src * volts * mask  # the live sources' Norton currents
 
-        def factorized() -> list[DCSolution]:
+        def factorized() -> list[np.ndarray]:
+            solver = structure.solver
+            amps = np.concatenate([sinks, inject], axis=1)
             if live is None:
-                return [
-                    structure.solver.solve(
-                        cs_amp=row, vs_volt=volts, check=check
-                    )
-                    for row in sinks
-                ]
-            return structure.solver.solve_modified_many(
-                [(np.flatnonzero(~row), ()) for row in live],
-                cs_amp=sinks[0],
-                vs_volt=volts,
-                check=check,
-                method=method,
-            )
+                return [solver.solve_rhs(solver.rhs(row)) for row in amps]
+            shunts = structure.lateral_count + np.arange(volts.size)
+            return [
+                dc.node_voltage_array
+                for dc in solver.solve_modified_many(
+                    [((), shunts[~row]) for row in live],
+                    cs_amp=amps,
+                    check=False,
+                    method=method,
+                )
+            ]
 
-        solved = self._engine_call(
-            structure,
-            lambda fast: fast.solve_batch(sinks, volts, live, check),
-            factorized,
+        if self._resolve_engine() == "structured":
+            # b outlives the packaging on purpose: freeing it first
+            # raised the peak RSS of a 128² A1 bank's solves by ~8 MB
+            # (glibc malloc raises its mmap threshold to a freed
+            # block's size, so the packaging arrays land in the heap).
+            b = -sinks
+            np.add.at(b, (slice(None), design.attach_rows()), inject)
+            voltages = self._structured_call(
+                structure, lambda fast: fast.solve_reduced(b, live), factorized
+            )
+        else:
+            voltages = factorized()
+        return self._package(
+            structure, voltages, sinks, volts, g_src, mask, check
         )
-        return [
-            self._package_solution(
-                structure, dc, row, None if live is None else live[i]
-            )
-            for i, (dc, row) in enumerate(zip(solved, sinks))
-        ]
 
-    def _package_solution(
+    def _package(
         self,
         structure: _GridStructure,
-        dc: DCSolution,
+        voltages: "np.ndarray | list[np.ndarray]",
         sinks: np.ndarray,
-        live: np.ndarray | None,
-    ) -> GridSolution:
-        losses = dc.resistor_loss_array
-        branch_currents = dc.resistor_current_array
-        currents = branch_currents[structure.lateral_count :].copy()
-        total_sink = float(sinks.sum())
-        if abs(currents.sum() - total_sink) > 1e-6 * max(total_sink, 1.0):
-            raise SolverError(
-                "source currents do not sum to the load current: "
-                f"{currents.sum():.6f} vs {total_sink:.6f}"
-            )
-        if live is not None:
-            # The dead rout branches carry only O(eps) numerical residue.
-            currents[~live] = 0.0
+        volts: np.ndarray,
+        g_src: np.ndarray,
+        live: np.ndarray,
+        check: bool,
+    ) -> list[GridSolution]:
+        """The one packager of both engines: node-voltage rows to
+        solutions on the MNA form ``structure.compiled``.
 
-        lateral = (
-            losses[: structure.lateral_count].sum() * self.rail_pair_factor
-        )
-        source_loss = losses[structure.lateral_count :].sum()
-        voltage_map = (
-            dc.node_voltage_array[: self.nx * self.ny]
-            .reshape(self.ny, self.nx)
-            .copy()
-        )
-        return GridSolution(
-            dc=dc,
-            source_currents_a=currents,
-            lateral_loss_w=float(lateral),
-            source_loss_w=float(source_loss),
-            voltage_map=voltage_map,
-            grid_edge_currents_a=branch_currents[: structure.grid_edge_count],
-        )
+        Each row's MNA vector is rebuilt with exact EMF node voltages
+        (``V_j`` when live, the attach node's potential when
+        open-circuited) and Ohm's-law source currents, so a dead source
+        carries exactly 0 A and the sum check and the ``check``
+        verification run on the physical branches.
+        """
+        compiled = structure.compiled
+        attach = self.design.attach_rows()
+        solved = []
+        # The conductance is rebuilt per row on purpose: hoisting it out
+        # of the loop raised the peak RSS of a 128² A1 bank's solves by
+        # ~8 MB (glibc malloc, Linux x86-64).
+        for v_row, amp, live_row in zip(voltages, sinks, live):
+            v_attach = v_row[attach]
+            i_src = np.where(live_row, g_src * (volts - v_attach), 0.0)
+            v_emf = np.where(live_row, volts, v_attach)
+            x = np.concatenate([v_row, v_emf, -i_src])
+            solved.append(
+                package_dc_solution(
+                    compiled, x, amp, volts, 1.0 / compiled.res_ohm, check
+                )
+            )
+        lateral, cells = structure.lateral_count, self.nx * self.ny
+        solutions = []
+        for dc, amp in zip(solved, sinks):
+            losses = dc.resistor_loss_array
+            branch_currents = dc.resistor_current_array
+            currents = branch_currents[lateral:].copy()
+            total_sink = float(amp.sum())
+            if abs(currents.sum() - total_sink) > 1e-6 * max(total_sink, 1.0):
+                raise SolverError(
+                    "source currents do not sum to the load current: "
+                    f"{currents.sum():.6f} vs {total_sink:.6f}"
+                )
+            solutions.append(
+                GridSolution(
+                    dc=dc,
+                    source_currents_a=currents,
+                    lateral_loss_w=float(
+                        losses[:lateral].sum() * self.rail_pair_factor
+                    ),
+                    source_loss_w=float(losses[lateral:].sum()),
+                    voltage_map=dc.node_voltage_array[:cells]
+                    .reshape(self.ny, self.nx)
+                    .copy(),
+                    grid_edge_currents_a=branch_currents[
+                        : structure.grid_edge_count
+                    ],
+                )
+            )
+        return solutions
 
 
 def _sink_row(design: MeshDesign) -> np.ndarray:

@@ -65,7 +65,7 @@ import numpy as np
 
 from ..errors import ConfigError, require_finite, require_indices
 from .fast_poisson import StructuredOperator, StructuredSolveError
-from .grid import check_engine, resolve_engine
+from .grid import check_engine, dc_stamp, resolve_engine
 from .mesh import MeshDesign, MeshView, cached, mesh_edge_rows
 from .mna import FactorizedPDN
 from .network import GROUND_INDEX, CompiledNetlist
@@ -131,11 +131,13 @@ class _TransientStructure:
     """Everything assembled once per (topology, Δt).
 
     Holds the trapezoidal companion constants and three reduced
-    resistor stamps, all assembled by one local ``stamp`` function: the
-    transient (companion) stamp, the capacitors-open DC-init stamp and,
-    on smooth fully-decapped designs, the t = 0⁺ jump stamp.  Their
-    engines are built on first read: a factorization per stamp, and a
-    structured operator for the companion and DC stamps.  The
+    resistor stamps: the transient (companion) stamp and, on smooth
+    fully-decapped designs, the t = 0⁺ jump stamp, both assembled by
+    one local ``stamp`` function, and the capacitors-open DC-init
+    stamp, which is :func:`~repro.pdn.grid.dc_stamp` — the grid's
+    nodal DC stamp, so a grid view of the same design shares its LU.
+    Their engines are built on first read: a factorization per stamp,
+    and a structured operator for the companion and DC stamps.  The
     transient LU is keyed in the shared factorization cache with a
     ``(Δt, C_eff)`` salt.  Source voltages are right-hand-side data:
     they are passed to each run, so a setpoint change reuses the
@@ -254,13 +256,9 @@ class _TransientStructure:
             [self.dec_rows, attach],
             [z_b, 1.0 / self.g_s],
         )
-        # DC-init stamp: mesh + ring + VR shunts only (capacitors open).
-        self.dc_compiled = stamp(
-            1.0 / self.g_x_dc if r_x is not None else None,
-            1.0 / self.g_y_dc if r_y is not None else None,
-            [attach],
-            [rout],
-        )
+        # DC-init stamp (capacitors open): the grid's nodal DC stamp,
+        # so a grid view of the design shares this LU.
+        self.dc_compiled = dc_stamp(design)
 
         # t = 0+ jump stamp.  Inductor currents and capacitor voltages
         # are continuous across the load discontinuity, but the node

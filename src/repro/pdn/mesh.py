@@ -83,7 +83,9 @@ def _finite_fields(obj, names: tuple[str, ...], kind=float) -> None:
 @dataclass(frozen=True)
 class Source:
     """One VR output: an EMF behind ``r_out`` (+ series bump/TSV L)
-    at mesh node ``(ix, iy)``.  The DC analysis shorts the inductance."""
+    at mesh node ``(ix, iy)``.  The DC analysis shorts the inductance
+    and stamps the EMF as a Norton current ``V/r_out``, so the EMF is
+    non-negative like every current source."""
 
     name: str
     ix: int
@@ -97,6 +99,8 @@ class Source:
         _finite_fields(
             self, ("voltage_v", "output_resistance_ohm", "inductance_h")
         )
+        if self.voltage_v < 0:
+            raise ConfigError("voltage_v must be non-negative")
         if self.output_resistance_ohm <= 0:
             raise ConfigError("source output resistance must be positive")
         if self.inductance_h < 0:

@@ -10,7 +10,8 @@ numpy concatenation — no per-element Python loop.  Factorization is
 SuperLU (``scipy.sparse.linalg.splu``) wrapped in
 :class:`FactorizedPDN`, which callers with fixed topology keep around
 to solve new load/source vectors at back-substitution cost
-(``solve_rhs`` / ``solve_many``).  A resistor-only stamp is symmetric
+(``solve_rhs`` / ``solve_many``).  A resistor-only stamp, such as the
+grid's nodal DC stamp (:func:`repro.pdn.grid.dc_stamp`), is symmetric
 positive definite and is factored in SuperLU's symmetric mode; an MNA
 stamp with voltage-source rows keeps the unsymmetric ordering and
 partial pivoting.
@@ -33,7 +34,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from ..errors import SolverError, require_count, require_indices
+from ..errors import (
+    SolverError,
+    require_count,
+    require_finite,
+    require_indices,
+)
 from .network import GROUND_INDEX, CompiledNetlist, Netlist, NodeId
 
 #: Default cap on memoized influence columns per factorization.  Each
@@ -304,14 +310,18 @@ class FactorizedPDN:
         self,
         cs_amp: np.ndarray | None,
         vs_volt: np.ndarray | None,
+        count: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve (and shape-check) load/source overrides."""
+        """Resolve and check load/source overrides, each array once;
+        with ``count``, ``cs_amp`` may be a ``(count, n_cs)`` stack."""
         compiled = self.compiled
         amp = compiled.cs_amp if cs_amp is None else np.asarray(cs_amp, float)
         volt = (
             compiled.vs_volt if vs_volt is None else np.asarray(vs_volt, float)
         )
-        if amp.shape != compiled.cs_amp.shape:
+        if amp.shape != compiled.cs_amp.shape and (
+            count is None or amp.shape != (count, *compiled.cs_amp.shape)
+        ):
             raise SolverError(
                 f"expected {compiled.cs_amp.shape[0]} load currents, "
                 f"got shape {amp.shape}"
@@ -321,6 +331,10 @@ class FactorizedPDN:
                 f"expected {compiled.vs_volt.shape[0]} source voltages, "
                 f"got shape {volt.shape}"
             )
+        if cs_amp is not None:
+            require_finite(amp, "cs_amp")
+        if vs_volt is not None:
+            require_finite(volt, "vs_volt")
         if amp.size and np.any(amp < 0):
             raise SolverError("load currents must be non-negative")
         return amp, volt
@@ -334,8 +348,11 @@ class FactorizedPDN:
 
         Defaults to the compiled netlist's own currents and voltages.
         """
+        return self._rhs(*self._scenario_values(cs_amp, vs_volt))
+
+    def _rhs(self, amp: np.ndarray, volt: np.ndarray) -> np.ndarray:
+        """:meth:`rhs` of values :meth:`_scenario_values` has checked."""
         compiled = self.compiled
-        amp, volt = self._scenario_values(cs_amp, vs_volt)
         rhs = np.zeros(self._size)
         n = self._n
         if amp.size:
@@ -394,27 +411,9 @@ class FactorizedPDN:
                 violation (with ``check=True``).
         """
         amp, volt = self._scenario_values(cs_amp, vs_volt)
-        x = self.solve_rhs(self.rhs(amp, volt))
-        return self._package(x, amp, volt, self._conductance, check)
-
-    def _package(
-        self,
-        x: np.ndarray,
-        amp: np.ndarray,
-        volt: np.ndarray,
-        conductance: np.ndarray,
-        check: bool,
-        disabled_sources: np.ndarray | None = None,
-    ) -> DCSolution:
-        """Post-process a raw MNA solution vector into a DCSolution.
-
-        ``conductance`` is the per-resistor conductance used for branch
-        currents — :meth:`solve_modified_many` passes a copy with
-        removed elements zeroed so their reported currents and losses
-        vanish.
-        """
+        x = self.solve_rhs(self._rhs(amp, volt))
         return package_dc_solution(
-            self.compiled, x, amp, volt, conductance, check, disabled_sources
+            self.compiled, x, amp, volt, self._conductance, check
         )
 
     # -- low-rank modified solves ---------------------------------------------------
@@ -583,7 +582,7 @@ class FactorizedPDN:
 
         Args:
             scenarios: ``(disable_sources, remove_resistors)`` pairs
-                sharing the load/source overrides.  ``disable_sources``
+                sharing the source voltages.  ``disable_sources``
                 are voltage-source indices whose constraint is replaced
                 by ``i = 0`` (an open-circuited regulator: the source
                 branch carries no current; its series elements stay in
@@ -591,6 +590,8 @@ class FactorizedPDN:
                 resistor indices whose conductance stamp is subtracted
                 (an open lateral edge); removed resistors report zero
                 current and loss.
+            cs_amp: load currents shared by every scenario, or a
+                ``(len(scenarios), n_cs)`` stack, one row per scenario.
             method: ``"auto"`` uses Woodbury and refactorizes a
                 scenario whose k-by-k capacitance matrix
                 ``S = I + W^T Z`` is ill-conditioned (smallest singular
@@ -634,12 +635,15 @@ class FactorizedPDN:
             ):
                 raise SolverError("remove_resistors index out of range")
             normalized.append((disabled, removed))
-        amp, volt = self._scenario_values(cs_amp, vs_volt)
+        count = len(normalized)
+        amp, volt = self._scenario_values(cs_amp, vs_volt, count)
         if not normalized:
             return []
 
-        count = len(normalized)
-        rhs_matrix = np.repeat(self.rhs(amp, volt)[:, None], count, axis=1)
+        amps = np.broadcast_to(amp, (count, amp.shape[-1]))
+        rhs_matrix = np.empty((self._size, count))
+        for i, row in enumerate(amps):
+            rhs_matrix[:, i] = self._rhs(row, volt)
         for i, (disabled, _) in enumerate(normalized):
             rhs_matrix[self._n + disabled, i] = 0.0
         # One memo key per modified element, in U-column order.
@@ -666,12 +670,16 @@ class FactorizedPDN:
 
         solutions: list[DCSolution] = []
         for i, (disabled, removed) in enumerate(normalized):
+            # Removed resistors report zero current and loss.
             conductance = self._conductance
             if removed.size:
                 conductance = conductance.copy()
                 conductance[removed] = 0.0
             solutions.append(
-                self._package(x[:, i], amp, volt, conductance, check, disabled)
+                package_dc_solution(
+                    self.compiled, x[:, i], amps[i], volt, conductance,
+                    check, disabled,
+                )
             )
         return solutions
 
@@ -763,8 +771,8 @@ def package_dc_solution(
     """Turn a raw MNA solution vector into a verified :class:`DCSolution`.
 
     Shared by every DC solve path — the cached-LU engine above and the
-    structured fast-Poisson engine
-    (:mod:`repro.pdn.fast_poisson`) — so branch-current extraction,
+    grid's packager (:mod:`repro.pdn.grid`, both of its engines) — so
+    branch-current extraction,
     disabled-source snapping, and the KCL/power verification render
     identical results regardless of how ``x`` was computed.
     """

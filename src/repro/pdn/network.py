@@ -24,7 +24,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_finite
 
 NodeId = Hashable
 
@@ -93,6 +93,7 @@ class Resistor:
     resistance_ohm: float
 
     def __post_init__(self) -> None:
+        require_finite(self.resistance_ohm, "resistance_ohm")
         if self.resistance_ohm <= 0:
             raise ConfigError(
                 f"resistor {self.name}: resistance must be positive "
@@ -114,6 +115,7 @@ class CurrentSource:
     current_a: float
 
     def __post_init__(self) -> None:
+        require_finite(self.current_a, "current_a")
         if self.current_a < 0:
             raise ConfigError(
                 f"current source {self.name}: negative current; swap nodes"
@@ -133,6 +135,7 @@ class VoltageSource:
     voltage_v: float
 
     def __post_init__(self) -> None:
+        require_finite(self.voltage_v, "voltage_v")
         if self.node_plus == self.node_minus:
             raise ConfigError(f"voltage source {self.name}: shorted terminals")
 
@@ -411,6 +414,8 @@ class CompiledNetlist:
                     endpoint.min() < GROUND_INDEX or endpoint.max() >= n
                 ):
                     raise ConfigError(f"{label} endpoint index out of range")
+        for name in ("res_ohm", "cs_amp", "vs_volt"):
+            require_finite(getattr(self, name), name)
         if self.res_ohm.size and np.any(self.res_ohm <= 0):
             raise ConfigError("compiled resistances must all be positive")
         if self.cs_amp.size and np.any(self.cs_amp < 0):
@@ -511,14 +516,11 @@ class CompiledNetlist:
         return float(self.cs_amp.sum())
 
     def validate(self) -> None:
-        """Cheap structural validation, mirroring :meth:`Netlist.validate`."""
+        """Reject an empty netlist.  Whether every node reaches ground
+        (a Norton feed needs no voltage source) is the structural check
+        of :class:`repro.pdn.mna.FactorizedPDN`."""
         if not len(self.res_ohm) and not len(self.vs_volt):
             raise ConfigError("netlist has no resistors or sources")
-        if not len(self.vs_volt) and len(self.cs_amp):
-            raise ConfigError(
-                "current sources present but no voltage source/ground "
-                "reference to absorb them"
-            )
 
     # -- MNA stamps -------------------------------------------------------------------
 
@@ -565,6 +567,7 @@ class CompiledNetlist:
                 raise ConfigError(
                     f"expected {self.cs_amp.shape[0]} source currents"
                 )
+            require_finite(amp, "cs_amp")
             if amp.size and np.any(amp < 0):
                 raise ConfigError("source currents must be non-negative")
             clone.cs_amp = amp
@@ -574,6 +577,7 @@ class CompiledNetlist:
                 raise ConfigError(
                     f"expected {self.vs_volt.shape[0]} source voltages"
                 )
+            require_finite(volt, "vs_volt")
             clone.vs_volt = volt
         return clone
 

@@ -339,3 +339,121 @@ class TestGridFactorizationCache:
         assert structure._solver is None
         grid.solve()
         assert structure._solver is not None
+
+
+class TestNortonStamp:
+    """A current source needs no voltage source: a Norton feed (a
+    grounded resistor plus a current source) is the nodal form of a
+    regulator, and whether every node reaches ground is the structural
+    check's call."""
+
+    R_OUT = 0.5e-3
+
+    def test_norton_feed_solves_and_equals_its_mna_twin(self):
+        twin = Netlist()
+        twin.add_source_with_impedance("src", "in", 1.0, self.R_OUT)
+        twin.add_resistor("feed", "in", "pol", 1e-3)
+        twin.add_load("cpu", "pol", 100.0)
+        mna = solve_dc(twin)
+        norton = CompiledNetlist(
+            nodes=("in", "pol"),
+            res_a=[0, 0],
+            res_b=[GROUND_INDEX, 1],
+            res_ohm=[self.R_OUT, 1e-3],
+            cs_from=[GROUND_INDEX, 1],
+            cs_to=[0, GROUND_INDEX],
+            cs_amp=[1.0 / self.R_OUT, 100.0],
+        )
+        solver = FactorizedPDN(norton)
+        assert solver.compiled.size == 2
+        nodal = solver.solve()
+        for node in ("in", "pol"):
+            assert nodal.voltage(node) == pytest.approx(
+                mna.voltage(node), rel=1e-12
+            )
+        assert nodal.resistor_currents["R[1]"] == pytest.approx(
+            mna.resistor_currents["feed"], rel=1e-12
+        )
+
+    def test_current_source_into_a_floating_island_names_a_node(self):
+        compiled = CompiledNetlist(
+            nodes=("in", "c", "d"),
+            res_a=[0, 1],
+            res_b=[GROUND_INDEX, 2],
+            res_ohm=[self.R_OUT, 1.0],
+            cs_from=[GROUND_INDEX, GROUND_INDEX],
+            cs_to=[0, 1],
+            cs_amp=[1.0, 1.0],
+        )
+        with pytest.raises(SolverError, match="^node 'c' floats"):
+            FactorizedPDN(compiled)
+
+    def test_scenario_rows_of_a_load_stack(self):
+        solver = FactorizedPDN(feed_netlist().compile())
+        stack = np.array([[100.0], [40.0], [0.0]])
+        scenarios = [((), ())] * len(stack)
+        for row, got in zip(stack, solver.solve_modified_many(scenarios, cs_amp=stack)):
+            want = solver.solve(cs_amp=row)
+            np.testing.assert_array_equal(
+                got.node_voltage_array, want.node_voltage_array
+            )
+        with pytest.raises(SolverError, match="load currents"):
+            solver.solve_modified_many(scenarios[:2], cs_amp=stack)
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "bad", [np.nan, np.inf], ids=["nan", "inf"]
+)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("name", ["res_ohm", "cs_amp", "vs_volt"])
+def test_compiled_arrays_reject_non_finite_values_by_name(name, bad):
+    arrays = dict(res_ohm=[1e-3], cs_amp=[100.0], vs_volt=[1.0])
+    arrays[name] = [bad]
+    with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+        CompiledNetlist(
+            nodes=("in", "pol"),
+            res_a=[0],
+            res_b=[1],
+            cs_from=[1],
+            cs_to=[GROUND_INDEX],
+            vs_plus=[0],
+            vs_minus=[GROUND_INDEX],
+            **arrays,
+        )
+
+
+@NON_FINITE
+@pytest.mark.parametrize("name", ["cs_amp", "vs_volt"])
+def test_with_sources_rejects_non_finite_values_by_name(name, bad):
+    with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+        feed_netlist().compile().with_sources(**{name: [bad]})
+
+
+#: Every FactorizedPDN entry point that takes load/source overrides;
+#: ``bad_row`` spoils one scenario row of a load stack.
+OVERRIDE_CALLS = {
+    "rhs": lambda solver, kwargs: solver.rhs(**kwargs),
+    "solve": lambda solver, kwargs: solver.solve(**kwargs),
+    "solve_modified_many": lambda solver, kwargs: solver.solve_modified_many(
+        [((), ())], **kwargs
+    ),
+    "load-stack": lambda solver, kwargs: solver.solve_modified_many(
+        [((), ()), ((), ())],
+        **{
+            key: np.array([[100.0], value]) if key == "cs_amp" else value
+            for key, value in kwargs.items()
+        },
+    ),
+}
+
+
+@NON_FINITE
+@pytest.mark.parametrize("name", ["cs_amp", "vs_volt"])
+@pytest.mark.parametrize("call", sorted(OVERRIDE_CALLS))
+def test_factorized_overrides_reject_non_finite_values_by_name(call, name, bad):
+    # These used to surface after the LU, as non-finite solutions.
+    solver = FactorizedPDN(feed_netlist().compile())
+    with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+        OVERRIDE_CALLS[call](solver, {name: np.array([bad])})

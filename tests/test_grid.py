@@ -562,34 +562,12 @@ class TestSolveDisabledMany:
         grid = self.powered_grid()
         assert grid.solve_disabled_many([]) == []
 
-    def test_preload_failure_sweep_warms_influence_cache(self):
-        grid = self.powered_grid()
-        grid.preload_failure_sweep()
-        solver = grid._ensure_structure().solver
-        assert all(("vs", j) in solver._influence for j in range(5))
-        fast = grid.solve_disabled((2,))
-        oracle = grid.solve_disabled((2,), method="refactor")
-        assert fast.voltage_map == pytest.approx(
-            oracle.voltage_map, rel=1e-9
-        )
-
     def test_validation(self):
         grid = self.powered_grid()
         with pytest.raises(ConfigError):
             grid.solve_disabled_many([(9,)])
         with pytest.raises(ConfigError):
             grid.solve_disabled_many([(0, 1, 2, 3, 4)])
-
-    def test_preload_rejects_non_index_values_by_name(self):
-        # A fraction is not a source index: it fails by name and warms
-        # nothing.
-        grid = self.powered_grid()
-        memo = grid._ensure_structure().solver._influence
-        before = list(memo)
-        for bad in ([1.5], [True], [float("nan")]):
-            with pytest.raises(ConfigError, match="^indices "):
-                grid.preload_failure_sweep(bad)
-        assert list(memo) == before
 
 
 def _bank(n: int, engine: str) -> GridPDN:
@@ -653,3 +631,43 @@ class TestOneDCBatch:
         monkeypatch.setattr(solver, "solve_modified_many", counted)
         assert len(grid.solve_disabled_many(MIXED_SWEEP)) == len(MIXED_SWEEP)
         assert batches == [len(MIXED_SWEEP)]
+
+
+class TestColocatedSources:
+    """Two regulators on one node stay two regulators under N−k: each
+    is its own shunt and Norton injection of the nodal stamp."""
+
+    SCENARIOS = [(0,), (1,), (0, 2)]
+    SOURCES = [
+        ("a", 0.5, 0.5, 1.0, 1e-3),
+        ("b", 0.5, 0.5, 0.98, 2.5e-3),
+        ("c", 0.0, 0.0, 1.01, 1.5e-3),
+        ("d", 1.0, 0.25, 0.99, 1e-3),
+    ]
+
+    def grid(self, engine: str, keep=(0, 1, 2, 3)) -> GridPDN:
+        grid = GridPDN(0.02, 0.02, 1e-3, nx=12, ny=12, engine=engine)
+        grid.set_sinks(PowerMap.hotspot_mixture(), 60.0)
+        for k in keep:
+            grid.add_source(*self.SOURCES[k])
+        return grid
+
+    @pytest.mark.parametrize("engine", ["factorized", "structured"])
+    def test_sweep_matches_refactor_and_rebuilt_grids(self, engine):
+        swept = self.grid(engine).solve_disabled_many(self.SCENARIOS)
+        oracle = self.grid("factorized").solve_disabled_many(
+            self.SCENARIOS, method="refactor"
+        )
+        for failed, got, want in zip(self.SCENARIOS, swept, oracle):
+            assert np.abs(got.voltage_map - want.voltage_map).max() <= 1e-9
+            scale = np.abs(want.source_currents_a).max()
+            assert np.abs(
+                got.source_currents_a - want.source_currents_a
+            ).max() <= 1e-7 * scale
+            assert np.all(got.source_currents_a[list(failed)] == 0.0)
+            live = [k for k in range(len(self.SOURCES)) if k not in failed]
+            rebuilt = self.grid(engine, keep=live).solve()
+            assert np.abs(got.voltage_map - rebuilt.voltage_map).max() <= 1e-9
+            np.testing.assert_allclose(
+                got.source_currents_a[live], rebuilt.source_currents_a, rtol=1e-7
+            )

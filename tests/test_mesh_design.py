@@ -459,6 +459,14 @@ def test_non_finite_design_values_are_rejected_by_name(name, enter, kind, bad):
         enter(kind, bad)
 
 
+@pytest.mark.parametrize("kind", sorted(VIEWS))
+def test_negative_source_voltage_is_rejected_by_name(kind):
+    # The DC engines stamp a regulator's EMF as a Norton current
+    # V/r_out, and current sources are non-negative.
+    with pytest.raises(ConfigError, match="^voltage_v must be non-negative$"):
+        _view(kind).add_source("x", 0.5, 0.5, -0.1, 1e-3)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_non_finite_view_options_are_rejected_by_name(bad):
     with pytest.raises(ConfigError, match="^rail_pair_factor must be finite$"):

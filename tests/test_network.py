@@ -134,3 +134,20 @@ class TestSeriesChain:
         net = Netlist()
         with pytest.raises(ConfigError):
             series_chain(net, "c", ["a", "b"], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "name, add",
+    [
+        ("resistance_ohm", lambda net, bad: net.add_resistor("r", "a", "b", bad)),
+        ("current_a", lambda net, bad: net.add_load("l", "a", bad)),
+        ("voltage_v", lambda net, bad: net.add_voltage_source("v", "a", bad)),
+    ],
+    ids=["resistor", "current-source", "voltage-source"],
+)
+def test_non_finite_element_values_are_rejected_by_name(name, add, bad):
+    # An infinite resistor used to solve as an open edge, and a NaN one
+    # surfaced only as a singular system.
+    with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+        add(Netlist(), bad)

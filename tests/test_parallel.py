@@ -42,7 +42,8 @@ from repro.parallel import (
     run_sweep,
     run_sweep_collect,
 )
-from repro.pdn.grid import GridPDN
+from repro.pdn.grid import GridPDN, dc_stamp
+from repro.pdn.grid_transient import GridTransientPDN
 from repro.pdn.mna import FactorizedPDN
 from repro.pdn.powermap import PowerMap
 
@@ -248,6 +249,23 @@ class TestFactorizationCache:
         assert process_cache().stats.hits >= 1
         assert np.array_equal(sol_a.voltage_map, sol_b.voltage_map)
 
+    def test_grid_and_transient_dc_init_share_one_nodal_lu(self):
+        # Both factor dc_stamp(design): no voltage-source rows, so the
+        # LU runs in symmetric mode, and one process-cache entry.
+        process_cache().clear()
+        grid = _small_grid(nx=10)
+        grid.engine = "factorized"
+        grid.solve()
+        solver = grid._ensure_structure().solver
+        assert solver.compiled.n_vsources == 0
+        assert compiled_fingerprint(solver.compiled) == compiled_fingerprint(
+            dc_stamp(grid.design)
+        )
+        hits = process_cache().stats.hits
+        view = GridTransientPDN.from_design(grid.design, engine="factorized")
+        assert view._structure(1e-9).dc_solver is solver
+        assert process_cache().stats.hits == hits + 1
+
 
 class TestInfluenceCacheBound:
     def test_eviction_counter_and_bound(self):
@@ -327,7 +345,7 @@ class TestPicklePayloads:
         from repro.pdn.ac import ACNetlist
 
         net = ACNetlist()
-        net.add_voltage_source("vin", "in", "0", 1.0)
+        net.add_voltage_source("vin", "in", 1.0)
         net.add_resistor("r1", "in", "mid", 1e-3)
         net.add_inductor("l1", "mid", "out", 1e-9)
         net.add_capacitor("c1", "out", "0", 1e-6)
