@@ -220,6 +220,10 @@ def failure_tolerance(
 ) -> ToleranceReport:
     """Exhaustive N−1 sweep: fail each VR in turn, find the worst.
 
+    The worst failure is the lowest VR index whose overload fraction
+    lies within 1e-9 relative of the largest, so mirror-image VRs that
+    tie up to rounding report one stable index.
+
     Args:
         sample_limit: optionally only test the first k single-failure
             scenarios (for quick checks on large banks).
@@ -248,9 +252,6 @@ def failure_tolerance(
     # scenarios: the N−1 enumeration goes through stacked
     # back-substitutions, chunked and optionally sharded across
     # processes by the sweep executor.
-    worst_fraction = 0.0
-    worst_index = -1
-    all_survive = True
     results = _run_failure_sweep(
         grid,
         topology,
@@ -259,18 +260,22 @@ def failure_tolerance(
         jobs,
         chunk_size,
     )
-    for index, result in zip(indices, results):
-        if result.worst_overload_fraction > worst_fraction:
-            worst_fraction = result.worst_overload_fraction
-            worst_index = index
-        if not result.survives:
-            all_survive = False
+    fractions = np.array(
+        [result.worst_overload_fraction for result in results]
+    )
+    worst_fraction = float(fractions.max())
+    # Mirror-image VRs tie to ~1e-13, so the worst is the lowest index
+    # within 1e-9 relative of the largest fraction, not whichever the
+    # last bits favour.
+    ties = np.flatnonzero(fractions >= worst_fraction * (1.0 - 1e-9))
     return ToleranceReport(
         architecture=arch.name,
         topology=topology.name,
         vr_count=plan.vr_count,
-        tolerates_any_single_failure=all_survive,
-        worst_single_failure_index=worst_index,
+        tolerates_any_single_failure=all(
+            result.survives for result in results
+        ),
+        worst_single_failure_index=indices[int(ties[0])],
         worst_single_overload_fraction=worst_fraction,
     )
 

@@ -18,8 +18,13 @@ nodes of :func:`dc_stamp`, where a regulator is an ``r_out`` shunt
 plus a Norton injection, and the sparse LU is cached, so repeated
 solves that only change the sink map or the source voltages — load
 sweeps, Monte-Carlo scenarios, droop-setpoint studies — pay
-back-substitution cost only.  Solutions are packaged on the MNA form
-(:meth:`GridPDN.compile`), so their branch currents stay physical.
+back-substitution cost only.  Solutions are packaged on the same
+stamp: lateral currents from its edges and each regulator's current
+by Ohm's law across ``r_out``, so branch currents stay physical.  The
+driven AC sweep solves the same node-only system as the impedance
+map, each regulator a Norton injection behind its output branch.  The
+MNA form (:meth:`GridPDN.compile`, every regulator an EMF node and a
+voltage-source row) is derived on request as the oracle form.
 Attaching/removing sources or the ring bus changes the design's key
 and transparently refactorizes.
 """
@@ -35,13 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..errors import ConfigError, SolverError, require_finite, require_indices
-from .ac import (
-    _DENSE_BATCH_ENTRIES,
-    ACSweepSolution,
-    CompiledACNetlist,
-    check_frequencies,
-    shared_csc_pattern,
-)
+from .ac import _DENSE_BATCH_ENTRIES, check_frequencies, shared_csc_pattern
 from .fast_poisson import (
     FastPoissonOperator,
     StructuredGridPDN,
@@ -53,7 +52,7 @@ from .impedance import ImpedanceProfile
 from .mna import (
     SINGULARITY_PROBE_TOL,
     FactorizedPDN,
-    package_dc_solution,
+    check_balance,
     singularity_probe,
 )
 from .mesh import DecapDensity, MeshDesign, MeshView, cached
@@ -70,10 +69,12 @@ from .network import (
 class GridSolution:
     """Solved grid operating point.
 
+    For name-keyed element views (``grid.*``, ``ring[*]``, ``src.*``)
+    solve the MNA oracle form, ``solve_dc(grid.compile())``.
+
     Attributes:
-        dc: raw MNA solution.
         source_currents_a: output current of each attached source, in
-            attachment order.
+            attachment order (exactly 0 A for a disabled source).
         lateral_loss_w: I²R loss in the grid metal for the rail pair.
         source_loss_w: I²R loss inside the sources' output resistances
             (not part of interconnect loss; useful for diagnostics).
@@ -82,7 +83,6 @@ class GridSolution:
             (x edges then y edges).
     """
 
-    dc: DCSolution
     source_currents_a: np.ndarray
     lateral_loss_w: float
     source_loss_w: float
@@ -147,22 +147,36 @@ def _mesh_nodes(nx: int, ny: int) -> tuple:
 
 
 def dc_stamp(design: MeshDesign) -> CompiledNetlist:
-    """The nodal DC stamp of ``design``, solved by both DC engines and
-    factored for the transient's capacitors-open DC-init.
+    """The nodal DC stamp of ``design``, solved by both DC engines,
+    packaged on by :class:`GridPDN` and factored for the transient's
+    capacitors-open DC-init.
 
-    Resistors: the lateral edges, then one ``r_out`` shunt to ground
-    per source.  Current sources, zero-valued (callers pass values per
-    solve): one sink per cell, then one Norton injection ``V/r_out``
-    per source into its attach node.  With no voltage-source rows the
-    matrix is symmetric positive definite, and an open-circuited
-    source is its shunt (resistor ``lateral_count + j``) and injection
-    removed.
+    Resistors: the lateral edges (``grid.x[ix,iy]``, ``grid.y[ix,iy]``,
+    ``ring[k]``), then one ``r_out`` shunt to ground per source
+    (``src.<name>.rout``).  Current sources, zero-valued (callers pass
+    values per solve): one sink per cell (``sink[ix,iy]``), then one
+    Norton injection ``V/r_out`` per source into its attach node
+    (``src.<name>.norton``).  With no voltage-source rows the matrix is
+    symmetric positive definite, and an open-circuited source is its
+    shunt (resistor ``lateral_count + j``) and injection removed.
     """
     nx, ny = design.nx, design.ny
     cells = nx * ny
     a, b, r, _ = design.lateral_edges()
     attach = design.attach_rows()
     ground = np.full(attach.size, GROUND_INDEX, dtype=np.int64)
+    names = [source.name for source in design.sources]
+    ring_k = design.ring_segments()[0]
+
+    def resistor_names() -> list[str]:
+        rows = [("x", iy, ix) for iy in range(ny) for ix in range(nx - 1)]
+        rows += [("y", iy, ix) for iy in range(ny - 1) for ix in range(nx)]
+        return (
+            [f"grid.{axis}[{ix},{iy}]" for axis, iy, ix in rows]
+            + [f"ring[{k}]" for k in ring_k]
+            + [f"src.{name}.rout" for name in names]
+        )
+
     return CompiledNetlist(
         nodes=lambda: _mesh_nodes(nx, ny),
         n_nodes=cells,
@@ -176,6 +190,11 @@ def dc_stamp(design: MeshDesign) -> CompiledNetlist:
             [np.full(cells, GROUND_INDEX, dtype=np.int64), attach]
         ),
         cs_amp=np.zeros(cells + attach.size),
+        res_names=resistor_names,
+        cs_names=lambda: [
+            f"sink[{ix},{iy}]" for iy in range(ny) for ix in range(nx)
+        ]
+        + [f"src.{name}.norton" for name in names],
     )
 
 
@@ -187,14 +206,15 @@ class _GridStructure:
     which captures everything that shapes the system matrix (mesh
     resistances, source attachment points and output resistances, ring
     bus, per-edge variation).  Sink currents and source voltages are
-    RHS-only and do not participate.  ``compiled`` is the MNA form
-    solutions are packaged on.  Both engines are created on first use:
-    the sparse LU of :func:`dc_stamp`, so that :meth:`GridPDN.compile`
-    never pays for an LU decomposition, and the structured fast-Poisson
-    engine, so that factorized-only workloads never pay for transforms.
+    RHS-only and do not participate.  ``stamp`` is :func:`dc_stamp`,
+    the one form solutions are solved and packaged on.  Both engines
+    are created on first use: the sparse LU of the stamp, so that
+    :meth:`GridPDN.compile` never pays for an LU decomposition, and the
+    structured fast-Poisson engine, so that factorized-only workloads
+    never pay for transforms.
     """
 
-    compiled: CompiledNetlist
+    stamp: CompiledNetlist
     grid_edge_count: int
     lateral_count: int  # grid edges + ring segments
     # The design it was assembled from; only the fields its key covers
@@ -212,7 +232,7 @@ class _GridStructure:
             # parallel layer sits above pdn in the dependency graph.
             from ..parallel.cache import get_factorized
 
-            self._solver = get_factorized(dc_stamp(self.design))
+            self._solver = get_factorized(self.stamp)
         return self._solver
 
     @property
@@ -331,47 +351,12 @@ class GridPDN(MeshView):
 
     def _build_structure(self) -> _GridStructure:
         design = self.design
-        nx, ny = self.nx, self.ny
-        cells = nx * ny
-        names = self.source_names
-        ring_k = design.ring_segments()[0]
-        emf_rows = cells + np.arange(len(names), dtype=np.int64)
-        lateral_a, lateral_b, lateral_r, _ = design.lateral_edges()
-
-        def resistor_names() -> list[str]:
-            rows = [("x", iy, ix) for iy in range(ny) for ix in range(nx - 1)]
-            rows += [("y", iy, ix) for iy in range(ny - 1) for ix in range(nx)]
-            return (
-                [f"grid.{axis}[{ix},{iy}]" for axis, iy, ix in rows]
-                + [f"ring[{k}]" for k in ring_k]
-                + [f"src.{name}.rout" for name in names]
-            )
-
-        compiled = CompiledNetlist(
-            nodes=lambda: _mesh_nodes(nx, ny)
-            + tuple((f"src.{name}", "emf") for name in names),
-            n_nodes=cells + len(names),
-            res_a=np.concatenate([lateral_a, emf_rows]),
-            res_b=np.concatenate([lateral_b, design.attach_rows()]),
-            res_ohm=np.concatenate(
-                [lateral_r, design.source_values("output_resistance_ohm")]
-            ),
-            cs_from=np.arange(cells, dtype=np.int64),
-            cs_to=np.full(cells, GROUND_INDEX, dtype=np.int64),
-            cs_amp=np.zeros(cells),
-            vs_plus=emf_rows,
-            vs_minus=np.full(len(names), GROUND_INDEX, dtype=np.int64),
-            vs_volt=np.zeros(len(names)),
-            res_names=resistor_names,
-            cs_names=lambda: [
-                f"sink[{ix},{iy}]" for iy in range(ny) for ix in range(nx)
-            ],
-            vs_names=tuple(f"src.{name}.v" for name in names),
-        )
+        stamp = dc_stamp(design)
+        lateral = stamp.res_ohm.size - len(design.sources)
         return _GridStructure(
-            compiled=compiled,
-            grid_edge_count=lateral_a.size - ring_k.size,
-            lateral_count=lateral_a.size,
+            stamp=stamp,
+            grid_edge_count=lateral - design.ring_segments()[0].size,
+            lateral_count=lateral,
             design=design,
         )
 
@@ -382,12 +367,36 @@ class GridPDN(MeshView):
 
     def compile(self) -> CompiledNetlist:
         """The grid's MNA form with its sinks and source voltages: each
-        regulator an EMF node and voltage source behind ``r_out``.
-        Solutions are packaged on it, and it is the oracle form the
-        nodal engines are checked against."""
+        regulator an EMF node (``("src.<name>", "emf")``) and voltage
+        source (``src.<name>.v``) behind ``r_out``.  It is derived from
+        the cached :func:`dc_stamp` on every call (the shunts move from
+        ground to the EMF nodes, the Norton injections become
+        voltage-source rows) and is the oracle form the nodal engines
+        are checked against."""
         design = self._require(sinks=True)
-        return self._ensure_structure().compiled.with_sources(
-            cs_amp=_sink_row(design), vs_volt=design.source_values("voltage_v")
+        structure = self._ensure_structure()
+        stamp, lateral = structure.stamp, structure.lateral_count
+        nx, ny, cells = self.nx, self.ny, stamp.n_nodes
+        names = self.source_names
+        emf_rows = cells + np.arange(len(names), dtype=np.int64)
+        return CompiledNetlist(
+            nodes=lambda: _mesh_nodes(nx, ny)
+            + tuple((f"src.{name}", "emf") for name in names),
+            n_nodes=cells + len(names),
+            res_a=np.concatenate([stamp.res_a[:lateral], emf_rows]),
+            res_b=np.concatenate(
+                [stamp.res_b[:lateral], stamp.res_a[lateral:]]
+            ),
+            res_ohm=stamp.res_ohm,
+            cs_from=stamp.cs_from[:cells],
+            cs_to=stamp.cs_to[:cells],
+            cs_amp=_sink_row(design),
+            vs_plus=emf_rows,
+            vs_minus=np.full(len(names), GROUND_INDEX, dtype=np.int64),
+            vs_volt=design.source_values("voltage_v"),
+            res_names=lambda: stamp.res_names,
+            cs_names=lambda: stamp.cs_names[:cells],
+            vs_names=tuple(f"src.{name}.v" for name in names),
         )
 
     def _resolve_engine(self) -> str:
@@ -559,9 +568,7 @@ class GridPDN(MeshView):
             )
         else:
             voltages = factorized()
-        return self._package(
-            structure, voltages, sinks, volts, g_src, mask, check
-        )
+        return self._package(structure, voltages, sinks, volts, mask, check)
 
     def _package(
         self,
@@ -569,41 +576,52 @@ class GridPDN(MeshView):
         voltages: "np.ndarray | list[np.ndarray]",
         sinks: np.ndarray,
         volts: np.ndarray,
-        g_src: np.ndarray,
         live: np.ndarray,
         check: bool,
     ) -> list[GridSolution]:
-        """The one packager of both engines: node-voltage rows to
-        solutions on the MNA form ``structure.compiled``.
+        """The one packager of both engines: node-voltage rows of
+        ``structure.stamp`` to solutions.
 
-        Each row's MNA vector is rebuilt with exact EMF node voltages
-        (``V_j`` when live, the attach node's potential when
-        open-circuited) and Ohm's-law source currents, so a dead source
-        carries exactly 0 A and the sum check and the ``check``
-        verification run on the physical branches.
+        Lateral currents come from the stamp's edges, and each source's
+        current from Ohm's law across its output resistance,
+        ``g·(V − v_attach)``, exactly 0 A when open-circuited.  Under
+        ``check`` each row must satisfy KCL at every mesh node and
+        balance source power against load power plus dissipation
+        (:func:`~repro.pdn.mna.check_balance`, the rule an MNA solution
+        is verified by), scaled by the physical sink and source
+        currents: the Norton injections' ``V/r_out`` would loosen the
+        KCL bound by orders of magnitude.
         """
-        compiled = structure.compiled
-        attach = self.design.attach_rows()
-        solved = []
+        stamp, lateral = structure.stamp, structure.lateral_count
+        edge_a, edge_b = stamp.res_a[:lateral], stamp.res_b[:lateral]
+        attach = stamp.res_a[lateral:]
+        solutions = []
         # The conductance is rebuilt per row on purpose: hoisting it out
         # of the loop raised the peak RSS of a 128² A1 bank's solves by
         # ~8 MB (glibc malloc, Linux x86-64).
         for v_row, amp, live_row in zip(voltages, sinks, live):
-            v_attach = v_row[attach]
-            i_src = np.where(live_row, g_src * (volts - v_attach), 0.0)
-            v_emf = np.where(live_row, volts, v_attach)
-            x = np.concatenate([v_row, v_emf, -i_src])
-            solved.append(
-                package_dc_solution(
-                    compiled, x, amp, volts, 1.0 / compiled.res_ohm, check
-                )
-            )
-        lateral, cells = structure.lateral_count, self.nx * self.ny
-        solutions = []
-        for dc, amp in zip(solved, sinks):
-            losses = dc.resistor_loss_array
-            branch_currents = dc.resistor_current_array
+            # Ground trick: append one 0.0 so GROUND_INDEX (-1) gathers
+            # 0 V; a shunt's drop to ground is then replaced by the
+            # physical one across r_out, EMF to attach node.
+            v_full = np.concatenate([v_row, [0.0]])
+            drop = v_full[stamp.res_a] - v_full[stamp.res_b]
+            drop[lateral:] = np.where(live_row, volts - v_row[attach], 0.0)
+            branch_currents = drop * (1.0 / stamp.res_ohm)
+            losses = branch_currents * drop
             currents = branch_currents[lateral:].copy()
+            if check:
+                edge = branch_currents[:lateral]
+                check_balance(
+                    np.bincount(edge_b, edge, stamp.n_nodes)
+                    - np.bincount(edge_a, edge, stamp.n_nodes)
+                    + np.bincount(attach, currents, stamp.n_nodes)
+                    - amp,
+                    amp,
+                    currents,
+                    source_power=float(volts @ currents),
+                    load_power=float(amp @ v_row),
+                    dissipated=float(losses.sum()),
+                )
             total_sink = float(amp.sum())
             if abs(currents.sum() - total_sink) > 1e-6 * max(total_sink, 1.0):
                 raise SolverError(
@@ -612,15 +630,12 @@ class GridPDN(MeshView):
                 )
             solutions.append(
                 GridSolution(
-                    dc=dc,
                     source_currents_a=currents,
                     lateral_loss_w=float(
                         losses[:lateral].sum() * self.rail_pair_factor
                     ),
                     source_loss_w=float(losses[lateral:].sum()),
-                    voltage_map=dc.node_voltage_array[:cells]
-                    .reshape(self.ny, self.nx)
-                    .copy(),
+                    voltage_map=v_row.reshape(self.ny, self.nx).copy(),
                     grid_edge_currents_a=branch_currents[
                         : structure.grid_edge_count
                     ],
@@ -727,26 +742,13 @@ class GridACSweepSolution:
     """Driven phasor sweep of the mesh (sources live, sinks as AC loads).
 
     Attributes:
-        sweep: the underlying node-voltage sweep (mesh nodes first in
-            row order, then internal branch nodes).
-        nx, ny: mesh dimensions.
+        frequencies_hz: the sweep grid.
+        voltage_maps: complex mesh node voltages, shape
+            ``(n_freqs, ny, nx)``.
     """
 
-    sweep: ACSweepSolution
-    nx: int
-    ny: int
-
-    @property
-    def frequencies_hz(self) -> np.ndarray:
-        return self.sweep.frequencies_hz
-
-    @property
-    def voltage_maps(self) -> np.ndarray:
-        """Complex mesh node voltages, shape ``(n_freqs, ny, nx)``."""
-        cells = self.nx * self.ny
-        return self.sweep.voltage_matrix[:, :cells].reshape(
-            -1, self.ny, self.nx
-        )
+    frequencies_hz: np.ndarray
+    voltage_maps: np.ndarray
 
     def magnitude_map(self, index: int) -> np.ndarray:
         """|V| over the mesh at sweep point ``index``."""
@@ -871,17 +873,17 @@ class GridACPDN(MeshView):
       as AC load magnitudes), whose low-frequency limit converges to
       the :class:`GridPDN` DC solution.
 
-    Everything is compiled once per topology and revalued per
-    frequency: the driven path stamps straight into a
-    :class:`~repro.pdn.ac.CompiledACNetlist` (array assembly, shared
-    CSC pattern, batched solves), and the impedance map runs on a
-    *reduced* node-only system — decap chains and source branches fold
-    into per-node shunt admittances — solved by exact block-tridiagonal
-    selected inversion (``selinv``), or by the DCT-diagonalized
-    ``structured`` engine when the decap density is uniform and its
-    rank-k branch correction is the cheaper of the two.
-    Each structure is cached under the design's
-    :attr:`~repro.pdn.mesh.MeshDesign.key`.
+    Both surfaces run on one *reduced* node-only system, compiled once
+    per topology and revalued per frequency: decap chains and source
+    branches fold into per-node shunt admittances, and in the driven
+    sweep each source's EMF is a Norton injection behind its branch.
+    The impedance map solves it by exact block-tridiagonal selected
+    inversion (``selinv``), or by the DCT-diagonalized ``structured``
+    engine when the decap density is uniform and its rank-k branch
+    correction is the cheaper of the two; the driven sweep by one
+    sparse LU per frequency.  Each structure is cached under the
+    design's :attr:`~repro.pdn.mesh.MeshDesign.key` alone, so sink and
+    voltage edits reuse it.
 
     Unlike the DC grid, degenerate 1-D chains (``nx == 1`` or
     ``ny == 1``) are allowed: they are the lattice the analytic ladder
@@ -1506,135 +1508,64 @@ class GridACPDN(MeshView):
 
     # -- driven sweep -----------------------------------------------------------
 
-    def compile_ac(self) -> CompiledACNetlist:
-        """The full driven mesh as a compiled AC netlist.
-
-        Stamps the mesh edges (with internal nodes where the metal is
-        inductive), every decap chain, the ring bus, the sink map as
-        AC load magnitudes, and each source as an ideal EMF behind its
-        output resistance and bump/TSV inductance — array assembly
-        straight into a :class:`~repro.pdn.network.CompiledNetlist` plus
-        its L/C arrays, no per-element Python objects.
-        """
-        design = self._require(sinks=True)
-        sinks = np.ascontiguousarray(design.sinks, dtype=float).ravel()
-        volts = design.source_values("voltage_v")
-        # The sinks and source voltages are baked in, so they join the
-        # design key in the tag.
-        return cached(
-            self,
-            "_compiled",
-            (design.key, sinks.tobytes(), volts.tobytes()),
-            lambda: self._build_compiled_ac(sinks, volts),
-        )
-
-    def _build_compiled_ac(
-        self, sinks: np.ndarray, volts: np.ndarray
-    ) -> CompiledACNetlist:
-        design = self.design
-        nx, ny = self.nx, self.ny
-        cells = nx * ny
-        c_map, esr_map, esl_map = design.decap_arrays()
-        has_c = c_map > 0
-        has_r = has_c & (esr_map > 0)
-        has_l = has_c & (esl_map > 0)
-        first = has_c & (has_r | has_l)
-        second = has_r & has_l
-
-        nodes: list = [("g", ix, iy) for iy in range(ny) for ix in range(nx)]
-        # Mesh and ring edges: plain resistors, or R + L through an
-        # internal node where the metal is inductive.
-        edge_a, edge_b, edge_r, edge_l = design.lateral_edges()
-        inductive = np.nonzero(edge_l > 0)[0]
-        far = edge_b.copy()
-        far[inductive] = len(nodes) + np.arange(inductive.size)
-        nodes.extend(("edge", int(k)) for k in inductive)
-        res_a: list[np.ndarray] = [edge_a]
-        res_b: list[np.ndarray] = [far]
-        res_v: list[np.ndarray] = [edge_r]
-        ind_a: list[np.ndarray] = [far[inductive]]
-        ind_b: list[np.ndarray] = [edge_b[inductive]]
-        ind_v: list[np.ndarray] = [edge_l[inductive]]
-
-        # Decap chains: node —C→ [first] —ESR→ [second] —ESL→ ground,
-        # with stages collapsing away wherever ESR/ESL are zero.
-        mesh_rows = np.arange(cells, dtype=np.int64)
-        first_row = np.full(cells, GROUND_INDEX, dtype=np.int64)
-        first_row[first] = len(nodes) + np.arange(int(first.sum()))
-        nodes.extend(("decap", int(k), "a") for k in np.nonzero(first)[0])
-        second_row = np.full(cells, GROUND_INDEX, dtype=np.int64)
-        second_row[second] = len(nodes) + np.arange(int(second.sum()))
-        nodes.extend(("decap", int(k), "b") for k in np.nonzero(second)[0])
-
-        cap_a = mesh_rows[has_c]
-        cap_b = first_row[has_c]  # GROUND_INDEX where the chain is bare C
-        cap_v = c_map[has_c]
-        if np.any(has_r):
-            res_a.append(first_row[has_r])
-            res_b.append(np.where(has_l, second_row, GROUND_INDEX)[has_r])
-            res_v.append(esr_map[has_r])
-        if np.any(has_l):
-            esl_start = np.where(has_r, second_row, first_row)
-            ind_a.append(esl_start[has_l])
-            ind_b.append(np.full(int(has_l.sum()), GROUND_INDEX, np.int64))
-            ind_v.append(esl_map[has_l])
-
-        # Source branches: emf —rout→ [mid —L→] attach node.
-        vs_plus = []
-        for source, attach in zip(design.sources, design.attach_rows()):
-            r_out = source.output_resistance_ohm
-            l_src = source.inductance_h
-            emf = len(nodes)
-            nodes.append(("src", source.name, "emf"))
-            if l_src > 0:
-                mid = len(nodes)
-                nodes.append(("src", source.name, "mid"))
-                res_a.append(np.array([emf], dtype=np.int64))
-                res_b.append(np.array([mid], dtype=np.int64))
-                res_v.append(np.array([r_out]))
-                ind_a.append(np.array([mid], dtype=np.int64))
-                ind_b.append(np.array([attach], dtype=np.int64))
-                ind_v.append(np.array([l_src]))
-            else:
-                res_a.append(np.array([emf], dtype=np.int64))
-                res_b.append(np.array([attach], dtype=np.int64))
-                res_v.append(np.array([r_out]))
-            vs_plus.append(emf)
-
-        compiled = CompiledNetlist(
-            nodes=tuple(nodes),
-            res_a=np.concatenate(res_a),
-            res_b=np.concatenate(res_b),
-            res_ohm=np.concatenate(res_v),
-            vs_plus=np.array(vs_plus, dtype=np.int64),
-            vs_minus=np.full(len(vs_plus), GROUND_INDEX, dtype=np.int64),
-            vs_volt=volts,
-            cs_from=mesh_rows,
-            cs_to=np.full(cells, GROUND_INDEX, dtype=np.int64),
-            cs_amp=sinks,
-        )
-        return CompiledACNetlist(
-            compiled,
-            np.concatenate(ind_a),
-            np.concatenate(ind_b),
-            np.concatenate(ind_v),
-            cap_a,
-            cap_b,
-            cap_v,
-        )
-
     def solve(self, frequencies_hz: np.ndarray) -> GridACSweepSolution:
         """Driven phasor sweep: sources at their EMFs, sinks as AC
         load magnitudes (phase 0).
 
-        As the frequency approaches zero the decaps open and the
-        series inductances short, so the voltage maps converge to the
-        :class:`GridPDN` DC IR-drop solution of the same mesh — the
-        regression the grid tests pin down.
+        Solves the reduced node-only system of :meth:`impedance_map`, in
+        which each source's output branch is already the shunt
+        ``y_src(ω)`` at its attach node, so its EMF enters as the Norton
+        injection ``y_src(ω)·V`` there: one sparse LU per frequency,
+        chunked over frequency, with the known-solution probe riding
+        along as a second right-hand side.  As the frequency approaches
+        zero the decaps open and the series inductances short, so the
+        voltage maps converge to the :class:`GridPDN` DC IR-drop
+        solution of the same mesh — the regression the grid tests pin
+        down.
+
+        Raises:
+            SolverError: singular or non-finite system at a sweep point.
         """
         freqs = check_frequencies(frequencies_hz)
+        design = self._require(sinks=True)
+        structure = self._ensure_reduced()
+        cells = self.nx * self.ny
+        omega = 2.0 * math.pi * freqs
+        attach = design.attach_rows()
+        volts = design.source_values("voltage_v")
+        probe = singularity_probe(cells)
+        voltages = np.empty((freqs.size, cells), dtype=complex)
+        probe_error = np.empty(freqs.size)
+        chunk = max(1, _DENSE_BATCH_ENTRIES // structure.entry_rows.size)
+        for lo in range(0, freqs.size, chunk):
+            hi = min(lo + chunk, freqs.size)
+            data = self._reduced_csc_data(structure, omega[lo:hi])
+            rhs = np.empty((hi - lo, cells, 2), dtype=complex)
+            rhs[:, :, 0] = -_sink_row(design)
+            np.add.at(
+                rhs[:, :, 0],
+                (slice(None), attach),
+                self._source_admittance(omega[lo:hi]) * volts,
+            )
+            # The probe's right-hand side A @ w (column sums, as A is
+            # symmetric); see repro.pdn.mna.singularity_probe.
+            rhs[:, :, 1] = np.add.reduceat(
+                data * probe[structure.csc_rows],
+                structure.indptr[:-1],
+                axis=1,
+            )
+            for k in range(lo, hi):
+                _, solved = _reduced_solve(
+                    structure, data[k - lo], rhs[k - lo], freqs[k]
+                )
+                voltages[k] = solved[:, 0]
+                with np.errstate(all="ignore"):
+                    probe_error[k] = np.abs(solved[:, 1] - probe).max()
+        probe_error[~np.all(np.isfinite(voltages), axis=1)] = np.inf
+        _check_probe(probe_error, freqs)
         return GridACSweepSolution(
-            sweep=self.compile_ac().solve(freqs), nx=self.nx, ny=self.ny
+            frequencies_hz=freqs,
+            voltage_maps=voltages.reshape(-1, self.ny, self.nx),
         )
 
 

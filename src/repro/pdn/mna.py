@@ -770,11 +770,12 @@ def package_dc_solution(
 ) -> DCSolution:
     """Turn a raw MNA solution vector into a verified :class:`DCSolution`.
 
-    Shared by every DC solve path — the cached-LU engine above and the
-    grid's packager (:mod:`repro.pdn.grid`, both of its engines) — so
-    branch-current extraction,
+    Shared by the solve paths of :class:`FactorizedPDN` — plain,
+    Woodbury-corrected and refactorized — so branch-current extraction,
     disabled-source snapping, and the KCL/power verification render
-    identical results regardless of how ``x`` was computed.
+    identical results regardless of how ``x`` was computed.  The grid
+    packages its nodal solutions itself (:mod:`repro.pdn.grid`) and
+    shares only the verification rule, :func:`check_balance`.
     """
     n = compiled.n_nodes
     voltages = x[:n]
@@ -843,9 +844,34 @@ def _verify(
         + contributions(compiled.vs_plus, source_currents)
         + contributions(compiled.vs_minus, -source_currents)
     )
+    check_balance(
+        residual,
+        cs_amp,
+        source_currents,
+        source_power=float(vs_volt @ source_currents),
+        load_power=float(
+            cs_amp @ (v_full[compiled.cs_from] - v_full[compiled.cs_to])
+        ),
+        dissipated=float(solution.resistor_loss_array.sum()),
+    )
+
+
+def check_balance(
+    residual: np.ndarray,
+    load_currents: np.ndarray,
+    source_currents: np.ndarray,
+    source_power: float,
+    load_power: float,
+    dissipated: float,
+) -> None:
+    """Raise :class:`~repro.errors.SolverError` unless the worst KCL
+    node residual is within 1e-6 of the largest load or source current
+    and the power balance within 1e-6 of its largest term (both scales
+    at least 1 A or 1 W).  Shared by the MNA verification above and the
+    grid's nodal packager (:mod:`repro.pdn.grid`)."""
     scale = max(
         1.0,
-        float(np.abs(cs_amp).max(initial=0.0)),
+        float(np.abs(load_currents).max(initial=0.0)),
         float(np.abs(source_currents).max(initial=0.0)),
     )
     worst = float(np.abs(residual).max(initial=0.0))
@@ -854,12 +880,6 @@ def _verify(
             f"KCL violated: worst node residual {worst:.3e} A "
             f"(scale {scale:.3e} A)"
         )
-
-    source_power = float(vs_volt @ source_currents)
-    load_power = float(
-        cs_amp @ (v_full[compiled.cs_from] - v_full[compiled.cs_to])
-    )
-    dissipated = float(solution.resistor_loss_array.sum())
     imbalance = abs(source_power - load_power - dissipated)
     power_scale = max(1.0, abs(source_power), abs(load_power), dissipated)
     if imbalance > 1e-6 * power_scale:

@@ -587,7 +587,7 @@ class CompiledNetlist:
         """Picklable state for process-pool payloads.
 
         Lazy node/name sources are often closures over the builder
-        (e.g. :meth:`repro.pdn.grid.GridPDN._build_structure`), which
+        (e.g. :func:`repro.pdn.grid.dc_stamp`), which
         cannot cross a process boundary — materialize them first.  The
         node-index dict is derived data; drop it and rebuild on demand.
         """

@@ -1,0 +1,64 @@
+"""40-digit reference solve of a lumped AC netlist (test-only helper).
+
+Builds the MNA system of an :class:`~repro.pdn.ac.ACNetlist` straight
+from its element values in mpmath arithmetic, so a float64 solver is
+measured against the circuit itself, not against another float64 stamp
+of it: at stiff points (mΩ sources beside µF decaps at 10 kHz) the
+stamp's rounded entries alone move the solution by ~1e-9.
+"""
+
+from __future__ import annotations
+
+import mpmath
+
+from repro.pdn.ac import ACNetlist, ACSolution
+
+
+def solve_ac_mp(
+    netlist: ACNetlist, frequency_hz: float, dps: int = 40
+) -> ACSolution:
+    """The phasor operating point of ``netlist`` at ``frequency_hz``,
+    solved at ``dps`` decimal digits, as :func:`~repro.pdn.ac.solve_ac`
+    defines it (sources at phase 0)."""
+    ground = netlist.GROUND
+    nodes = netlist.nodes()
+    index = {node: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+    with mpmath.workdps(dps):
+        jw = mpmath.mpc(0, 2) * mpmath.pi * mpmath.mpf(frequency_hz)
+        size = n + len(netlist.voltage_sources)
+        matrix = mpmath.zeros(size, size)
+        rhs = mpmath.zeros(size, 1)
+
+        def admittance(node_a, node_b, y) -> None:
+            for p, q, sign in (
+                (node_a, node_a, 1),
+                (node_b, node_b, 1),
+                (node_a, node_b, -1),
+                (node_b, node_a, -1),
+            ):
+                if p != ground and q != ground:
+                    matrix[index[p], index[q]] += sign * y
+
+        for r in netlist.resistors:
+            admittance(r.node_a, r.node_b, 1 / mpmath.mpf(r.resistance_ohm))
+        for l in netlist.inductors:
+            admittance(
+                l.node_a, l.node_b, 1 / (jw * mpmath.mpf(l.inductance_h))
+            )
+        for c in netlist.capacitors:
+            admittance(c.node_a, c.node_b, jw * mpmath.mpf(c.capacitance_f))
+        for s in netlist.current_sources:
+            if s.node_from != ground:
+                rhs[index[s.node_from]] -= mpmath.mpf(s.current_a)
+            if s.node_to != ground:
+                rhs[index[s.node_to]] += mpmath.mpf(s.current_a)
+        for k, v in enumerate(netlist.voltage_sources):
+            for node, sign in ((v.node_plus, 1), (v.node_minus, -1)):
+                if node != ground:
+                    matrix[index[node], n + k] += sign
+                    matrix[n + k, index[node]] += sign
+            rhs[n + k] = mpmath.mpf(v.voltage_v)
+        solution = mpmath.lu_solve(matrix, rhs)
+        voltages = {node: complex(solution[index[node]]) for node in nodes}
+    return ACSolution(frequency_hz=float(frequency_hz), node_voltages=voltages)

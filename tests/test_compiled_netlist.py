@@ -304,19 +304,45 @@ class TestGridFactorizationCache:
                 )
 
     def test_edge_current_stats_match_name_filtered_dict(self):
-        solution = hotspot_grid().solve()
-        stats = solution.edge_current_stats()
+        grid = hotspot_grid()
+        stats = grid.solve().edge_current_stats()
+        oracle = solve_dc(grid.build_netlist())
         by_name = np.abs(
             np.array(
                 [
                     current
-                    for name, current in solution.dc.resistor_currents.items()
+                    for name, current in oracle.resistor_currents.items()
                     if name.startswith("grid.")
                 ]
             )
         )
         assert stats["max_a"] == pytest.approx(by_name.max(), rel=1e-12)
         assert stats["mean_a"] == pytest.approx(by_name.mean(), rel=1e-12)
+
+    def test_compile_names_and_solves_like_build_netlist(self):
+        """compile(), derived from the nodal stamp, names every node,
+        resistor and voltage source as build_netlist() does and solves
+        to the same operating point."""
+        grid = hotspot_grid()
+        grid.add_source("c", 0.5, 1.0, 1.0, 1e-3)
+        grid.connect_sources_with_ring_bus(5e-3)
+        derived = solve_dc(grid.compile())
+        built = solve_dc(grid.build_netlist())
+        assert derived.node_voltages.keys() == built.node_voltages.keys()
+        for node, volts in built.node_voltages.items():
+            assert derived.node_voltages[node] == pytest.approx(
+                volts, rel=1e-9
+            )
+        assert derived.resistor_currents.keys() == (
+            built.resistor_currents.keys()
+        )
+        for name, amps in built.resistor_currents.items():
+            assert derived.resistor_currents[name] == pytest.approx(
+                amps, rel=1e-6, abs=1e-9
+            )
+        assert derived.source_currents == pytest.approx(
+            built.source_currents, rel=1e-9
+        )
 
     def test_grid_compile_exposes_sinks_and_voltages(self):
         grid = hotspot_grid()
@@ -339,6 +365,28 @@ class TestGridFactorizationCache:
         assert structure._solver is None
         grid.solve()
         assert structure._solver is not None
+
+    def test_packager_check_scales_kcl_by_physical_currents(
+        self, monkeypatch
+    ):
+        """One interior node moved by 1e-7 V leaves a 3.7e-4 A KCL
+        residual, over 1e-6 of the 50 A source currents, so check=True
+        rejects it; scaled by the nodal stamp's Norton injections
+        (V/r_out = 1000 A) the same check would let it through."""
+        grid = hotspot_grid()
+        clean = grid.solve().voltage_map
+        solve_rhs = FactorizedPDN.solve_rhs
+
+        def nudged(self, rhs):
+            x = solve_rhs(self, rhs).copy()
+            x[5 * grid.nx + 5] += 1e-7
+            return x
+
+        monkeypatch.setattr(FactorizedPDN, "solve_rhs", nudged)
+        with pytest.raises(SolverError, match="KCL violated"):
+            grid.solve()
+        unchecked = grid.solve(check=False).voltage_map
+        assert unchecked[5, 5] - clean[5, 5] == pytest.approx(1e-7, rel=1e-6)
 
 
 class TestNortonStamp:

@@ -257,6 +257,9 @@ class TestFactorizationCache:
         grid.engine = "factorized"
         grid.solve()
         solver = grid._ensure_structure().solver
+        # One stamp per topology: the LU factors the stamp solutions
+        # are packaged on.
+        assert solver.compiled is grid._ensure_structure().stamp
         assert solver.compiled.n_vsources == 0
         assert compiled_fingerprint(solver.compiled) == compiled_fingerprint(
             dc_stamp(grid.design)

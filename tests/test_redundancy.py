@@ -95,6 +95,19 @@ class TestFailureTolerance:
         )
         assert 0 <= report.worst_single_failure_index < 48
 
+    def test_mirror_image_ties_report_the_lowest_index(self):
+        """On the A1 bank under the hotspot map, failing VR 5, 6, 17,
+        18, 29, 30, 41 or 42 overloads the survivors by one fraction up
+        to ~1e-13; the report names the lowest of them, not whichever
+        the last bits favour."""
+        report = failure_tolerance(single_stage_a1(), DSCH)
+        assert report.worst_single_failure_index == 5
+        for index in (5, 6, 17, 18, 29, 30, 41, 42):
+            result = inject_failures(single_stage_a1(), DSCH, (index,))
+            assert result.worst_overload_fraction == pytest.approx(
+                report.worst_single_overload_fraction, rel=1e-9
+            )
+
     def test_dpmih_margin(self):
         """12 DPMIH VRs at ~84 A of a 100 A rating: a single failure
         pushes survivors close to (or beyond) the rating under the
