@@ -24,11 +24,15 @@ shapes the system-level sweeps rely on:
   per-node Z(f) over a 200-point sweep at mesh sizes 8/16/24
   (``GridACPDN.impedance_map``, compile once / revalue per frequency),
   and ``..._many_vr`` — the same sweep under a 48-VR ring-bus bank at
-  12/24, where ``auto`` routes the uniform density to selinv,
+  12/24, where ``auto`` routes the uniform density to selinv at 12 and
+  to structured at 24,
 * ``test_grid_solve_structured`` / ``test_grid_solve_factorized_large``
   / ``test_grid_solve_structured_warm`` — the fast-Poisson DC engine
   at 128/192/256 meshes against the sparse-LU path, plus the 256×256
   warm hot loop (<50 ms target),
+* ``test_structured_setup`` — the structured DC engine's setup
+  (``StructuredGridPDN(design)``) on the paper's 48-VR banks at 128²,
+  cold by construction: structured operators are never process-cached,
 * ``test_grid_ac_impedance_map_spectral`` / ``..._structured`` — the
   modal AC engines head to head at 16/32/96 meshes,
 * ``test_grid_ac_impedance_map_selinv`` — the general exact engine
@@ -127,6 +131,24 @@ def test_grid_solve_structured_warm(benchmark):
 
     loss = benchmark(rescale_and_solve)
     assert loss > 0
+
+
+@pytest.mark.parametrize("arch", ["A1", "A2"])
+def test_structured_setup(benchmark, arch):
+    """``StructuredGridPDN(design)`` on a 128² die mesh under the
+    paper's 48-VR bank: the periphery bank on its ring bus (A1) or the
+    under-die array (A2).  Records the Woodbury rank beside the time."""
+    from repro import DSCH, SystemSpec, single_stage_a1, single_stage_a2
+    from repro.core.current_sharing import _die_grid_with_bank
+    from repro.pdn.fast_poisson import StructuredGridPDN
+
+    bank = {"A1": single_stage_a1, "A2": single_stage_a2}[arch]()
+    grid, _ = _die_grid_with_bank(
+        bank, DSCH, SystemSpec(), PowerMap.hotspot_mixture(), 128, 1.0,
+        0.15e-3,
+    )
+    engine = benchmark(StructuredGridPDN, grid.design)
+    benchmark.extra_info["rank"] = engine.op.rank
 
 
 def test_repeated_solve_cached_factorization(benchmark):
@@ -313,8 +335,9 @@ def test_grid_ac_impedance_map(benchmark, n):
 @pytest.mark.parametrize("n", [12, 24])
 def test_grid_ac_impedance_map_many_vr(benchmark, n):
     """Uniform density under the paper's 48-VR periphery bank on a ring
-    bus, 200 points through ``auto``: a structured Woodbury rank near
-    100, where the cost rule routes the sweep to selinv."""
+    bus, 200 points through ``auto``: a structured Woodbury rank of one
+    plus the attach nodes (the ring adds no column), where the cost
+    rule routes the sweep to selinv at 12² and to structured at 24²."""
     from repro.placement.geometry import periphery_positions
 
     pdn = GridACPDN(0.0224, 0.0224, 0.62e-3, nx=n, ny=n)
@@ -323,7 +346,7 @@ def test_grid_ac_impedance_map_many_vr(benchmark, n):
         pdn.add_source(f"vr{k}", position.x, position.y, 1.0, 1e-3, 5e-12)
     pdn.connect_sources_with_ring_bus(2e-3)
     freqs = np.logspace(4, 9, GRID_AC_POINTS)
-    assert pdn.impedance_engine() == "selinv"
+    assert pdn.impedance_engine() == ("selinv" if n == 12 else "structured")
     pdn.impedance_map(freqs)
 
     impedance = benchmark(pdn.impedance_map, freqs)

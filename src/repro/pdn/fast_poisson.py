@@ -19,10 +19,11 @@ structure as a small correction:
 * ``G`` alone is singular (the constant mode); the zero eigenvalue is
   deflated by a rank-1 shift ``τ·u₀u₀ᵀ`` that is subtracted back out
   through the same correction that carries the source branches.
-* Source output shunts (rank-1 each), ring-bus segments (rank-1
-  each), per-node shunt deviations and the deflation column enter as a
-  rank-k Woodbury correction ``A = M + U C Uᵀ`` on the fast operator
-  ``M`` — the same identity
+* Source output shunts, ring-bus segments (which join attach nodes)
+  and per-node shunt deviations touch a small node set T; with the
+  deflation column they enter as a rank-``(1 + |T|)`` Woodbury
+  correction ``A = M + U C Uᵀ``, ``U = [u₀ | E_T]``, on the fast
+  operator ``M`` — the same identity
   :meth:`repro.pdn.mna.FactorizedPDN.solve_modified_many` uses on the
   cached LU, here with ``M⁻¹`` a transform pair instead of a
   back-substitution.
@@ -34,11 +35,11 @@ structure as a small correction:
 engine (:class:`StructuredGridPDN`, N−k sweeps included) and both
 structured transient stamps of :mod:`repro.pdn.grid_transient` run on
 it.  A batch of right-hand sides costs one transform pair and one
-``coeff @ Zᵀ`` GEMM per Woodbury apply, with ``S = UᵀZ + C⁻¹``
+``coeff @ Zᵀ`` GEMM per Woodbury apply, with ``S = I + C·UᵀZ``
 factored once; a deflated (zero-shift) operator adds one refinement
-round.  Disabling a source (an open-circuited regulator) gives its
-column an identity row in that scenario's ``S``, so a whole N−k sweep
-shares every transform and the stored influence rows ``Zᵀ``.
+round.  Disabling a source (an open-circuited regulator) is a row
+update of that scenario's ``S``, so a whole N−k sweep shares every
+transform and the stored influence rows ``Zᵀ``.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ def dct2_basis(n: int) -> np.ndarray:
     """The orthonormal DCT-II basis matrix ``B[k, j]``.
 
     Row ``k`` is the k-th eigenvector of the free path Laplacian;
-    ``B @ B.T = I``.  Used where per-node squared eigenvector weights
-    are needed (the structured AC impedance map); bulk transforms go
-    through ``scipy.fft`` instead.
+    ``B @ B.T = I``.  Used for per-node squared eigenvector weights
+    (the structured AC impedance map) and :func:`modal_columns`; bulk
+    transforms go through ``scipy.fft`` instead.
     """
     j = np.arange(n, dtype=float)
     basis = np.cos(
@@ -106,30 +107,32 @@ def dct2_basis(n: int) -> np.ndarray:
     return basis
 
 
-def branch_columns(
-    cells: int,
-    deflate: bool,
-    rows: np.ndarray,
-    ring_a: np.ndarray,
-    ring_b: np.ndarray,
-) -> np.ndarray:
-    """Woodbury columns ``U`` of a structured engine's low-rank branches.
+def modal_columns(nx: int, ny: int, rows: np.ndarray) -> np.ndarray:
+    """The orthonormal 2-D DCT-II of the unit columns ``e_r`` as
+    ``(len(rows), ny, nx)`` fields: for ``r = iy·nx + ix``, the outer
+    product of column ``iy`` of ``dct2_basis(ny)`` and column ``ix``
+    of ``dct2_basis(nx)`` — no transform, no dense column stack."""
+    iy, ix = np.divmod(rows, nx)
+    return dct2_basis(ny).T[iy, :, None] * dct2_basis(nx).T[ix, None, :]
 
-    In order: the normalized constant column that reinstates a
-    deflated zero mode (when ``deflate``), one unit column per shunt
-    row in ``rows`` (source attachments, decap deviations), and one
-    ``±1`` column per ring segment ``ring_a[t] — ring_b[t]``.  Shared
-    by the DC, AC and transient structured engines.
-    """
-    lead = int(deflate)
-    u = np.zeros((cells, lead + rows.size + ring_a.size))
-    if deflate:
-        u[:, 0] = 1.0 / np.sqrt(cells)
-    u[rows, lead + np.arange(rows.size)] = 1.0
-    ring = lead + rows.size + np.arange(ring_a.size)
-    u[ring_a, ring] = 1.0
-    u[ring_b, ring] = -1.0
-    return u
+
+def touched_coupling(
+    rows: np.ndarray, g: np.ndarray, ring_a: np.ndarray, ring_b: np.ndarray,
+    g_ring: np.ndarray, lead: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The touched-node set T of shunts ``g`` at ``rows`` (repeats
+    allowed) and of ring segments ``ring_a[t] — ring_b[t]``, which join
+    shunt rows.  Returns T (sorted), the column of ``U = [lead
+    columns | E_T]`` at each row, and the coupling ``C_T`` on those
+    columns, a dense square: the shunts summed per node on its
+    diagonal plus the ring Laplacian."""
+    touched, inverse = np.unique(rows, return_inverse=True)
+    slots = lead + inverse
+    a, b = lead + np.searchsorted(touched, (ring_a, ring_b))
+    entries = (np.r_[slots, a, b, a, b], np.r_[slots, a, b, b, a])
+    c = np.zeros((lead + touched.size,) * 2)
+    np.add.at(c, entries, np.r_[g, g_ring, g_ring, -g_ring, -g_ring])
+    return touched, slots, c
 
 
 class FastPoissonOperator:
@@ -224,12 +227,14 @@ class StructuredOperator:
     The real structured kernel under the DC, N−k and transient solves.
     ``A`` is split as ``M + U C Uᵀ``: ``M`` is
     :class:`FastPoissonOperator` on the mean axis conductances, shifted
-    by the most common ``g_node`` value, and the Woodbury columns ``U``
-    are, in order, the deflation column (zero shift only), one unit
-    column per deviating shunt row, one per source and one ``±1``
-    column per ring segment (``ring_a[t] — ring_b[t]``).  ``Zᵀ =
-    (M⁻¹U)ᵀ`` is stored once as rows and ``S = UᵀZ + C⁻¹`` is
-    LU-factored once.
+    by the most common ``g_node`` value; ``U = [u₀ | E_T]`` holds the
+    deflation column (zero shift only) and one unit column per touched
+    node (deviating shunt rows and attach nodes, each once), so
+    ``rank`` is ``1 + |T|``; ``C = blockdiag(−τ, C_T)``
+    (:func:`touched_coupling`).  ``Zᵀ = (M⁻¹U)ᵀ`` is stored once, each
+    row one inverse transform of a :func:`modal_columns` field, and
+    ``S = I + C·UᵀZ`` (no ``C⁻¹``: a dead source can leave ``C_T``
+    singular) is LU-factored once.
 
     Everything works in row layout: a right-hand-side stack is
     ``(m, cells)``, so each row views as an ``(ny, nx)`` field.
@@ -240,9 +245,8 @@ class StructuredOperator:
 
     ``live`` — an ``(m, sources)`` boolean mask, one row per
     right-hand side, ``None`` for every source live — open-circuits
-    sources: a dead source's column gets an identity row and column
-    in that row's ``S`` and a zero right-hand-side entry, so ``Z`` is
-    never sliced.
+    sources: a dead source's ``g_src`` leaves ``C``'s diagonal, a row
+    update of that row's ``S``, so ``Z`` is never sliced.
 
     Raises:
         StructuredSolveError: more deviating shunt rows than the
@@ -281,18 +285,26 @@ class StructuredOperator:
         )
         tau = self.poisson.deflation_tau
         self.deflated = tau is not None
-        self._rows = np.concatenate([dev_rows, attach])
-        lead = int(self.deflated) + dev_rows.size
-        self._sources = slice(lead, lead + attach.size)
-        c = np.concatenate(
-            [[-tau] if self.deflated else [], g_node[dev_rows] - base,
-             g_src, g_ring]
+        lead = int(self.deflated)
+        self._rows, slots, self._c = touched_coupling(
+            np.concatenate([dev_rows, attach]),
+            np.concatenate([g_node[dev_rows] - base, g_src]),
+            ring_a, ring_b, g_ring, lead,
         )
-        self._zt = self.poisson.solve_rows(
-            branch_columns(cells, self.deflated, self._rows, ring_a, ring_b).T
+        self._src_slots = slots[dev_rows.size :]
+        self.rank = len(self._c)
+        self._zt = np.empty((self.rank, cells))
+        if self.deflated:
+            self._c[0, 0] = -tau
+            self._zt[0] = 1.0 / (tau * np.sqrt(cells))
+        fields = self._zt[lead:].reshape(-1, ny, nx)
+        np.divide(
+            modal_columns(nx, ny, self._rows), self.poisson.eigenvalues(),
+            out=fields,
         )
-        with np.errstate(all="ignore"):
-            self._s = self._gather(self._zt).T + np.diag(1.0 / c)
+        sfft.idctn(fields, type=2, axes=(1, 2), norm="ortho", overwrite_x=True)
+        self._p = self._gather(self._zt).T  # UᵀZ
+        self._s = np.eye(self.rank) + self._c @ self._p
         if not np.all(np.isfinite(self._s)):
             raise StructuredSolveError("structured correction is non-finite")
         self._s_lu = lu_factor(self._s, check_finite=False)
@@ -300,14 +312,12 @@ class StructuredOperator:
             raise StructuredSolveError("structured correction is singular")
 
     def _gather(self, y: np.ndarray) -> np.ndarray:
-        """``(Uᵀ yᵀ)ᵀ`` for rows ``(m, cells)``: a scaled row sum, gathers
-        and ring differences — never a dense ``U`` product."""
-        parts = [y[:, self._rows], y[:, self.ring_a] - y[:, self.ring_b]]
+        """``(Uᵀ yᵀ)ᵀ`` for rows ``(m, cells)``: a scaled row sum and
+        gathers — never a dense ``U`` product."""
+        w = y[:, self._rows]
         if self.deflated:
-            parts.insert(
-                0, y.sum(axis=1, keepdims=True) / np.sqrt(self.cells)
-            )
-        return np.concatenate(parts, axis=1)
+            w = np.c_[y.sum(axis=1) / np.sqrt(self.cells), w]
+        return w
 
     def matvec(self, v: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
         """Exact ``(A vᵀ)ᵀ`` for rows ``(m, cells)``, applied as a stencil
@@ -331,12 +341,14 @@ class StructuredOperator:
 
     def apply(self, b: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
         """``((M + U C Uᵀ)⁻¹ bᵀ)ᵀ`` for rows ``(m, cells)``: one transform
-        pair, the k×k solves and one ``coeff @ Zᵀ`` GEMM.  Exact on
-        uniform conductances; the PCG preconditioner otherwise."""
+        pair, the coefficients ``S⁻¹(C·w)`` of ``w = Uᵀy`` and one
+        ``coeff @ Zᵀ`` GEMM.  Exact on uniform conductances; the PCG
+        preconditioner otherwise."""
         y = self.poisson.solve_rows(b)
         w = self._gather(y)
+        cw = w @ self._c  # (C wᵀ)ᵀ: C is symmetric
         with np.errstate(all="ignore"):
-            coeff = lu_solve(self._s_lu, w.T, check_finite=False).T
+            coeff = lu_solve(self._s_lu, cw.T, check_finite=False).T
             if live is not None and not live.all():
                 part = ~live.all(axis=1)
                 coeff[part] = self._open_circuit(w[part], live[part])
@@ -344,19 +356,15 @@ class StructuredOperator:
         return y
 
     def _open_circuit(self, w: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """Woodbury coefficients of rows with dead sources: each row's
-        ``S`` with an identity row and column per dead source."""
-        dead = np.zeros(w.shape, dtype=bool)
-        dead[:, self._sources] = ~live
-        s = np.repeat(self._s[None], len(w), axis=0)
-        row, col = np.nonzero(dead)
-        s[row, col, :] = 0.0
-        s[row, :, col] = 0.0
-        s[row, col, col] = 1.0
+        """Woodbury coefficients of rows with dead sources: each dead
+        source's ``g_src`` leaves its node's diagonal entry of ``C``,
+        which updates that row of ``S = I + C·UᵀZ`` and of ``C·w``."""
+        drop = np.zeros(w.shape)
+        np.add.at(drop, (slice(None), self._src_slots), ~live * self.g_src)
+        s = self._s - drop[:, :, None] * self._p
+        cw = w @ self._c - drop * w
         try:
-            return np.linalg.solve(s, np.where(dead, 0.0, w)[:, :, None])[
-                :, :, 0
-            ]
+            return np.linalg.solve(s, cw[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise StructuredSolveError(
                 f"structured correction is singular: {exc}"

@@ -36,6 +36,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -45,8 +46,9 @@ from .fast_poisson import (
     FastPoissonOperator,
     StructuredGridPDN,
     StructuredSolveError,
-    branch_columns,
     dct2_basis,
+    modal_columns,
+    touched_coupling,
 )
 from .impedance import ImpedanceProfile
 from .mna import (
@@ -804,23 +806,25 @@ class _StructuredACStructure:
 
     Valid when the mesh metal is purely resistive and every node
     carries the *same* positive decap density: the reduced system is
-    ``A(ω) = G_mesh + α·y_u(ω)·I + U Y(ω) Uᵀ`` with ``G_mesh`` the
+    ``A(ω) = G_mesh + α·y_u(ω)·I + U C(ω) Uᵀ`` with ``G_mesh`` the
     uniform mesh Laplacian, diagonal in the 2-D DCT-II basis.  Then
     ``diag(M⁻¹)`` is two small GEMMs over squared basis tables per
-    frequency chunk, and the source/ring branches are a rank-k
-    Woodbury correction whose influence columns come back through one
-    batched inverse transform — no eigendecomposition, no LU, ever.
-    Like :class:`_SpectralACStructure`, it leaves the unit cell and
-    source branches on the design.
+    frequency chunk, and the source/ring branches are a rank-(1 + |T|)
+    Woodbury correction, T the attach nodes, whose influence columns
+    come back through one batched inverse transform — no
+    eigendecomposition, no LU, ever.  Like
+    :class:`_SpectralACStructure`, it leaves the unit cell and source
+    branches on the design.
     """
 
     lam: np.ndarray  # mesh Laplacian modal eigenvalues, (cells,)
     tau: float  # zero-mode deflation shift folded into lam[0]
     bx_sq: np.ndarray  # squared DCT basis, (nx_modes, nx_nodes)
     by_sq: np.ndarray
-    u_hat: np.ndarray  # DCT of the branch columns, (cells, k)
+    u_hat: np.ndarray  # modal columns of U as rows, (k, cells)
     alpha: float  # uniform decap density
-    ring_g: np.ndarray  # ring segment conductances, appended to k
+    src_slots: np.ndarray  # column of U at each source's attach node
+    ring: np.ndarray | None  # ring Laplacian on U's columns, (k, k)
 
 
 @dataclass
@@ -1026,16 +1030,17 @@ class GridACPDN(MeshView):
         read from the design's shape:
 
         * structured ≈ 2·k²·cells + k³ for its rank-k branch
-          correction, k = 1 (zero-mode deflation) + sources + ring
-          segments: the ``UᵀM⁻¹U`` product and the correction gather
-          over every cell, then one k×k inverse;
+          correction, k = 1 (zero-mode deflation) + attach nodes: the
+          ``UᵀM⁻¹U`` product and the correction gather over every
+          cell, then one k×k solve;
         * selinv ≈ 3.5·levels·width³ from the cached level plan (one
           block inverse and four block products per level), the
           weight fitted to the crossover table measured in
           ``docs/structured-solvers.md``.
 
         A few VRs keep structured on any mesh, while the paper's 48-VR
-        banks run selinv up to 32².
+        banks run selinv up to 32² (A2) or 16² (A1, whose ring widens
+        selinv's levels).
         ``"spectral"`` and the ``"direct"`` oracle run only when asked
         for.  Raises :class:`~repro.errors.ConfigError` for an unknown
         method or an explicit method the current topology cannot run.
@@ -1060,8 +1065,7 @@ class GridACPDN(MeshView):
 
     def _structured_cheaper(self) -> bool:
         """The operation-count comparison of :meth:`impedance_engine`."""
-        design = self.design
-        k = 1 + len(design.sources) + design.ring_segments()[0].size
+        k = 1 + np.unique(self.design.attach_rows()).size
         plan = self._ensure_selinv()
         return (
             _STRUCTURED_COST_WEIGHT * k * k * self.nx * self.ny + k**3
@@ -1166,11 +1170,8 @@ class GridACPDN(MeshView):
         )
 
     def _build_structured(self) -> _StructuredACStructure:
-        import scipy.fft as sfft
-
         design = self.design
         nx, ny = self.nx, self.ny
-        cells = nx * ny
         gx = 1.0 / self.edge_resistance_x_ohm if nx > 1 else 0.0
         gy = 1.0 / self.edge_resistance_y_ohm if ny > 1 else 0.0
         # The deflated mesh operator of the DC fast path: at low
@@ -1181,15 +1182,15 @@ class GridACPDN(MeshView):
         # resolves inside a full-precision dense solve.
         mesh = FastPoissonOperator(nx, ny, gx, gy)
         _, ring_a, ring_b = design.ring_segments()
-        u = branch_columns(cells, True, design.attach_rows(), ring_a, ring_b)
-        k = u.shape[1]
-        u_hat = (
-            sfft.dctn(
-                u.T.reshape(k, ny, nx), type=2, axes=(1, 2), norm="ortho"
-            ).reshape(k, cells).T.copy()
-            if k
-            else u
+        attach = design.attach_rows()
+        g_ring = np.full(ring_a.size, 1.0 / (design.ring_bus_ohm or 1.0))
+        touched, slots, ring = touched_coupling(
+            attach, np.zeros(attach.size), ring_a, ring_b, g_ring, 1
         )
+        # u₀'s modal column is the (0, 0) mode.
+        u_hat = np.zeros((1 + touched.size, nx * ny))
+        u_hat[0, 0] = 1.0
+        u_hat[1:] = modal_columns(nx, ny, touched).reshape(touched.size, -1)
         return _StructuredACStructure(
             lam=mesh.eigenvalues().ravel(),
             tau=mesh.deflation_tau,
@@ -1197,7 +1198,8 @@ class GridACPDN(MeshView):
             by_sq=dct2_basis(ny) ** 2,
             u_hat=u_hat,
             alpha=float(design.decap.density.flat[0]),
-            ring_g=np.full(ring_a.size, 1.0 / (design.ring_bus_ohm or 1.0)),
+            src_slots=slots,
+            ring=ring if ring_a.size else None,
         )
 
     def _impedance_structured(self, omega: np.ndarray) -> np.ndarray:
@@ -1205,22 +1207,22 @@ class GridACPDN(MeshView):
 
         ``M(ω) = G_mesh + α·y_u(ω)·I`` shares the mesh Laplacian's DCT
         eigenvectors at every frequency, so ``diag(M⁻¹)`` reduces to
-        two GEMMs against squared basis tables, and the source/ring
-        branches are a rank-k Woodbury correction whose per-frequency
-        influence columns come back through one batched inverse DCT.
-        Frequency-chunked to bound scratch memory, like the direct
-        engine.
+        two GEMMs against squared basis tables, and the branches are a
+        rank-k Woodbury correction ``K = (I + C·t)⁻¹C``, ``t = UᵀM⁻¹U``,
+        whose per-frequency influence columns come back through one
+        batched inverse DCT.  Frequency-chunked to bound scratch
+        memory, like the direct engine.
         """
-        import scipy.fft as sfft
-
         structure = self._ensure_structured()
         nx, ny = self.nx, self.ny
         cells = nx * ny
-        k = structure.u_hat.shape[1]
+        u_hat = structure.u_hat
+        k = len(u_hat)
+        eye = np.eye(k)
         y_u = self.design.decap.unit_admittance(omega)
         y_src = self._source_admittance(omega)
         z = np.empty((cells, omega.size), dtype=complex)
-        chunk = max(1, _DENSE_BATCH_ENTRIES // (max(k, 1) * cells))
+        chunk = max(1, _DENSE_BATCH_ENTRIES // (k * cells))
         for lo in range(0, omega.size, chunk):
             hi = min(lo + chunk, omega.size)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -1233,48 +1235,34 @@ class GridACPDN(MeshView):
                 @ w.reshape(-1, ny, nx)
                 @ structure.bx_sq
             ).reshape(-1, cells)
-            if k:
-                fields = (
-                    w[:, None, :] * structure.u_hat.T[None, :, :]
-                )  # (F, k, cells) modal influence, transform-ready layout
-                influence = sfft.idctn(
-                    fields.reshape(-1, ny, nx),
-                    type=2,
-                    axes=(1, 2),
-                    norm="ortho",
-                    workers=-1,
-                ).reshape(hi - lo, k, cells)
-                t = fields @ structure.u_hat  # UᵀM⁻¹U, (F, k, k)
-                y_branch = np.concatenate(
-                    [
-                        np.full((hi - lo, 1), -structure.tau, complex),
-                        y_src[lo:hi],
-                        np.broadcast_to(
-                            structure.ring_g,
-                            (hi - lo, len(structure.ring_g)),
-                        ),
-                    ],
-                    axis=1,
-                )
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    capacitance = t + (
-                        (1.0 / y_branch)[:, :, None] * np.eye(k)[None]
-                    )
-                try:
-                    with np.errstate(all="ignore"):
-                        correction = np.linalg.inv(capacitance)
-                except np.linalg.LinAlgError as exc:
-                    raise SolverError(
-                        "grid impedance source correction is singular: "
-                        f"{exc}"
-                    ) from exc
-                diag = diag - np.einsum(
-                    "faj,fab,fbj->fj",
-                    influence,
-                    correction,
-                    influence,
-                    optimize=True,
-                )
+            fields = w[:, None, :] * u_hat[None]  # (F, k, cells), modal
+            influence = sfft.idctn(
+                fields.reshape(-1, ny, nx), type=2, axes=(1, 2),
+                norm="ortho", workers=-1,
+            ).reshape(hi - lo, k, cells)
+            t = fields @ u_hat.T  # UᵀM⁻¹U, (F, k, k)
+            # C's diagonal: −τ, then each attach node's summed source
+            # admittance; C·t is its row scaling plus the ring rows.
+            c_diag = np.zeros((hi - lo, k), dtype=complex)
+            c_diag[:, 0] = -structure.tau
+            np.add.at(c_diag, (slice(None), structure.src_slots), y_src[lo:hi])
+            lhs = eye + c_diag[:, :, None] * t
+            c = c_diag[:, :, None] * eye
+            if structure.ring is not None:
+                lhs += structure.ring @ t
+                c += structure.ring
+            try:
+                with np.errstate(all="ignore"):
+                    correction = np.linalg.solve(lhs, c)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(
+                    "grid impedance source correction is singular: "
+                    f"{exc}"
+                ) from exc
+            diag -= np.einsum(
+                "faj,fab,fbj->fj", influence, correction, influence,
+                optimize=True,
+            )
             z[:, lo:hi] = diag.T
         return z
 

@@ -49,10 +49,10 @@ Two engines, mirroring :class:`~repro.pdn.grid.GridPDN`:
   :class:`~repro.pdn.fast_poisson.StructuredOperator` (the DCT-II +
   Woodbury kernel of the structured DC engine): the most common decap
   conductance is the operator shift and everything irregular (decap
-  non-uniformity, VR branches, ring segments, deflation) is a rank-s
-  correction, so large meshes step in O(n² log n) without ever
-  forming the LU.  ``engine="auto"`` selects by mesh size and falls
-  back on :class:`~repro.pdn.fast_poisson.StructuredSolveError`.
+  non-uniformity, VR branches, ring segments) is a correction of rank
+  one per touched node plus deflation: O(n² log n) steps, no LU.
+  ``engine="auto"`` selects by mesh size and falls back on
+  :class:`~repro.pdn.fast_poisson.StructuredSolveError`.
 """
 
 from __future__ import annotations

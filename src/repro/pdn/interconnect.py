@@ -132,6 +132,9 @@ class VerticalInterconnect:
         if not 0.0 < utilization_cap <= 1.0:
             raise ConfigError("utilization cap must be in (0, 1]")
         needed = math.ceil(current_a / self.rated_current_a)
+        # A rounded quotient can overshoot an exact multiple by one.
+        if needed > 1 and self.array(needed - 1).is_within_rating(current_a):
+            needed -= 1
         available = int(self.power_sites_per_polarity * utilization_cap)
         if needed > available:
             raise InfeasibleError(

@@ -1,17 +1,25 @@
-"""40-digit reference solve of a lumped AC netlist (test-only helper).
+"""40-digit reference solves (test-only helpers).
 
-Builds the MNA system of an :class:`~repro.pdn.ac.ACNetlist` straight
-from its element values in mpmath arithmetic, so a float64 solver is
-measured against the circuit itself, not against another float64 stamp
-of it: at stiff points (mΩ sources beside µF decaps at 10 kHz) the
-stamp's rounded entries alone move the solution by ~1e-9.
+Each builds its system straight from element values in mpmath
+arithmetic, so a float64 solver is measured against the circuit
+itself, not against another float64 stamp of it: at stiff points (mΩ
+sources beside µF decaps at 10 kHz) the stamp's rounded entries alone
+move the solution by ~1e-9.
+
+* :func:`solve_ac_mp` — the MNA system of a lumped
+  :class:`~repro.pdn.ac.ACNetlist`.
+* :func:`solve_dc_mp` — the nodal DC system of a
+  :class:`~repro.pdn.mesh.MeshDesign` (the system
+  :func:`repro.pdn.grid.dc_stamp` stamps), from the design's arrays.
 """
 
 from __future__ import annotations
 
 import mpmath
+import numpy as np
 
 from repro.pdn.ac import ACNetlist, ACSolution
+from repro.pdn.mesh import MeshDesign
 
 
 def solve_ac_mp(
@@ -62,3 +70,39 @@ def solve_ac_mp(
         solution = mpmath.lu_solve(matrix, rhs)
         voltages = {node: complex(solution[index[node]]) for node in nodes}
     return ACSolution(frequency_hz=float(frequency_hz), node_voltages=voltages)
+
+
+def solve_dc_mp(
+    design: MeshDesign, live: np.ndarray | None = None, dps: int = 40
+) -> np.ndarray:
+    """Mesh node voltages of the nodal DC system of ``design``, solved
+    at ``dps`` decimal digits, as an ``(ny, nx)`` float map.
+
+    The system is the lateral edges (mesh and ring bus, edge scales
+    applied), one ``r_out`` shunt per live source and, on the
+    right-hand side, the sinks drawn out of each node and each live
+    source's Norton injection ``V/r_out`` into its attach node.
+    ``live`` is a boolean mask over the sources (``None``: all live).
+    Keep meshes small: the solve is dense, O(cells³) in mpmath.
+    """
+    cells = design.nx * design.ny
+    a, b, r, _ = design.lateral_edges()
+    with mpmath.workdps(dps):
+        matrix = mpmath.zeros(cells, cells)
+        rhs = mpmath.matrix([-mpmath.mpf(x) for x in design.sinks.ravel()])
+        for p, q, ohm in zip(a.tolist(), b.tolist(), r.tolist()):
+            g = 1 / mpmath.mpf(ohm)
+            matrix[p, p] += g
+            matrix[q, q] += g
+            matrix[p, q] -= g
+            matrix[q, p] -= g
+        for k, source in enumerate(design.sources):
+            if live is not None and not live[k]:
+                continue
+            row = source.iy * design.nx + source.ix
+            g = 1 / mpmath.mpf(source.output_resistance_ohm)
+            matrix[row, row] += g
+            rhs[row] += g * mpmath.mpf(source.voltage_v)
+        solution = mpmath.lu_solve(matrix, rhs)
+        volts = [float(solution[i]) for i in range(cells)]
+    return np.array(volts).reshape(design.ny, design.nx)

@@ -7,10 +7,16 @@ variation — must reproduce the ``FactorizedPDN`` splu oracle to 1e-8
 relative on every node voltage, across random meshes, anisotropic
 edge resistances, and irregular sink maps.  The forced-fallback path
 (``engine="auto"`` when CG stalls) must silently produce the oracle's
-answer, and ``engine="structured"`` must surface the failure.
+answer, and ``engine="structured"`` must surface the failure.  The
+Woodbury rank is one column per touched node, and the structured
+solves also meet a 40-digit solve of the nodal system
+(``ac_reference.solve_dc_mp``).
 """
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,16 +24,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.pdn.fast_poisson as fast_poisson
+from repro import DSCH, SystemSpec, single_stage_a1, single_stage_a2
+from repro.core import current_sharing
 from repro.errors import ConfigError
 from repro.pdn.fast_poisson import (
     FastPoissonOperator,
     StructuredGridPDN,
+    StructuredOperator,
     StructuredSolveError,
     dct2_basis,
+    modal_columns,
     poisson_mode_eigenvalues,
 )
 from repro.pdn.grid import STRUCTURED_AUTO_MIN_CELLS, GridPDN
+from repro.pdn.grid_transient import GridTransientPDN
 from repro.pdn.pcg import PCGResult, pcg_solve
+from repro.pdn.powermap import PowerMap
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from ac_reference import solve_dc_mp  # noqa: E402
 
 RTOL = 1e-8
 
@@ -94,6 +109,23 @@ def test_operator_solves_deflated_kron_system(nx, ny, gx, gy):
     one = op.solve(rhs[:, 0])
     assert one.shape == (cells,)
     assert np.allclose(one, solved[:, 0], atol=1e-12)
+
+
+def test_modal_columns_are_the_transform_of_unit_columns():
+    """The closed-form modal column of e_r is the orthonormal 2-D
+    DCT-II of e_r, on a rectangular mesh."""
+    import scipy.fft as sfft
+
+    nx, ny = 5, 3
+    rows = np.array([0, 4, 7, 14])
+    unit = np.zeros((rows.size, ny * nx))
+    unit[np.arange(rows.size), rows] = 1.0
+    transformed = sfft.dctn(
+        unit.reshape(-1, ny, nx), type=2, axes=(1, 2), norm="ortho"
+    )
+    np.testing.assert_allclose(
+        modal_columns(nx, ny, rows), transformed, atol=1e-15
+    )
 
 
 def test_operator_accepts_complex_rhs():
@@ -264,6 +296,146 @@ def test_failure_sweep_is_one_reduced_solve(monkeypatch):
     monkeypatch.setattr(engine, "solve_reduced", counted)
     structured.solve_disabled_many([(), (0,), (1, 2)])
     assert rows == [3]
+
+
+# -- Woodbury rank per touched node ---------------------------------------------------
+
+
+def signoff_bank(arch, n: int, engine: str = "structured") -> GridPDN:
+    """A 48-VR bank of the DC signoff on an ``n``×``n`` die mesh: the
+    periphery bank on its ring bus (A1) or the under-die array (A2)."""
+    grid = current_sharing._die_grid_with_bank(
+        arch(), DSCH, SystemSpec(), PowerMap.hotspot_mixture(), n, 1.0,
+        0.15e-3,
+    )[0]
+    return GridPDN.from_design(grid.design, engine=engine)
+
+
+@pytest.mark.parametrize("arch", [single_stage_a1, single_stage_a2])
+def test_rank_is_one_plus_touched_nodes_on_signoff_banks(arch):
+    """48 VRs on 48 nodes at 128²: k = 1 + 48 on both banks.  The A1
+    ring's segments join attach nodes, so they add no column (they
+    added 48)."""
+    design = signoff_bank(arch, 128).design
+    assert np.unique(design.attach_rows()).size == 48
+    assert StructuredGridPDN(design).op.rank == 49
+
+
+def dense_operator(nx, ny, gx, gy, g_node, attach, g_src, ring, g_ring):
+    """``A`` of :class:`StructuredOperator` as a dense matrix."""
+    a = gx * np.kron(np.eye(ny), path_laplacian(nx, "neumann"))
+    a += gy * np.kron(path_laplacian(ny, "neumann"), np.eye(nx))
+    a += np.diag(g_node)
+    np.add.at(a, (attach, attach), g_src)
+    for (p, q), g in zip(ring, g_ring):
+        a[[p, q], [p, q]] += g
+        a[p, q] -= g
+        a[q, p] -= g
+    return a
+
+
+@pytest.mark.parametrize("shift", [0.0, 3.0])
+def test_rank_counts_shared_nodes_once(shift):
+    """Co-located sources share one column, and so does a shunt
+    deviation on an attach node: four sources on three nodes plus a
+    deviation on one of them and one elsewhere touch four nodes.  The
+    operator still inverts the dense ``A``, with sources live and dead
+    (a dead source on the shared node leaves it the other source; on
+    the lone node, only ring edges)."""
+    nx, ny, gx, gy = 5, 4, 2.0, 3.0
+    attach = np.array([0, 0, 7, 19])
+    g_src = np.array([40.0, 25.0, 60.0, 30.0])
+    ring = [(0, 7), (7, 19), (19, 0)]
+    g_ring = np.array([5.0, 6.0, 7.0])
+    g_node = np.full(nx * ny, shift)
+    g_node[[7, 12]] = shift + np.array([1.5, 0.5])
+    op = StructuredOperator(
+        nx, ny, gx, gy, g_node, attach, g_src,
+        np.array([p for p, _ in ring]), np.array([q for _, q in ring]),
+        g_ring,
+    )
+    assert op.rank == (1 if shift == 0.0 else 0) + 4
+    live = np.array(
+        [[True] * 4, [False, True, True, True], [True, True, False, True],
+         [False, False, True, True]]
+    )
+    b = np.random.default_rng(3).standard_normal((len(live), nx * ny))
+    x = op.solve(b, live)
+    for row, mask in enumerate(live):
+        a = dense_operator(
+            nx, ny, gx, gy, g_node, attach, g_src * mask, ring, g_ring
+        )
+        np.testing.assert_allclose(
+            x[row], np.linalg.solve(a, b[row]), rtol=0, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("arch", [single_stage_a1, single_stage_a2])
+def test_nk_on_signoff_banks_matches_refactor(arch):
+    """Structured N−k on both 48-VR banks against the refactorized
+    nodal LU: 1e-9 V on the maps, 1e-7 relative on source currents.
+    Every A1 attach node sits on the ring, so a dead VR leaves its
+    node only ring edges in C_T; on A2 (no ring) it leaves a zero
+    diagonal entry."""
+    scenarios = [(0,), (3, 17), (5, 6, 40), (47,)]
+    structured = signoff_bank(arch, 24)
+    oracle = signoff_bank(arch, 24, engine="factorized")
+    for fast, ref in zip(
+        structured.solve_disabled_many(scenarios),
+        oracle.solve_disabled_many(scenarios, method="refactor"),
+    ):
+        assert np.abs(fast.voltage_map - ref.voltage_map).max() <= 1e-9
+        scale = float(np.abs(ref.source_currents_a).max())
+        assert (
+            np.abs(fast.source_currents_a - ref.source_currents_a).max()
+            <= 1e-7 * scale
+        )
+
+
+def test_transient_decap_deviation_on_an_attach_node():
+    """A companion stamp whose decap deviates on an attach node (and
+    on one bare node) counts that node once and steps like the
+    factorized engine."""
+    n = 8
+    pdn = GridTransientPDN(1e-2, 1e-2, 1e-2, nx=n, ny=n, engine="structured")
+    pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-3, inductance_h=5e-12)
+    pdn.add_source("s1", 1.0, 1.0, 1.0, 1e-3, inductance_h=5e-12)
+    cap = np.full((n, n), 1e-7)
+    cap[0, 0] = 3e-7  # s0's attach node
+    cap[4, 3] = 0.0  # a bare node
+    pdn.set_decap_map(cap, 2e-3, 1e-12)
+    pdn.set_sink_array(np.full((n, n), 0.1))
+    assert pdn._structure(2e-10).fast.rank == 3  # s0 + s1 + the bare node
+    fast = pdn.simulate_step(0.5, 5.0, duration_s=4e-9, dt_s=2e-10)
+    pdn.engine = "factorized"
+    oracle = pdn.simulate_step(0.5, 5.0, duration_s=4e-9, dt_s=2e-10)
+    assert (fast.engine, oracle.engine) == ("structured", "factorized")
+    for name in ("v_pre_map", "v_min_map", "v_final_map"):
+        gap = np.abs(getattr(fast, name) - getattr(oracle, name)).max()
+        assert gap <= 1e-9, name
+
+
+def test_structured_dc_meets_a_40_digit_solve():
+    """4×4 mesh, ring bus, two sources on one node: the structured
+    solve() and N−k batch land within 1e-9 V of a 40-digit solve of the
+    nodal system, dead sources on the shared node included."""
+    grid = GridPDN(1e-2, 1e-2, 1e-2, nx=4, ny=4, engine="structured")
+    grid.set_sink_array(
+        np.random.default_rng(4).uniform(0.0, 2.0, (4, 4))
+    )
+    for k, (x, y, r_out) in enumerate(
+        [(0.0, 0.0, 1e-3), (0.0, 0.0, 2e-3), (1.0, 0.0, 1.5e-3),
+         (1.0, 1.0, 1e-3), (0.0, 1.0, 3e-3)]
+    ):
+        grid.add_source(f"s{k}", x, y, 1.0 - 0.01 * k, r_out)
+    grid.connect_sources_with_ring_bus(2e-3)
+    assert grid._ensure_structure().fast.op.rank == 1 + 4
+    scenarios = [(0,), (1,), (0, 1), (2, 4), (0, 3)]
+    solutions = [grid.solve()] + grid.solve_disabled_many(scenarios)
+    masks = [None] + [grid._live_sources(s) for s in scenarios]
+    for solution, live in zip(solutions, masks):
+        exact = solve_dc_mp(grid.design, live)
+        assert np.abs(solution.voltage_map - exact).max() <= 1e-9
 
 
 # -- parity: per-edge variation (PCG mode) --------------------------------------------

@@ -829,19 +829,24 @@ def eight_vr_mesh(n: int) -> GridACPDN:
 
 
 COST_ROUTES = [("8 VRs", n, "structured") for n in (8, 12, 16, 24, 32)] + [
-    (bank, n, "selinv") for bank in ("A2", "A1+ring") for n in (12, 24)
+    ("A2", 12, "selinv"),
+    ("A2", 24, "selinv"),
+    ("A1+ring", 12, "selinv"),
+    ("A1+ring", 24, "structured"),
 ]
 
 
 @pytest.mark.parametrize("bank, n, engine", COST_ROUTES)
 def test_auto_routes_uniform_meshes_by_cost(bank, n, engine):
     """On a uniform density both exact engines are allowed, and auto
-    runs the one with the smaller operation count: the structured
-    Woodbury rank stays at 9 with 8 VRs, but is 49 for the 48-VR A2
-    array and up to 97 for the A1 periphery bank with its ring bus,
-    where selinv is the cheaper engine on the crossover table's
-    meshes.  The map auto returns is the chosen engine's, bit for
-    bit."""
+    runs the one with the smaller operation count.  The structured
+    Woodbury rank is one plus the number of attach nodes: 9 with 8
+    VRs, and at most 49 for either 48-VR bank (the A1 ring segments
+    join attach nodes and add no column).  Selinv is the cheaper
+    engine on both banks at 12² and on the A2 array at 24², while the
+    A1 ring widens selinv's levels enough that structured wins at 24²,
+    as on the crossover table.  The map auto returns is the chosen
+    engine's, bit for bit."""
     if bank == "8 VRs":
         pdn = eight_vr_mesh(n)
     else:
@@ -921,8 +926,12 @@ def test_driven_sweep_matches_scalar_oracle(
     nx, ny, sheet, unit_c, unit_esr, edge_l, data
 ):
     """The compiled driven path (sources live, sinks as AC loads)
-    reproduces solve_ac on the hand-built equivalent — including
-    inductive mesh metal and every internal chain node."""
+    reproduces a 40-digit solve of the hand-built equivalent —
+    including inductive mesh metal and every internal chain node.  The
+    reference is solve_ac_mp, not solve_ac: at stiff draws solve_ac's
+    float64 stamp alone sits ~1e-9 off the circuit (see
+    test_driven_sweep_stiff_decap_example), which made this test flaky
+    on the oracle side."""
     cells = nx * ny
     sinks = np.array(
         data.draw(
@@ -974,7 +983,7 @@ def test_driven_sweep_matches_scalar_oracle(
         edge_ly=edge_l,
     )
 
-    assert_driven_parity(pdn, net, freqs)
+    assert_driven_parity(pdn, net, freqs, solver=solve_ac_mp)
 
 
 def assert_driven_parity(

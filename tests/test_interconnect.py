@@ -198,6 +198,14 @@ class TestArrayForCurrent:
         with pytest.raises(ConfigError):
             BGA.array_for_current(0.0)
 
+    def test_exact_multiple_of_the_rating_is_minimal(self):
+        """0.78 A on 60 mA TSVs: 0.78 / 0.06 rounds to
+        13.000000000000002, which sized 14 elements although 13 carry
+        it within the rating (a property-test draw)."""
+        array = TSV.array_for_current(0.78)
+        assert array.count_per_polarity == 13
+        assert array.is_within_rating(0.78)
+
 
 class TestRatings:
     """The derated ratings behind the utilization reproduction."""
