@@ -5,7 +5,8 @@ regressions in the numerical core are visible, plus the hot-path
 shapes the system-level sweeps rely on:
 
 * ``test_grid_solve_scaling`` — cold solves (assembly + factorization
-  + back-substitution) at increasing mesh resolution,
+  + back-substitution) at increasing mesh resolution, each round after
+  an untimed ``process_cache().clear()``,
 * ``test_repeated_solve_cached_factorization`` — fixed topology,
   varying sink map: the cached-factorization path used by N−1 fault
   sweeps and Monte-Carlo load scenarios,
@@ -63,6 +64,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.parallel.cache import process_cache
 from repro.pdn.ac import ACNetlist, ACSweep, probe_netlist, solve_ac
 from repro.pdn.grid import GridACPDN, GridPDN
 from repro.pdn.mna import FactorizedPDN
@@ -82,9 +84,22 @@ def solve_grid(n: int, engine: str = "auto") -> float:
     return make_grid(n, engine).solve().lateral_loss_w
 
 
+def cold_solve(benchmark, n: int, engine: str, rounds: int) -> float:
+    """``solve_grid`` timed cold: a fresh view each round and, untimed
+    before it, an emptied process cache, so the factorized engine
+    factors afresh as the structured one builds its operator."""
+    return benchmark.pedantic(
+        solve_grid,
+        args=(n, engine),
+        setup=process_cache().clear,
+        rounds=rounds,
+        warmup_rounds=1,
+    )
+
+
 @pytest.mark.parametrize("n", [16, 32, 48, 64, 96])
 def test_grid_solve_scaling(benchmark, n):
-    loss = benchmark(solve_grid, n)
+    loss = cold_solve(benchmark, n, "auto", rounds=20)
     assert loss > 0
 
 
@@ -108,9 +123,10 @@ def test_grid_solve_structured(benchmark, n):
 @pytest.mark.large_mesh
 @pytest.mark.parametrize("n", [128, 256])
 def test_grid_solve_factorized_large(benchmark, n):
-    """The sparse-LU engine on the same meshes — the old-path rows the
-    structured speedup is measured against."""
-    loss = benchmark(solve_grid, n, "factorized")
+    """The sparse-LU engine on the same meshes, cold like the
+    structured rows — the old-path rows the structured speedup is
+    measured against."""
+    loss = cold_solve(benchmark, n, "factorized", rounds=5)
     assert loss > 0
 
 
@@ -535,8 +551,6 @@ def test_grid_transient_refactorize(benchmark):
     assembly + sparse LU — the denominator of the factor-once claim
     (a warm step is the 48x48 sequential row's mean / 16 traces / 200
     steps)."""
-    from repro.parallel.cache import process_cache
-
     wave = transient_waves(48, 1)[0][:2]  # minimal 2-sample trace
 
     def cold() -> float:

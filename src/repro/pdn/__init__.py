@@ -41,7 +41,6 @@ from .fast_poisson import (
     dct2_basis,
     poisson_mode_eigenvalues,
 )
-from .pcg import PCGResult, pcg_solve
 from .planes import (
     annular_spreading_resistance,
     disk_edge_feed_resistance,
@@ -115,8 +114,6 @@ __all__ = [
     "StructuredSolveError",
     "dct2_basis",
     "poisson_mode_eigenvalues",
-    "PCGResult",
-    "pcg_solve",
     "sheet_resistance",
     "plane_resistance",
     "annular_spreading_resistance",

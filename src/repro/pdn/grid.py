@@ -134,6 +134,16 @@ def check_engine(engine: str) -> str:
     return engine
 
 
+#: The ``engine`` option of the DC and transient views, checked by
+#: :func:`check_engine` on every assignment, not only in the
+#: constructor.
+engine_option = property(
+    lambda view: view._engine,
+    lambda view, engine: setattr(view, "_engine", check_engine(engine)),
+    doc="The solve engine, one of :data:`ENGINES`.",
+)
+
+
 def resolve_engine(engine: str, cells: int) -> str:
     """The engine a DC or transient solve tries first: ``engine``
     itself, or for ``"auto"`` structured at or above
@@ -263,12 +273,17 @@ class GridPDN(MeshView):
             symmetric ground grid.
         engine: DC solve engine — ``"auto"`` (structured fast-Poisson
             at or above :data:`STRUCTURED_AUTO_MIN_CELLS` cells with a
-            transparent sparse-LU fallback, cached LU below),
+            transparent sparse-LU fallback, cached LU below and on any
+            design with per-edge resistance scales),
             ``"structured"`` (force the fast path; raises
             :class:`~repro.pdn.fast_poisson.StructuredSolveError` when
-            it cannot converge), or ``"factorized"`` (force the exact
-            sparse-LU oracle).
+            its correction is singular or non-finite, and
+            :class:`~repro.errors.ConfigError` on a design with
+            per-edge resistance scales), or ``"factorized"`` (force
+            the exact sparse-LU oracle).  Checked on every assignment.
     """
+
+    engine = engine_option
 
     def __init__(
         self,
@@ -284,7 +299,7 @@ class GridPDN(MeshView):
         if rail_pair_factor < 1.0:
             raise ConfigError("rail pair factor must be >= 1")
         self.rail_pair_factor = rail_pair_factor
-        self.engine = check_engine(engine)
+        self.engine = engine
         super().__init__(width_m, height_m, sheet_ohm_sq, nx=nx, ny=ny)
 
     def _check_design(self, design: MeshDesign) -> None:
@@ -402,13 +417,19 @@ class GridPDN(MeshView):
         )
 
     def _resolve_engine(self) -> str:
-        """The engine this solve will try first."""
+        """The engine this solve will try first: under ``"auto"`` a
+        design with per-edge resistance scales runs on the nodal LU at
+        any size, since the structured engine needs uniform metal."""
+        if self.engine == "auto" and self.design.has_edge_scales:
+            return "factorized"
         return resolve_engine(self.engine, self.nx * self.ny)
 
     def _structured_call(self, structure: _GridStructure, run, fallback):
         """Run ``run`` on the structured engine, falling back to
         ``fallback`` (the factorized path) under ``engine="auto"``
-        when the structured solve cannot converge."""
+        when the structured solve raises
+        :class:`~repro.pdn.fast_poisson.StructuredSolveError` (a
+        singular or non-finite correction)."""
         try:
             return run(structure.fast)
         except StructuredSolveError:
@@ -855,8 +876,10 @@ class _SelinvPlan:
 #: Weights of the per-frequency operation counts ``auto`` compares
 #: (see :meth:`GridACPDN.impedance_engine`): structured's two
 #: ``k²·cells`` products, and selinv's cost per ``levels·width³``
-#: fitted to the crossover table in ``docs/structured-solvers.md``
-#: (every weight in 2.7–4.4 picks the faster engine on all of it).
+#: fitted to an earlier crossover table; on the table re-measured in
+#: ``docs/structured-solvers.md`` every weight in 4.8–8.7 picks the
+#: faster engine on all of it, and 3.5 sends the A2 array at 32² to
+#: the slower selinv.
 _STRUCTURED_COST_WEIGHT = 2
 _SELINV_COST_WEIGHT = 3.5
 
@@ -989,9 +1012,14 @@ class GridACPDN(MeshView):
         these columns are also the adjoint fields
         ``d Z_k / d y_shunt,i = −(A⁻¹ e_k)_i²`` that the placement
         optimizer turns into per-node decap sensitivities for *all*
-        nodes at once.
+        nodes at once.  The known-solution probe is solved on the same
+        LU as a separate right-hand side, so a singular system raises
+        like every other AC path.
 
         Returns a complex ``(cells, len(nodes))`` array.
+
+        Raises:
+            SolverError: singular or non-finite system at the frequency.
         """
         freqs = check_frequencies(np.atleast_1d(np.asarray(
             frequency_hz, dtype=float
@@ -1010,12 +1038,14 @@ class GridACPDN(MeshView):
         data = self._reduced_csc_data(structure, omega)
         rhs = np.zeros((cells, rows.size), dtype=complex)
         rhs[rows, np.arange(rows.size)] = 1.0
-        _, columns = _reduced_solve(structure, data[0], rhs, freqs[0])
+        matrix, lu = _reduced_lu(structure, data[0], freqs[0])
+        columns = lu.solve(rhs)
+        probe = singularity_probe(cells)
+        with np.errstate(all="ignore"):
+            probe_error = np.abs(lu.solve(matrix @ probe) - probe).max()
         if not np.all(np.isfinite(columns)):
-            raise SolverError(
-                f"grid impedance is singular at {freqs[0]:.6g} Hz "
-                "(resonant singularity or floating mesh)"
-            )
+            probe_error = np.inf
+        _check_probe(np.array([probe_error]), freqs)
         return columns
 
     def impedance_engine(self, method: str = "auto") -> str:
@@ -1035,8 +1065,9 @@ class GridACPDN(MeshView):
           cell, then one k×k solve;
         * selinv ≈ 3.5·levels·width³ from the cached level plan (one
           block inverse and four block products per level), the
-          weight fitted to the crossover table measured in
-          ``docs/structured-solvers.md``.
+          weight fitted to an earlier version of the crossover table
+          in ``docs/structured-solvers.md`` (see
+          :data:`_SELINV_COST_WEIGHT`).
 
         A few VRs keep structured on any mesh, while the paper's 48-VR
         banks run selinv up to 32² (A2) or 16² (A1, whose ring widens
@@ -1483,9 +1514,8 @@ class GridACPDN(MeshView):
             hi = min(lo + chunk, count)
             data = self._reduced_csc_data(structure, omega[lo:hi])
             for k in range(lo, hi):
-                matrix, solved = _reduced_solve(
-                    structure, data[k - lo], identity, freqs[k]
-                )
+                matrix, lu = _reduced_lu(structure, data[k - lo], freqs[k])
+                solved = lu.solve(identity)
                 z[:, k] = np.diagonal(solved)
                 with np.errstate(all="ignore"):
                     probe_error[k] = float(
@@ -1543,9 +1573,8 @@ class GridACPDN(MeshView):
                 axis=1,
             )
             for k in range(lo, hi):
-                _, solved = _reduced_solve(
-                    structure, data[k - lo], rhs[k - lo], freqs[k]
-                )
+                _, lu = _reduced_lu(structure, data[k - lo], freqs[k])
+                solved = lu.solve(rhs[k - lo])
                 voltages[k] = solved[:, 0]
                 with np.errstate(all="ignore"):
                     probe_error[k] = np.abs(solved[:, 1] - probe).max()
@@ -1557,14 +1586,13 @@ class GridACPDN(MeshView):
         )
 
 
-def _reduced_solve(
+def _reduced_lu(
     structure: _ReducedACStructure,
     data: np.ndarray,
-    rhs: np.ndarray,
     frequency_hz: float,
-) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The reduced matrix of one frequency's CSC values and its sparse-LU
-    solution for ``rhs``."""
+) -> tuple[sp.csc_matrix, spla.SuperLU]:
+    """The reduced matrix of one frequency's CSC values and its sparse
+    LU."""
     cells = structure.indptr.size - 1
     matrix = sp.csc_matrix(
         (data, structure.csc_rows, structure.indptr), shape=(cells, cells)
@@ -1572,7 +1600,7 @@ def _reduced_solve(
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
         try:
-            return matrix, spla.splu(matrix).solve(rhs)
+            return matrix, spla.splu(matrix)
         except RuntimeError as exc:
             raise SolverError(
                 f"grid impedance solve failed at {frequency_hz:.6g} Hz: {exc}"

@@ -64,8 +64,12 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import ConfigError, require_finite, require_indices
-from .fast_poisson import StructuredOperator, StructuredSolveError
-from .grid import check_engine, dc_stamp, resolve_engine
+from .fast_poisson import (
+    StructuredGridPDN,
+    StructuredOperator,
+    StructuredSolveError,
+)
+from .grid import dc_stamp, engine_option, resolve_engine
 from .mesh import MeshDesign, MeshView, cached, mesh_edge_rows
 from .mna import FactorizedPDN
 from .network import GROUND_INDEX, CompiledNetlist
@@ -137,7 +141,9 @@ class _TransientStructure:
     stamp, which is :func:`~repro.pdn.grid.dc_stamp` — the grid's
     nodal DC stamp, so a grid view of the same design shares its LU.
     Their engines are built on first read: a factorization per stamp,
-    and a structured operator for the companion and DC stamps.  The
+    a structured operator for the companion stamp, and for the DC stamp
+    the structured DC engine's operator
+    (:class:`~repro.pdn.fast_poisson.StructuredGridPDN`).  The
     transient LU is keyed in the shared factorization cache with a
     ``(Δt, C_eff)`` salt.  Source voltages are right-hand-side data:
     they are passed to each run, so a setpoint change reuses the
@@ -257,7 +263,9 @@ class _TransientStructure:
             [z_b, 1.0 / self.g_s],
         )
         # DC-init stamp (capacitors open): the grid's nodal DC stamp,
-        # so a grid view of the design shares this LU.
+        # so a grid view of the design shares this LU.  The design is
+        # kept for its structured engine; only key fields are read.
+        self.design = design
         self.dc_compiled = dc_stamp(design)
 
         # t = 0+ jump stamp.  Inductor currents and capacitor voltages
@@ -319,23 +327,19 @@ class _TransientStructure:
 
     # -- structured engine -------------------------------------------------------
 
-    def _operator(self, g_x, g_y, g_node, g_src) -> StructuredOperator:
-        return StructuredOperator(
-            self.nx, self.ny, g_x, g_y, g_node, self.attach, g_src,
-            self.ring_a, self.ring_b, self.g_ring,
-        )
-
     @cached_property
     def fast(self) -> StructuredOperator:
         """The structured operator of the companion stamp."""
-        return self._operator(self.g_x, self.g_y, self.g_node, self.g_s)
+        return StructuredOperator(
+            self.nx, self.ny, self.g_x, self.g_y, self.g_node, self.attach,
+            self.g_s, self.ring_a, self.ring_b, self.g_ring,
+        )
 
     @cached_property
     def dc_fast(self) -> StructuredOperator:
-        """The structured operator of the capacitors-open DC stamp."""
-        return self._operator(
-            self.g_x_dc, self.g_y_dc, np.zeros(self.cells), self.g_dc
-        )
+        """The structured operator of the capacitors-open DC stamp:
+        the structured DC engine's own, as that stamp is the grid's."""
+        return StructuredGridPDN(self.design).op
 
 
 def _factorized(compiled: CompiledNetlist, extra: bytes | None = None):
@@ -387,6 +391,8 @@ class GridTransientPDN(MeshView):
     raises :class:`~repro.errors.ConfigError` naming the argument.
     """
 
+    engine = engine_option
+
     def __init__(
         self,
         width_m: float,
@@ -398,7 +404,7 @@ class GridTransientPDN(MeshView):
         edge_inductance_y_h: float = 0.0,
         engine: str = "auto",
     ) -> None:
-        self.engine = check_engine(engine)
+        self.engine = engine
         super().__init__(
             width_m,
             height_m,

@@ -357,6 +357,12 @@ class MeshDesign:
         strip = self.width_m / self.nx
         return self.sheet_ohm_sq * dy / strip
 
+    @property
+    def has_edge_scales(self) -> bool:
+        """Whether the design carries per-edge resistance scales on
+        either axis: only the DC view's nodal LU solves such a mesh."""
+        return self.edge_scale_x is not None or self.edge_scale_y is not None
+
     def source_values(self, name: str) -> np.ndarray:
         """One :class:`Source` field across all sources, as floats."""
         return np.array([getattr(s, name) for s in self.sources], dtype=float)
@@ -506,8 +512,8 @@ class MeshDesign:
         line-width/thickness variation, partially depopulated straps,
         or localized metal cheese.  Factors must be positive; ``None``
         (the default) keeps an axis uniform.  Only the DC view solves
-        variation: through fast-Poisson-preconditioned CG on the
-        structured engine, or exactly through the factorized engine.
+        variation, on its factorized engine (the structured one needs
+        uniform metal).
         """
         scales = {}
         for name, value, shape in (
@@ -716,7 +722,7 @@ class MeshView:
         """Veto a design this analysis cannot run.  Only the DC view
         solves per-edge variation; the others reject a scaled design
         instead of silently solving it uniform."""
-        if design.edge_scale_x is not None or design.edge_scale_y is not None:
+        if design.has_edge_scales:
             raise ConfigError(
                 f"{type(self).__name__} does not support per-edge "
                 "variation; use an unscaled design"

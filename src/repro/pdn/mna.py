@@ -34,17 +34,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from ..errors import (
-    SolverError,
-    require_count,
-    require_finite,
-    require_indices,
-)
+from ..errors import SolverError, require_finite, require_indices
 from .network import GROUND_INDEX, CompiledNetlist, Netlist, NodeId
 
-#: Default cap on memoized influence columns per factorization.  Each
-#: column is a dense float64 vector of length ``size``; at the default
-#: cap a 10k-node mesh holds at most ~80 MB of influence columns, and
+#: Cap on memoized influence columns per factorization.  Each
+#: column is a dense float64 vector of length ``size``; at this cap a
+#: 10k-node mesh holds at most ~80 MB of influence columns, and
 #: long-running sweep workers (see :mod:`repro.parallel`) stay bounded
 #: no matter how many distinct elements their scenarios touch.
 INFLUENCE_CACHE_COLUMNS = 1024
@@ -234,11 +229,7 @@ class FactorizedPDN:
     instead of as NaNs downstream.
     """
 
-    def __init__(
-        self,
-        netlist: Netlist | CompiledNetlist,
-        influence_cache_columns: int | None = None,
-    ) -> None:
+    def __init__(self, netlist: Netlist | CompiledNetlist) -> None:
         compiled = (
             netlist.compile() if isinstance(netlist, Netlist) else netlist
         )
@@ -261,17 +252,13 @@ class FactorizedPDN:
         # update vector of "disable source j" / "remove resistor i" is
         # canonical per element, so sweeps that revisit elements (N-k
         # enumerations, repeated studies) pay each back-substitution
-        # once per factorization.  Bounded LRU: each column is a dense
-        # ``size`` vector, and a long-lived sweep worker enumerating
-        # resistor removals over a large mesh would otherwise grow this
-        # without limit.
+        # once per factorization.  Bounded LRU of
+        # INFLUENCE_CACHE_COLUMNS columns: each is a dense ``size``
+        # vector, and a long-lived sweep worker enumerating resistor
+        # removals over a large mesh would otherwise grow this without
+        # limit.
         self._influence: "OrderedDict[tuple[str, int], np.ndarray]" = (
             OrderedDict()
-        )
-        if influence_cache_columns is None:
-            influence_cache_columns = INFLUENCE_CACHE_COLUMNS
-        self._influence_cap = require_count(
-            influence_cache_columns, "influence_cache_columns", 1
         )
         self.influence_evictions = 0
 
@@ -485,7 +472,7 @@ class FactorizedPDN:
             solved = self._lu.solve(self._update_columns(missing))
             for t, key in enumerate(missing):
                 columns[key] = self._influence[key] = solved[:, t]
-            while len(self._influence) > self._influence_cap:
+            while len(self._influence) > INFLUENCE_CACHE_COLUMNS:
                 self._influence.popitem(last=False)
                 self.influence_evictions += 1
         return columns

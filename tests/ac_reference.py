@@ -11,6 +11,9 @@ move the solution by ~1e-9.
 * :func:`solve_dc_mp` — the nodal DC system of a
   :class:`~repro.pdn.mesh.MeshDesign` (the system
   :func:`repro.pdn.grid.dc_stamp` stamps), from the design's arrays.
+* :func:`impedance_mp` — the diagonal of the inverse of a design's
+  reduced node-only AC system (the self-impedance map of
+  :class:`~repro.pdn.grid.GridACPDN`), from the design's arrays.
 """
 
 from __future__ import annotations
@@ -86,16 +89,9 @@ def solve_dc_mp(
     Keep meshes small: the solve is dense, O(cells³) in mpmath.
     """
     cells = design.nx * design.ny
-    a, b, r, _ = design.lateral_edges()
     with mpmath.workdps(dps):
-        matrix = mpmath.zeros(cells, cells)
+        matrix = _lateral_matrix(design, lambda ohm, henry: 1 / ohm)
         rhs = mpmath.matrix([-mpmath.mpf(x) for x in design.sinks.ravel()])
-        for p, q, ohm in zip(a.tolist(), b.tolist(), r.tolist()):
-            g = 1 / mpmath.mpf(ohm)
-            matrix[p, p] += g
-            matrix[q, q] += g
-            matrix[p, q] -= g
-            matrix[q, p] -= g
         for k, source in enumerate(design.sources):
             if live is not None and not live[k]:
                 continue
@@ -106,3 +102,53 @@ def solve_dc_mp(
         solution = mpmath.lu_solve(matrix, rhs)
         volts = [float(solution[i]) for i in range(cells)]
     return np.array(volts).reshape(design.ny, design.nx)
+
+
+def impedance_mp(
+    design: MeshDesign, frequency_hz: float, dps: int = 40
+) -> np.ndarray:
+    """Self-impedance of every mesh node at ``frequency_hz``, solved at
+    ``dps`` decimal digits: the diagonal of ``A(ω)⁻¹`` as a complex
+    ``(cells,)`` array in row order (``iy·nx + ix``).
+
+    ``A(ω)`` is the reduced node-only system: each lateral edge (mesh
+    and ring bus) the admittance ``1/(r + jωl)``, each decapped node
+    the shunt ``1/(ESR + jω·ESL + 1/(jωC))`` and each source's
+    zeroed-EMF branch the shunt ``1/(r_out + jωL)`` at its attach node.
+    Keep meshes small: the inverse is dense, O(cells³) in mpmath.
+    """
+    cells = design.nx * design.ny
+    cap, esr, esl = design.decap_arrays()
+    with mpmath.workdps(dps):
+        jw = mpmath.mpc(0, 2) * mpmath.pi * mpmath.mpf(frequency_hz)
+        matrix = _lateral_matrix(design, lambda ohm, henry: 1 / (ohm + jw * henry))
+        for row in np.flatnonzero(cap > 0).tolist():
+            matrix[row, row] += 1 / (
+                mpmath.mpf(esr[row])
+                + jw * mpmath.mpf(esl[row])
+                + 1 / (jw * mpmath.mpf(cap[row]))
+            )
+        for source in design.sources:
+            row = source.iy * design.nx + source.ix
+            matrix[row, row] += 1 / (
+                mpmath.mpf(source.output_resistance_ohm)
+                + jw * mpmath.mpf(source.inductance_h)
+            )
+        inverse = mpmath.inverse(matrix)
+        return np.array([complex(inverse[i, i]) for i in range(cells)])
+
+
+def _lateral_matrix(design: MeshDesign, admittance) -> mpmath.matrix:
+    """The ``cells × cells`` Laplacian of the design's lateral edges
+    (mesh and ring bus, edge scales applied), each edge stamped with
+    ``admittance(r, l)`` of its resistance and inductance as mpf."""
+    cells = design.nx * design.ny
+    matrix = mpmath.zeros(cells, cells)
+    a, b, r, l = design.lateral_edges()
+    for p, q, ohm, henry in zip(a.tolist(), b.tolist(), r.tolist(), l.tolist()):
+        y = admittance(mpmath.mpf(ohm), mpmath.mpf(henry))
+        matrix[p, p] += y
+        matrix[q, q] += y
+        matrix[p, q] -= y
+        matrix[q, p] -= y
+    return matrix

@@ -1,12 +1,14 @@
 """Parity of the structured fast-Poisson engine against the LU oracle.
 
 Every path through :class:`repro.pdn.fast_poisson.StructuredGridPDN`
-— pure DCT/Woodbury solves, ring-bus and VR-branch corrections,
-disabled-source scenarios, and the PCG mode for per-edge metal
-variation — must reproduce the ``FactorizedPDN`` splu oracle to 1e-8
-relative on every node voltage, across random meshes, anisotropic
-edge resistances, and irregular sink maps.  The forced-fallback path
-(``engine="auto"`` when CG stalls) must silently produce the oracle's
+— pure DCT/Woodbury solves, ring-bus and VR-branch corrections and
+disabled-source scenarios — must reproduce the ``FactorizedPDN`` splu
+oracle to 1e-8 relative on every node voltage, across random meshes,
+anisotropic edge resistances, and irregular sink maps.  A design with
+per-edge metal variation runs on the LU under ``engine="auto"`` (held
+to the netlist oracle and a 40-digit solve) and is refused by
+``engine="structured"``.  The fallback path (``engine="auto"`` when
+the structured solve raises) must silently produce the oracle's
 answer, and ``engine="structured"`` must surface the failure.  The
 Woodbury rank is one column per touched node, and the structured
 solves also meet a 40-digit solve of the nodal system
@@ -23,7 +25,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.pdn.fast_poisson as fast_poisson
 from repro import DSCH, SystemSpec, single_stage_a1, single_stage_a2
 from repro.core import current_sharing
 from repro.errors import ConfigError
@@ -38,7 +39,7 @@ from repro.pdn.fast_poisson import (
 )
 from repro.pdn.grid import STRUCTURED_AUTO_MIN_CELLS, GridPDN
 from repro.pdn.grid_transient import GridTransientPDN
-from repro.pdn.pcg import PCGResult, pcg_solve
+from repro.pdn.mna import solve_dc
 from repro.pdn.powermap import PowerMap
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -50,25 +51,22 @@ RTOL = 1e-8
 # -- FastPoissonOperator ------------------------------------------------------------
 
 
-def path_laplacian(n: int, boundary: str) -> np.ndarray:
+def path_laplacian(n: int) -> np.ndarray:
+    """The free-ended (n ≥ 2)-node path Laplacian."""
     lap = 2.0 * np.eye(n)
     lap -= np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
-    if boundary == "neumann":
-        lap[0, 0] = lap[-1, -1] = 1.0
+    lap[0, 0] = lap[-1, -1] = 1.0
     return lap
 
 
-@pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
-@pytest.mark.parametrize("n", [1, 2, 5, 9])
-def test_mode_eigenvalues_match_dense_spectrum(n, boundary):
-    """The closed-form mode eigenvalues are the path Laplacian's."""
+@pytest.mark.parametrize("n", [1, 2, 5, 9], ids=lambda n: f"{n}-neumann")
+def test_mode_eigenvalues_match_dense_spectrum(n):
+    """The closed-form mode eigenvalues are the free path Laplacian's."""
     if n == 1:
-        # One node: no edges free-ended (L = 0), two grounded ends
-        # otherwise (L = 2).
-        lam_ref = np.array([0.0 if boundary == "neumann" else 2.0])
+        lam_ref = np.array([0.0])  # one node, no edges: L = 0
     else:
-        lam_ref = np.sort(np.linalg.eigvalsh(path_laplacian(n, boundary)))
-    lam = np.sort(poisson_mode_eigenvalues(n, boundary))
+        lam_ref = np.sort(np.linalg.eigvalsh(path_laplacian(n)))
+    lam = np.sort(poisson_mode_eigenvalues(n))
     assert np.allclose(lam, lam_ref, atol=1e-12)
 
 
@@ -77,7 +75,7 @@ def test_dct2_basis_diagonalizes_free_laplacian():
     n = 7
     basis = dct2_basis(n)
     assert np.allclose(basis @ basis.T, np.eye(n), atol=1e-12)
-    modal = basis @ path_laplacian(n, "neumann") @ basis.T
+    modal = basis @ path_laplacian(n) @ basis.T
     assert np.allclose(
         np.diag(modal), poisson_mode_eigenvalues(n), atol=1e-12
     )
@@ -95,9 +93,9 @@ def test_operator_solves_deflated_kron_system(nx, ny, gx, gy):
     """op.solve inverts M = gx·(I⊗Lx) + gy·(Ly⊗I) + τ·u₀u₀ᵀ exactly."""
     op = FastPoissonOperator(nx, ny, gx, gy)
     cells = nx * ny
-    matrix = gy * np.kron(
-        path_laplacian(ny, "neumann"), np.eye(nx)
-    ) + gx * np.kron(np.eye(ny), path_laplacian(nx, "neumann"))
+    matrix = gy * np.kron(path_laplacian(ny), np.eye(nx)) + gx * np.kron(
+        np.eye(ny), path_laplacian(nx)
+    )
     u0 = np.full(cells, 1.0 / np.sqrt(cells))
     matrix = matrix + op.deflation_tau * np.outer(u0, u0)
     rng = np.random.default_rng(nx * 31 + ny)
@@ -323,8 +321,8 @@ def test_rank_is_one_plus_touched_nodes_on_signoff_banks(arch):
 
 def dense_operator(nx, ny, gx, gy, g_node, attach, g_src, ring, g_ring):
     """``A`` of :class:`StructuredOperator` as a dense matrix."""
-    a = gx * np.kron(np.eye(ny), path_laplacian(nx, "neumann"))
-    a += gy * np.kron(path_laplacian(ny, "neumann"), np.eye(nx))
+    a = gx * np.kron(np.eye(ny), path_laplacian(nx))
+    a += gy * np.kron(path_laplacian(ny), np.eye(nx))
     a += np.diag(g_node)
     np.add.at(a, (attach, attach), g_src)
     for (p, q), g in zip(ring, g_ring):
@@ -438,7 +436,7 @@ def test_structured_dc_meets_a_40_digit_solve():
         assert np.abs(solution.voltage_map - exact).max() <= 1e-9
 
 
-# -- parity: per-edge variation (PCG mode) --------------------------------------------
+# -- per-edge variation: the nodal LU ------------------------------------------------
 
 
 @given(
@@ -449,17 +447,42 @@ def test_structured_dc_meets_a_40_digit_solve():
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=40, deadline=None)
-def test_pcg_variation_matches_oracle(n, sheet, sources, spread, seed):
-    """Per-edge resistance variation solves through preconditioned CG
-    and still lands on the oracle to 1e-8."""
-    structured, oracle = build_pair(n, sheet, sources, 1e-3, 0.1, seed)
+def test_edge_scaled_auto_matches_netlist_oracle(n, sheet, sources, spread, seed):
+    """Per-edge resistance variation routes ``auto`` to the nodal LU,
+    which lands on the per-element netlist solve to 1e-8 and, on
+    meshes of 4×4 or smaller, on a 40-digit solve too."""
+    _, grid = build_pair(n, sheet, sources, 1e-3, 0.1, seed)
+    grid.engine = "auto"
     rng = np.random.default_rng(seed + 1)
     sx = rng.uniform(1.0 - spread, 1.0 + 2 * spread, (n, n - 1))
     sy = rng.uniform(1.0 - spread, 1.0 + 2 * spread, (n - 1, n))
-    structured.set_edge_resistance_scale(sx, sy)
-    oracle.set_edge_resistance_scale(sx, sy)
-    assert structured._ensure_structure().fast.mode == "pcg"
-    assert_grid_parity(structured, oracle)
+    grid.set_edge_resistance_scale(sx, sy)
+    assert grid._resolve_engine() == "factorized"
+    got = grid.solve().voltage_map
+    oracle = solve_dc(grid.build_netlist()).node_voltages
+    ref = np.array(
+        [[oracle[("g", ix, iy)] for ix in range(n)] for iy in range(n)]
+    )
+    scale = max(float(np.abs(ref).max()), 1e-12)
+    assert np.abs(got - ref).max() <= RTOL * scale
+    if n <= 4:
+        exact = solve_dc_mp(grid.design)
+        assert np.abs(got - exact).max() <= RTOL * scale
+
+
+def test_edge_scaled_designs_route_to_the_lu_at_any_size():
+    """``auto`` sends an edge-scaled design to the LU at every size,
+    and ``engine="structured"`` refuses it, naming the edge scales."""
+    side = int(np.ceil(np.sqrt(STRUCTURED_AUTO_MIN_CELLS)))
+    for n in (4, side):
+        grid = GridPDN(1e-2, 1e-2, 1e-2, nx=n, ny=n)
+        grid.add_source("s", 0.0, 0.0, 1.0, 1e-3)
+        grid.set_sink_array(np.full((n, n), 1e-3))
+        grid.set_edge_resistance_scale(None, np.full((n - 1, n), 1.2))
+        assert grid._resolve_engine() == "factorized"
+        grid.engine = "structured"
+        with pytest.raises(ConfigError, match="edge_scale_x/edge_scale_y"):
+            grid.solve()
 
 
 def test_edge_scale_validation():
@@ -471,8 +494,9 @@ def test_edge_scale_validation():
 
 
 def test_edge_scale_changes_the_answer():
-    """The scale maps actually reach the physics (both engines)."""
-    for engine in ("structured", "factorized"):
+    """The scale maps actually reach the physics (on the LU, where
+    ``auto`` sends them)."""
+    for engine in ("auto", "factorized"):
         grid = GridPDN(1e-2, 1e-2, 1e-2, nx=5, ny=5, engine=engine)
         grid.set_sink_array(np.full((5, 5), 0.1))
         grid.add_source("s", 0.0, 0.0, 1.0, 1e-3)
@@ -492,6 +516,18 @@ def test_engine_argument_validated():
         GridPDN(1e-2, 1e-2, 1e-2, nx=4, ny=4, engine="magic")
 
 
+@pytest.mark.parametrize("view", [GridPDN, GridTransientPDN])
+def test_engine_assignment_validated(view):
+    """A misspelled engine assigned after construction raises, naming
+    it, and leaves the view's engine as it was."""
+    pdn = view(1e-2, 1e-2, 1e-2, nx=4, ny=4)
+    with pytest.raises(ConfigError, match="'structred'"):
+        pdn.engine = "structred"
+    assert pdn.engine == "auto"
+    pdn.engine = "factorized"
+    assert pdn.engine == "factorized"
+
+
 def test_auto_engine_picks_by_mesh_size():
     small = GridPDN(1e-2, 1e-2, 1e-2, nx=4, ny=4)
     assert small._resolve_engine() == "factorized"
@@ -502,45 +538,29 @@ def test_auto_engine_picks_by_mesh_size():
     assert forced._resolve_engine() == "structured"
 
 
-def _stalled_pcg(matvec, rhs, **kwargs) -> PCGResult:
-    return PCGResult(
-        x=np.zeros_like(np.asarray(rhs)),
-        converged=False,
-        iterations=0,
-        residual_norm=1.0,
-    )
+def _failing_solve(self, b, live=None):
+    raise StructuredSolveError("structured correction is singular")
 
 
-def test_auto_falls_back_when_cg_stalls(monkeypatch):
-    """A stalled CG under engine="auto" silently lands on the oracle."""
-    monkeypatch.setattr(fast_poisson, "pcg_solve", _stalled_pcg)
+def test_auto_falls_back_on_structured_error(monkeypatch):
+    """A StructuredSolveError under engine="auto" silently lands on
+    the LU's answer."""
     structured, oracle = build_pair(
-        6, 1e-2, [(0.0, 0.0), (1.0, 1.0)], 1e-3, 0.1, 11
+        64, 1e-2, [(0.0, 0.0), (1.0, 1.0)], 1e-3, 0.1, 11
     )
     structured.engine = "auto"
-    sx = np.full((6, 5), 1.5)
-    structured.set_edge_resistance_scale(sx, None)
-    oracle.set_edge_resistance_scale(sx, None)
-    assert_grid_parity(structured, oracle)
+    assert structured._resolve_engine() == "structured"
+    monkeypatch.setattr(StructuredOperator, "solve", _failing_solve)
+    fast, ref = structured.solve(), oracle.solve()
+    np.testing.assert_array_equal(fast.voltage_map, ref.voltage_map)
+    np.testing.assert_array_equal(fast.source_currents_a, ref.source_currents_a)
 
 
-def test_structured_engine_surfaces_cg_stall(monkeypatch):
+def test_structured_engine_surfaces_structured_error(monkeypatch):
     """engine="structured" raises instead of silently falling back."""
-    monkeypatch.setattr(fast_poisson, "pcg_solve", _stalled_pcg)
     structured, _ = build_pair(
         6, 1e-2, [(0.0, 0.0), (1.0, 1.0)], 1e-3, 0.1, 11
     )
-    structured.set_edge_resistance_scale(np.full((6, 5), 1.5), None)
+    monkeypatch.setattr(StructuredOperator, "solve", _failing_solve)
     with pytest.raises(StructuredSolveError):
         structured.solve()
-
-
-def test_real_pcg_converges_on_variation():
-    """The real kernel (not the stub) converges well inside its cap."""
-    rng = np.random.default_rng(5)
-    matrix = rng.standard_normal((30, 30))
-    matrix = matrix @ matrix.T + 30 * np.eye(30)
-    rhs = rng.standard_normal((30, 2))
-    result = pcg_solve(lambda v: matrix @ v, rhs, tol=1e-12)
-    assert result.converged
-    assert np.abs(matrix @ result.x - rhs).max() < 1e-9

@@ -13,6 +13,9 @@ placements, and frequencies.  The driven sweep (the same reduced
 system, each source a Norton injection) is held to the same oracle,
 and to a 40-digit solve of the circuit (``ac_reference.solve_ac_mp``)
 where float64 rounding of the oracle's own stamp exceeds the bound.
+Every impedance engine and the adjoint columns are also held to a
+40-digit solve of the reduced system (``ac_reference.impedance_mp``) on
+small pinned examples.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.placement.geometry import periphery_positions
 from repro.placement.planner import PlacementStyle, plan_placement
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from ac_reference import solve_ac_mp  # noqa: E402
+from ac_reference import impedance_mp, solve_ac_mp  # noqa: E402
 
 RTOL = 1e-9
 # The structured engine's acceptance bound: eigen-transform round trips
@@ -521,7 +524,8 @@ def test_selinv_floating_mesh_fails_the_probe(monkeypatch, nx, ny):
     """With every shunt removed the mesh floats: A is a bare Laplacian,
     exactly singular, yet the block LU slides through on a rounded
     pivot and returns finite numbers.  Only the known-solution probe
-    catches it, at the first sweep frequency."""
+    catches it, at the first sweep frequency; the adjoint columns
+    carry the same probe."""
     pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=nx, ny=ny)
     pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-2)
     pdn.set_decap_map(np.full((ny, nx), 1e-7), 1e-2, 1e-11)
@@ -536,6 +540,8 @@ def test_selinv_floating_mesh_fails_the_probe(monkeypatch, nx, ny):
     for method in ("selinv", "direct"):
         with pytest.raises(SolverError, match="singular at 100000 Hz"):
             pdn.impedance_map(np.array([1e5, 1e7]), method=method)
+    with pytest.raises(SolverError, match="singular at 100000 Hz"):
+        pdn.impedance_columns(1e5, [0, nx * ny - 1])
 
 
 def test_selinv_restore_decap_is_bit_exact():
@@ -1087,3 +1093,81 @@ def test_driven_sweep_stiff_decap_example():
         edge_ly=edge_l,
     )
     assert_driven_parity(pdn, net, np.array([1e4]), solver=solve_ac_mp)
+
+
+# -- 40-digit reference of the reduced system ---------------------------------------
+
+
+def _zero_mode_1khz() -> tuple[GridACPDN, np.ndarray]:
+    """1 kHz on a small decap: the mesh zero mode's weight dwarfs the
+    others, the case the structured and spectral engines deflate."""
+    pdn = GridACPDN(1e-2, 1e-2, 1e-3, nx=4, ny=4)
+    pdn.set_decap_density(1.0, 1e-8, 0.0625, 1e-10)
+    pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-3)
+    pdn.add_source("s1", 1.0, 0.5, 1.0, 1e-3)
+    return pdn, np.array([1e3])
+
+
+def _ring_colocated() -> tuple[GridACPDN, np.ndarray]:
+    """A ring bus over five sources, two of them on one node."""
+    pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=4, ny=4)
+    pdn.set_decap_density(1.0, 1e-7, 5e-3, 1e-11)
+    for k, (x, y, r_out) in enumerate(
+        [(0.0, 0.0, 1e-3), (0.0, 0.0, 2e-3), (1.0, 0.0, 1.5e-3),
+         (1.0, 1.0, 1e-3), (0.0, 1.0, 3e-3)]
+    ):
+        pdn.add_source(f"s{k}", x, y, 1.0, r_out, 5e-12 * k)
+    pdn.connect_sources_with_ring_bus(2e-3)
+    return pdn, np.array([1e4, 1e6, 1e8])
+
+
+def _stiff_decap() -> tuple[GridACPDN, np.ndarray]:
+    """µF decaps behind 1 mΩ ESR beside a 1 mΩ source."""
+    pdn = GridACPDN(1e-2, 1e-2, 0.078125, nx=2, ny=3)
+    pdn.set_decap_density(1.0, 1e-6, 1e-3, 0.0)
+    pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-3)
+    return pdn, np.array([1e4, 1e5])
+
+
+def _inductive_metal() -> tuple[GridACPDN, np.ndarray]:
+    """Inductive mesh edges: the modal engines are ineligible."""
+    pdn = GridACPDN(
+        1e-2, 1e-2, 1e-2, nx=4, ny=3,
+        edge_inductance_x_h=1e-12, edge_inductance_y_h=2e-12,
+    )
+    pdn.set_decap_map(np.full((3, 4), 1e-7), 5e-3, 1e-11)
+    pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-3, 5e-12)
+    pdn.add_source("s1", 1.0, 1.0, 1.0, 2e-3)
+    return pdn, np.array([1e6, 1e8, 1e9])
+
+
+@pytest.mark.parametrize(
+    "example, engines",
+    [
+        (_zero_mode_1khz, ("structured", "selinv", "spectral", "direct")),
+        (_ring_colocated, ("structured", "selinv", "spectral", "direct")),
+        (_stiff_decap, ("structured", "selinv", "spectral", "direct")),
+        (_inductive_metal, ("selinv", "direct")),
+    ],
+    ids=["zero_mode_1khz", "ring_colocated", "stiff_decap", "inductive_metal"],
+)
+def test_engines_meet_a_40_digit_solve(example, engines):
+    """Each eligible impedance engine and the diagonal of
+    ``impedance_columns`` land within its parity bound of the 40-digit
+    reduced system, relative to each frequency's largest |Z|."""
+    pdn, freqs = example()
+    exact = np.stack([impedance_mp(pdn.design, f) for f in freqs], axis=1)
+    scale = np.abs(exact).max(axis=0)
+    cells = pdn.nx * pdn.ny
+    results = {
+        method: pdn.impedance_map(freqs, method=method).z_ohm
+        for method in engines
+    }
+    results["columns"] = np.stack(
+        [np.diagonal(pdn.impedance_columns(f, np.arange(cells))) for f in freqs],
+        axis=1,
+    )
+    for method, z in results.items():
+        bound = STRUCTURED_RTOL if method == "structured" else RTOL
+        error = (np.abs(z - exact).max(axis=0) / scale).max()
+        assert error <= bound, f"{method} off by {error:.3e} (rel)"

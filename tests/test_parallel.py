@@ -42,6 +42,7 @@ from repro.parallel import (
     run_sweep,
     run_sweep_collect,
 )
+from repro.pdn import mna
 from repro.pdn.grid import GridPDN, dc_stamp
 from repro.pdn.grid_transient import GridTransientPDN
 from repro.pdn.mna import FactorizedPDN
@@ -271,57 +272,50 @@ class TestFactorizationCache:
 
 
 class TestInfluenceCacheBound:
-    def test_eviction_counter_and_bound(self):
+    def test_eviction_counter_and_bound(self, monkeypatch):
+        monkeypatch.setattr(mna, "INFLUENCE_CACHE_COLUMNS", 4)
         grid = _small_grid(nx=8)
         compiled = grid.compile()
-        solver = FactorizedPDN(compiled, influence_cache_columns=4)
+        solver = FactorizedPDN(compiled)
         # Sweep resistor removals over more elements than the cap.
         for i in range(12):
             solver.solve_modified(remove_resistors=(i,))
         assert len(solver._influence) <= 4
         assert solver.influence_evictions > 0
 
-    def test_results_unaffected_by_tiny_cache(self):
+    def test_results_unaffected_by_tiny_cache(self, monkeypatch):
         compiled = _small_grid(nx=8).compile()
-        bounded = FactorizedPDN(compiled, influence_cache_columns=1)
+        scenarios = [(0,), (1,), (0, 2), (3,), (0,)]
         unbounded = FactorizedPDN(compiled)
-        for failed in [(0,), (1,), (0, 2), (3,), (0,)]:
+        want = [unbounded.solve_modified(disable_sources=s) for s in scenarios]
+        monkeypatch.setattr(mna, "INFLUENCE_CACHE_COLUMNS", 1)
+        bounded = FactorizedPDN(compiled)
+        for failed, b in zip(scenarios, want):
             a = bounded.solve_modified(disable_sources=failed)
-            b = unbounded.solve_modified(disable_sources=failed)
             assert np.array_equal(
                 np.asarray(list(a.node_voltages.values())),
                 np.asarray(list(b.node_voltages.values())),
             )
         assert bounded.influence_evictions > 0
 
-    def test_rejects_non_count_cap_by_name(self):
-        compiled = _small_grid().compile()
-        for bad in (2.5, True, float("nan")):
-            with pytest.raises(ConfigError, match="^influence_cache_columns "):
-                FactorizedPDN(compiled, influence_cache_columns=bad)
-
-    def test_sweep_wider_than_the_cap_matches_an_unbounded_memo(self):
+    def test_sweep_wider_than_the_cap_matches_an_unbounded_memo(
+        self, monkeypatch
+    ):
         # A sweep that touches more elements than the memo holds solves
         # its whole union in one call and keeps the columns it solved,
         # so it returns the same bits as a sweep that fits.
         compiled = _small_grid(nx=40).compile()
         scenarios = [((0,), ()), ((1,), (5, 9)), ((0, 2), (17,)), ((), (3, 9))]
-        bounded = FactorizedPDN(compiled, influence_cache_columns=2)
+        bounded = FactorizedPDN(compiled)
         unbounded = FactorizedPDN(compiled)
-        for a, b in zip(
-            bounded.solve_modified_many(scenarios),
-            unbounded.solve_modified_many(scenarios),
-        ):
+        want = unbounded.solve_modified_many(scenarios)
+        monkeypatch.setattr(mna, "INFLUENCE_CACHE_COLUMNS", 2)
+        for a, b in zip(bounded.solve_modified_many(scenarios), want):
             np.testing.assert_array_equal(
                 a.node_voltage_array, b.node_voltage_array
             )
         assert len(bounded._influence) == 2
         assert bounded.influence_evictions > 0
-
-    def test_rejects_zero_cap(self):
-        compiled = _small_grid().compile()
-        with pytest.raises(Exception):
-            FactorizedPDN(compiled, influence_cache_columns=0)
 
 
 # -- pickle round-trips ----------------------------------------------------------
