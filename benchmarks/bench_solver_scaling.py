@@ -14,7 +14,7 @@ shapes the system-level sweeps rely on:
   stack of RHS columns via ``FactorizedPDN.solve_many``,
 * ``test_ac_sweep_scalar`` / ``test_ac_sweep_compiled`` — a 200-point
   impedance sweep through the per-frequency scalar oracle vs the
-  compiled stamp-structure engine (``ACSweep``),
+  compiled stamp-structure engine (``ACNetlist.compile_ac``),
 * ``test_n1_sweep_refactorize`` / ``test_n1_sweep_woodbury`` — a
   12-scenario N−1 fault sweep with per-scenario refactorization vs
   the Woodbury-corrected shared factorization,
@@ -65,7 +65,7 @@ import numpy as np
 import pytest
 
 from repro.parallel.cache import process_cache
-from repro.pdn.ac import ACNetlist, ACSweep, probe_netlist, solve_ac
+from repro.pdn.ac import ACNetlist, probe_netlist, solve_ac
 from repro.pdn.grid import GridACPDN, GridPDN
 from repro.pdn.mna import FactorizedPDN
 from repro.pdn.powermap import PowerMap
@@ -241,7 +241,7 @@ def test_ac_sweep_compiled(benchmark):
     freqs = np.logspace(3, 9, AC_SWEEP_POINTS)
 
     def sweep_compiled() -> float:
-        return float(ACSweep(probe).solve(freqs).magnitude("die").max())
+        return float(probe.compile_ac().solve(freqs).magnitude("die").max())
 
     peak = benchmark(sweep_compiled)
     assert peak > 0

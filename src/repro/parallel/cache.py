@@ -41,9 +41,7 @@ from ..pdn.network import CompiledNetlist
 DEFAULT_CACHE_ENTRIES = 8
 
 
-def compiled_fingerprint(
-    compiled: CompiledNetlist, extra: bytes | None = None
-) -> str:
+def compiled_fingerprint(compiled: CompiledNetlist) -> str:
     """Content hash of a compiled netlist's arrays.
 
     Two netlists with equal fingerprints produce byte-identical MNA
@@ -57,12 +55,10 @@ def compiled_fingerprint(
     never enter the numerics, and hashing lazy name tuples would force
     materializing them.
 
-    ``extra`` salts the digest with caller-supplied discretization
-    bytes.  The transient grid engine stamps its time step into the
-    companion resistances, so two different ``(Δt, C_eff)`` stamps that
-    happen to collapse onto byte-identical arrays would otherwise share
-    one cache key; passing the ``(Δt, C_eff)`` stamp here keys them
-    separately so a cached LU is never reused across time steps.
+    The content is the whole key: two stamps with byte-identical arrays
+    are the same matrix and share a correct LU, and a discretization
+    enters through the values it stamps (the transient engine's
+    companion resistances carry ``Δt`` and ``C``).
     """
     digest = hashlib.blake2b(digest_size=16)
     digest.update(compiled.n_nodes.to_bytes(8, "little", signed=False))
@@ -84,9 +80,6 @@ def compiled_fingerprint(
         for dim in array.shape:
             digest.update(dim.to_bytes(8, "little", signed=False))
         digest.update(array.tobytes())
-    if extra is not None:
-        digest.update(len(extra).to_bytes(8, "little", signed=False))
-        digest.update(extra)
     return digest.hexdigest()
 
 
@@ -97,10 +90,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-
-    @property
-    def entries_built(self) -> int:
-        return self.misses
 
 
 class FactorizationCache:
@@ -124,17 +113,10 @@ class FactorizationCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(
-        self, compiled: CompiledNetlist, extra: bytes | None = None
-    ) -> FactorizedPDN:
-        """The cached factorization for this topology, building on miss.
-
-        ``extra`` is the optional fingerprint salt (see
-        :func:`compiled_fingerprint`) for callers whose factorization
-        validity depends on more than the compiled arrays — e.g. the
-        transient engine's ``(Δt, C_eff)`` stamp.
-        """
-        key = compiled_fingerprint(compiled, extra)
+    def get(self, compiled: CompiledNetlist) -> FactorizedPDN:
+        """The cached factorization of this netlist's content (see
+        :func:`compiled_fingerprint`), building on miss."""
+        key = compiled_fingerprint(compiled)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -176,13 +158,10 @@ def process_cache() -> FactorizationCache:
     return _PROCESS_CACHE
 
 
-def get_factorized(
-    compiled: CompiledNetlist, extra: bytes | None = None
-) -> FactorizedPDN:
+def get_factorized(compiled: CompiledNetlist) -> FactorizedPDN:
     """Shared-factorization entry point used by the grid layer.
 
     Returns a :class:`FactorizedPDN` from the process-global cache,
-    factoring on first sight of the topology.  ``extra`` salts the
-    cache key (see :func:`compiled_fingerprint`).
+    factoring on first sight of the netlist's content.
     """
-    return _PROCESS_CACHE.get(compiled, extra)
+    return _PROCESS_CACHE.get(compiled)

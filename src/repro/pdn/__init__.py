@@ -84,7 +84,6 @@ from .thermal import StackTemperatures, ThermalStack
 from .ac import (
     ACNetlist,
     ACSolution,
-    ACSweep,
     ACSweepSolution,
     CompiledACNetlist,
     impedance_at,
@@ -155,7 +154,6 @@ __all__ = [
     "StackTemperatures",
     "ACNetlist",
     "ACSolution",
-    "ACSweep",
     "ACSweepSolution",
     "CompiledACNetlist",
     "solve_ac",

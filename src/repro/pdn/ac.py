@@ -12,13 +12,14 @@ Two solve paths exist:
 
 * :func:`solve_ac` — the scalar oracle: rebuilds and solves the full
   system at one frequency.  Retained for parity testing.
-* :class:`CompiledACNetlist` / :class:`ACSweep` — the sweep engine:
-  the COO stamp *structure* (entry rows/columns plus per-entry
-  resistive, capacitive, and inductive coefficients) is built once;
-  per frequency only the complex value vector is recomputed
-  (vectorized over elements and over the whole frequency grid), and
-  one shared CSC index pattern maps values into the matrix.  Small
-  systems batch all frequencies through one LAPACK call.
+* :class:`CompiledACNetlist` (:meth:`ACNetlist.compile_ac`) — the
+  sweep engine: the COO stamp *structure* (entry rows/columns plus
+  per-entry resistive, capacitive, and inductive coefficients) is
+  built once; per frequency only the complex value vector is
+  recomputed (vectorized over elements and over the whole frequency
+  grid), and one shared CSC index pattern maps values into the
+  matrix.  Small systems batch all frequencies through one LAPACK
+  call.
 """
 
 from __future__ import annotations
@@ -586,23 +587,6 @@ class CompiledACNetlist:
         )
 
 
-class ACSweep:
-    """Compile-once frequency-sweep engine over an :class:`ACNetlist`.
-
-    The netlist is compiled on construction; :meth:`solve` then runs
-    any number of sweeps without re-assembling the stamp structure.
-    The input netlist is snapshotted — later mutations do not affect
-    the sweep.
-    """
-
-    def __init__(self, netlist: ACNetlist) -> None:
-        self.compiled = netlist.compile_ac()
-
-    def solve(self, frequencies_hz: np.ndarray) -> ACSweepSolution:
-        """Solve every frequency on the shared stamp pattern."""
-        return self.compiled.solve(frequencies_hz)
-
-
 def probe_netlist(netlist: ACNetlist, node: NodeId) -> ACNetlist:
     """The small-signal probe circuit for an impedance measurement.
 
@@ -631,11 +615,12 @@ def impedance_at(
     """|Z(f)| looking into ``node``: inject 1 A AC, read |V|.
 
     Small-signal analysis via :func:`probe_netlist`; the whole sweep
-    runs on one compiled stamp structure (:class:`ACSweep`), so dense
-    frequency grids cost one compilation plus vectorized solves.
+    runs on one compiled stamp structure (:class:`CompiledACNetlist`),
+    so dense frequency grids cost one compilation plus vectorized
+    solves.
     :func:`solve_ac` on the same probe circuit is the scalar parity
     oracle (see ``tests/test_ac.py``).
     """
     freqs = check_frequencies(frequencies_hz)
-    sweep = ACSweep(probe_netlist(netlist, node))
-    return sweep.solve(freqs).magnitude(node)
+    sweep = probe_netlist(netlist, node).compile_ac().solve(freqs)
+    return sweep.magnitude(node)

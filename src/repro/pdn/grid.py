@@ -572,7 +572,7 @@ class GridPDN(MeshView):
             return [
                 dc.node_voltage_array
                 for dc in solver.solve_modified_many(
-                    [((), shunts[~row]) for row in live],
+                    [shunts[~row] for row in live],
                     cs_amp=amps,
                     check=False,
                     method=method,
@@ -875,13 +875,13 @@ class _SelinvPlan:
 
 #: Weights of the per-frequency operation counts ``auto`` compares
 #: (see :meth:`GridACPDN.impedance_engine`): structured's two
-#: ``k²·cells`` products, and selinv's cost per ``levels·width³``
-#: fitted to an earlier crossover table; on the table re-measured in
-#: ``docs/structured-solvers.md`` every weight in 4.8–8.7 picks the
-#: faster engine on all of it, and 3.5 sends the A2 array at 32² to
-#: the slower selinv.
+#: ``k²·cells`` products, and selinv's cost per ``levels·width³``.
+#: On the crossover table in ``docs/structured-solvers.md`` every
+#: selinv weight in 4.8–8.7 picks the faster engine at all 18 shapes
+#: (the A2 array at 32² flips to selinv below 4.80, at 24² to
+#: structured above 8.69); 6.5 sits inside that range.
 _STRUCTURED_COST_WEIGHT = 2
-_SELINV_COST_WEIGHT = 3.5
+_SELINV_COST_WEIGHT = 6.5
 
 
 class GridACPDN(MeshView):
@@ -1063,14 +1063,14 @@ class GridACPDN(MeshView):
           correction, k = 1 (zero-mode deflation) + attach nodes: the
           ``UᵀM⁻¹U`` product and the correction gather over every
           cell, then one k×k solve;
-        * selinv ≈ 3.5·levels·width³ from the cached level plan (one
+        * selinv ≈ 6.5·levels·width³ from the cached level plan (one
           block inverse and four block products per level), the
-          weight fitted to an earlier version of the crossover table
-          in ``docs/structured-solvers.md`` (see
-          :data:`_SELINV_COST_WEIGHT`).
+          weight set inside the range that routes every shape of the
+          crossover table in ``docs/structured-solvers.md`` to its
+          faster engine (see :data:`_SELINV_COST_WEIGHT`).
 
         A few VRs keep structured on any mesh, while the paper's 48-VR
-        banks run selinv up to 32² (A2) or 16² (A1, whose ring widens
+        banks run selinv up to 24² (A2) or 16² (A1, whose ring widens
         selinv's levels).
         ``"spectral"`` and the ``"direct"`` oracle run only when asked
         for.  Raises :class:`~repro.errors.ConfigError` for an unknown

@@ -14,8 +14,8 @@ history current), so each time step is one linear solve
 where ``A`` depends only on the topology and the time step.  That
 matrix is factored **once** per ``(topology, Δt)`` through the
 process-wide content-hashed :class:`~repro.parallel.cache.FactorizationCache`
-(salted with the ``(Δt, C_eff)`` stamp so a cached LU is never reused
-across different time steps) and every subsequent step is a single
+(the companion resistances carry ``Δt`` and ``C_eff``, so the stamp's
+content is its key) and every subsequent step is a single
 back-substitution.  A batch of T workload traces advances through one
 multi-RHS back-substitution per step (`solve_many` shape), which is
 where ensemble sweeps get their throughput.
@@ -57,7 +57,6 @@ Two engines, mirroring :class:`~repro.pdn.grid.GridPDN`:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -143,11 +142,10 @@ class _TransientStructure:
     Their engines are built on first read: a factorization per stamp,
     a structured operator for the companion stamp, and for the DC stamp
     the structured DC engine's operator
-    (:class:`~repro.pdn.fast_poisson.StructuredGridPDN`).  The
-    transient LU is keyed in the shared factorization cache with a
-    ``(Δt, C_eff)`` salt.  Source voltages are right-hand-side data:
-    they are passed to each run, so a setpoint change reuses the
-    structure.
+    (:class:`~repro.pdn.fast_poisson.StructuredGridPDN`).  Each LU is
+    keyed in the shared factorization cache by its stamp's content.
+    Source voltages are right-hand-side data: they are passed to each
+    run, so a setpoint change reuses the structure.
     """
 
     def __init__(self, design: MeshDesign, dt_s: float) -> None:
@@ -299,17 +297,13 @@ class _TransientStructure:
                 [self.dec_rows, attach[live]],
                 [esr, rout[live]],
             )
-        # The (Δt, C_eff) salt: the companion resistances already
-        # encode Δt, but the salt guarantees distinct time steps never
-        # share a cache key even on value coincidences.
-        self.salt = struct.pack("<d", h) + self.g_node.tobytes()
 
     # -- factorized engine -------------------------------------------------------
 
     @cached_property
     def solver(self) -> FactorizedPDN:
-        """The companion stamp's factorization, salted with (Δt, C_eff)."""
-        return _factorized(self.compiled, self.salt)
+        """The companion stamp's factorization."""
+        return _factorized(self.compiled)
 
     @cached_property
     def dc_solver(self) -> FactorizedPDN:
@@ -342,12 +336,12 @@ class _TransientStructure:
         return StructuredGridPDN(self.design).op
 
 
-def _factorized(compiled: CompiledNetlist, extra: bytes | None = None):
+def _factorized(compiled: CompiledNetlist):
     """The shared cache's factorization of one reduced stamp."""
     # Lazy import: the parallel layer sits above pdn.
     from ..parallel.cache import get_factorized
 
-    return get_factorized(compiled, extra=extra)
+    return get_factorized(compiled)
 
 
 def _row_solve(lu: FactorizedPDN):

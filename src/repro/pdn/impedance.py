@@ -23,11 +23,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ConfigError
+from .ac import ACNetlist, check_frequencies, impedance_at
 from .mesh import require_finite
 from .transient import PDNStage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .ac import ACNetlist
     from .grid import GridACPDN
 
 
@@ -85,6 +85,9 @@ def target_impedance_ohm(
 ) -> float:
     """The standard target-impedance rule:
     ``Z_t = V · ripple / ΔI`` (e.g. 1 V, 5%, 500 A -> 0.1 mΩ)."""
+    require_finite(supply_voltage_v, "supply_voltage_v")
+    require_finite(ripple_fraction, "ripple_fraction")
+    require_finite(transient_current_a, "transient_current_a")
     if supply_voltage_v <= 0:
         raise ConfigError("supply voltage must be positive")
     if not 0.0 < ripple_fraction < 1.0:
@@ -111,15 +114,12 @@ def pdn_impedance(
     """
     if not stages:
         raise ConfigError("at least one PDN stage required")
+    require_finite(source_impedance_ohm, "source_impedance_ohm")
     if source_impedance_ohm < 0:
         raise ConfigError("source impedance must be non-negative")
     if frequencies_hz is None:
         frequencies_hz = np.logspace(3, 9, 361)
-    freqs = np.asarray(frequencies_hz, dtype=float)
-    if freqs.ndim != 1 or len(freqs) == 0:
-        raise ConfigError("frequencies must be a non-empty 1-D array")
-    if np.any(freqs <= 0):
-        raise ConfigError("frequencies must be positive")
+    freqs = check_frequencies(frequencies_hz)
 
     omega = 2.0 * math.pi * freqs
     z = np.full_like(freqs, source_impedance_ohm, dtype=complex)
@@ -138,7 +138,7 @@ def pdn_impedance(
 def ladder_ac_netlist(
     stages: list[PDNStage],
     source_impedance_ohm: float = 1e-6,
-) -> tuple["ACNetlist", str]:
+) -> tuple[ACNetlist, str]:
     """The analytic ladder as an explicit AC netlist.
 
     Returns ``(netlist, die_node)`` — the exact circuit
@@ -148,10 +148,9 @@ def ladder_ac_netlist(
     voltage-source short.  Used by :func:`pdn_impedance_mna` and the
     cross-validation tests.
     """
-    from .ac import ACNetlist  # local import keeps module load light
-
     if not stages:
         raise ConfigError("at least one PDN stage required")
+    require_finite(source_impedance_ohm, "source_impedance_ohm")
     if source_impedance_ohm < 0:
         raise ConfigError("source impedance must be non-negative")
     net = ACNetlist()
@@ -208,8 +207,6 @@ def pdn_impedance_mna(
     the cross-validation tests assert; keeping both paths exercised
     guards the sweep engine against silent stamp regressions.
     """
-    from .ac import impedance_at
-
     if frequencies_hz is None:
         frequencies_hz = np.logspace(3, 9, 361)
     net, die_node = ladder_ac_netlist(stages, source_impedance_ohm)
@@ -247,6 +244,7 @@ def size_die_decap_for_target(
         raise ConfigError("target impedance must be positive")
     if not stages:
         raise ConfigError("at least one PDN stage required")
+    require_finite(max_farad, "max_farad")
     if max_farad <= 0:
         raise ConfigError("max capacitance must be positive")
 
@@ -305,6 +303,7 @@ def size_grid_decap_for_target(
     require_finite(target_ohm, "target_ohm")
     if target_ohm <= 0:
         raise ConfigError("target impedance must be positive")
+    require_finite(max_scale, "max_scale")
     if max_scale < 1.0:
         raise ConfigError("max decap scale must be >= 1")
     original = pdn.total_decap_farad

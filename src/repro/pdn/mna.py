@@ -16,6 +16,12 @@ positive definite and is factored in SuperLU's symmetric mode; an MNA
 stamp with voltage-source rows keeps the unsymmetric ordering and
 partial pivoting.
 
+A structural failure scenario is a set of removed resistors
+(:meth:`FactorizedPDN.solve_modified_many`), solved as a low-rank
+Woodbury correction on the cached factorization.  On an MNA stamp a
+failed regulator is its ``r_out`` resistor removed, the same open
+branch the grid's nodal engines remove.
+
 The solver also verifies the physics of the returned solution:
 Kirchhoff's current law at every node (via ``np.bincount``) and global
 power balance (source power = load power + I²R dissipation) to tight
@@ -34,7 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from ..errors import SolverError, require_finite, require_indices
+from ..errors import ConfigError, SolverError, require_finite, require_indices
 from .network import GROUND_INDEX, CompiledNetlist, Netlist, NodeId
 
 #: Cap on memoized influence columns per factorization.  Each
@@ -248,18 +254,16 @@ class FactorizedPDN:
         self._size = size
         self._conductance = 1.0 / compiled.res_ohm
         self._matrix = matrix
-        # Memoized A^-1 @ u columns for low-rank modifications: the
-        # update vector of "disable source j" / "remove resistor i" is
-        # canonical per element, so sweeps that revisit elements (N-k
-        # enumerations, repeated studies) pay each back-substitution
-        # once per factorization.  Bounded LRU of
+        # Memoized A^-1 @ u columns for low-rank modifications, keyed
+        # by resistor index: the update vector of "remove resistor i"
+        # is canonical per resistor, so sweeps that revisit resistors
+        # (N-k enumerations, repeated studies) pay each
+        # back-substitution once per factorization.  Bounded LRU of
         # INFLUENCE_CACHE_COLUMNS columns: each is a dense ``size``
         # vector, and a long-lived sweep worker enumerating resistor
         # removals over a large mesh would otherwise grow this without
         # limit.
-        self._influence: "OrderedDict[tuple[str, int], np.ndarray]" = (
-            OrderedDict()
-        )
+        self._influence: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self.influence_evictions = 0
 
     def _factor(self, matrix: sp.csc_matrix, subject: str) -> "spla.SuperLU":
@@ -405,54 +409,34 @@ class FactorizedPDN:
 
     # -- low-rank modified solves ---------------------------------------------------
 
-    def _update_columns(self, keys: list[tuple[str, int]]) -> np.ndarray:
-        """The ``U`` column of each modified element, ``(size, k)``:
-        ``e_r`` with ``r = n + j`` for voltage source ``("vs", j)``,
-        ``d = e_a - e_b`` (ground entries dropped) for resistor
-        ``("res", i)``."""
-        u = np.zeros((self._size, len(keys)))
-        for t, (kind, index) in enumerate(keys):
-            if kind == "vs":
-                u[self._n + index, t] = 1.0
-            else:
-                a = self.compiled.res_a[index]
-                b = self.compiled.res_b[index]
-                if a != GROUND_INDEX:
-                    u[a, t] = 1.0
-                if b != GROUND_INDEX:
-                    u[b, t] = -1.0
+    def _update_columns(self, removed: list[int]) -> np.ndarray:
+        """The ``U`` column ``d = e_a - e_b`` (ground entries dropped)
+        of each removed resistor, ``(size, k)``."""
+        u = np.zeros((self._size, len(removed)))
+        for t, index in enumerate(removed):
+            a = self.compiled.res_a[index]
+            b = self.compiled.res_b[index]
+            if a != GROUND_INDEX:
+                u[a, t] = 1.0
+            if b != GROUND_INDEX:
+                u[b, t] = -1.0
         return u
 
     def _modification_factors(
-        self, keys: list[tuple[str, int]]
+        self, removed: list[int]
     ) -> tuple[np.ndarray, np.ndarray]:
         """The rank-k update ``A_mod = A + U @ W.T`` for a scenario.
 
-        Disabling voltage source ``j`` replaces its constraint row
-        ``v+ - v- = V_j`` with ``i_j = 0`` — a rank-1 row replacement
-        ``e_r (new_row - old_row)^T`` with ``r = n + j``.  Removing
-        resistor ``i`` subtracts its conductance stamp
-        ``g_i d d^T`` with ``d = e_a - e_b`` (ground entries dropped).
+        Removing resistor ``i`` subtracts its conductance stamp
+        ``g_i d d^T``, so ``U`` holds the columns ``d`` and
+        ``W = -U diag(g)``.
         """
-        compiled = self.compiled
-        u = self._update_columns(keys)
-        w = u.copy()
-        for t, (kind, index) in enumerate(keys):
-            if kind == "vs":
-                plus = compiled.vs_plus[index]
-                minus = compiled.vs_minus[index]
-                if plus != GROUND_INDEX:
-                    w[plus, t] -= 1.0
-                if minus != GROUND_INDEX:
-                    w[minus, t] += 1.0
-            else:
-                w[:, t] *= -self._conductance[index]
-        return u, w
+        u = self._update_columns(removed)
+        return u, u * -self._conductance[removed]
 
-    def _influence_columns(
-        self, keys: list[tuple[str, int]]
-    ) -> dict[tuple[str, int], np.ndarray]:
-        """``Z = A^-1 u`` of every key, memoized in a bounded LRU.
+    def _influence_columns(self, keys: list[int]) -> dict[int, np.ndarray]:
+        """``Z = A^-1 u`` of every removed resistor, memoized in a
+        bounded LRU keyed by resistor index.
 
         Hits come from the memo; every miss is back-substituted in one
         batched call, in first-appearance order, and stored with LRU
@@ -461,7 +445,7 @@ class FactorizedPDN:
         locally, so they stay whole even when a sweep touches more
         elements than the memo holds.
         """
-        columns: dict[tuple[str, int], np.ndarray | None] = {}
+        columns: dict[int, np.ndarray | None] = {}
         for key in keys:
             if key not in columns:
                 columns[key] = self._influence.get(key)
@@ -476,24 +460,6 @@ class FactorizedPDN:
                 self._influence.popitem(last=False)
                 self.influence_evictions += 1
         return columns
-
-    def preload_source_influence(
-        self, indices: "np.ndarray | tuple[int, ...] | list[int] | None" = None
-    ) -> None:
-        """Batch the influence columns of many source disables.
-
-        An N−1 sweep touches every source once; one back-substitution
-        call over all missing columns is several times cheaper than 48
-        single-column solves scattered across scenarios.  Defaults to
-        every voltage source.
-        """
-        m = self.compiled.n_vsources
-        wanted = np.unique(
-            require_indices(range(m) if indices is None else indices, "indices")
-        )
-        if wanted.size and (wanted[0] < 0 or wanted[-1] >= m):
-            raise SolverError("source index out of range")
-        self._influence_columns([("vs", int(j)) for j in wanted])
 
     def _refactorize_modified(
         self, u: np.ndarray, w: np.ndarray
@@ -525,7 +491,6 @@ class FactorizedPDN:
 
     def solve_modified(
         self,
-        disable_sources: "np.ndarray | tuple[int, ...] | list[int]" = (),
         remove_resistors: "np.ndarray | tuple[int, ...] | list[int]" = (),
         cs_amp: np.ndarray | None = None,
         vs_volt: np.ndarray | None = None,
@@ -535,7 +500,7 @@ class FactorizedPDN:
         """Solve one structurally modified scenario: a one-scenario
         :meth:`solve_modified_many` (see there for the arguments)."""
         return self.solve_modified_many(
-            [(disable_sources, remove_resistors)],
+            [remove_resistors],
             cs_amp=cs_amp,
             vs_volt=vs_volt,
             check=check,
@@ -544,7 +509,7 @@ class FactorizedPDN:
 
     def solve_modified_many(
         self,
-        scenarios: "list[tuple] | tuple[tuple, ...]",
+        scenarios: "list | tuple",
         cs_amp: np.ndarray | None = None,
         vs_volt: np.ndarray | None = None,
         check: bool = True,
@@ -552,31 +517,29 @@ class FactorizedPDN:
     ) -> list[DCSolution]:
         """Solve structurally modified scenarios on the base factorization.
 
-        A failure/ablation sweep removes a handful of elements per
+        A failure/ablation sweep removes a handful of resistors per
         scenario; refactorizing each time costs a full LU.  Instead each
         modification is expressed as a rank-k update ``A + U W^T`` and
         solved with the Sherman–Morrison–Woodbury identity
 
         ``x = y - Z (I_k + W^T Z)^{-1} W^T y``
 
-        where ``y = A^{-1} b_mod`` and ``Z = A^{-1} U`` come from the
+        where ``y = A^{-1} b`` and ``Z = A^{-1} U`` come from the
         *cached* factorization.  The sweep is batched through three
         stacked :meth:`solve_many`-style calls — the union of influence
-        columns ``Z``, the modified right-hand sides, and one
-        iterative-refinement round — leaving only k×k algebra per
-        scenario.  Exhaustive N−k enumerations are the intended
-        workload; :meth:`solve_modified` is the one-scenario call.
+        columns ``Z``, the right-hand sides, and one iterative-refinement
+        round — leaving only k×k algebra per scenario.  Exhaustive N−k
+        enumerations are the intended workload; :meth:`solve_modified`
+        is the one-scenario call.
 
         Args:
-            scenarios: ``(disable_sources, remove_resistors)`` pairs
-                sharing the source voltages.  ``disable_sources``
-                are voltage-source indices whose constraint is replaced
-                by ``i = 0`` (an open-circuited regulator: the source
-                branch carries no current; its series elements stay in
-                the matrix but go dead).  ``remove_resistors`` are
-                resistor indices whose conductance stamp is subtracted
-                (an open lateral edge); removed resistors report zero
-                current and loss.
+            scenarios: one set of removed resistor indices per
+                scenario (a scalar or a 1-D index set), sharing the
+                source voltages.  Each removed resistor's conductance
+                stamp is subtracted (an open branch), and it reports
+                zero current and loss.  A failed regulator is its
+                ``r_out`` resistor removed: its source row stays, with
+                its EMF node held at the EMF and no current through it.
             cs_amp: load currents shared by every scenario, or a
                 ``(len(scenarios), n_cs)`` stack, one row per scenario.
             method: ``"auto"`` uses Woodbury and refactorizes a
@@ -591,57 +554,40 @@ class FactorizedPDN:
         Returns one :class:`DCSolution` per scenario, in order.
 
         Raises:
-            SolverError: invalid indices, disconnecting modification,
-                or (with ``method="woodbury"``) an ill-conditioned
-                correction.
+            ConfigError: a scenario that is not a scalar or a 1-D set
+                of whole-number indices.
+            SolverError: an index out of range, a disconnecting
+                modification, or (with ``method="woodbury"``) an
+                ill-conditioned correction.
         """
         if method not in ("auto", "woodbury", "refactor"):
             raise SolverError(f"unknown solve_modified method: {method!r}")
-        compiled = self.compiled
-        normalized: list[tuple[np.ndarray, np.ndarray]] = []
+        n_res = len(self.compiled.res_ohm)
+        keys: list[list[int]] = []
         for scenario in scenarios:
-            try:
-                disable_sources, remove_resistors = scenario
-            except (TypeError, ValueError):
-                raise SolverError(
-                    "each scenario must be a (disable_sources, "
-                    "remove_resistors) pair"
-                ) from None
-            disabled = np.unique(
-                require_indices(disable_sources, "disable_sources")
-            )
-            removed = np.unique(
-                require_indices(remove_resistors, "remove_resistors")
-            )
-            if disabled.size and (
-                disabled.min() < 0 or disabled.max() >= compiled.n_vsources
-            ):
-                raise SolverError("disable_sources index out of range")
-            if removed.size and (
-                removed.min() < 0 or removed.max() >= len(compiled.res_ohm)
-            ):
+            removed = require_indices(scenario, "remove_resistors")
+            if removed.ndim > 1:
+                raise ConfigError(
+                    "remove_resistors must be a scalar or a 1-D index "
+                    f"set per scenario, got shape {removed.shape}"
+                )
+            removed = np.unique(removed)
+            if removed.size and (removed[0] < 0 or removed[-1] >= n_res):
                 raise SolverError("remove_resistors index out of range")
-            normalized.append((disabled, removed))
-        count = len(normalized)
+            keys.append(removed.tolist())
+        count = len(keys)
         amp, volt = self._scenario_values(cs_amp, vs_volt, count)
-        if not normalized:
+        if not keys:
             return []
 
         amps = np.broadcast_to(amp, (count, amp.shape[-1]))
         rhs_matrix = np.empty((self._size, count))
         for i, row in enumerate(amps):
             rhs_matrix[:, i] = self._rhs(row, volt)
-        for i, (disabled, _) in enumerate(normalized):
-            rhs_matrix[self._n + disabled, i] = 0.0
-        # One memo key per modified element, in U-column order.
-        keys = [
-            [("vs", int(j)) for j in disabled] + [("res", int(i)) for i in removed]
-            for disabled, removed in normalized
-        ]
         factors = {
-            i: self._modification_factors(scenario_keys)
-            for i, scenario_keys in enumerate(keys)
-            if scenario_keys
+            i: self._modification_factors(removed)
+            for i, removed in enumerate(keys)
+            if removed
         }
         if method == "refactor":
             x = np.column_stack(
@@ -656,16 +602,15 @@ class FactorizedPDN:
             x = self._solve_woodbury(rhs_matrix, keys, factors, method)
 
         solutions: list[DCSolution] = []
-        for i, (disabled, removed) in enumerate(normalized):
+        for i, removed in enumerate(keys):
             # Removed resistors report zero current and loss.
             conductance = self._conductance
-            if removed.size:
+            if removed:
                 conductance = conductance.copy()
                 conductance[removed] = 0.0
             solutions.append(
                 package_dc_solution(
-                    self.compiled, x[:, i], amps[i], volt, conductance,
-                    check, disabled,
+                    self.compiled, x[:, i], amps[i], volt, conductance, check
                 )
             )
         return solutions
@@ -673,7 +618,7 @@ class FactorizedPDN:
     def _solve_woodbury(
         self,
         rhs_matrix: np.ndarray,
-        keys: list[list[tuple[str, int]]],
+        keys: list[list[int]],
         factors: dict[int, tuple[np.ndarray, np.ndarray]],
         method: str,
     ) -> np.ndarray:
@@ -753,16 +698,15 @@ def package_dc_solution(
     volt: np.ndarray,
     conductance: np.ndarray,
     check: bool,
-    disabled_sources: np.ndarray | None = None,
 ) -> DCSolution:
     """Turn a raw MNA solution vector into a verified :class:`DCSolution`.
 
     Shared by the solve paths of :class:`FactorizedPDN` — plain,
-    Woodbury-corrected and refactorized — so branch-current extraction,
-    disabled-source snapping, and the KCL/power verification render
-    identical results regardless of how ``x`` was computed.  The grid
-    packages its nodal solutions itself (:mod:`repro.pdn.grid`) and
-    shares only the verification rule, :func:`check_balance`.
+    Woodbury-corrected and refactorized — so branch-current extraction
+    and the KCL/power verification render identical results regardless
+    of how ``x`` was computed.  The grid packages its nodal solutions
+    itself (:mod:`repro.pdn.grid`) and shares only the verification
+    rule, :func:`check_balance`.
     """
     n = compiled.n_nodes
     voltages = x[:n]
@@ -772,11 +716,6 @@ def package_dc_solution(
     currents = drop * conductance
     losses = currents * drop
     source_currents = -x[n:]
-    if disabled_sources is not None and np.asarray(disabled_sources).size:
-        # The modified constraint row forces these branch currents
-        # to zero; snap away the O(eps) correction residue.
-        source_currents = source_currents.copy()
-        source_currents[np.asarray(disabled_sources, dtype=np.int64)] = 0.0
 
     solution = DCSolution(
         compiled=compiled,

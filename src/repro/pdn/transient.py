@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_finite
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,13 @@ class PDNStage:
     decap_esr_ohm: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in (
+            "series_resistance_ohm",
+            "series_inductance_h",
+            "decap_farad",
+            "decap_esr_ohm",
+        ):
+            require_finite(getattr(self, field), f"{self.name}: {field}")
         if self.series_resistance_ohm <= 0:
             raise ConfigError(f"{self.name}: series R must be positive")
         if self.series_inductance_h <= 0:
@@ -119,6 +126,7 @@ class PDNTransient:
     """
 
     def __init__(self, supply_voltage_v: float, stages: list[PDNStage]) -> None:
+        require_finite(supply_voltage_v, "supply_voltage_v")
         if supply_voltage_v <= 0:
             raise ConfigError("supply voltage must be positive")
         if not stages:

@@ -12,7 +12,6 @@ import pytest
 from repro.errors import ConfigError, SolverError
 from repro.pdn.ac import (
     ACNetlist,
-    ACSweep,
     CompiledACNetlist,
     impedance_at,
     probe_netlist,
@@ -154,7 +153,7 @@ class TestImpedanceProbe:
         across a dense log grid of the flagship probe circuit."""
         probe = probe_netlist(self.build_single_stage(), "die")
         freqs = np.logspace(3, 9, 200)
-        sweep = ACSweep(probe).solve(freqs)
+        sweep = probe.compile_ac().solve(freqs)
         for k, frequency in enumerate(freqs):
             reference = solve_ac(probe, float(frequency))
             scale = max(
@@ -293,14 +292,14 @@ class TestCompiledACNetlist:
 
     def test_sweep_snapshot_ignores_later_mutation(self):
         net = self.build()
-        engine = ACSweep(net)
+        engine = net.compile_ac()
         before = engine.solve(np.array([1e6])).voltage("out")[0]
         net.add_resistor("shunt", "out", net.GROUND, 1e-3)
         after = engine.solve(np.array([1e6])).voltage("out")[0]
         assert before == after
 
     def test_sweep_solution_ground_and_unknown_nodes(self):
-        sweep = ACSweep(self.build()).solve(np.array([1e5, 1e6]))
+        sweep = self.build().compile_ac().solve(np.array([1e5, 1e6]))
         assert np.all(sweep.voltage("0") == 0.0)
         assert np.all(sweep.magnitude("out") > 0.0)
         with pytest.raises(ConfigError):
@@ -313,9 +312,9 @@ class TestCompiledACNetlist:
 
         net = self.build()
         freqs = np.logspace(3, 9, 25)
-        dense = ACSweep(net).solve(freqs)
+        dense = net.compile_ac().solve(freqs)
         monkeypatch.setattr(ac_module, "DENSE_SWEEP_CUTOFF", 0)
-        sparse = ACSweep(net).solve(freqs)
+        sparse = net.compile_ac().solve(freqs)
         assert np.allclose(
             dense.voltage_matrix, sparse.voltage_matrix, rtol=1e-9
         )
@@ -328,7 +327,7 @@ class TestCompiledACNetlist:
         net.add_capacitor("c_f", "island_a", "island_b", 1e-9)
         net.add_current_source("i_f", "island_a", "island_b", 1.0)
         with pytest.raises(SolverError):
-            ACSweep(net).solve(np.array([1e6]))
+            net.compile_ac().solve(np.array([1e6]))
 
 
 class TestLadderCrossValidation:

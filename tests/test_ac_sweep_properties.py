@@ -1,7 +1,8 @@
 """Property-based parity of the compiled AC sweep engine (hypothesis).
 
 The scalar :func:`repro.pdn.ac.solve_ac` oracle rebuilds and solves
-the full phasor system at one frequency; :class:`repro.pdn.ac.ACSweep`
+the full phasor system at one frequency;
+:class:`repro.pdn.ac.CompiledACNetlist` (``ACNetlist.compile_ac()``)
 solves the whole grid on one compiled stamp structure.  On random RLC
 ladder networks the two must agree to 1e-9 relative on every node
 voltage at every frequency, and the compiled impedance probe must
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.pdn.ac import (
     ACNetlist,
-    ACSweep,
     CompiledACNetlist,
     impedance_at,
     probe_netlist,
@@ -76,11 +76,11 @@ def build_rlc_ladder(
 
 
 def assert_sweep_matches_scalar(net: ACNetlist, freqs: np.ndarray) -> None:
-    engine = ACSweep(net)
-    sweep = engine.solve(freqs)
+    compiled = net.compile_ac()
+    sweep = compiled.solve(freqs)
     for k, frequency in enumerate(freqs):
         reference = solve_ac(net, float(frequency))
-        rtol = parity_rtol(engine.compiled, float(frequency))
+        rtol = parity_rtol(compiled, float(frequency))
         scale = max(
             (abs(reference.voltage(node)) for node in sweep.nodes),
             default=1.0,
@@ -154,12 +154,12 @@ def test_sweep_point_view_matches_scalar(
 ):
     """ACSweepSolution.at(k) reproduces the scalar ACSolution."""
     net = build_rlc_ladder(rails, inductors, decaps, esrs, load)
-    engine = ACSweep(net)
-    sweep = engine.solve(np.array([frequency]))
+    compiled = net.compile_ac()
+    sweep = compiled.solve(np.array([frequency]))
     point = sweep.at(0)
     reference = solve_ac(net, frequency)
     assert point.frequency_hz == frequency
-    rtol = parity_rtol(engine.compiled, frequency)
+    rtol = parity_rtol(compiled, frequency)
     scale = max(
         max(abs(v) for v in reference.node_voltages.values()), 1e-12
     )

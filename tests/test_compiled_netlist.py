@@ -439,7 +439,7 @@ class TestNortonStamp:
     def test_scenario_rows_of_a_load_stack(self):
         solver = FactorizedPDN(feed_netlist().compile())
         stack = np.array([[100.0], [40.0], [0.0]])
-        scenarios = [((), ())] * len(stack)
+        scenarios = [()] * len(stack)
         for row, got in zip(stack, solver.solve_modified_many(scenarios, cs_amp=stack)):
             want = solver.solve(cs_amp=row)
             np.testing.assert_array_equal(
@@ -485,10 +485,10 @@ OVERRIDE_CALLS = {
     "rhs": lambda solver, kwargs: solver.rhs(**kwargs),
     "solve": lambda solver, kwargs: solver.solve(**kwargs),
     "solve_modified_many": lambda solver, kwargs: solver.solve_modified_many(
-        [((), ())], **kwargs
+        [()], **kwargs
     ),
     "load-stack": lambda solver, kwargs: solver.solve_modified_many(
-        [((), ()), ((), ())],
+        [(), ()],
         **{
             key: np.array([[100.0], value]) if key == "cs_amp" else value
             for key, value in kwargs.items()

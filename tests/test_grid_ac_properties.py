@@ -837,6 +837,7 @@ def eight_vr_mesh(n: int) -> GridACPDN:
 COST_ROUTES = [("8 VRs", n, "structured") for n in (8, 12, 16, 24, 32)] + [
     ("A2", 12, "selinv"),
     ("A2", 24, "selinv"),
+    ("A2", 32, "structured"),
     ("A1+ring", 12, "selinv"),
     ("A1+ring", 24, "structured"),
 ]
@@ -849,10 +850,10 @@ def test_auto_routes_uniform_meshes_by_cost(bank, n, engine):
     Woodbury rank is one plus the number of attach nodes: 9 with 8
     VRs, and at most 49 for either 48-VR bank (the A1 ring segments
     join attach nodes and add no column).  Selinv is the cheaper
-    engine on both banks at 12² and on the A2 array at 24², while the
-    A1 ring widens selinv's levels enough that structured wins at 24²,
-    as on the crossover table.  The map auto returns is the chosen
-    engine's, bit for bit."""
+    engine on both banks at 12² and on the A2 array at 24², structured
+    on the A2 array from 32², while the A1 ring widens selinv's levels
+    enough that structured wins at 24², as on the crossover table.  The
+    map auto returns is the chosen engine's, bit for bit."""
     if bank == "8 VRs":
         pdn = eight_vr_mesh(n)
     else:

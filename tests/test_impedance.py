@@ -9,11 +9,15 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.pdn.impedance import (
+    ladder_ac_netlist,
     pdn_impedance,
+    pdn_impedance_mna,
     size_die_decap_for_target,
     target_impedance_ohm,
 )
 from repro.pdn.transient import PDNStage
+
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 
 
 def simple_stages(die_cap: float = 10e-6) -> list[PDNStage]:
@@ -35,6 +39,18 @@ class TestTargetImpedance:
     def test_rejects_zero_current(self):
         with pytest.raises(ConfigError):
             target_impedance_ohm(1.0, 0.05, 0.0)
+
+    @NON_FINITE
+    @pytest.mark.parametrize(
+        "name", ["supply_voltage_v", "ripple_fraction", "transient_current_a"]
+    )
+    def test_rejects_non_finite_values_by_name(self, name, bad):
+        values = dict(
+            supply_voltage_v=1.0, ripple_fraction=0.05, transient_current_a=100.0
+        )
+        values[name] = bad
+        with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+            target_impedance_ohm(**values)
 
 
 class TestImpedanceProfile:
@@ -100,6 +116,23 @@ class TestImpedanceProfile:
     def test_rejects_empty_stages(self):
         with pytest.raises(ConfigError):
             pdn_impedance([])
+
+    @NON_FINITE
+    def test_rejects_non_finite_frequencies(self, bad):
+        with pytest.raises(ConfigError, match="^frequencies must be finite$"):
+            pdn_impedance(simple_stages(), frequencies_hz=np.array([1e6, bad]))
+
+    @NON_FINITE
+    @pytest.mark.parametrize(
+        "entry", [pdn_impedance, pdn_impedance_mna, ladder_ac_netlist]
+    )
+    def test_rejects_non_finite_source_impedance_by_name(self, entry, bad):
+        # NaN would otherwise pass the sign check and build the ideal
+        # short: a plausible 0-ohm answer.
+        with pytest.raises(
+            ConfigError, match="^source_impedance_ohm must be finite$"
+        ):
+            entry(simple_stages(), source_impedance_ohm=bad)
 
 
 class TestAnalyticCrossChecks:
@@ -177,6 +210,11 @@ class TestDecapSizing:
         for bad in (np.nan, np.inf):
             with pytest.raises(ConfigError, match="target_ohm"):
                 size_die_decap_for_target(simple_stages(), bad)
+
+    @NON_FINITE
+    def test_rejects_non_finite_max_farad_by_name(self, bad):
+        with pytest.raises(ConfigError, match="^max_farad must be finite$"):
+            size_die_decap_for_target(simple_stages(), 1e-3, max_farad=bad)
 
 
 class TestGridLadderCollapse:
@@ -343,6 +381,15 @@ class TestGridDecapSizing:
         bare.add_source("a", 0.5, 0.5, 1.0, 1e-3)
         with pytest.raises(ConfigError):
             size_grid_decap_for_target(bare, 1e-3)
+
+    @NON_FINITE
+    def test_rejects_non_finite_max_scale_by_name(self, bad):
+        # NaN passes the >= 1 guard and never ends the doubling loop.
+        from repro.pdn.impedance import size_grid_decap_for_target
+
+        pdn, _ = self.make_pdn()
+        with pytest.raises(ConfigError, match="^max_scale must be finite$"):
+            size_grid_decap_for_target(pdn, 1e-3, max_scale=bad)
 
     @staticmethod
     def _assert_decap_restored(before, after):

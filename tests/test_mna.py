@@ -294,6 +294,11 @@ class TestSolveModified:
         net.add_load("cpu", "bus", 100.0)
         return net
 
+    def rout(self, solver: FactorizedPDN, name: str) -> int:
+        """Index of a regulator's ``r_out`` resistor: removing it is the
+        MNA form of a failed regulator."""
+        return solver.compiled.res_names.index(f"{name}.rout")
+
     def test_no_modification_equals_solve(self):
         solver = FactorizedPDN(self.parallel_feeds())
         base = solver.solve()
@@ -312,25 +317,23 @@ class TestSolveModified:
         assert result.resistor_currents["feed_b"] == pytest.approx(30.0)
 
     def test_disabled_source_matches_hand_calc(self):
-        # With vr0 dead, vr1 alone carries 100 A through 2 mOhm.
+        # With vr0's rout removed, vr1 alone carries 100 A through
+        # 2 mOhm.
         solver = FactorizedPDN(self.dual_source())
-        result = solver.solve_modified(disable_sources=(0,))
+        result = solver.solve_modified(remove_resistors=self.rout(solver, "vr0"))
         assert result.voltage("bus") == pytest.approx(0.8)
-        assert result.source_currents["vr0.v"] == 0.0
         assert result.source_currents["vr1.v"] == pytest.approx(100.0)
-        # The dead source's series resistor carries nothing and its
-        # emf node floats to the bus voltage.
-        assert result.resistor_currents["vr0.rout"] == pytest.approx(
-            0.0, abs=1e-9
-        )
-        assert result.voltage(("vr0", "emf")) == pytest.approx(0.8)
+        assert result.resistor_currents["vr0.rout"] == 0.0
+        # The dead source's row stays: it carries no current (to
+        # rounding, not snapped) and holds its EMF node at its EMF.
+        assert result.source_currents["vr0.v"] == pytest.approx(0.0, abs=1e-9)
+        assert result.voltage(("vr0", "emf")) == pytest.approx(1.0)
 
     def test_methods_agree(self):
         solver = FactorizedPDN(self.dual_source())
-        fast = solver.solve_modified(disable_sources=(1,), method="woodbury")
-        oracle = solver.solve_modified(
-            disable_sources=(1,), method="refactor"
-        )
+        failed = self.rout(solver, "vr1")
+        fast = solver.solve_modified(remove_resistors=failed, method="woodbury")
+        oracle = solver.solve_modified(remove_resistors=failed, method="refactor")
         assert fast.node_voltage_array == pytest.approx(
             oracle.node_voltage_array, rel=1e-9
         )
@@ -338,7 +341,7 @@ class TestSolveModified:
     def test_base_factorization_is_untouched(self):
         solver = FactorizedPDN(self.dual_source())
         before = solver.solve().node_voltage_array.copy()
-        solver.solve_modified(disable_sources=(0,))
+        solver.solve_modified(remove_resistors=self.rout(solver, "vr0"))
         after = solver.solve().node_voltage_array
         assert after == pytest.approx(before)
 
@@ -347,43 +350,46 @@ class TestSolveModified:
         with pytest.raises(SolverError):
             solver.solve_modified(remove_resistors=(5,))
         with pytest.raises(SolverError):
-            solver.solve_modified(disable_sources=(-1,))
+            solver.solve_modified(remove_resistors=(-1,))
         with pytest.raises(SolverError):
-            solver.solve_modified(disable_sources=(0,), method="sideways")
+            solver.solve_modified(remove_resistors=(0,), method="sideways")
 
     def test_rejects_non_index_values_by_name(self):
         # A fraction or a boolean is not an element index (an int64
         # cast would quietly pick element 1), and NaN fails by name.
-        solver = FactorizedPDN(self.dual_source())
-        for bad in ((1.7,), (True,), (float("nan"),)):
-            with pytest.raises(ConfigError, match="^disable_sources "):
-                solver.solve_modified(disable_sources=bad)
-        with pytest.raises(ConfigError, match="^indices "):
-            solver.preload_source_influence([1.5])
         feeds = FactorizedPDN(self.parallel_feeds())
-        with pytest.raises(ConfigError, match="^remove_resistors "):
-            feeds.solve_modified(remove_resistors=(1.7,))
+        for bad in ((1.7,), (True,), (float("nan"),)):
+            with pytest.raises(ConfigError, match="^remove_resistors "):
+                feeds.solve_modified(remove_resistors=bad)
         # Whole-valued floats name the same element.
-        np.testing.assert_array_equal(
-            solver.solve_modified(disable_sources=(1.0,)).node_voltage_array,
-            solver.solve_modified(disable_sources=(1,)).node_voltage_array,
-        )
         np.testing.assert_array_equal(
             feeds.solve_modified(remove_resistors=(1.0,)).node_voltage_array,
             feeds.solve_modified(remove_resistors=(1,)).node_voltage_array,
         )
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [((0,), (1,)), ((), ()), [[0, 1]]],
+        ids=["pair", "empty-pair", "nested"],
+    )
+    def test_rejects_a_two_dimensional_scenario_by_name(self, scenario):
+        # A scenario is one flat set of removed resistors: a nested
+        # pair must not be read as the union of its entries.
+        solver = FactorizedPDN(self.parallel_feeds())
+        with pytest.raises(ConfigError, match="^remove_resistors "):
+            solver.solve_modified_many([scenario])
+
     def test_disabling_only_source_fails(self):
-        # No live source leaves the load unreferenced: the Woodbury
-        # correction is ill-conditioned and the fallback must reject
-        # the singular refactorization too.
+        # Removing the only source's only feed islands the load: the
+        # Woodbury correction is ill-conditioned and the fallback must
+        # reject the singular refactorization too.
         net = Netlist()
         net.add_voltage_source("v", "in", 1.0)
         net.add_resistor("r", "in", "pol", 1e-3)
         net.add_load("cpu", "pol", 10.0)
         solver = FactorizedPDN(net)
         with pytest.raises(SolverError):
-            solver.solve_modified(disable_sources=(0,))
+            solver.solve_modified(remove_resistors=(0,))
 
     def test_woodbury_method_raises_on_ill_conditioned(self):
         net = Netlist()
@@ -392,13 +398,13 @@ class TestSolveModified:
         net.add_load("cpu", "pol", 10.0)
         solver = FactorizedPDN(net)
         with pytest.raises(SolverError):
-            solver.solve_modified(disable_sources=(0,), method="woodbury")
+            solver.solve_modified(remove_resistors=(0,), method="woodbury")
 
     def test_scenario_overrides_compose(self):
         # Load/source overrides and modifications apply together.
         solver = FactorizedPDN(self.dual_source())
         result = solver.solve_modified(
-            disable_sources=(0,),
+            remove_resistors=self.rout(solver, "vr0"),
             cs_amp=np.array([50.0]),
             vs_volt=np.array([1.0, 2.0]),
         )

@@ -141,6 +141,33 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PDNStage("x", 1e-3, 1e-9, 1e-6, -1e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "series_resistance_ohm",
+            "series_inductance_h",
+            "decap_farad",
+            "decap_esr_ohm",
+        ],
+    )
+    def test_stage_rejects_non_finite_values_by_name(self, field, bad):
+        # NaN passes every range guard, so it must fail by name first.
+        values = dict(
+            series_resistance_ohm=1e-3,
+            series_inductance_h=1e-9,
+            decap_farad=1e-6,
+            decap_esr_ohm=0.0,
+        )
+        values[field] = bad
+        with pytest.raises(ConfigError, match=f"^x: {field} must be finite$"):
+            PDNStage("x", **values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_supply_by_name(self, bad):
+        with pytest.raises(ConfigError, match="^supply_voltage_v must be finite$"):
+            PDNTransient(bad, [PDNStage("x", 1e-3, 1e-9, 1e-6)])
+
     def test_rejects_negative_load(self):
         with pytest.raises(ConfigError):
             simple_pdn().simulate_step(-1.0, 5.0)

@@ -4,9 +4,12 @@
 explicit refactorization of the same modified system
 (``method="refactor"``) to 1e-9 relative on every node voltage — on
 random grids, random failed-source subsets, and random removed mesh
-edges.  A removed-element scenario is additionally checked against a
-from-scratch netlist that never contained the element (the semantic
-oracle, not just the algebraic one).
+edges.  A failed source is its ``r_out`` resistor removed from the
+grid's MNA form, and must also match the nodal N−k path
+(``GridPDN.solve_disabled``).  A removed-element scenario is
+additionally checked against a from-scratch netlist that never
+contained the element (the semantic oracle, not just the algebraic
+one).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from repro.pdn.grid import GridPDN
-from repro.pdn.mna import FactorizedPDN
+from repro.pdn.mna import DCSolution, FactorizedPDN
 from repro.pdn.network import Netlist
 
 
@@ -30,8 +33,8 @@ def stays_powered(
     Removing edges can island part of the grid; an island holding
     sinks but no surviving source is genuinely singular (and rejected
     by the solver), so parity tests skip those draws.  Disabled
-    sources do not count — their branch carries no current and cannot
-    reference an island to ground.
+    sources do not count — their ``r_out`` is removed, so their tap
+    cannot reference an island to ground.
     """
     compiled = grid.compile()
     n_sources = len(compiled.vs_volt)
@@ -67,14 +70,22 @@ def build_grid(
     return grid
 
 
+def routs(compiled, failed) -> tuple[int, ...]:
+    """The ``r_out`` resistors of the failed sources in the grid's MNA
+    form: they follow the lateral resistors, in source order."""
+    lateral = len(compiled.res_ohm) - len(compiled.vs_volt)
+    return tuple(lateral + j for j in failed)
+
+
 def assert_voltage_parity(
     solver: FactorizedPDN, kwargs: dict, rtol: float = 1e-9
-) -> None:
+) -> DCSolution:
     fast = solver.solve_modified(method="woodbury", **kwargs)
     oracle = solver.solve_modified(method="refactor", **kwargs)
     scale = max(float(np.abs(oracle.node_voltage_array).max()), 1e-12)
     delta = np.abs(fast.node_voltage_array - oracle.node_voltage_array)
     assert delta.max() <= rtol * scale
+    return fast
 
 
 grids = st.integers(min_value=3, max_value=7)
@@ -93,9 +104,12 @@ positions = st.tuples(
 )
 @settings(max_examples=40, deadline=None)
 def test_disabled_sources_match_refactorized(n, sheet, sources, data):
-    """Woodbury N-k solves equal full refactorized solves."""
+    """Woodbury N-k solves equal full refactorized solves, and the MNA
+    form with the failed ``r_out``s removed equals the nodal N−k path
+    on the mesh rows: one failure model in both forms."""
     grid = build_grid(n, sheet, sources, 1.0, 1e-3, 0.1)
-    solver = FactorizedPDN(grid.compile())
+    compiled = grid.compile()
+    solver = FactorizedPDN(compiled)
     failed = data.draw(
         st.lists(
             st.integers(min_value=0, max_value=len(sources) - 1),
@@ -104,7 +118,13 @@ def test_disabled_sources_match_refactorized(n, sheet, sources, data):
             unique=True,
         )
     )
-    assert_voltage_parity(solver, {"disable_sources": tuple(failed)})
+    mna = assert_voltage_parity(
+        solver, {"remove_resistors": routs(compiled, failed)}
+    )
+    nodal = grid.solve_disabled(failed).voltage_map.ravel()
+    mesh = mna.node_voltage_array[: n * n]
+    scale = max(float(np.abs(nodal).max()), 1e-12)
+    assert np.abs(mesh - nodal).max() <= 1e-9 * scale
 
 
 @given(
@@ -167,10 +187,7 @@ def test_combined_modifications_match_refactorized(n, sheet, sources, data):
     assume(stays_powered(grid, removed, failed))
     assert_voltage_parity(
         solver,
-        {
-            "disable_sources": tuple(failed),
-            "remove_resistors": tuple(removed),
-        },
+        {"remove_resistors": routs(solver.compiled, failed) + tuple(removed)},
     )
 
 
@@ -218,7 +235,8 @@ def test_removed_resistor_matches_rebuilt_netlist(feeds, load):
 @settings(max_examples=25, deadline=None)
 def test_batched_scenarios_match_refactorized(n, sheet, sources, data):
     """solve_modified_many (batched Woodbury) equals per-scenario
-    refactorized solves, across mixed disable/removal sweeps."""
+    refactorized solves, across mixed failed-source/edge-removal
+    sweeps."""
     grid = build_grid(n, sheet, sources, 1.0, 1e-3, 0.1)
     solver = FactorizedPDN(grid.compile())
     mesh_edges = 2 * n * (n - 1)
@@ -242,15 +260,13 @@ def test_batched_scenarios_match_refactorized(n, sheet, sources, data):
             )
         )
         assume(stays_powered(grid, removed, failed))
-        scenarios.append((tuple(failed), tuple(removed)))
+        scenarios.append(routs(solver.compiled, failed) + tuple(removed))
 
     batched = solver.solve_modified_many(scenarios, method="woodbury")
     assert len(batched) == len(scenarios)
-    for (failed, removed), fast in zip(scenarios, batched):
+    for removed, fast in zip(scenarios, batched):
         oracle = solver.solve_modified(
-            disable_sources=failed,
-            remove_resistors=removed,
-            method="refactor",
+            remove_resistors=removed, method="refactor"
         )
         scale = max(float(np.abs(oracle.node_voltage_array).max()), 1e-12)
         delta = np.abs(fast.node_voltage_array - oracle.node_voltage_array)
@@ -277,7 +293,7 @@ def test_batched_refactor_method_matches_woodbury_batch(n, sheet, sources, data)
             unique=True,
         )
     )
-    scenarios = [(tuple(failed), ()), ((), ())]
+    scenarios = [routs(solver.compiled, failed), ()]
     fast = solver.solve_modified_many(scenarios, method="woodbury")
     oracle = solver.solve_modified_many(scenarios, method="refactor")
     for got, want in zip(fast, oracle):
