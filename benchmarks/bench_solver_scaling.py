@@ -48,7 +48,11 @@ shapes the system-level sweeps rely on:
   per-trace-refactorization baseline,
 * ``test_grid_transient_batched`` / ``test_grid_transient_sequential``
   — a 16-trace load-step ensemble through one batched step loop vs 16
-  single-trace runs.
+  single-trace runs,
+* ``test_grid_transient_cold_ensemble`` — a transient_droop-shaped
+  point at 32/48 meshes: an emptied process cache, a fresh ``auto``
+  view of the paper's VR bank and 8 traces of 201 samples; records
+  the engine ``auto`` picked and the traced peak.
 
 Rows marked ``large_mesh`` take hundreds of milliseconds each; skip
 them with ``run_benchmarks.py --skip-large`` (or ``-m "not
@@ -590,6 +594,58 @@ def test_grid_transient_sequential(benchmark, n):
 
     droop = benchmark(sweep)
     assert droop > 0
+
+
+#: The paper bank each cold-ensemble mesh carries, as in the
+#: transient_droop workload: the 48-VR A2 array at 32², the A1
+#: periphery bank on its ring at 48².
+COLD_ENSEMBLE_BANKS = {32: "A2", 48: "A1"}
+
+
+@pytest.mark.parametrize(
+    "n", [32, pytest.param(48, marks=pytest.mark.large_mesh)]
+)
+def test_grid_transient_cold_ensemble(benchmark, n):
+    """A transient_droop-shaped point: from an emptied process cache, a
+    fresh ``auto`` view of the paper's VR bank steps 8 traces of 201
+    samples.  Records the engine ``auto`` picked and the traced
+    (tracemalloc) peak of one more such point."""
+    import tracemalloc
+
+    from repro import DSCH, SystemSpec, single_stage_a1, single_stage_a2
+    from repro.core.current_sharing import _die_grid_with_bank
+    from repro.pdn.grid_transient import GridTransientPDN
+
+    bank = {"A1": single_stage_a1, "A2": single_stage_a2}[
+        COLD_ENSEMBLE_BANKS[n]
+    ]()
+    grid, _ = _die_grid_with_bank(
+        bank, DSCH, SystemSpec(), PowerMap.hotspot_mixture(), n, 1.0,
+        0.15e-3, 5e-12,
+    )
+    view = GridTransientPDN.from_design(grid.design)
+    view.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
+    design = view.design
+    waves = transient_waves(n, 8)
+
+    def point():
+        return GridTransientPDN.from_design(design).simulate_many(
+            waves, 2e-10
+        )
+
+    results = benchmark.pedantic(
+        point, setup=process_cache().clear, rounds=5, warmup_rounds=1
+    )
+    process_cache().clear()
+    tracemalloc.start()
+    try:
+        point()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["engine"] = results[0].engine
+    benchmark.extra_info["traced_peak_mb"] = round(peak / 1e6, 2)
+    assert len(results) == 8
 
 
 # -- parallel sweep executor --------------------------------------------------

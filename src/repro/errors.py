@@ -51,15 +51,28 @@ def require_count(value, name: str, minimum: int) -> int:
 
 
 def require_indices(value, name: str) -> np.ndarray:
-    """Indices (a scalar or an array) as int64, checked by name.
+    """Indices (a scalar or a 1-D set) as int64, checked by name.
 
     The whole-number rule of :func:`require_count` for index sets:
     ``2`` and ``2.0`` are index 2, while a fraction, NaN/inf, a boolean
     or a non-number raises :class:`ConfigError` — a plain
     ``astype(int)`` would pick index 2 for ``2.7`` and index 1 for
-    ``True``.  An empty sequence is a valid (empty) index set.
+    ``True``.  So do a ragged sequence and a nested (2-D or deeper)
+    one: an index set is flat.  An empty sequence is a valid (empty)
+    index set.
     """
-    arr = np.asarray(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise ConfigError(
+            f"{name} must be a scalar or a 1-D index set, got a ragged "
+            "sequence"
+        ) from None
+    if arr.ndim > 1:
+        raise ConfigError(
+            f"{name} must be a scalar or a 1-D index set, got shape "
+            f"{arr.shape}"
+        )
     if not arr.size:
         return np.zeros(arr.shape, dtype=np.int64)
     if arr.dtype.kind == "f":

@@ -537,8 +537,8 @@ def optimize_decap_placement(
         )
     if not saved.sources:
         raise ConfigError("no sources attached; call add_source first")
-    if max_iterations < 0 or gradient_steps < 0:
-        raise ConfigError("iteration budgets must be non-negative")
+    max_iterations = require_count(max_iterations, "max_iterations", 0)
+    gradient_steps = require_count(gradient_steps, "gradient_steps", 0)
     if not 0.0 < floor_fraction < 1.0:
         raise ConfigError("floor_fraction must be in (0, 1)")
     if multi_resolution not in (True, False, "auto"):

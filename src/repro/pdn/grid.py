@@ -113,10 +113,12 @@ class GridSolution:
         }
 
 
-#: ``engine="auto"`` meshes at or above this cell count solve through
-#: the structured (fast-Poisson) engine; smaller meshes stay on the
-#: cached sparse LU, whose warm back-substitutions are already cheap
-#: and whose cold factorization only starts to hurt past this size.
+#: ``engine="auto"`` DC solves on meshes at or above this cell count
+#: run on the structured (fast-Poisson) engine; smaller meshes stay on
+#: the cached sparse LU, whose warm back-substitutions are already
+#: cheap and whose cold factorization only starts to hurt past this
+#: size.  The transient has its own crossover,
+#: :data:`~repro.pdn.grid_transient.TRANSIENT_AUTO_MIN_CELLS`.
 STRUCTURED_AUTO_MIN_CELLS = 4096
 
 
@@ -144,13 +146,16 @@ engine_option = property(
 )
 
 
-def resolve_engine(engine: str, cells: int) -> str:
+def resolve_engine(engine: str, cells: int, min_cells: int) -> str:
     """The engine a DC or transient solve tries first: ``engine``
-    itself, or for ``"auto"`` structured at or above
-    :data:`STRUCTURED_AUTO_MIN_CELLS` cells and factorized below."""
+    itself, or for ``"auto"`` structured at or above ``min_cells``
+    cells and factorized below.  Each view passes its own crossover:
+    :data:`STRUCTURED_AUTO_MIN_CELLS` for DC,
+    :data:`~repro.pdn.grid_transient.TRANSIENT_AUTO_MIN_CELLS` for the
+    transient."""
     if engine != "auto":
         return engine
-    return "structured" if cells >= STRUCTURED_AUTO_MIN_CELLS else "factorized"
+    return "structured" if cells >= min_cells else "factorized"
 
 
 def _mesh_nodes(nx: int, ny: int) -> tuple:
@@ -422,7 +427,9 @@ class GridPDN(MeshView):
         any size, since the structured engine needs uniform metal."""
         if self.engine == "auto" and self.design.has_edge_scales:
             return "factorized"
-        return resolve_engine(self.engine, self.nx * self.ny)
+        return resolve_engine(
+            self.engine, self.nx * self.ny, STRUCTURED_AUTO_MIN_CELLS
+        )
 
     def _structured_call(self, structure: _GridStructure, run, fallback):
         """Run ``run`` on the structured engine, falling back to
@@ -462,14 +469,17 @@ class GridPDN(MeshView):
         LU.  Returns one :class:`GridSolution` per scenario.
         """
         self._require()
-        stack = np.asarray(sink_maps, dtype=float)
+        shape_error = ConfigError(
+            f"sink_maps must be a stack of ({self.ny}, {self.nx}) arrays"
+        )
+        try:
+            stack = np.asarray(sink_maps, dtype=float)
+        except ValueError:
+            raise shape_error from None
         if stack.ndim == 2 and stack.shape == (self.ny, self.nx):
             stack = stack[None]
         if stack.ndim != 3 or stack.shape[1:] != (self.ny, self.nx):
-            raise ConfigError(
-                "sink maps must be a stack of "
-                f"({self.ny}, {self.nx}) arrays"
-            )
+            raise shape_error
         require_finite(stack, "sink_maps")
         if np.any(stack < 0):
             raise ConfigError("sink currents must be non-negative")
@@ -1029,7 +1039,7 @@ class GridACPDN(MeshView):
         self._require()
         cells = self.nx * self.ny
         rows = np.atleast_1d(require_indices(nodes, "nodes"))
-        if rows.ndim != 1 or rows.size == 0:
+        if rows.size == 0:
             raise ConfigError("nodes must be a non-empty 1-D index list")
         if np.any(rows < 0) or np.any(rows >= cells):
             raise ConfigError("probe node index outside the mesh")

@@ -51,7 +51,8 @@ Two engines, mirroring :class:`~repro.pdn.grid.GridPDN`:
   conductance is the operator shift and everything irregular (decap
   non-uniformity, VR branches, ring segments) is a correction of rank
   one per touched node plus deflation: O(n² log n) steps, no LU.
-  ``engine="auto"`` selects by mesh size and falls back on
+  ``engine="auto"`` selects by mesh size
+  (:data:`TRANSIENT_AUTO_MIN_CELLS`) and falls back on
   :class:`~repro.pdn.fast_poisson.StructuredSolveError`.
 """
 
@@ -73,6 +74,13 @@ from .mesh import MeshDesign, MeshView, cached, mesh_edge_rows
 from .mna import FactorizedPDN
 from .network import GROUND_INDEX, CompiledNetlist
 from .transient import droop_and_settle
+
+#: ``engine="auto"`` transients on meshes of at least this many cells
+#: step on the structured engine, smaller ones on the cached LU.  A
+#: cold 8-trace point of the paper's VR banks ties at 40²–44² and runs
+#: faster structured from 48² (``docs/transient-engine.md``); the DC
+#: views keep their own :data:`~repro.pdn.grid.STRUCTURED_AUTO_MIN_CELLS`.
+TRANSIENT_AUTO_MIN_CELLS = 48 * 48
 
 
 @dataclass(frozen=True)
@@ -446,31 +454,55 @@ class GridTransientPDN(MeshView):
 
     def _normalize_waveforms(
         self, waveforms_a, name: str = "waveforms_a"
-    ) -> np.ndarray:
-        """Coerce to (T, S, cells); accepts (S, cells), (S, ny, nx),
-        (T, S, cells), (T, S, ny, nx), or a sequence of traces.
-        ``name`` is the argument named when a sample is not finite."""
-        cells = self.nx * self.ny
-        arr = np.asarray(waveforms_a, dtype=float)
-        if arr.ndim == 2 and arr.shape[1] == cells:
-            arr = arr[None]
-        elif arr.ndim == 3 and arr.shape[1:] == (self.ny, self.nx):
-            arr = arr.reshape(1, arr.shape[0], cells)
-        elif arr.ndim == 3 and arr.shape[2] == cells:
-            pass
-        elif arr.ndim == 4 and arr.shape[2:] == (self.ny, self.nx):
-            arr = arr.reshape(arr.shape[0], arr.shape[1], cells)
+    ) -> list[np.ndarray]:
+        """The traces of ``waveforms_a`` as (S, cells) float64 arrays.
+
+        Accepts (S, cells), (S, ny, nx), (T, S, cells), (T, S, ny, nx),
+        or a sequence of traces; a sequence of (cells,) rows or
+        (ny, nx) frames is one trace.  The traces are never stacked: a
+        float64 trace comes back as a view of the caller's array, in
+        any memory layout, and any other is converted on its own.
+        Each trace is checked in turn; ``name`` is the argument named
+        when a sample is not finite or a sequence's items differ in
+        shape.
+        """
+        ny, nx = self.ny, self.nx
+        cells = nx * ny
+        if isinstance(waveforms_a, (list, tuple)):
+            items = [np.asarray(item) for item in waveforms_a]
+            shapes = {item.shape for item in items}
+            if len(shapes) > 1:
+                raise ConfigError(
+                    f"{name} items must share one shape, got "
+                    f"{', '.join(map(str, sorted(shapes)))}"
+                )
+            shape = (len(items), *(shapes.pop() if shapes else ()))
+        else:
+            items = np.asarray(waveforms_a)
+            shape = items.shape
+        frame = ((cells,), (ny, nx))
+        if shape[1:] in frame:
+            samples, traces = shape[0], [np.asarray(items, dtype=float)]
+        elif shape[2:] in frame:
+            samples = shape[1]
+            traces = [np.asarray(item, dtype=float) for item in items]
         else:
             raise ConfigError(
                 "waveforms must be (steps, cells)/(steps, ny, nx) per "
-                f"trace with cells={cells}; got shape {arr.shape}"
+                f"trace with cells={cells}; got shape {shape}"
             )
-        if arr.shape[1] < 2:
+        if samples < 2:
             raise ConfigError("waveforms need at least two samples")
-        require_finite(arr, name)
-        if np.any(arr < 0):
-            raise ConfigError("sink-current waveforms must be non-negative")
-        return np.ascontiguousarray(arr)
+        checked = []
+        for trace in traces:
+            trace = trace.reshape(samples, cells)
+            require_finite(trace, name)
+            if np.any(trace < 0):
+                raise ConfigError(
+                    "sink-current waveforms must be non-negative"
+                )
+            checked.append(trace)
+        return checked
 
     def simulate(
         self,
@@ -503,10 +535,17 @@ class GridTransientPDN(MeshView):
     ) -> list[GridTransientResult]:
         """Advance T traces together: per step, one multi-RHS
         back-substitution (or batched transform pair) covers the whole
-        ensemble."""
-        waves = self._normalize_waveforms(waveforms_a)
+        ensemble.
+
+        ``waveforms_a`` takes any layout :meth:`simulate` takes, one
+        per trace, as a sequence of traces or one stacked array.  The
+        traces are read where they are, one sample of each per step,
+        and never written; the run's memory is a few (T, cells) frames
+        whatever the trace length.
+        """
+        traces = self._normalize_waveforms(waveforms_a)
         return self._simulate_batch(
-            waves, dt_s, self._probe_rows(probe_nodes), settle_band_v, None
+            traces, dt_s, self._probe_rows(probe_nodes), settle_band_v, False
         )
 
     def simulate_step(
@@ -544,26 +583,26 @@ class GridTransientPDN(MeshView):
             raise ConfigError("sink map carries no current")
         profile = profile / total
         steps = int(round(duration_s / dt_s))
-        waves = np.empty((1, steps + 1, profile.size))
-        waves[0, 0] = i_before_a * profile
-        waves[0, 1:] = i_after_a * profile
+        trace = np.empty((steps + 1, profile.size))
+        trace[0] = i_before_a * profile
+        trace[1:] = i_after_a * profile
         return self._simulate_batch(
-            waves,
+            [trace],
             dt_s,
             self._probe_rows(probe_nodes),
             settle_band_v,
-            (i_after_a * profile)[:, None],
+            True,
         )[0]
 
     # -- the stepping core ------------------------------------------------------
 
     def _simulate_batch(
         self,
-        waves: np.ndarray,
+        traces: list[np.ndarray],
         dt_s: float,
         probe_rows: tuple[int, ...],
         settle_band_v: float | None,
-        final_load: np.ndarray | None,
+        dc_settle: bool,
     ) -> list[GridTransientResult]:
         require_finite(dt_s, "dt_s")
         if dt_s <= 0:
@@ -572,36 +611,44 @@ class GridTransientPDN(MeshView):
             require_finite(settle_band_v, "settle_band_v")
         volt = self._require().source_values("voltage_v")
         structure = self._structure(dt_s)
-        mode = resolve_engine(self.engine, self.nx * self.ny)
+        mode = resolve_engine(
+            self.engine, self.nx * self.ny, TRANSIENT_AUTO_MIN_CELLS
+        )
         if mode == "structured":
             try:
                 return self._run(
-                    structure, volt, waves, probe_rows, settle_band_v,
-                    final_load, "structured",
+                    structure, volt, traces, probe_rows, settle_band_v,
+                    dc_settle, "structured",
                 )
             except StructuredSolveError:
                 if self.engine == "structured":
                     raise
         return self._run(
-            structure, volt, waves, probe_rows, settle_band_v,
-            final_load, "factorized",
+            structure, volt, traces, probe_rows, settle_band_v,
+            dc_settle, "factorized",
         )
 
     def _run(
         self,
         st: _TransientStructure,
         volt: np.ndarray,
-        waves: np.ndarray,
+        traces: list[np.ndarray],
         probe_rows: tuple[int, ...],
         settle_band_v: float | None,
-        final_load: np.ndarray | None,
+        dc_settle: bool,
         mode: str,
     ) -> list[GridTransientResult]:
         # The step loop works in ROW layout — (traces, cells),
         # C-contiguous — so each trace's field is a contiguous
         # (ny, nx) block: the structured solve views it with zero
         # transpose copies, and edge scatters are stencil slices.
-        n_traces, samples, cells = waves.shape
+        # The caller's (samples, cells) traces are read where they
+        # are: each step negates sample k of every trace straight into
+        # the right-hand-side buffer, and no trace is ever written.
+        if not traces:
+            return []
+        n_traces = len(traces)
+        samples, cells = traces[0].shape
         if mode == "structured":
             solve, dc_solve_rows = st.fast.solve, st.dc_fast.solve
         else:
@@ -610,18 +657,23 @@ class GridTransientPDN(MeshView):
 
         attach = st.attach
         src_inject = st.g_dc * volt  # DC source Norton injection
+        buf_b = np.empty((n_traces, cells))
+        load_rows = list(zip(buf_b, traces))
 
-        def dc_voltages(load: np.ndarray) -> np.ndarray:
-            b = -load
+        def negated_load(k: int) -> np.ndarray:
+            """Sample ``k`` of every trace, negated, in ``buf_b``."""
+            for row, trace in load_rows:
+                np.negative(trace[k], out=row)
+            return buf_b
+
+        def dc_voltages(b: np.ndarray) -> np.ndarray:
+            """DC node voltages under the negated loads ``b`` (which
+            receive the source injections in place)."""
             np.add.at(b, (slice(None), attach), src_inject)
             return dc_solve_rows(b)
 
-        # One upfront (samples, traces, cells) transpose keeps every
-        # load frame a contiguous row block inside the step loop.
-        waves_t = np.ascontiguousarray(waves.swapaxes(0, 1))
-
         # t = 0: DC operating point per trace.
-        v = dc_voltages(waves_t[0])
+        v = dc_voltages(negated_load(0))
         v_pre = v.copy()
         v_min = v.copy()
         min_trace = np.empty((samples, n_traces))
@@ -674,7 +726,6 @@ class GridTransientPDN(MeshView):
 
         # Step-loop buffers, allocated once: every per-step elementwise
         # op below writes into preallocated storage.
-        buf_b = np.empty((n_traces, cells))
         b3 = buf_b.reshape(n_traces, ny3, nx3)
         hist_b = np.empty((n_traces, dec.size))
         i_new_b = np.empty((n_traces, dec.size))
@@ -699,8 +750,7 @@ class GridTransientPDN(MeshView):
             # from the right limits so trapezoidal integration starts
             # consistently.  Sample 0 keeps the pre-step DC values —
             # same convention as the lumped oracle.
-            b = buf_b
-            np.negative(waves_t[1], out=b)
+            b = negated_load(1)
             b += st.jump_g_dec * v
             if track_x and st.jump_x_frozen:
                 b3[:, :, :-1] -= i_x
@@ -738,12 +788,12 @@ class GridTransientPDN(MeshView):
                 np.subtract(v3[:, :-1, :], v3[:, 1:, :], out=gdvy)
                 gdvy *= st.g_y
 
-        def advance(load: np.ndarray, backward_euler: bool) -> None:
-            """One companion-model step (shared matrix, TR or BE form)."""
+        def advance(k: int, backward_euler: bool) -> None:
+            """One companion-model step to sample ``k`` (shared matrix,
+            TR or BE form)."""
             nonlocal v, v3, i_b, i_new_b, i_s, v_ls, hist_b, dec_t, v_c
             nonlocal h_x, gdvx, h_y, gdvy
-            b = buf_b
-            np.negative(load, out=b)
+            b = negated_load(k)
             if dec.size:
                 if backward_euler:
                     np.multiply(gw_be_b, i_b, out=hist_b)
@@ -813,28 +863,23 @@ class GridTransientPDN(MeshView):
                 np.add(gdvy, h_y, out=i_y)
 
         for k in range(1, samples):
-            load = waves_t[k]
             if k == 1 and kick:
                 # Two backward-Euler half-steps share the trapezoidal
                 # matrix and damp the t = 0⁺ load discontinuity on
                 # stiff structures (see smooth_startup).
-                advance(load, backward_euler=True)
-                advance(load, backward_euler=True)
+                advance(k, backward_euler=True)
+                advance(k, backward_euler=True)
             else:
-                advance(load, backward_euler=False)
+                advance(k, backward_euler=False)
             np.minimum(v_min, v, out=v_min)
             min_trace[k] = v.min(axis=1)
             if probes.size:
                 probe_wave[k] = v[:, probes].T
 
-        # Settle reference: exact post-step DC (simulate_step) or the
-        # last sample.
-        if final_load is not None:
-            if final_load.shape[1] == 1 and n_traces > 1:
-                final_load = np.repeat(final_load, n_traces, axis=1)
-            v_final = dc_voltages(np.ascontiguousarray(final_load.T))
-        else:
-            v_final = v
+        # Settle reference: the exact DC solution under the last
+        # sample's load (simulate_step's post-step level), or the last
+        # sample itself.
+        v_final = dc_voltages(negated_load(samples - 1)) if dc_settle else v
 
         band = (
             settle_band_v

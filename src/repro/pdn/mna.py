@@ -40,7 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from ..errors import ConfigError, SolverError, require_finite, require_indices
+from ..errors import SolverError, require_finite, require_indices
 from .network import GROUND_INDEX, CompiledNetlist, Netlist, NodeId
 
 #: Cap on memoized influence columns per factorization.  Each
@@ -565,13 +565,7 @@ class FactorizedPDN:
         n_res = len(self.compiled.res_ohm)
         keys: list[list[int]] = []
         for scenario in scenarios:
-            removed = require_indices(scenario, "remove_resistors")
-            if removed.ndim > 1:
-                raise ConfigError(
-                    "remove_resistors must be a scalar or a 1-D index "
-                    f"set per scenario, got shape {removed.shape}"
-                )
-            removed = np.unique(removed)
+            removed = np.unique(require_indices(scenario, "remove_resistors"))
             if removed.size and (removed[0] < 0 or removed[-1] >= n_res):
                 raise SolverError("remove_resistors index out of range")
             keys.append(removed.tolist())

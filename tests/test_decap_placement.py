@@ -322,6 +322,12 @@ class TestOptimizer:
             )
         with pytest.raises(ConfigError):
             optimize_decap_placement(pdn, target, budget_f=-1.0)
+        # Iteration budgets are counts: a fraction, a boolean or a
+        # negative raises by name.
+        for name in ("max_iterations", "gradient_steps"):
+            for bad in (1.5, True, -1):
+                with pytest.raises(ConfigError, match=f"^{name} "):
+                    optimize_decap_placement(pdn, target, **{name: bad})
         with pytest.raises(ConfigError):
             optimize_decap_placement(
                 pdn,

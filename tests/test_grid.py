@@ -569,6 +569,23 @@ class TestSolveDisabledMany:
         with pytest.raises(ConfigError):
             grid.solve_disabled_many([(0, 1, 2, 3, 4)])
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [((0,), (1, 2)), [[0, 1]]],
+        ids=["ragged", "nested"],
+    )
+    def test_rejects_a_non_flat_scenario_by_name(self, scenario):
+        # A scenario is one flat set of dead sources: a ragged pair
+        # or a nested list raises by name, not as a numpy error.
+        grid = self.powered_grid()
+        with pytest.raises(ConfigError, match="^disabled_sources "):
+            grid.solve_disabled_many([scenario])
+
+    def test_solve_many_rejects_a_ragged_stack_by_name(self):
+        grid = self.powered_grid()
+        with pytest.raises(ConfigError, match="^sink_maps "):
+            grid.solve_many([np.ones((10, 10)), np.ones((3, 3))])
+
 
 def _bank(n: int, engine: str) -> GridPDN:
     """An n×n grid with a hotspot load and five scattered VRs."""

@@ -33,29 +33,39 @@ from repro.pdn import (
 )
 
 
-def chain_pair(n, r_src, l_src, r_edge, l_edge, caps, esrs, volt=1.0):
-    """An n-stage lumped ladder and its 1xN chain-mesh twin.
+#: The chain's axis: a 1xN mesh of x edges or an Nx1 mesh of y edges.
+CHAIN_AXES = ("x", "y")
+
+
+def chain_pair(n, r_src, l_src, r_edge, l_edge, caps, esrs, axis, volt=1.0):
+    """An n-stage lumped ladder and its chain-mesh twin along ``axis``:
+    a 1xN mesh of inductive x edges or an Nx1 mesh of inductive y
+    edges.
 
     Ladder stage 1 is the mesh's VR branch (rout + source inductance);
     stages 2..n are the uniform chain edges; stage k's C/ESR shunt is
-    node k-1's decap.
+    node k-1's decap.  Returns the ladder, the mesh and the (ix, iy)
+    of the chain's far end, where the load sits.
     """
     stages = [PDNStage("s1", r_src, l_src, caps[0], esrs[0])]
     for k in range(1, n):
         stages.append(PDNStage(f"s{k + 1}", r_edge, l_edge, caps[k], esrs[k]))
     oracle = PDNTransient(volt, stages)
 
+    shape = (1, n) if axis == "x" else (n, 1)
     mesh = GridTransientPDN(
-        1.0, 1.0, r_edge * (n - 1), nx=n, ny=1, edge_inductance_x_h=l_edge
+        1.0, 1.0, r_edge * (n - 1), nx=shape[1], ny=shape[0],
+        **{f"edge_inductance_{axis}_h": l_edge},
     )
     mesh.add_source("vr", 0.0, 0.0, volt, r_src, inductance_h=l_src)
     mesh.set_decap_map(
-        np.asarray(caps).reshape(1, n), np.asarray(esrs).reshape(1, n), 0.0
+        np.reshape(caps, shape), np.reshape(esrs, shape), 0.0
     )
-    sink = np.zeros((1, n))
-    sink[0, -1] = 1.0
-    mesh.set_sink_array(sink)
-    return oracle, mesh
+    sink = np.zeros(n)
+    sink[-1] = 1.0
+    mesh.set_sink_array(sink.reshape(shape))
+    far = (n - 1, 0) if axis == "x" else (0, n - 1)
+    return oracle, mesh, far
 
 
 @st.composite
@@ -75,53 +85,64 @@ def ladders(draw):
 
 
 class TestOracleParity:
-    """Mesh chain vs the independent lumped state-space integrator."""
+    """Mesh chain vs the independent lumped state-space integrator,
+    along each axis: the step loop keeps the x and y edge inductor
+    histories apart, so each needs its own pin."""
 
     @given(params=ladders())
     @settings(max_examples=20, deadline=None)
     def test_chain_matches_lumped_ladder(self, params):
         n, r_src, l_src, r_edge, l_edge, caps, esrs = params
-        oracle, mesh = chain_pair(
-            n, r_src, l_src, r_edge, l_edge, caps, esrs
-        )
         # dt resolves the fastest admissible branch mode (~0.05 esr*C
         # at the strategy corner): trapezoidal error is O((rate*dt)^2),
         # and this step size keeps the worst corner ~2e-7, a 5x margin
         # under the 1e-6 bound.
         dt, steps = 2.5e-10, 1024
-        ref = oracle.simulate_step(
-            0.05, 0.18, duration_s=steps * dt, dt_s=dt
-        )
-        res = mesh.simulate_step(
-            0.05, 0.18, duration_s=steps * dt, dt_s=dt,
-            probe_nodes=[(n - 1, 0)],
-        )
-        pol = ref.pol_voltage_v
-        err = np.max(
-            np.abs(res.probe_voltages_v[:, 0] - pol)
-        ) / np.max(np.abs(pol))
-        assert err <= 1e-6
+        for axis in CHAIN_AXES:
+            oracle, mesh, far = chain_pair(
+                n, r_src, l_src, r_edge, l_edge, caps, esrs, axis
+            )
+            ref = oracle.simulate_step(
+                0.05, 0.18, duration_s=steps * dt, dt_s=dt
+            )
+            res = mesh.simulate_step(
+                0.05, 0.18, duration_s=steps * dt, dt_s=dt,
+                probe_nodes=[far],
+            )
+            pol = ref.pol_voltage_v
+            err = np.max(
+                np.abs(res.probe_voltages_v[:, 0] - pol)
+            ) / np.max(np.abs(pol))
+            assert err <= 1e-6, axis
 
     def test_droop_and_settle_match_oracle(self):
         caps = [2e-6, 1.5e-6, 3e-6, 1e-6]
         esrs = [0.5, 0.3, 0.8, 0.4]
-        oracle, mesh = chain_pair(4, 0.8, 2e-6, 1.2, 1.5e-6, caps, esrs)
         dt, steps = 1e-9, 512
-        ref = oracle.simulate_step(
-            0.05, 0.18, duration_s=steps * dt, dt_s=dt
-        )
-        res = mesh.simulate_step(
-            0.05, 0.18, duration_s=steps * dt, dt_s=dt,
-            probe_nodes=[(3, 0)],
-        )
-        assert res.droop_v == pytest.approx(ref.droop_v, rel=1e-6)
-        assert res.settle_time_s == pytest.approx(
-            ref.settle_time_s, abs=2 * dt
-        )
+        for axis in CHAIN_AXES:
+            oracle, mesh, far = chain_pair(
+                4, 0.8, 2e-6, 1.2, 1.5e-6, caps, esrs, axis
+            )
+            ref = oracle.simulate_step(
+                0.05, 0.18, duration_s=steps * dt, dt_s=dt
+            )
+            res = mesh.simulate_step(
+                0.05, 0.18, duration_s=steps * dt, dt_s=dt,
+                probe_nodes=[far],
+            )
+            pol = ref.pol_voltage_v
+            err = np.max(
+                np.abs(res.probe_voltages_v[:, 0] - pol)
+            ) / np.max(np.abs(pol))
+            assert err <= 1e-6, axis
+            assert res.droop_v == pytest.approx(ref.droop_v, rel=1e-6)
+            assert res.settle_time_s == pytest.approx(
+                ref.settle_time_s, abs=2 * dt
+            )
 
 
-def mesh_fixture(engine: str) -> GridTransientPDN:
-    pdn = GridTransientPDN(0.02, 0.02, 0.004, nx=12, ny=12, engine=engine)
+def mesh_fixture(engine: str, n: int = 12) -> GridTransientPDN:
+    pdn = GridTransientPDN(0.02, 0.02, 0.004, nx=n, ny=n, engine=engine)
     for i, (x, y) in enumerate([(0.1, 0.1), (0.9, 0.1), (0.5, 0.9)]):
         pdn.add_source(f"vr{i}", x, y, 1.0, 0.02, inductance_h=5e-12)
     pdn.connect_sources_with_ring_bus(0.005)
@@ -198,6 +219,17 @@ class TestEngineEquivalence:
         pdn.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
         res = pdn.simulate_step(60.0, 120.0, duration_s=2e-8, dt_s=1e-10)
         assert res.engine == "factorized"
+
+    @pytest.mark.parametrize(
+        "n, engine", [(40, "factorized"), (48, "structured")]
+    )
+    def test_auto_crossover(self, n, engine):
+        # The transient's own crossover (TRANSIENT_AUTO_MIN_CELLS), not
+        # the DC one: a 48² mesh steps structured, a 40² one on the LU.
+        pdn = mesh_fixture("auto", n)
+        pdn.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
+        res = pdn.simulate_step(60.0, 120.0, duration_s=1e-9, dt_s=1e-10)
+        assert res.engine == engine
 
 
 class TestDCLimit:
@@ -306,6 +338,107 @@ class TestWaveformAdapters:
             hotspot_trajectory([(0.5, 0.5)], 10, 4, 4, 1.0)
         with pytest.raises(ConfigError):
             hotspot_trajectory([(0.2, 0.2), (1.5, 0.5)], 10, 4, 4, 1.0)
+
+
+def _assert_same_results(got, want) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in (
+            "v_pre_map", "v_min_map", "v_final_map",
+            "min_voltage_trace_v", "probe_voltages_v",
+        ):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        assert (a.droop_v, a.settle_time_s) == (b.droop_v, b.settle_time_s)
+
+
+class TestLoadPath:
+    """simulate_many reads the caller's traces where they are: every
+    accepted layout steps to the same bits, each trace is checked on
+    its own, and no trace is copied or written."""
+
+    def traces(self, count=3, samples=6):
+        rng = np.random.default_rng(17)
+        return [
+            rng.uniform(0.0, 2.0, (samples, 144)) for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("engine", ["factorized", "structured"])
+    def test_every_layout_steps_to_the_same_bits(self, engine):
+        pdn = mesh_fixture(engine)
+        pdn.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
+        traces = self.traces()
+        frames = [t.reshape(-1, 12, 12) for t in traces]
+
+        def run(waves):
+            return pdn.simulate_many(waves, 1e-10, probe_nodes=[(3, 4)])
+
+        want = run(traces)
+        for waves in (
+            tuple(traces),
+            np.stack(traces),
+            np.stack(frames),
+            frames,
+            [np.asfortranarray(t) for t in traces],
+            [np.repeat(t, 2, axis=1)[:, ::2] for t in traces],  # strided
+        ):
+            _assert_same_results(run(waves), want)
+        # One trace: (S, cells), (S, ny, nx), a list of (ny, nx) frames,
+        # a list of (cells,) rows, Fortran order, and whole-valued ints.
+        # (A structured batch rounds by its width, so one trace is
+        # compared with a one-trace run.)
+        one = traces[0]
+        want = run([one])
+        for wave in (
+            one,
+            frames[0],
+            list(frames[0]),
+            list(one),
+            np.asfortranarray(one),
+        ):
+            _assert_same_results(run(wave), want)
+        counts = np.rint(one * 5.0)
+        _assert_same_results(run(counts.astype(np.int64)), run(counts))
+
+    def test_caller_traces_are_not_written(self):
+        pdn = mesh_fixture("factorized")
+        pdn.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
+        traces = self.traces()
+        before = [t.copy() for t in traces]
+        pdn.simulate_many(traces, 1e-10)
+        for t, b in zip(traces, before):
+            np.testing.assert_array_equal(t, b)
+
+    def test_each_trace_is_checked(self):
+        pdn = mesh_fixture("factorized")
+        pdn.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
+        good, other, last = self.traces()
+        with pytest.raises(ConfigError, match="^waveforms_a .*shape"):
+            pdn.simulate_many([good, other[:4]], 1e-10)
+        last[3, 7] = np.nan
+        with pytest.raises(ConfigError, match="^waveforms_a must be finite"):
+            pdn.simulate_many([good, other, last], 1e-10)
+        other[2, 5] = -1e-3
+        with pytest.raises(ConfigError, match="non-negative"):
+            pdn.simulate_many([good, other], 1e-10)
+
+    def test_peak_memory_stays_below_the_traces(self):
+        # A warm 8 × 201 sample run allocates a few (8, cells) frames,
+        # far below the 3.3 MB of traces it reads; a stacked and a
+        # transposed copy of the traces read 2.07x.
+        import tracemalloc
+
+        pdn = mesh_fixture("factorized", 16)
+        pdn.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
+        rng = np.random.default_rng(5)
+        traces = [rng.uniform(0.0, 1.0, (201, 256)) for _ in range(8)]
+        pdn.simulate_many(traces, 1e-10)  # factor once
+        tracemalloc.start()
+        try:
+            pdn.simulate_many(traces, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * sum(t.nbytes for t in traces)
 
 
 class TestValidation:

@@ -379,6 +379,11 @@ class TestSolveModified:
         with pytest.raises(ConfigError, match="^remove_resistors "):
             solver.solve_modified_many([scenario])
 
+    def test_rejects_a_ragged_scenario_by_name(self):
+        solver = FactorizedPDN(self.parallel_feeds())
+        with pytest.raises(ConfigError, match="^remove_resistors .*ragged"):
+            solver.solve_modified_many([((0,), (1, 0))])
+
     def test_disabling_only_source_fails(self):
         # Removing the only source's only feed islands the load: the
         # Woodbury correction is ill-conditioned and the fallback must
