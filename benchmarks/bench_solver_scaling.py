@@ -39,7 +39,8 @@ shapes the system-level sweeps rely on:
 * ``test_grid_ac_impedance_map_selinv`` — the general exact engine
   (block-tridiagonal selected inversion) on a non-uniform density at
   16/32 meshes, and ``..._selinv_map`` on 48×48 map-form decap over
-  inductive metal, the sweep that took ~2 min on the sparse-LU path,
+  inductive metal, the sweep that took ~2 min on the sparse-LU path;
+  each records its frequency chunk and the traced peak,
 * ``test_placement_opt`` — a capped decap placement-optimizer run
   (greedy moves + one adjoint gradient step) at 16/32 meshes, pinning
   the O(one batched solve) per-iteration cost,
@@ -407,10 +408,26 @@ def decap_pattern(n: int) -> np.ndarray:
     return np.random.default_rng(n).uniform(0.3, 1.7, (n, n))
 
 
+def record_selinv_scratch(benchmark, pdn: GridACPDN, freqs) -> None:
+    """Record a selinv row's frequency chunk and the traced
+    (tracemalloc) peak of one more warm map."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        pdn.impedance_map(freqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["chunk"] = min(freqs.size, pdn._ensure_selinv().chunk)
+    benchmark.extra_info["traced_peak_mb"] = round(peak / 1e6, 2)
+
+
 @pytest.mark.parametrize("n", [16, 32])
 def test_grid_ac_impedance_map_selinv(benchmark, n):
     """Non-uniform density — what placement evaluates — through the
-    engine ``auto`` picks for it, 200-point sweep, warm plan."""
+    engine ``auto`` picks for it, 200-point sweep, warm plan.  Records
+    the chunk size and traced peak."""
     pdn = make_grid_ac(n)
     pdn.set_decap_density(decap_pattern(n), 0.2e-6, 2e-3, 1e-12)
     freqs = np.logspace(4, 9, GRID_AC_POINTS)
@@ -418,6 +435,7 @@ def test_grid_ac_impedance_map_selinv(benchmark, n):
     pdn.impedance_map(freqs)
 
     impedance = benchmark(pdn.impedance_map, freqs)
+    record_selinv_scratch(benchmark, pdn, freqs)
     assert impedance.peak_impedance_ohm > 0
     assert np.all(np.isfinite(impedance.z_ohm))
 
@@ -426,7 +444,8 @@ def test_grid_ac_impedance_map_selinv(benchmark, n):
 @pytest.mark.parametrize("n", [48])
 def test_grid_ac_impedance_map_selinv_map(benchmark, n):
     """48×48 map-form decap on inductive mesh metal, 200 points through
-    ``auto``: seconds where the sparse-LU full inverse took minutes."""
+    ``auto``: seconds where the sparse-LU full inverse took minutes.
+    Records the chunk size and traced peak."""
     pdn = GridACPDN(
         0.0224, 0.0224, 0.62e-3, nx=n, ny=n,
         edge_inductance_x_h=1e-12, edge_inductance_y_h=1e-12,
@@ -443,6 +462,7 @@ def test_grid_ac_impedance_map_selinv_map(benchmark, n):
     impedance = benchmark.pedantic(
         pdn.impedance_map, args=(freqs,), rounds=3, iterations=1
     )
+    record_selinv_scratch(benchmark, pdn, freqs)
     assert impedance.peak_impedance_ohm > 0
     assert np.all(np.isfinite(impedance.z_ohm))
 

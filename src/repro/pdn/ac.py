@@ -314,8 +314,14 @@ class ACSweepSolution:
 DENSE_SWEEP_CUTOFF = 256
 
 #: Upper bound on the scratch size (complex entries) of one dense
-#: batch; sweeps above it are chunked over frequency.
-_DENSE_BATCH_ENTRIES = 2_000_000
+#: batch; sweeps above it are chunked over frequency.  250k entries
+#: (4 MB) is the knee of the selinv impedance map, the engine the
+#: design-study maps run: its time held flat from 2M down to 125k
+#: entries and rose ~1.2× at 64k, while one 121-point 24² map's
+#: traced peak fell from 43 to 6 MB.  Both grid map engines reuse
+#: their chunk buffers, so short chunks cost no page faults (table in
+#: docs/structured-solvers.md).
+_DENSE_BATCH_ENTRIES = 250_000
 
 
 def shared_csc_pattern(

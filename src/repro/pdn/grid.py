@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -797,16 +798,11 @@ class _ReducedACStructure:
     admittances, so the matrix is ``n_cells`` square at any frequency.
     """
 
-    edge_r: np.ndarray  # per-edge series resistance (mesh + ring)
-    edge_l: np.ndarray  # per-edge series inductance
-    entry_rows: np.ndarray
-    entry_cols: np.ndarray
     entry_edge: np.ndarray  # edge index per off/diagonal edge entry
     entry_sign: np.ndarray
     order: np.ndarray
     starts: np.ndarray
     csc_rows: np.ndarray
-    csc_cols: np.ndarray
     indptr: np.ndarray
 
 
@@ -867,20 +863,82 @@ class _SelinvPlan:
     sets, so every coupling lies inside a level or between neighbouring
     levels and ``A(ω)`` is block tridiagonal in level order.  Levels are
     padded to one ``width`` with unit diagonal slots that couple to
-    nothing.  Each ``*_dst``/``*_src`` pair scatters reduced CSC values
-    straight into the stacked dense blocks; the blocks below the
-    diagonal are not stored because ``A`` is complex symmetric.  The
-    coupling blocks carry one extra column for a right-hand side.
+    nothing.  Costing reads only ``levels`` and ``width``; the sweep's
+    element-to-slot map, :attr:`assembly`, is built on first use.
     """
 
     levels: int
     width: int
     slot: np.ndarray  # per node: level * width + position in its level
-    diag_dst: np.ndarray  # flat index into (levels, width, width)
-    diag_src: np.ndarray  # index into the reduced CSC data
-    upper_dst: np.ndarray  # flat index into (levels, width, width + 1)
-    upper_src: np.ndarray
-    pad_dst: np.ndarray  # flat diagonal index of every padding slot
+    edge_a: np.ndarray  # lateral edge ends, MeshDesign.lateral_edges order
+    edge_b: np.ndarray
+
+    @property
+    def row_size(self) -> int:
+        """Entries of one frequency's flat blocks (see :attr:`assembly`)."""
+        return self.levels * self.width * (2 * self.width + 1)
+
+    @property
+    def chunk(self) -> int:
+        """Frequencies per sweep chunk: the block rows that fit the
+        shared scratch budget."""
+        return max(1, _DENSE_BATCH_ENTRIES // self.row_size)
+
+    @cached_property
+    def assembly(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """``(matrix, dst, pad)``: where the element values land.
+
+        A frequency's blocks are one flat row: the diagonal blocks
+        ``D_l``, ``levels·width²`` entries, then the coupling blocks
+        ``[U_l | z_l]``, ``levels·width·(width + 1)``, whose last column
+        is the right-hand side ``A·w`` of the known-solution probe (see
+        :func:`repro.pdn.mna.singularity_probe`).  The blocks below the
+        diagonal are not stored because ``A`` is complex symmetric.
+        ``matrix @ [edge_y | shunt]ᵀ`` gives every entry the elements
+        fill, in the order of the flat indices ``dst``: a node's
+        diagonal is its shunt plus every edge it ends, a coupling minus
+        every edge joining its two nodes, and a probe entry
+        ``shunt_i·w_i + Σ y_e·(w_i − w_j)``.  Parallel elements — a ring
+        segment along a mesh edge, two segments joining one pair of
+        nodes — land on one entry and sum there; co-located sources
+        already share one shunt.  ``pad`` is the flat diagonal index of
+        every padding slot.
+        """
+        width, cells = self.width, self.slot.size
+        level, position = np.divmod(self.slot, width)
+        a, b = self.edge_a, self.edge_b
+        edges, nodes = np.arange(a.size), np.arange(cells)
+        diag = self.slot * width + position
+        # Where each node's row of [U_l | z_l] starts.
+        upper = self.levels * width * width + self.slot * (width + 1)
+        # Each edge's far end lies in its near end's level or the next.
+        near = np.where(level[a] <= level[b], a, b)
+        far = a + b - near
+        same = level[near] == level[far]
+        coupling = np.where(
+            same, self.slot[near] * width, upper[near]
+        ) + position[far]
+        mirror = (self.slot[far] * width + position[near])[same]
+        w = singularity_probe(cells)
+        ones = np.ones(a.size)
+        dst = np.concatenate(
+            [diag[a], diag[b], diag, coupling, mirror,
+             upper[a] + width, upper[b] + width, upper + width]
+        )
+        column = np.concatenate(
+            [edges, edges, a.size + nodes, edges, edges[same],
+             edges, edges, a.size + nodes]
+        )
+        value = np.concatenate(
+            [ones, ones, np.ones(cells), -ones, -ones[same],
+             w[a] - w[b], w[b] - w[a], w]
+        )
+        dst, row = np.unique(dst, return_inverse=True)
+        matrix = sp.csr_matrix(
+            (value, (row, column)), shape=(dst.size, a.size + cells)
+        )
+        free = np.setdiff1d(np.arange(self.levels * width), self.slot)
+        return matrix, dst, free * width + free % width
 
 
 #: Weights of the per-frequency operation counts ``auto`` compares
@@ -952,6 +1010,27 @@ class GridACPDN(MeshView):
         rout = self.design.source_values("output_resistance_ohm")
         l_src = self.design.source_values("inductance_h")
         return 1.0 / (rout[None, :] + 1j * omega[:, None] * l_src[None, :])
+
+    def _element_admittances(
+        self, omega: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The reduced system's element values over a frequency chunk.
+
+        Returns ``(edge_y, shunt)``: each lateral edge's ``1/(r + jωl)``
+        in :meth:`~repro.pdn.mesh.MeshDesign.lateral_edges` order, shape
+        (n_freqs, edges), and each node's shunt, its decap branch plus
+        the summed source branches attached there, (n_freqs, cells).
+        Every impedance and driven path assembles from these values.
+        """
+        _, _, r, l = self.design.lateral_edges()
+        edge_y = 1.0 / (r[None, :] + 1j * omega[:, None] * l[None, :])
+        shunt = self._decap_admittance(omega)
+        np.add.at(
+            shunt,
+            (slice(None), self.design.attach_rows()),
+            self._source_admittance(omega),
+        )
+        return edge_y, shunt
 
     # -- impedance map ----------------------------------------------------------
 
@@ -1263,9 +1342,15 @@ class GridACPDN(MeshView):
         y_u = self.design.decap.unit_admittance(omega)
         y_src = self._source_admittance(omega)
         z = np.empty((cells, omega.size), dtype=complex)
-        chunk = max(1, _DENSE_BATCH_ENTRIES // (k * cells))
+        chunk = min(omega.size, max(1, _DENSE_BATCH_ENTRIES // (k * cells)))
+        # Two (F, k, cells) buffers serve every chunk: the modal fields,
+        # transformed in place into the influence columns, and those
+        # columns weighted by the correction.
+        fields = np.empty((chunk, k, cells), dtype=complex)
+        weighted = np.empty_like(fields)
         for lo in range(0, omega.size, chunk):
             hi = min(lo + chunk, omega.size)
+            n = hi - lo
             with np.errstate(divide="ignore", invalid="ignore"):
                 w = 1.0 / (
                     structure.lam[None, :]
@@ -1276,12 +1361,12 @@ class GridACPDN(MeshView):
                 @ w.reshape(-1, ny, nx)
                 @ structure.bx_sq
             ).reshape(-1, cells)
-            fields = w[:, None, :] * u_hat[None]  # (F, k, cells), modal
+            field = np.multiply(w[:, None, :], u_hat[None], out=fields[:n])
+            t = field @ u_hat.T  # UᵀM⁻¹U, (F, k, k)
             influence = sfft.idctn(
-                fields.reshape(-1, ny, nx), type=2, axes=(1, 2),
-                norm="ortho", workers=-1,
-            ).reshape(hi - lo, k, cells)
-            t = fields @ u_hat.T  # UᵀM⁻¹U, (F, k, k)
+                field.reshape(-1, ny, nx), type=2, axes=(1, 2),
+                norm="ortho", workers=-1, overwrite_x=True,
+            ).reshape(n, k, cells)
             # C's diagonal: −τ, then each attach node's summed source
             # admittance; C·t is its row scaling plus the ring rows.
             c_diag = np.zeros((hi - lo, k), dtype=complex)
@@ -1300,10 +1385,10 @@ class GridACPDN(MeshView):
                     "grid impedance source correction is singular: "
                     f"{exc}"
                 ) from exc
-            diag -= np.einsum(
-                "faj,fab,fbj->fj", influence, correction, influence,
-                optimize=True,
+            np.matmul(
+                np.swapaxes(correction, 1, 2), influence, out=weighted[:n]
             )
+            diag -= np.einsum("fbj,fbj->fj", weighted[:n], influence)
             z[:, lo:hi] = diag.T
         return z
 
@@ -1312,25 +1397,20 @@ class GridACPDN(MeshView):
 
     def _build_reduced(self) -> _ReducedACStructure:
         cells = self.nx * self.ny
-        a, b, r, l = self.design.lateral_edges()
+        a, b, _, _ = self.design.lateral_edges()
         rows, cols, edge, sign = admittance_entry_map(a, b)
         diag = np.arange(cells, dtype=np.int64)
         all_rows = np.concatenate([rows, diag])
         all_cols = np.concatenate([cols, diag])
-        order, starts, csc_rows, csc_cols, indptr = shared_csc_pattern(
+        order, starts, csc_rows, _, indptr = shared_csc_pattern(
             all_rows, all_cols, cells
         )
         return _ReducedACStructure(
-            edge_r=r,
-            edge_l=l,
-            entry_rows=all_rows,
-            entry_cols=all_cols,
             entry_edge=edge,
             entry_sign=sign,
             order=order,
             starts=starts,
             csc_rows=csc_rows,
-            csc_cols=csc_cols,
             indptr=indptr,
         )
 
@@ -1338,15 +1418,7 @@ class GridACPDN(MeshView):
         self, structure: _ReducedACStructure, omega: np.ndarray
     ) -> np.ndarray:
         """Reduced-system CSC values for a frequency chunk."""
-        cells = self.nx * self.ny
-        edge_y = 1.0 / (
-            structure.edge_r[None, :]
-            + 1j * omega[:, None] * structure.edge_l[None, :]
-        )
-        shunt = self._decap_admittance(omega)
-        y_src = self._source_admittance(omega)
-        attach = self.design.attach_rows()
-        np.add.at(shunt, (slice(None), attach), y_src)
+        edge_y, shunt = self._element_admittances(omega)
         vals = np.concatenate(
             [
                 structure.entry_sign[None, :]
@@ -1363,13 +1435,14 @@ class GridACPDN(MeshView):
         return cached(self, "_selinv", self.design.key, self._build_selinv)
 
     def _build_selinv(self) -> _SelinvPlan:
-        structure = self._ensure_reduced()
         nx, ny = self.nx, self.ny
         cells = nx * ny
-        rows, cols = structure.csc_rows, structure.csc_cols
-        off = rows != cols
+        a, b, _, _ = self.design.lateral_edges()
         adjacency = sp.csr_matrix(
-            (np.ones(int(off.sum())), (rows[off], cols[off])),
+            (
+                np.ones(2 * a.size),
+                (np.concatenate([a, b]), np.concatenate([b, a])),
+            ),
             shape=(cells, cells),
         )
         # Breadth-first level sets seeded with the shorter mesh side,
@@ -1391,19 +1464,12 @@ class GridACPDN(MeshView):
         position[order] = np.arange(cells) - np.repeat(
             np.cumsum(counts) - counts, counts
         )
-        slot = level * width + position
-        same = level[rows] == level[cols]
-        upper = level[cols] == level[rows] + 1
-        free = np.setdiff1d(np.arange(counts.size * width), slot)
         return _SelinvPlan(
             levels=counts.size,
             width=width,
-            slot=slot,
-            diag_dst=(slot[rows] * width + position[cols])[same],
-            diag_src=np.nonzero(same)[0],
-            upper_dst=(slot[rows] * (width + 1) + position[cols])[upper],
-            upper_src=np.nonzero(upper)[0],
-            pad_dst=free * width + free % width,
+            slot=level * width + position,
+            edge_a=a,
+            edge_b=b,
         )
 
     def _impedance_selinv(
@@ -1418,42 +1484,40 @@ class GridACPDN(MeshView):
         ``X_l = g_l U_l`` give the exact diagonal blocks of the inverse
         in O(levels·width³) per frequency; the full inverse is never
         formed.  The lower blocks are ``U_lᵀ`` and ``g_l U_l`` stands in
-        for ``(U_lᵀ g_l)ᵀ`` because ``A`` is complex symmetric.
+        for ``(U_lᵀ g_l)ᵀ`` because ``A`` is complex symmetric.  Each
+        frequency chunk fills the blocks straight from the element
+        admittances (:attr:`_SelinvPlan.assembly`).
         """
-        structure = self._ensure_reduced()
         plan = self._ensure_selinv()
+        matrix, dst, pad = plan.assembly
         levels, width = plan.levels, plan.width
         cells = self.nx * self.ny
         count = omega.size
         z = np.empty((cells, count), dtype=complex)
         probe = singularity_probe(cells)
         probe_error = np.empty(count)
-        # Two stacked block arrays per frequency: D_l is overwritten by
-        # g_l, and [U_l | z_l] by [X_l | g_l z_l], as the sweep passes.
-        chunk = max(
-            1, _DENSE_BATCH_ENTRIES // (2 * levels * width * (width + 1))
-        )
+        # One flat row of blocks per frequency: D_l, overwritten by g_l,
+        # then [U_l | z_l], overwritten by [X_l | g_l z_l], as the sweep
+        # passes.  Every chunk refills the one buffer.
+        split = levels * width * width
+        chunk = min(count, plan.chunk)
+        buffer = np.empty((chunk, plan.row_size), dtype=complex)
         for lo in range(0, count, chunk):
             hi = min(lo + chunk, count)
             n = hi - lo
-            data = self._reduced_csc_data(structure, omega[lo:hi])
-            g = np.zeros((n, levels * width * width), dtype=complex)
-            g[:, plan.diag_dst] = data[:, plan.diag_src]
-            g[:, plan.pad_dst] = 1.0
-            g = g.reshape(n, levels, width, width)
+            edge_y, shunt = self._element_admittances(omega[lo:hi])
+            blocks = buffer[:n]
+            blocks.fill(0.0)
+            blocks[:, dst] = (
+                matrix @ np.concatenate([edge_y.T, shunt.T])
+            ).T
+            blocks[:, pad] = 1.0
+            g = blocks[:, :split].reshape(n, levels, width, width)
             # [U_l | z_l] per level: the coupling to the next level (zero
             # for the last) plus the known-solution probe's right-hand
-            # side A @ w (see repro.pdn.mna.singularity_probe; column
-            # sums, as A is symmetric), so every GEMM below also carries
-            # the block substitution that must recover w.
-            x = np.zeros((n, levels * width * (width + 1)), dtype=complex)
-            x[:, plan.upper_dst] = data[:, plan.upper_src]
-            x[:, plan.slot * (width + 1) + width] = np.add.reduceat(
-                data * probe[structure.csc_rows],
-                structure.indptr[:-1],
-                axis=1,
-            )
-            x = x.reshape(n, levels, width, width + 1)
+            # side A @ w, so every GEMM below also carries the block
+            # substitution that must recover w.
+            x = blocks[:, split:].reshape(n, levels, width, width + 1)
             diag = np.empty((n, levels, width), dtype=complex)
             solution = np.empty((n, levels, width), dtype=complex)
             try:
@@ -1564,7 +1628,7 @@ class GridACPDN(MeshView):
         probe = singularity_probe(cells)
         voltages = np.empty((freqs.size, cells), dtype=complex)
         probe_error = np.empty(freqs.size)
-        chunk = max(1, _DENSE_BATCH_ENTRIES // structure.entry_rows.size)
+        chunk = max(1, _DENSE_BATCH_ENTRIES // structure.order.size)
         for lo in range(0, freqs.size, chunk):
             hi = min(lo + chunk, freqs.size)
             data = self._reduced_csc_data(structure, omega[lo:hi])

@@ -519,11 +519,12 @@ class GridTransientPDN(MeshView):
         so a step at t = 0⁺ is simply a change from sample 0 to
         sample 1).
         """
-        return self.simulate_many(
+        return self._simulate_batch(
             self._normalize_waveforms(waveform_a, "waveform_a"),
             dt_s,
-            probe_nodes=probe_nodes,
-            settle_band_v=settle_band_v,
+            self._probe_rows(probe_nodes),
+            settle_band_v,
+            False,
         )[0]
 
     def simulate_many(

@@ -495,24 +495,48 @@ def test_selinv_matches_direct_on_design_study_meshes(arch, form):
     assert_engines_agree(pdn, np.logspace(4, 9, 25), "selinv")
 
 
+def test_selinv_scratch_stays_bounded():
+    """A warm 121-point map of the design study's 24² 48-VR A2 mesh,
+    which auto runs on selinv, keeps its traced peak at the map itself
+    plus one cache-sized chunk of level blocks: ~6 MB.  Blocks sized by
+    the former 2M-entry budget, two chunks alive at once, held 51 MB."""
+    import tracemalloc
+
+    pdn = design_study_mesh(single_stage_a2, 24)
+    pdn.set_decap_density(1.0, 2e-9, 2e-3, 5e-12)
+    assert pdn.impedance_engine() == "selinv"
+    freqs = np.logspace(4, 9, 121)
+    pdn.impedance_map(freqs)
+    tracemalloc.start()
+    try:
+        pdn.impedance_map(freqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
 @pytest.mark.parametrize("node", [0, 7, 19])
 def test_selinv_singular_block_raises(monkeypatch, node):
-    """A node whose row and column are zeroed makes its level's Schur
-    complement exactly singular: selinv raises, as the oracle does,
-    whether the node sits in the first, a middle or the last level."""
+    """A node whose incident edges and shunt are zeroed has a zero row
+    and column, which makes its level's Schur complement exactly
+    singular: selinv raises, as the oracle does, whether the node sits
+    in the first, a middle or the last level.  Both engines assemble
+    from the element admittances, so one patch reaches both."""
     pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=4, ny=5)
     pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-2)
     pdn.add_source("s1", 1.0, 1.0, 1.0, 1e-2)
     pdn.set_decap_map(np.full((5, 4), 1e-7), 1e-2, 1e-11)
-    original = GridACPDN._reduced_csc_data
+    original = GridACPDN._element_admittances
+    a, b, _, _ = pdn.design.lateral_edges()
 
-    def zeroed(self, structure, omega):
-        data = original(self, structure, omega)
-        hit = (structure.csc_rows == node) | (structure.csc_cols == node)
-        data[:, hit] = 0.0
-        return data
+    def zeroed(self, omega):
+        edge_y, shunt = original(self, omega)
+        edge_y[:, (a == node) | (b == node)] = 0.0
+        shunt[:, node] = 0.0
+        return edge_y, shunt
 
-    monkeypatch.setattr(GridACPDN, "_reduced_csc_data", zeroed)
+    monkeypatch.setattr(GridACPDN, "_element_admittances", zeroed)
     freqs = np.array([1e5, 1e7])
     for method in ("selinv", "direct"):
         with pytest.raises(SolverError):
@@ -1142,6 +1166,26 @@ def _inductive_metal() -> tuple[GridACPDN, np.ndarray]:
     return pdn, np.array([1e6, 1e8, 1e9])
 
 
+def _ring_along_an_edge() -> tuple[GridACPDN, np.ndarray]:
+    """Parallel elements: two consecutive VRs share node (0, 0), and
+    both ring segments join it to its neighbour (1, 0), in parallel
+    with the inductive mesh edge between them, over a decap map with
+    a bare node."""
+    pdn = GridACPDN(
+        1e-2, 1e-2, 1e-2, nx=4, ny=4,
+        edge_inductance_x_h=1e-12, edge_inductance_y_h=2e-12,
+    )
+    c_map = np.linspace(0.5e-7, 2e-7, 16).reshape(4, 4)
+    c_map[2, 1] = 0.0
+    pdn.set_decap_map(c_map, 5e-3, 1e-11)
+    for k, (x, r_out) in enumerate(
+        [(0.0, 1e-3), (0.0, 2e-3), (1 / 3, 1.5e-3)]
+    ):
+        pdn.add_source(f"s{k}", x, 0.0, 1.0, r_out, 5e-12 * k)
+    pdn.connect_sources_with_ring_bus(2e-3)
+    return pdn, np.array([1e4, 1e6, 1e8])
+
+
 @pytest.mark.parametrize(
     "example, engines",
     [
@@ -1149,8 +1193,12 @@ def _inductive_metal() -> tuple[GridACPDN, np.ndarray]:
         (_ring_colocated, ("structured", "selinv", "spectral", "direct")),
         (_stiff_decap, ("structured", "selinv", "spectral", "direct")),
         (_inductive_metal, ("selinv", "direct")),
+        (_ring_along_an_edge, ("selinv", "direct")),
     ],
-    ids=["zero_mode_1khz", "ring_colocated", "stiff_decap", "inductive_metal"],
+    ids=[
+        "zero_mode_1khz", "ring_colocated", "stiff_decap", "inductive_metal",
+        "ring_along_an_edge",
+    ],
 )
 def test_engines_meet_a_40_digit_solve(example, engines):
     """Each eligible impedance engine and the diagonal of

@@ -421,6 +421,33 @@ class TestLoadPath:
         with pytest.raises(ConfigError, match="non-negative"):
             pdn.simulate_many([good, other], 1e-10)
 
+    def test_simulate_checks_its_trace_once(self, monkeypatch):
+        """simulate checks its one trace under its own name and hands
+        it on without a second scan; NaN and negative samples still
+        raise."""
+        import repro.pdn.grid_transient as gt
+
+        pdn = mesh_fixture("factorized")
+        pdn.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
+        trace, _, _ = self.traces()
+        checked = []
+        original = gt.require_finite
+
+        def spy(value, name):
+            checked.append(name)
+            return original(value, name)
+
+        monkeypatch.setattr(gt, "require_finite", spy)
+        pdn.simulate(trace, 1e-10)
+        assert checked == ["waveform_a", "dt_s"]
+        bad = trace.copy()
+        bad[3, 7] = np.nan
+        with pytest.raises(ConfigError, match="^waveform_a must be finite"):
+            pdn.simulate(bad, 1e-10)
+        bad[3, 7] = -1e-3
+        with pytest.raises(ConfigError, match="non-negative"):
+            pdn.simulate(bad, 1e-10)
+
     def test_peak_memory_stays_below_the_traces(self):
         # A warm 8 × 201 sample run allocates a few (8, cells) frames,
         # far below the 3.3 MB of traces it reads; a stacked and a

@@ -259,13 +259,19 @@ class TestCachesFollowTheKey:
         return pdn
 
     def test_sink_and_voltage_edits_keep_ac_structures(self):
+        """A selinv map builds its level plan and no reduced CSC
+        pattern; the adjoint columns, an LU path, build that pattern.
+        Both survive sink and voltage edits."""
         pdn = self.pdn()
         freqs = np.logspace(5, 8, 4)
         pdn.impedance_map(freqs)
+        assert getattr(pdn, "_reduced", None) is None
+        pdn.impedance_columns(freqs[0], [0, 7])
         reduced, plan = pdn._reduced[1], pdn._selinv[1]
         pdn.set_sink_array(np.full((4, 5), 0.9))
         pdn.design = _with_voltages(pdn.design, 0.1)
         pdn.impedance_map(freqs)
+        pdn.impedance_columns(freqs[0], [0, 7])
         assert pdn._reduced[1] is reduced and pdn._selinv[1] is plan
 
     def test_compiled_sweep_tags_its_baked_in_sinks(self):
