@@ -123,8 +123,9 @@ def _die_grid_with_bank(
     )
     if power_map is not None:
         grid.set_sinks(power_map, spec.pol_current_a)
-    for index, position in enumerate(plan.positions):
-        grid.add_source(
+    design = grid.design
+    grid.design = design.with_sources(
+        design.source_at(
             f"vr{index}",
             position.x,
             position.y,
@@ -132,6 +133,8 @@ def _die_grid_with_bank(
             output_resistance_ohm,
             source_inductance_h,
         )
+        for index, position in enumerate(plan.positions)
+    )
     if plan.style is PlacementStyle.PERIPHERY and plan.vr_count >= 3:
         # Periphery VRs share the contiguous output ring of Fig. 5(a);
         # each inter-VR segment is (spacing / ring width) squares of

@@ -36,10 +36,11 @@ engine (:class:`StructuredGridPDN`, N−k sweeps included) and both
 structured transient stamps of :mod:`repro.pdn.grid_transient` run on
 it.  A batch of right-hand sides costs one transform pair and one
 ``coeff @ Zᵀ`` GEMM per Woodbury apply, with ``S = I + C·UᵀZ``
-factored once; a deflated (zero-shift) operator adds one refinement
-round.  Disabling a source (an open-circuited regulator) is a row
-update of that scenario's ``S``, so a whole N−k sweep shares every
-transform and the stored influence rows ``Zᵀ``.
+factored once; a deflated (zero-shift) operator first shifts each
+right-hand side by its net current, so one apply is the whole solve.
+A scenario with disabled sources (open-circuited regulators) solves
+its coefficients on its own small ``S``, so a whole N−k sweep shares
+every transform and the stored influence rows ``Zᵀ``.
 """
 
 from __future__ import annotations
@@ -233,8 +234,9 @@ class StructuredOperator:
 
     ``live`` — an ``(m, sources)`` boolean mask, one row per
     right-hand side, ``None`` for every source live — open-circuits
-    sources: a dead source's ``g_src`` leaves ``C``'s diagonal, a row
-    update of that row's ``S``, so ``Z`` is never sliced.
+    sources: a dead source's ``g_src`` leaves ``C``'s diagonal, so a
+    row with dead sources solves on its own ``S`` (the shunt-free
+    ``S₀`` plus its live shunts) and ``Z`` is never sliced.
 
     Raises:
         StructuredSolveError: more deviating shunt rows than the
@@ -265,23 +267,27 @@ class StructuredOperator:
                 f"rank-{limit} correction budget"
             )
         self.nx, self.ny, self.cells = nx, ny, cells
-        self.gx, self.gy, self.g_node = gx, gy, g_node
-        self.attach, self.g_src = attach, g_src
-        self.ring_a, self.ring_b, self.g_ring = ring_a, ring_b, g_ring
+        self.g_src, self._dev_g = g_src, g_node[dev_rows] - base
         self.poisson = FastPoissonOperator(nx, ny, gx, gy, shift=base)
         tau = self.poisson.deflation_tau
         self.deflated = tau is not None
         lead = int(self.deflated)
+        rows = np.concatenate([dev_rows, attach])
         self._rows, slots, self._c = touched_coupling(
-            np.concatenate([dev_rows, attach]),
-            np.concatenate([g_node[dev_rows] - base, g_src]),
+            rows, np.concatenate([self._dev_g, g_src]),
             ring_a, ring_b, g_ring, lead,
         )
+        # The coupling without shunts (ring edges, deflation): a row
+        # with dead sources adds its own shunts (:meth:`_shunts`) to it.
+        _, _, self._c0 = touched_coupling(
+            rows, np.zeros(rows.size), ring_a, ring_b, g_ring, lead
+        )
+        self._dev_slots = slots[: dev_rows.size]
         self._src_slots = slots[dev_rows.size :]
         self.rank = len(self._c)
         self._zt = np.empty((self.rank, cells))
         if self.deflated:
-            self._c[0, 0] = -tau
+            self._c[0, 0] = self._c0[0, 0] = -tau
             self._zt[0] = 1.0 / (tau * np.sqrt(cells))
         fields = self._zt[lead:].reshape(-1, ny, nx)
         np.divide(
@@ -291,6 +297,7 @@ class StructuredOperator:
         sfft.idctn(fields, type=2, axes=(1, 2), norm="ortho", overwrite_x=True)
         self._p = self._gather(self._zt).T  # UᵀZ
         self._s = np.eye(self.rank) + self._c @ self._p
+        self._s0 = np.eye(self.rank) + self._c0 @ self._p
         if not np.all(np.isfinite(self._s)):
             raise StructuredSolveError("structured correction is non-finite")
         self._s_lu = lu_factor(self._s, check_finite=False)
@@ -305,67 +312,107 @@ class StructuredOperator:
             w = np.c_[y.sum(axis=1) / np.sqrt(self.cells), w]
         return w
 
-    def matvec(self, v: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
-        """Exact ``(A vᵀ)ᵀ`` for rows ``(m, cells)``, applied as a stencil
-        on the fields: no sparse matrix is ever assembled."""
-        field = v.reshape(-1, self.ny, self.nx)
-        out = np.zeros_like(field)
-        dx = (field[:, :, :-1] - field[:, :, 1:]) * self.gx
-        out[:, :, :-1] += dx
-        out[:, :, 1:] -= dx
-        dy = (field[:, :-1, :] - field[:, 1:, :]) * self.gy
-        out[:, :-1, :] += dy
-        out[:, 1:, :] -= dy
-        out = out.reshape(v.shape)
-        out += self.g_node * v
-        g_src = self.g_src if live is None else self.g_src * live
-        np.add.at(out, (slice(None), self.attach), g_src * v[:, self.attach])
-        drop = self.g_ring * (v[:, self.ring_a] - v[:, self.ring_b])
-        np.add.at(out, (slice(None), self.ring_a), drop)
-        np.add.at(out, (slice(None), self.ring_b), -drop)
-        return out
+    def _shunts(self, live: np.ndarray | None, m: int) -> np.ndarray:
+        """Each touched node's shunt to ground on its column of ``U``,
+        one row per right-hand side: its shunt deviation plus its live
+        sources' ``g_src`` (0 on the deflation column).  Under a deflated
+        operator this is ``A·1`` on T, and ``A·1`` is 0 off T: mesh and
+        ring edges carry no current under a uniform potential."""
+        shunts = np.zeros((m, self.rank))
+        shunts[:, self._dev_slots] = self._dev_g
+        g_src = self.g_src if live is None else live * self.g_src
+        np.add.at(shunts, (slice(None), self._src_slots), g_src)
+        return shunts
 
     def apply(self, b: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
         """``((M + U C Uᵀ)⁻¹ bᵀ)ᵀ`` for rows ``(m, cells)``: one transform
         pair, the coefficients ``S⁻¹(C·w)`` of ``w = Uᵀy`` and one
-        ``coeff @ Zᵀ`` GEMM: the Woodbury step of :meth:`solve`."""
-        y = self.poisson.solve_rows(b)
+        ``coeff @ Zᵀ`` GEMM."""
+        return self._correct(self.poisson.solve_rows(b), 0.0, live)
+
+    def _correct(
+        self, y: np.ndarray, r: np.ndarray | float, live: np.ndarray | None
+    ) -> np.ndarray:
+        """``y − Z·S⁻¹(C·Uᵀy − r)``, in ``y``'s buffer: for ``y = M⁻¹b``
+        the rows of ``A⁻¹(b + U·r)``, as ``A⁻¹U = Z·S⁻¹``.  ``r`` is 0
+        or an ``(m, rank)`` stack of currents on ``U``'s columns, which
+        reach the solution without a transform."""
         w = self._gather(y)
-        cw = w @ self._c  # (C wᵀ)ᵀ: C is symmetric
+        rhs = w @ self._c - r  # (C wᵀ)ᵀ − r: C is symmetric
         with np.errstate(all="ignore"):
-            coeff = lu_solve(self._s_lu, cw.T, check_finite=False).T
+            coeff = lu_solve(self._s_lu, rhs.T, check_finite=False).T
             if live is not None and not live.all():
                 part = ~live.all(axis=1)
-                coeff[part] = self._open_circuit(w[part], live[part])
+                coeff[part] = self._open_circuit(
+                    w[part], np.broadcast_to(r, w.shape)[part], live[part]
+                )
         y -= coeff @ self._zt
         return y
 
-    def _open_circuit(self, w: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """Woodbury coefficients of rows with dead sources: each dead
-        source's ``g_src`` leaves its node's diagonal entry of ``C``,
-        which updates that row of ``S = I + C·UᵀZ`` and of ``C·w``."""
-        drop = np.zeros(w.shape)
-        np.add.at(drop, (slice(None), self._src_slots), ~live * self.g_src)
-        s = self._s - drop[:, :, None] * self._p
-        cw = w @ self._c - drop * w
+    def _open_circuit(
+        self, w: np.ndarray, r: np.ndarray, live: np.ndarray
+    ) -> np.ndarray:
+        """Woodbury coefficients of rows with dead sources: only the
+        live sources' ``g_src`` sit on ``C``'s diagonal, so each row's
+        ``S = I + C·UᵀZ`` and ``C·w`` are the shunt-free ``S₀`` and
+        ``C₀·w`` plus its own shunts.  Built up, never by subtracting a
+        dead ``g_src``: that leaves a rounding residue of ``ε·g_src`` on
+        a node whose ring edges may be a million times weaker."""
+        shunts = self._shunts(live, len(w))
+        s = self._s0 + shunts[:, :, None] * self._p
+        rhs = w @ self._c0 + shunts * w - r
         try:
-            return np.linalg.solve(s, cw[:, :, None])[:, :, 0]
+            return np.linalg.solve(s, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise StructuredSolveError(
                 f"structured correction is singular: {exc}"
             ) from exc
 
     def solve(self, b: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
-        """``(A⁻¹ bᵀ)ᵀ`` for rows ``(m, cells)``.
+        """``(A⁻¹ bᵀ)ᵀ`` for rows ``(m, cells)``: one Woodbury apply.
 
-        A deflated (zero-shift) operator loses digits in the Woodbury
-        apply, so it gets one refinement round on the exact stencil
-        (~1e-13 relative); a shifted one is diagonally dominant enough
-        that the plain apply already lands there.
+        A shifted operator is diagonally dominant enough that the plain
+        :meth:`apply` lands at ~1e-13 relative.  A deflated (zero-shift)
+        one splits each row into its currents off the touched nodes,
+        ``b_off``, and on them, ``b_T``, and shifts each part by its net
+        current: with ``a = A·1`` (the touched nodes' shunts, see
+        :meth:`_shunts`), ``c_off = Σb_off / Σa`` and ``c_T = Σb_T / Σa``,
+
+            ``x = c_off + c_T + A⁻¹(b_off − c_off·a) + A⁻¹(b_T − c_T·a)``.
+
+        The first part takes the transform pair and the second goes
+        straight into the Woodbury coefficients (:meth:`_correct`).
+        Neither carries net current, so nothing passes through the
+        deflated constant mode, and a bank's Norton injections (48 ×
+        ``g_src·V`` ≈ 3×10⁵ A on the paper's banks) never pass through
+        ``M⁻¹``: both would cancel against the correction and cost
+        digits.
+
+        Raises:
+            StructuredSolveError: a row with no live shunt (``Σa = 0``:
+                the system floats), or a singular or non-finite
+                correction.
         """
-        x = self.apply(b, live)
-        if self.deflated:
-            x += self.apply(b - self.matvec(x, live), live)
+        if not self.deflated:
+            return _finite(self.apply(b, live))
+        a = self._shunts(live, len(b))
+        total = a.sum(axis=1, keepdims=True)
+        if not np.all(total):
+            raise StructuredSolveError(
+                "structured correction is singular: a right-hand side "
+                "has no live shunt to ground"
+            )
+        b_t = np.zeros_like(a)
+        b_t[:, 1:] = b[:, self._rows]
+        b_off = b.astype(np.result_type(b, a))
+        b_off[:, self._rows] = 0.0
+        c_off = b_off.sum(axis=1, keepdims=True) / total
+        c_t = b_t.sum(axis=1, keepdims=True) / total
+        b_off[:, self._rows] = -c_off * a[:, 1:]
+        x = self._correct(
+            self.poisson.solve_rows(b_off), b_t - c_t * a, live
+        )
+        x += c_off + c_t
         return _finite(x)
 
 

@@ -1247,20 +1247,17 @@ class GridACPDN(MeshView):
         """diag(A⁻¹) via the cached eigenbasis, shape (cells, n_freqs).
 
         ``A(ω) = M(ω) + U Y(ω) Uᵀ`` with ``M = G + y_u(ω) D_α``
-        diagonal in the eigenbasis, so ``diag(M⁻¹)`` is one GEMM over
-        the whole sweep; the deflated zero mode and the s source
+        diagonal in the eigenbasis, so ``diag(M⁻¹)`` is one GEMM per
+        frequency chunk; the deflated zero mode and the s source
         branches enter as a rank-(1 + s) Sherman–Morrison–Woodbury
         correction whose capacitance matrix inverts per frequency at
-        (1 + s)² cost.
+        (1 + s)² cost.  Frequency-chunked to bound scratch memory,
+        like the structured engine.
         """
         structure = self._ensure_spectral()
         design = self.design
+        cells, k = structure.p.shape
         y_u = design.decap.unit_admittance(omega)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = 1.0 / (structure.lam[None, :] + y_u[:, None])  # (F, n)
-        tmp = w[:, :, None] * structure.p[None, :, :]  # (F, n, k)
-        influence = structure.q[None, :, :] @ tmp  # M⁻¹U, (F, cells, k)
-        t = structure.p.T[None, :, :] @ tmp  # UᵀM⁻¹U, (F, k, k)
         # Branch impedances: the deflated zero mode's −1/τ, then each
         # source's zeroed-EMF branch.
         z_branch = np.concatenate(
@@ -1271,18 +1268,37 @@ class GridACPDN(MeshView):
             ],
             axis=1,
         )
-        capacitance = t + z_branch[:, :, None] * np.eye(t.shape[1])[None]
-        try:
-            with np.errstate(all="ignore"):
-                k = np.linalg.inv(capacitance)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"grid impedance source correction is singular: {exc}"
-            ) from exc
-        diag = w @ structure.q_sq.T - np.einsum(
-            "fks,fst,fkt->fk", influence, k, influence, optimize=True
-        )
-        return diag.T
+        eye = np.eye(k)
+        z = np.empty((cells, omega.size), dtype=complex)
+        chunk = min(omega.size, max(1, _DENSE_BATCH_ENTRIES // (k * cells)))
+        # Three (F, cells, k) buffers serve every chunk: the weighted
+        # modal columns, the influence columns M⁻¹U, and those columns
+        # weighted by the correction.
+        tmp = np.empty((chunk, cells, k), dtype=complex)
+        influence = np.empty_like(tmp)
+        weighted = np.empty_like(tmp)
+        for lo in range(0, omega.size, chunk):
+            hi = min(lo + chunk, omega.size)
+            n = hi - lo
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = 1.0 / (structure.lam[None, :] + y_u[lo:hi, None])
+            np.multiply(w[:, :, None], structure.p[None], out=tmp[:n])
+            np.matmul(structure.q, tmp[:n], out=influence[:n])
+            t = structure.p.T @ tmp[:n]  # UᵀM⁻¹U, (F, k, k)
+            try:
+                with np.errstate(all="ignore"):
+                    correction = np.linalg.inv(
+                        t + z_branch[lo:hi, :, None] * eye
+                    )
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(
+                    f"grid impedance source correction is singular: {exc}"
+                ) from exc
+            np.matmul(influence[:n], correction, out=weighted[:n])
+            diag = w @ structure.q_sq.T
+            diag -= np.einsum("fct,fct->fc", weighted[:n], influence[:n])
+            z[:, lo:hi] = diag.T
+        return z
 
     def _ensure_structured(self) -> _StructuredACStructure:
         return cached(

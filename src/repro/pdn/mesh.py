@@ -33,6 +33,7 @@ structure a view cached under it (see :func:`cached`).
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from functools import cached_property, update_wrapper
 
@@ -284,8 +285,7 @@ class MeshDesign:
                 require_finite(value, name)
         checked = self._edit(sources=(), ring_bus_ohm=None)
         checked = checked.with_edge_scales(self.edge_scale_x, self.edge_scale_y)
-        for source in self.sources:
-            checked = checked.with_source(source)
+        checked = checked.with_sources(self.sources)
         if self.ring_bus_ohm is not None:
             checked = checked.with_ring_bus(self.ring_bus_ohm)
         if self.sinks is not None:
@@ -449,17 +449,53 @@ class MeshDesign:
             power_map.cell_currents(self.nx, self.ny, total_current_a)
         )
 
-    def with_source(self, source: Source) -> "MeshDesign":
-        """Attach one more (already validated) source.
+    def with_sources(self, sources: Iterable[Source]) -> "MeshDesign":
+        """Attach several (already validated) sources in one edit, in
+        order: one name set, one copy.
 
         ``output_resistance_ohm`` is always positive — it regularizes
         the solve and models the converter's finite output impedance.
+
+        Raises:
+            ConfigError: naming a source outside the mesh, or one whose
+                name repeats an attached source or an earlier one of
+                ``sources``.
         """
-        if not (0 <= source.ix < self.nx and 0 <= source.iy < self.ny):
-            raise ConfigError(f"source {source.name!r} is outside the mesh")
-        if any(existing.name == source.name for existing in self.sources):
-            raise ConfigError(f"duplicate source name: {source.name!r}")
-        return self._edit(sources=self.sources + (source,))
+        sources = tuple(sources)
+        names = {existing.name for existing in self.sources}
+        for source in sources:
+            if not (0 <= source.ix < self.nx and 0 <= source.iy < self.ny):
+                raise ConfigError(f"source {source.name!r} is outside the mesh")
+            if source.name in names:
+                raise ConfigError(f"duplicate source name: {source.name!r}")
+            names.add(source.name)
+        return self._edit(sources=self.sources + sources)
+
+    def with_source(self, source: Source) -> "MeshDesign":
+        """Attach one more (already validated) source: a one-source
+        :meth:`with_sources`."""
+        return self.with_sources((source,))
+
+    def source_at(
+        self,
+        name: str,
+        x_frac: float,
+        y_frac: float,
+        voltage_v: float,
+        output_resistance_ohm: float,
+        inductance_h: float = 0.0,
+    ) -> Source:
+        """The :class:`Source` that :meth:`with_source_at` attaches,
+        snapped to this mesh but not attached."""
+        require_finite(x_frac, "x_frac")
+        require_finite(y_frac, "y_frac")
+        if not 0.0 <= x_frac <= 1.0 or not 0.0 <= y_frac <= 1.0:
+            raise ConfigError("source position must be inside the die")
+        ix = min(int(round(x_frac * (self.nx - 1))), self.nx - 1)
+        iy = min(int(round(y_frac * (self.ny - 1))), self.ny - 1)
+        return Source(
+            name, ix, iy, voltage_v, output_resistance_ohm, inductance_h
+        )
 
     def with_source_at(
         self,
@@ -474,14 +510,11 @@ class MeshDesign:
         snapped to the nearest node.  ``inductance_h`` is the vertical
         bump/TSV loop in series with the output (AC and transient; the
         DC analysis shorts it)."""
-        require_finite(x_frac, "x_frac")
-        require_finite(y_frac, "y_frac")
-        if not 0.0 <= x_frac <= 1.0 or not 0.0 <= y_frac <= 1.0:
-            raise ConfigError("source position must be inside the die")
-        ix = min(int(round(x_frac * (self.nx - 1))), self.nx - 1)
-        iy = min(int(round(y_frac * (self.ny - 1))), self.ny - 1)
         return self.with_source(
-            Source(name, ix, iy, voltage_v, output_resistance_ohm, inductance_h)
+            self.source_at(
+                name, x_frac, y_frac, voltage_v, output_resistance_ohm,
+                inductance_h,
+            )
         )
 
     def without_sources(self) -> "MeshDesign":

@@ -1,16 +1,18 @@
-"""40-digit reference solves (test-only helpers).
+"""40-digit and extended-precision reference solves (test-only helpers).
 
-Each builds its system straight from element values in mpmath
-arithmetic, so a float64 solver is measured against the circuit
-itself, not against another float64 stamp of it: at stiff points (mΩ
-sources beside µF decaps at 10 kHz) the stamp's rounded entries alone
-move the solution by ~1e-9.
+Each builds its system straight from element values, in mpmath or
+``np.longdouble`` arithmetic, so a float64 solver is measured against
+the circuit itself, not against another float64 stamp of it: at stiff
+points (mΩ sources beside µF decaps at 10 kHz) the stamp's rounded
+entries alone move the solution by ~1e-9.
 
 * :func:`solve_ac_mp` — the MNA system of a lumped
   :class:`~repro.pdn.ac.ACNetlist`.
 * :func:`solve_dc_mp` — the nodal DC system of a
   :class:`~repro.pdn.mesh.MeshDesign` (the system
   :func:`repro.pdn.grid.dc_stamp` stamps), from the design's arrays.
+* :func:`solve_dc_ld` — the same system on meshes too large for
+  mpmath: a float64 ``splu`` solve refined in ``np.longdouble``.
 * :func:`impedance_mp` — the diagonal of the inverse of a design's
   reduced node-only AC system (the self-impedance map of
   :class:`~repro.pdn.grid.GridACPDN`), from the design's arrays.
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import mpmath
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.pdn.ac import ACNetlist, ACSolution
 from repro.pdn.mesh import MeshDesign
@@ -102,6 +106,56 @@ def solve_dc_mp(
         solution = mpmath.lu_solve(matrix, rhs)
         volts = [float(solution[i]) for i in range(cells)]
     return np.array(volts).reshape(design.ny, design.nx)
+
+
+def solve_dc_ld(
+    design: MeshDesign, live: np.ndarray | None = None, rounds: int = 3
+) -> np.ndarray:
+    """Mesh node voltages of the nodal DC system of :func:`solve_dc_mp`
+    for meshes too large for mpmath, as an ``(ny, nx)`` float map.
+
+    A float64 ``splu`` solve followed by ``rounds`` residual rounds in
+    ``np.longdouble`` (64-bit significand on x86-64): each residual
+    ``b − A·x`` is summed per element, from conductances and
+    injections computed in long double from the design's resistances
+    and setpoints, and each correction is one more float64
+    back-substitution.  On a system whose condition number times
+    float64's epsilon is small, the result is the exact solution to
+    well below float64 rounding.  ``live`` is a boolean mask over the
+    sources (``None``: all live).
+    """
+    cells = design.nx * design.ny
+    a, b, r, _ = design.lateral_edges()
+    g_edge = 1 / r.astype(np.longdouble)
+    keep = np.ones(len(design.sources), bool) if live is None else live
+    rows = design.attach_rows()[keep]
+    g_src = 1 / design.source_values("output_resistance_ohm")[keep].astype(
+        np.longdouble
+    )
+    rhs = -design.sinks.ravel().astype(np.longdouble)
+    np.add.at(
+        rhs, rows, g_src * design.source_values("voltage_v")[keep].astype(
+            np.longdouble
+        )
+    )
+    g64 = g_edge.astype(float)
+    matrix = sp.coo_matrix(
+        (
+            np.r_[g64, g64, -g64, -g64, g_src.astype(float)],
+            (np.r_[a, b, a, b, rows], np.r_[a, b, b, a, rows]),
+        ),
+        shape=(cells, cells),
+    ).tocsc()
+    lu = spla.splu(matrix)
+    x = lu.solve(rhs.astype(float)).astype(np.longdouble)
+    for _ in range(rounds):
+        res = rhs.copy()
+        flow = g_edge * (x[a] - x[b])
+        np.subtract.at(res, a, flow)
+        np.add.at(res, b, flow)
+        np.subtract.at(res, rows, g_src * x[rows])
+        x += lu.solve(res.astype(float))
+    return x.astype(float).reshape(design.ny, design.nx)
 
 
 def impedance_mp(

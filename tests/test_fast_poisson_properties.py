@@ -18,6 +18,8 @@ solves also meet a 40-digit solve of the nodal system
 from __future__ import annotations
 
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,7 @@ from repro.pdn.mna import solve_dc
 from repro.pdn.powermap import PowerMap
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from ac_reference import solve_dc_mp  # noqa: E402
+from ac_reference import solve_dc_ld, solve_dc_mp  # noqa: E402
 
 RTOL = 1e-8
 
@@ -416,7 +418,9 @@ def test_transient_decap_deviation_on_an_attach_node():
 def test_structured_dc_meets_a_40_digit_solve():
     """4×4 mesh, ring bus, two sources on one node: the structured
     solve() and N−k batch land within 1e-9 V of a 40-digit solve of the
-    nodal system, dead sources on the shared node included."""
+    nodal system, dead sources on the shared node included (measured
+    1.1e-16 V with one Woodbury apply per solve, as with the former
+    refinement round)."""
     grid = GridPDN(1e-2, 1e-2, 1e-2, nx=4, ny=4, engine="structured")
     grid.set_sink_array(
         np.random.default_rng(4).uniform(0.0, 2.0, (4, 4))
@@ -434,6 +438,143 @@ def test_structured_dc_meets_a_40_digit_solve():
     for solution, live in zip(solutions, masks):
         exact = solve_dc_mp(grid.design, live)
         assert np.abs(solution.voltage_map - exact).max() <= 1e-9
+
+
+def with_setpoints(design, seed: int):
+    """``design`` with unequal source setpoints, U(0.98, 1.05) V."""
+    volts = np.random.default_rng(seed).uniform(0.98, 1.05, len(design.sources))
+    return replace(
+        design,
+        sources=tuple(
+            replace(source, voltage_v=float(v))
+            for source, v in zip(design.sources, volts)
+        ),
+    )
+
+
+def relative_gap(solution, exact) -> float:
+    return float(np.abs(solution.voltage_map - exact).max() / np.abs(exact).max())
+
+
+@pytest.mark.parametrize("arch", [single_stage_a1, single_stage_a2])
+def test_signoff_banks_meet_an_extended_precision_solve(arch):
+    """The 48-VR banks at 24² with unequal setpoints: structured
+    solve_many and an N−2 solve_disabled_many land within 1e-13
+    relative of the long-double-refined nodal solve (measured ≤3.3e-16
+    with one Woodbury apply per solve)."""
+    grid = signoff_bank(arch, 24)
+    grid.design = with_setpoints(grid.design, 24)
+    design = grid.design
+    rng = np.random.default_rng(7)
+    maps = [design.sinks, 0.5 * design.sinks, rng.uniform(0.0, 2.0, (24, 24))]
+    for solution, sinks in zip(grid.solve_many(maps), maps):
+        exact = solve_dc_ld(design.with_sinks(sinks))
+        assert relative_gap(solution, exact) <= 1e-13
+    scenarios = [(0, 1), (5, 17), (23, 24), (40, 47)]
+    for solution, scenario in zip(
+        grid.solve_disabled_many(scenarios), scenarios
+    ):
+        exact = solve_dc_ld(design, grid._live_sources(scenario))
+        assert relative_gap(solution, exact) <= 1e-13
+
+
+def count_transform_pairs(monkeypatch) -> dict:
+    """Count :meth:`StructuredOperator.solve` calls and the transform
+    pairs (:meth:`FastPoissonOperator.solve_rows`) they run."""
+    calls = {"solve": 0, "solve_rows": 0}
+    for cls, name in (
+        (StructuredOperator, "solve"), (FastPoissonOperator, "solve_rows")
+    ):
+        original = getattr(cls, name)
+
+        def counted(self, *args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_deflated_dc_solve_is_one_transform_pair(monkeypatch):
+    """A structured DC solve and an N−k batch (a live mask) each run
+    one transform pair: no refinement round."""
+    grid = signoff_bank(single_stage_a1, 16)
+    grid._ensure_structure().fast  # setup transforms are not counted
+    calls = count_transform_pairs(monkeypatch)
+    grid.solve()
+    grid.solve_disabled_many([(0,), (3, 17)])
+    assert calls == {"solve": 2, "solve_rows": 2}
+
+
+def test_deflated_transient_solve_is_one_transform_pair(monkeypatch):
+    """Decap on a few nodes leaves the companion operator deflated with
+    shunt deviations: each of its solves, and each DC-init solve, runs
+    one transform pair (``test_rank_counts_shared_nodes_once`` holds
+    such an operator to the dense system)."""
+    n = 8
+    pdn = GridTransientPDN(1e-2, 1e-2, 1e-2, nx=n, ny=n, engine="structured")
+    pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-3, inductance_h=5e-12)
+    pdn.add_source("s1", 1.0, 0.5, 1.02, 2e-3, inductance_h=5e-12)
+    cap = np.zeros((n, n))
+    cap[[1, 4, 6], [2, 5, 0]] = [1e-7, 2e-7, 3e-7]
+    pdn.set_decap_map(cap, 2e-3, 1e-12)
+    pdn.set_sink_array(np.full((n, n), 0.1))
+    op = pdn._structure(2e-10).fast
+    assert op.deflated and op.rank == 1 + 3 + 2
+    calls = count_transform_pairs(monkeypatch)
+    result = pdn.simulate_step(0.5, 5.0, duration_s=2e-9, dt_s=2e-10)
+    assert result.engine == "structured"
+    assert calls["solve"] > 0 and calls["solve_rows"] == calls["solve"]
+
+
+def stiff_grid(nx: int, ny: int, ring_ohm: float, seed: int) -> GridPDN:
+    """The stiff family: 1 µΩ sources on a 0.1 Ω/sq mesh (~10⁵ times
+    the edge conductance), unequal setpoints, two co-located pairs and
+    a ring bus."""
+    rng = np.random.default_rng(seed)
+    grid = GridPDN(1e-2, 1e-2, 0.1, nx=nx, ny=ny, engine="structured")
+    grid.set_sink_array(rng.uniform(0.0, 1.0, (ny, nx)))
+    spots = [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0),
+             (0.5, 0.5), (0.5, 0.5)]
+    for k, (x, y) in enumerate(spots):
+        grid.add_source(f"s{k}", x, y, float(rng.uniform(0.98, 1.05)), 1e-6)
+    grid.connect_sources_with_ring_bus(ring_ohm)
+    return grid
+
+
+@pytest.mark.parametrize("ring_ohm", [1e-6, 1e-3, 1.0])
+@pytest.mark.parametrize("nx, ny", [(4, 4), (12, 12), (16, 9), (32, 20)])
+def test_stiff_family_meets_an_extended_precision_solve(nx, ny, ring_ohm):
+    """The worst case documented: on the stiff family one Woodbury
+    apply per solve holds 1e-12 relative to the long-double-refined
+    solve (measured ≤4.8e-14), all sources live or some dead, a dead
+    co-located pair and ring-only nodes included.  On these shapes,
+    shifting only the net current, with every Norton injection through
+    the transforms, read up to 1.5e-11; building a scenario's ``S`` by
+    subtracting its dead sources' ``g_src``, not by adding its live
+    ones', read up to 2.7e-8."""
+    grid = stiff_grid(nx, ny, ring_ohm, nx + ny)
+    scenarios = [(), (0,), (2, 3), (0, 1, 4)]
+    for solution, scenario in zip(
+        grid.solve_disabled_many(scenarios), scenarios
+    ):
+        exact = solve_dc_ld(grid.design, grid._live_sources(scenario))
+        assert relative_gap(solution, exact) <= 1e-12
+
+
+def test_floating_row_raises_without_warning():
+    """A right-hand side whose every source is dead floats (no shunt to
+    ground): the deflated solve raises, before dividing by zero."""
+    op = StructuredOperator(
+        4, 3, 2.0, 3.0, np.zeros(12), np.array([0, 11]),
+        np.array([50.0, 60.0]), np.array([0]), np.array([11]),
+        np.array([5.0]),
+    )
+    live = np.array([[True, False], [False, False]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuredSolveError, match="no live shunt"):
+            op.solve(np.ones((2, 12)), live)
 
 
 # -- per-edge variation: the nodal LU ------------------------------------------------

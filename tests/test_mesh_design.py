@@ -21,6 +21,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import DSCH, SystemSpec, single_stage_a1, single_stage_a2
+from repro.core import current_sharing
 from repro.errors import ConfigError
 from repro.pdn import (
     DecapDensity,
@@ -225,6 +227,68 @@ class TestDesignValue:
         )
         with pytest.raises(ValueError):
             design.sinks[0, 0] = 5.0
+
+
+class TestBulkSourceEdit:
+    """``MeshDesign.with_sources``: several sources, one edit."""
+
+    BASE = MeshDesign(0.01, 0.01, 0.01, nx=3, ny=3).with_source(
+        Source("a", 0, 0, 1.0, 2e-3)
+    )
+    BATCH = tuple(
+        Source(f"vr{k}", k % 3, k // 3, 1.0 + 0.01 * k, 1e-3) for k in range(5)
+    )
+
+    def test_one_edit_equals_the_one_at_a_time_chain(self):
+        chain = self.BASE
+        for source in self.BATCH:
+            chain = chain.with_source(source)
+        bulk = self.BASE.with_sources(iter(self.BATCH))
+        assert bulk.sources == chain.sources == self.BASE.sources + self.BATCH
+        assert bulk.key == chain.key
+        assert self.BASE.with_sources(()).key == self.BASE.key
+
+    @pytest.mark.parametrize(
+        "batch, message",
+        [
+            (
+                (Source("x", 0, 0, 1.0, 1e-3), Source("x", 1, 1, 1.0, 1e-3)),
+                "duplicate source name: 'x'",
+            ),
+            ((Source("b", 1, 1, 1.0, 1e-3), Source("a", 2, 2, 1.0, 1e-3)),
+             "duplicate source name: 'a'"),
+            ((Source("b", 1, 1, 1.0, 1e-3), Source("far", 3, 0, 1.0, 1e-3)),
+             "source 'far' is outside the mesh"),
+        ],
+        ids=["within-batch", "against-attached", "outside"],
+    )
+    def test_bad_batches_raise_by_source_name(self, batch, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            self.BASE.with_sources(batch)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            replace(self.BASE, sources=self.BASE.sources + batch)
+
+    @pytest.mark.parametrize("arch", [single_stage_a1, single_stage_a2])
+    def test_bank_builder_matches_one_source_at_a_time(self, arch):
+        """The 48-VR bank attached in one edit is the design that one
+        ``add_source`` per VR builds: same sources, same key."""
+        spec = SystemSpec()
+        grid, plan = current_sharing._die_grid_with_bank(
+            arch(), DSCH, spec, PowerMap.hotspot_mixture(), 12, 1.0,
+            0.15e-3, 5e-12,
+        )
+        chain = GridPDN(
+            spec.die_side_m, spec.die_side_m, grid.sheet_ohm_sq, nx=12, ny=12
+        )
+        chain.set_sinks(PowerMap.hotspot_mixture(), spec.pol_current_a)
+        for index, position in enumerate(plan.positions):
+            chain.add_source(
+                f"vr{index}", position.x, position.y, 1.0, 0.15e-3, 5e-12
+            )
+        if grid.design.ring_bus_ohm is not None:
+            chain.connect_sources_with_ring_bus(grid.design.ring_bus_ohm)
+        assert grid.design.sources == chain.design.sources
+        assert grid.design.key == chain.design.key
 
 
 class TestViewsAgree:

@@ -12,8 +12,8 @@ and source inductance):
   on the structured engine agrees with the refactorized oracle, and
   each scenario with its one-scenario batch.
 * **Transient** — structured and factorized traces agree, decap-free
-  designs included: those run the deflated companion solve with its
-  refinement round.
+  designs included: those run the deflated companion solve, one
+  Woodbury apply on a net-current-shifted right-hand side.
 
 A design skips a structured comparison only when
 ``engine="structured"`` refuses it for exceeding the deviation budget.
@@ -139,7 +139,7 @@ def test_transient_engines_agree(design):
 def test_transient_engines_agree_on_sparse_decap(design, data):
     """Decap on at most a quarter of the nodes: a zero shift with
     deviation columns, inside the budget, so the structured engine
-    runs the deflated solve with the shunt diagonal in its refinement."""
+    runs the deflated solve with the shunt deviations in its shift."""
     cells = design.nx * design.ny
     sites = data.draw(
         st.lists(
