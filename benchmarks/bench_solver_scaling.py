@@ -21,6 +21,9 @@ shapes the system-level sweeps rely on:
 * ``test_nk_sweep_batched`` — the same sweep with every scenario's
   influence/RHS/refinement solves stacked through
   ``solve_modified_many`` (three batched back-substitutions total),
+* ``test_nk_sweep_structured`` — 12 N−2 scenarios on the paper's
+  48-VR A1 ring bank at 128² through the warm structured engine: one
+  transform pair for the whole sweep,
 * ``test_grid_ac_impedance_map`` — the grid-level AC engine: die-seen
   per-node Z(f) over a 200-point sweep at mesh sizes 8/16/24
   (``GridACPDN.impedance_map``, compile once / revalue per frequency),
@@ -320,6 +323,34 @@ def test_nk_sweep_batched(benchmark):
         )
 
     worst = benchmark(sweep)
+    assert worst > 0
+
+
+def test_nk_sweep_structured(benchmark):
+    """12 N−2 scenarios on the paper's 48-VR A1 ring bank at 128²
+    through the structured engine, warm operator: the sweep shares one
+    sink map, so it takes one transform pair plus per-scenario Woodbury
+    coefficients.  Records the Woodbury rank."""
+    from repro import DSCH, SystemSpec, single_stage_a1
+    from repro.core.current_sharing import _die_grid_with_bank
+
+    bank, _ = _die_grid_with_bank(
+        single_stage_a1(), DSCH, SystemSpec(), PowerMap.hotspot_mixture(),
+        128, 1.0, 0.15e-3,
+    )
+    grid = GridPDN.from_design(bank.design, engine="structured")
+    grid.solve()  # warm the structured operator
+    scenarios = [(k, (k + 17) % 48) for k in range(N1_SCENARIOS)]
+
+    def sweep() -> float:
+        solutions = grid.solve_disabled_many(scenarios)
+        return max(
+            float(solution.source_currents_a.max())
+            for solution in solutions
+        )
+
+    worst = benchmark(sweep)
+    benchmark.extra_info["rank"] = grid._ensure_structure().fast.op.rank
     assert worst > 0
 
 

@@ -39,8 +39,10 @@ it.  A batch of right-hand sides costs one transform pair and one
 factored once; a deflated (zero-shift) operator first shifts each
 right-hand side by its net current, so one apply is the whole solve.
 A scenario with disabled sources (open-circuited regulators) solves
-its coefficients on its own small ``S``, so a whole N−k sweep shares
-every transform and the stored influence rows ``Zᵀ``.
+its coefficients on its own small ``S``, so a whole N−k sweep, whose
+scenarios share one sink map, takes one transform pair and shares the
+stored influence rows ``Zᵀ``; those rows come from one periodic
+Green's function by the method of images, not one transform each.
 """
 
 from __future__ import annotations
@@ -156,6 +158,7 @@ class FastPoissonOperator:
         self.ny = ny
         self.gx = gx
         self.gy = gy
+        self.shift = shift
         lam_x = gx * poisson_mode_eigenvalues(nx) if nx > 1 else np.zeros(1)
         lam_y = gy * poisson_mode_eigenvalues(ny) if ny > 1 else np.zeros(1)
         lam = lam_y[:, None] + lam_x[None, :] + shift
@@ -204,6 +207,70 @@ class FastPoissonOperator:
         out = sfft.idctn(hat, type=2, axes=(1, 2), norm="ortho")
         return out.reshape(-1, self.cells)
 
+    def green_rows(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``M⁻¹e_r`` for each mesh row ``r`` of ``rows`` (repeats
+        allowed), written into the ``(len(rows), ny, nx)`` fields
+        ``out``, by the method of images (real shift only).
+
+        The free-ended mesh Laplacian is the periodic Laplacian of the
+        mirror-doubled ``(2ny × 2nx)`` mesh restricted to
+        mirror-symmetric fields (the even extension behind the
+        DCT-II), and ``τ·u₀u₀ᵀ`` restricts the same way, as the even
+        extension of a uniform field is uniform.  So ``M⁻¹e_r`` is the
+        periodic inverse applied to ``e_r`` plus its three mirror
+        images, cut to the mesh: four shifted copies of one periodic
+        Green's function ``G``, one real inverse transform of ``1/λ``
+        on the doubled spectrum (its ``(0, 0)`` entry ``τ`` when
+        deflated).  An axis with one node has period 1 and no mirror:
+        doubling it would add a mode of eigenvalue 0.
+        """
+        if np.iscomplexobj(self._lam):
+            raise ConfigError("green_rows needs a real shift")
+
+        def spectrum(n: int, g: float, count: int) -> np.ndarray:
+            """The doubled axis's first ``count`` mode eigenvalues."""
+            if n == 1:
+                return np.zeros(1)
+            return g * 2.0 * (1.0 - np.cos(np.pi * np.arange(count) / n))
+
+        py = 2 * self.ny if self.ny > 1 else 1
+        px = 2 * self.nx if self.nx > 1 else 1
+        lam = (
+            spectrum(self.ny, self.gy, py)[:, None]
+            + spectrum(self.nx, self.gx, px // 2 + 1)[None, :]
+            + self.shift
+        )
+        if self.deflation_tau is not None:
+            lam[0, 0] = self.deflation_tau
+        green = sfft.irfft2(1.0 / lam, s=(py, px))
+        # Sum the two images along y once per distinct row of the mesh
+        # (a bank's sources share rows), then along x per touched node.
+        iy, ix = np.divmod(np.asarray(rows), self.nx)
+        fold = np.empty((self.ny, px))
+        last = None
+        for i in np.argsort(iy, kind="stable").tolist():
+            if iy[i] != last:
+                last = iy[i]
+                _image_sum(green, int(last), self.ny, fold)
+            _image_sum(fold.T, int(ix[i]), self.nx, out[i].T)
+        return out
+
+
+def _image_sum(
+    g: np.ndarray, k: int, n: int, out: np.ndarray
+) -> np.ndarray:
+    """``out[j] = g[|j − k|] + g[j + k + 1]`` for ``j < n``, along axis
+    0: a Green's function ``g`` of period ``2n``, even, seen from a
+    source at ``k`` and from its mirror image at ``2n − 1 − k``.  By
+    evenness each image is two plain slices of ``g``, with no wrap.  A
+    period-1 ``g`` (an axis of one node, no mirror) is copied."""
+    if len(g) == 1:
+        out[...] = g
+        return out
+    np.add(g[k:0:-1], g[k + 1 : 2 * k + 1], out=out[:k])
+    np.add(g[: n - k], g[2 * k + 1 : n + k + 1], out=out[k:])
+    return out
+
 
 def _finite(x: np.ndarray) -> np.ndarray:
     """``x``, once every entry is finite."""
@@ -224,8 +291,9 @@ class StructuredOperator:
     deflation column (zero shift only) and one unit column per touched
     node (deviating shunt rows and attach nodes, each once), so
     ``rank`` is ``1 + |T|``; ``C = blockdiag(−τ, C_T)``
-    (:func:`touched_coupling`).  ``Zᵀ = (M⁻¹U)ᵀ`` is stored once, each
-    row one inverse transform of a :func:`modal_columns` field, and
+    (:func:`touched_coupling`).  ``Zᵀ = (M⁻¹U)ᵀ`` is stored once, its
+    rows built from one periodic Green's function by the method of
+    images (:meth:`FastPoissonOperator.green_rows`), and
     ``S = I + C·UᵀZ`` (no ``C⁻¹``: a dead source can leave ``C_T``
     singular) is LU-factored once.
 
@@ -289,12 +357,9 @@ class StructuredOperator:
         if self.deflated:
             self._c[0, 0] = self._c0[0, 0] = -tau
             self._zt[0] = 1.0 / (tau * np.sqrt(cells))
-        fields = self._zt[lead:].reshape(-1, ny, nx)
-        np.divide(
-            modal_columns(nx, ny, self._rows), self.poisson.eigenvalues(),
-            out=fields,
+        self.poisson.green_rows(
+            self._rows, self._zt[lead:].reshape(-1, ny, nx)
         )
-        sfft.idctn(fields, type=2, axes=(1, 2), norm="ortho", overwrite_x=True)
         self._p = self._gather(self._zt).T  # UᵀZ
         self._s = np.eye(self.rank) + self._c @ self._p
         self._s0 = np.eye(self.rank) + self._c0 @ self._p
@@ -375,18 +440,25 @@ class StructuredOperator:
         :meth:`apply` lands at ~1e-13 relative.  A deflated (zero-shift)
         one splits each row into its currents off the touched nodes,
         ``b_off``, and on them, ``b_T``, and shifts each part by its net
-        current: with ``a = A·1`` (the touched nodes' shunts, see
-        :meth:`_shunts`), ``c_off = Σb_off / Σa`` and ``c_T = Σb_T / Σa``,
+        current.  With ``a = A·1`` (the row's touched-node shunts, see
+        :meth:`_shunts`), ``a_ref`` the same with every source live,
+        ``c_off = Σb_off / Σa``, ``c_ref = Σb_off / Σa_ref`` and
+        ``c_T = Σb_T / Σa``,
 
-            ``x = c_off + c_T + A⁻¹(b_off − c_off·a) + A⁻¹(b_T − c_T·a)``.
+            ``x = c_off + c_T + A⁻¹(b_off − c_ref·a_ref)
+            + A⁻¹(b_T − c_T·a + c_ref·a_ref − c_off·a)``.
 
-        The first part takes the transform pair and the second goes
-        straight into the Woodbury coefficients (:meth:`_correct`).
-        Neither carries net current, so nothing passes through the
+        The first inverse takes the transform pair and the second, whose
+        currents sit on the touched nodes, goes straight into the
+        Woodbury coefficients (:meth:`_correct`); with every source live
+        ``a`` is ``a_ref`` and its last two terms cancel exactly.
+        Neither part carries net current, so nothing passes through the
         deflated constant mode, and a bank's Norton injections (48 ×
         ``g_src·V`` ≈ 3×10⁵ A on the paper's banks) never pass through
         ``M⁻¹``: both would cancel against the correction and cost
-        digits.
+        digits.  As ``a_ref`` does not depend on the row, rows whose
+        currents off the touched nodes are equal (an N−k sweep's shared
+        sink map) share one transform pair.
 
         Raises:
             StructuredSolveError: a row with no live shunt (``Σa = 0``:
@@ -395,23 +467,34 @@ class StructuredOperator:
         """
         if not self.deflated:
             return _finite(self.apply(b, live))
-        a = self._shunts(live, len(b))
-        total = a.sum(axis=1, keepdims=True)
+        a_ref = self._shunts(None, 1)
+        total_ref = a_ref.sum(axis=1, keepdims=True)
+        a = a_ref if live is None else self._shunts(live, len(b))
+        total = total_ref if live is None else a.sum(axis=1, keepdims=True)
         if not np.all(total):
             raise StructuredSolveError(
                 "structured correction is singular: a right-hand side "
                 "has no live shunt to ground"
             )
-        b_t = np.zeros_like(a)
+        b_t = np.zeros((len(b), self.rank))
         b_t[:, 1:] = b[:, self._rows]
         b_off = b.astype(np.result_type(b, a))
         b_off[:, self._rows] = 0.0
-        c_off = b_off.sum(axis=1, keepdims=True) / total
+        net = b_off.sum(axis=1, keepdims=True)
+        c_ref, c_off = net / total_ref, net / total
         c_t = b_t.sum(axis=1, keepdims=True) / total
-        b_off[:, self._rows] = -c_off * a[:, 1:]
-        x = self._correct(
-            self.poisson.solve_rows(b_off), b_t - c_t * a, live
-        )
+        b_off[:, self._rows] = -c_ref * a_ref[:, 1:]
+        r = b_t - c_t * a
+        if live is not None:
+            r += c_ref * a_ref - c_off * a
+        # Rows equal off the touched nodes take one transform pair; the
+        # net currents are compared first, a cheap test distinct loads
+        # fail.
+        one = len(b) > 1 and np.all(net == net[0]) and np.all(b_off == b_off[0])
+        y = self.poisson.solve_rows(b_off[:1] if one else b_off)
+        if one:
+            y = np.repeat(y, len(b), axis=0)
+        x = self._correct(y, r, live)
         x += c_off + c_t
         return _finite(x)
 

@@ -56,6 +56,7 @@ from .mna import (
     SINGULARITY_PROBE_TOL,
     FactorizedPDN,
     check_balance,
+    check_method,
     singularity_probe,
 )
 from .mesh import DecapDensity, MeshDesign, MeshView, cached
@@ -252,6 +253,22 @@ class _GridStructure:
 
             self._solver = get_factorized(self.stamp)
         return self._solver
+
+    @cached_property
+    def packing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The packager's constants of the stamp: ``1/res_ohm``, the
+        rows the ring and shunt currents flow into (ring heads, then
+        attach nodes, in branch order), and the rows their drops read
+        (ring tails, then those).  Held per topology: ``1/res_ohm``
+        rebuilt per packaged row cost a division per branch, and rebuilt
+        per packaging call it raised the peak RSS of a 128² A1 bank's
+        solves by ~5 MB (glibc malloc keeps the freed block as a heap
+        hole)."""
+        stamp, lateral = self.stamp, self.lateral_count
+        ring = slice(self.grid_edge_count, lateral)
+        heads = np.concatenate([stamp.res_b[ring], stamp.res_a[lateral:]])
+        taps = np.concatenate([stamp.res_a[ring], heads])
+        return 1.0 / stamp.res_ohm, heads, taps
 
     @property
     def fast(self) -> StructuredGridPDN:
@@ -520,7 +537,11 @@ class GridPDN(MeshView):
         (``method`` is forwarded: ``"auto"`` refactorizes a scenario
         whose correction is ill-conditioned), so an exhaustive N−k
         enumeration pays three batched solves for the entire sweep.
+        The structured engine has no per-scenario method; ``method`` is
+        checked on both engines (ConfigError unless ``"auto"``,
+        ``"woodbury"`` or ``"refactor"``).
         """
+        check_method(method)
         design = self._require(sinks=True)
         live = np.array(
             [self._live_sources(scenario) for scenario in scenarios],
@@ -627,34 +648,51 @@ class GridPDN(MeshView):
         KCL bound by orders of magnitude.
         """
         stamp, lateral = structure.stamp, structure.lateral_count
-        edge_a, edge_b = stamp.res_a[:lateral], stamp.res_b[:lateral]
-        attach = stamp.res_a[lateral:]
+        nx, ny, cells = self.nx, self.ny, stamp.n_nodes
+        # The stamp orders its edges as mesh_edge_rows does: x edges as
+        # (ny, nx−1) rows, y edges as (ny−1, nx) rows, then the ring
+        # segments, so mesh drops and their KCL sums are stencil slices.
+        x_end, y_end = ny * (nx - 1), structure.grid_edge_count
+        ring = slice(y_end, lateral)
+        k = lateral - y_end
+        conductance, heads, taps = structure.packing
         solutions = []
-        # The conductance is rebuilt per row on purpose: hoisting it out
-        # of the loop raised the peak RSS of a 128² A1 bank's solves by
-        # ~8 MB (glibc malloc, Linux x86-64).
         for v_row, amp, live_row in zip(voltages, sinks, live):
-            # Ground trick: append one 0.0 so GROUND_INDEX (-1) gathers
-            # 0 V; a shunt's drop to ground is then replaced by the
-            # physical one across r_out, EMF to attach node.
-            v_full = np.concatenate([v_row, [0.0]])
-            drop = v_full[stamp.res_a] - v_full[stamp.res_b]
-            drop[lateral:] = np.where(live_row, volts - v_row[attach], 0.0)
-            branch_currents = drop * (1.0 / stamp.res_ohm)
-            losses = branch_currents * drop
+            v = v_row.reshape(ny, nx)
+            v_taps = v_row[taps]
+            drop = np.empty_like(conductance)
+            np.subtract(v[:, :-1], v[:, 1:], out=drop[:x_end].reshape(ny, -1))
+            np.subtract(v[:-1], v[1:], out=drop[x_end:y_end].reshape(-1, nx))
+            np.subtract(v_taps[:k], v_taps[k : 2 * k], out=drop[ring])
+            # A shunt's drop is the physical one across r_out, EMF to
+            # attach node, and exactly 0 V when the source is dead.
+            shunt = drop[lateral:]
+            shunt[:] = 0.0
+            np.subtract(volts, v_taps[2 * k :], out=shunt, where=live_row)
+            branch_currents = drop * conductance
+            losses = np.multiply(branch_currents, drop, out=drop)
             currents = branch_currents[lateral:].copy()
+            lateral_loss = losses[:lateral].sum()
+            source_loss = losses[lateral:].sum()
             if check:
-                edge = branch_currents[:lateral]
+                residual = np.bincount(heads, branch_currents[y_end:], cells)
+                if k:
+                    np.subtract.at(residual, taps[:k], branch_currents[ring])
+                residual -= amp
+                field = residual.reshape(ny, nx)
+                i_x = branch_currents[:x_end].reshape(ny, -1)
+                i_y = branch_currents[x_end:y_end].reshape(-1, nx)
+                field[:, 1:] += i_x
+                field[:, :-1] -= i_x
+                field[1:] += i_y
+                field[:-1] -= i_y
                 check_balance(
-                    np.bincount(edge_b, edge, stamp.n_nodes)
-                    - np.bincount(edge_a, edge, stamp.n_nodes)
-                    + np.bincount(attach, currents, stamp.n_nodes)
-                    - amp,
+                    residual,
                     amp,
                     currents,
                     source_power=float(volts @ currents),
                     load_power=float(amp @ v_row),
-                    dissipated=float(losses.sum()),
+                    dissipated=float(lateral_loss + source_loss),
                 )
             total_sink = float(amp.sum())
             if abs(currents.sum() - total_sink) > 1e-6 * max(total_sink, 1.0):
@@ -665,14 +703,10 @@ class GridPDN(MeshView):
             solutions.append(
                 GridSolution(
                     source_currents_a=currents,
-                    lateral_loss_w=float(
-                        losses[:lateral].sum() * self.rail_pair_factor
-                    ),
-                    source_loss_w=float(losses[lateral:].sum()),
-                    voltage_map=v_row.reshape(self.ny, self.nx).copy(),
-                    grid_edge_currents_a=branch_currents[
-                        : structure.grid_edge_count
-                    ],
+                    lateral_loss_w=float(lateral_loss * self.rail_pair_factor),
+                    source_loss_w=float(source_loss),
+                    voltage_map=v.copy(),
+                    grid_edge_currents_a=branch_currents[:y_end],
                 )
             )
         return solutions

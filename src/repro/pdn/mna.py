@@ -40,7 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from ..errors import SolverError, require_finite, require_indices
+from ..errors import ConfigError, SolverError, require_finite, require_indices
 from .network import GROUND_INDEX, CompiledNetlist, Netlist, NodeId
 
 #: Cap on memoized influence columns per factorization.  Each
@@ -61,6 +61,22 @@ SINGULARITY_PROBE_TOL = 1e-3
 #: singular value at or below ``max(1, sigma_max) / _WOODBURY_COND_LIMIT``
 #: is refactorized (or rejected under ``method="woodbury"``).
 _WOODBURY_COND_LIMIT = 1e10
+
+#: The ``method`` values of :meth:`FactorizedPDN.solve_modified_many`
+#: and :meth:`repro.pdn.grid.GridPDN.solve_disabled_many`.
+MODIFIED_METHODS = ("auto", "woodbury", "refactor")
+
+
+def check_method(method: str) -> str:
+    """``method`` if it names one of :data:`MODIFIED_METHODS`, else
+    ConfigError."""
+    if method not in MODIFIED_METHODS:
+        raise ConfigError(
+            f"unknown method {method!r}; expected one of "
+            f"{', '.join(MODIFIED_METHODS)}"
+        )
+    return method
+
 
 #: SuperLU settings for a stamp without voltage sources: a resistor
 #: network whose every node reaches ground is symmetric positive
@@ -554,14 +570,13 @@ class FactorizedPDN:
         Returns one :class:`DCSolution` per scenario, in order.
 
         Raises:
-            ConfigError: a scenario that is not a scalar or a 1-D set
-                of whole-number indices.
+            ConfigError: an unknown ``method``, or a scenario that is
+                not a scalar or a 1-D set of whole-number indices.
             SolverError: an index out of range, a disconnecting
                 modification, or (with ``method="woodbury"``) an
                 ill-conditioned correction.
         """
-        if method not in ("auto", "woodbury", "refactor"):
-            raise SolverError(f"unknown solve_modified method: {method!r}")
+        check_method(method)
         n_res = len(self.compiled.res_ohm)
         keys: list[list[int]] = []
         for scenario in scenarios:

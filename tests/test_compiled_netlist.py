@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, SolverError
+from repro.pdn.fast_poisson import StructuredGridPDN
 from repro.pdn.grid import GridPDN
 from repro.pdn.mna import FactorizedPDN, solve_dc
 from repro.pdn.network import GROUND_INDEX, CompiledNetlist, Netlist
@@ -387,6 +388,71 @@ class TestGridFactorizationCache:
             grid.solve()
         unchecked = grid.solve(check=False).voltage_map
         assert unchecked[5, 5] - clean[5, 5] == pytest.approx(1e-7, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "engine, design",
+        [
+            ("factorized", "plain"),
+            ("factorized", "ring"),
+            ("factorized", "scaled"),
+            ("structured", "plain"),
+            ("structured", "ring"),
+        ],
+    )
+    def test_packager_check_catches_a_nudge_at_every_node_kind(
+        self, monkeypatch, engine, design
+    ):
+        """The stencil KCL sum covers every kind of node: a 1e-7 V nudge
+        at an interior node, a corner, a mesh-edge node or an attach
+        node (ring-joined on the ring design) raises "KCL violated" on
+        both engines and on edge-scaled metal, and the clean solve
+        passes.  A corner's two edges leave the smallest residual,
+        ~1.8e-4 A against a 3.3e-5 A bound."""
+        n = 12
+        grid = GridPDN(0.02, 0.02, 1e-3, nx=n, ny=n, engine=engine)
+        grid.set_sinks(PowerMap.hotspot_mixture(), 100.0)
+        for k, (x, y) in enumerate([(0.25, 0.25), (0.75, 0.5), (0.5, 0.8)]):
+            grid.add_source(f"s{k}", x, y, 1.0, 1e-3)
+        if design == "ring":
+            grid.connect_sources_with_ring_bus(2e-3)
+        if design == "scaled":
+            rng = np.random.default_rng(1)
+            grid.set_edge_resistance_scale(
+                rng.uniform(0.5, 2.0, (n, n - 1)),
+                rng.uniform(0.5, 2.0, (n - 1, n)),
+            )
+        grid.solve()
+        attach = int(grid.design.attach_rows()[1])
+        nodes = {
+            "interior": 3 * n + 8,
+            "corner": n * n - 1,
+            "edge": 6 * n,
+            "attach": attach,
+        }
+        assert attach not in {nodes["interior"], nodes["corner"], nodes["edge"]}
+        nudge = {"node": None}
+        if engine == "structured":
+            solve_reduced = StructuredGridPDN.solve_reduced
+
+            def nudged(self, b, live=None):
+                x = solve_reduced(self, b, live).copy()
+                x[:, nudge["node"]] += 1e-7
+                return x
+
+            monkeypatch.setattr(StructuredGridPDN, "solve_reduced", nudged)
+        else:
+            solve_rhs = FactorizedPDN.solve_rhs
+
+            def nudged(self, rhs):
+                x = solve_rhs(self, rhs).copy()
+                x[nudge["node"]] += 1e-7
+                return x
+
+            monkeypatch.setattr(FactorizedPDN, "solve_rhs", nudged)
+        for kind, node in nodes.items():
+            nudge["node"] = node
+            with pytest.raises(SolverError, match="KCL violated"):
+                grid.solve()
 
 
 class TestNortonStamp:

@@ -128,6 +128,32 @@ def test_modal_columns_are_the_transform_of_unit_columns():
     )
 
 
+@pytest.mark.parametrize(
+    "nx, ny", [(6, 6), (7, 4), (3, 10), (2, 2), (1, 9), (8, 1)],
+    ids=["square", "wide", "tall", "2x2", "y-chain", "x-chain"],
+)
+@pytest.mark.parametrize("shift", [0.0, 2.5], ids=["deflated", "shifted"])
+def test_green_rows_by_images_match_the_transform(nx, ny, shift):
+    """``M⁻¹e_r`` by the method of images (one periodic Green's function
+    of the mirror-doubled mesh, four images per row) equals the
+    inverse 2-D DCT of ``modal_columns/λ`` within 1e-14 relative, for
+    rows at corners, on edges, inside, and repeated."""
+    import scipy.fft as sfft
+
+    op = FastPoissonOperator(nx, ny, 1.7, 0.6, shift=shift)
+    cells = nx * ny
+    corners = [0, nx - 1, cells - nx, cells - 1]
+    edges = [nx // 2, (ny // 2) * nx, (ny // 2) * nx + nx - 1]
+    inside = [(ny // 2) * nx + nx // 2]
+    rows = np.array(corners + edges + inside + [corners[-1], edges[0]])
+    want = sfft.idctn(
+        modal_columns(nx, ny, rows) / op.eigenvalues(),
+        type=2, axes=(1, 2), norm="ortho",
+    )
+    got = op.green_rows(rows, np.empty((rows.size, ny, nx)))
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_operator_accepts_complex_rhs():
     op = FastPoissonOperator(5, 4, 2.0, 3.0)
     rhs = np.random.default_rng(0).standard_normal(20) + 1j
@@ -525,6 +551,91 @@ def test_deflated_transient_solve_is_one_transform_pair(monkeypatch):
     result = pdn.simulate_step(0.5, 5.0, duration_s=2e-9, dt_s=2e-10)
     assert result.engine == "structured"
     assert calls["solve"] > 0 and calls["solve_rows"] == calls["solve"]
+
+
+def count_transform_rows(monkeypatch) -> list[int]:
+    """The row count of every :meth:`FastPoissonOperator.solve_rows`
+    call: the right-hand sides that pass through a transform pair."""
+    rows = []
+    solve_rows = FastPoissonOperator.solve_rows
+
+    def counted(self, rhs):
+        rows.append(len(rhs))
+        return solve_rows(self, rhs)
+
+    monkeypatch.setattr(FastPoissonOperator, "solve_rows", counted)
+    return rows
+
+
+def test_failure_sweep_takes_one_transform_row(monkeypatch):
+    """The scenarios of an N−k sweep share one sink map, and each row
+    is shifted by the all-live reference, so the whole sweep passes
+    one right-hand side through the transforms (it passed one per
+    scenario); ``solve_many`` of distinct maps still passes one per
+    map."""
+    grid = signoff_bank(single_stage_a1, 16)
+    grid._ensure_structure().fast  # setup transforms are not counted
+    rows = count_transform_rows(monkeypatch)
+    grid.solve_disabled_many([(0,), (3, 17), (5, 6, 40)])
+    grid.solve_disabled_many([(), (1, 2)])
+    maps = np.random.default_rng(3).uniform(0.0, 2.0, (4, 16, 16))
+    grid.solve_many(maps)
+    assert rows == [1, 1, 4]
+
+
+def test_shared_rows_meet_the_dense_system():
+    """Rows equal off the touched nodes but not on them (Norton
+    injections) share one transform pair, and each, with its own live
+    mask, still lands on its own dense system; a floating row among
+    them raises."""
+    nx, ny, gx, gy = 5, 4, 2.0, 3.0
+    attach = np.array([0, 0, 7, 19])
+    g_src = np.array([40.0, 25.0, 60.0, 30.0])
+    ring = [(0, 7), (7, 19), (19, 0)]
+    g_ring = np.array([5.0, 6.0, 7.0])
+    g_node = np.zeros(nx * ny)
+    op = StructuredOperator(
+        nx, ny, gx, gy, g_node, attach, g_src,
+        np.array([p for p, _ in ring]), np.array([q for _, q in ring]),
+        g_ring,
+    )
+    live = np.array(
+        [[True] * 4, [False, True, True, True], [True, True, False, True],
+         [False, False, True, True]]
+    )
+    rng = np.random.default_rng(5)
+    b = np.tile(-rng.uniform(0.0, 1.0, nx * ny), (len(live), 1))
+    np.add.at(
+        b, (slice(None), attach), live * g_src * rng.uniform(0.9, 1.1, 4)
+    )
+    x = op.solve(b, live)
+    for row, mask in enumerate(live):
+        a = dense_operator(
+            nx, ny, gx, gy, g_node, attach, g_src * mask, ring, g_ring
+        )
+        np.testing.assert_allclose(
+            x[row], np.linalg.solve(a, b[row]), rtol=0, atol=1e-12
+        )
+    floating = np.vstack([live, [[False] * 4]])
+    with pytest.raises(StructuredSolveError, match="no live shunt"):
+        op.solve(np.vstack([b, b[:1]]), floating)
+
+
+@pytest.mark.parametrize("n", [24, 64])
+@pytest.mark.parametrize("arch", [single_stage_a1, single_stage_a2])
+def test_nk_sweeps_on_signoff_banks_meet_an_extended_precision_solve(arch, n):
+    """N−2 sweeps on the 48-VR banks (A1 on its ring, A2 under the die)
+    with unequal setpoints land within 1e-13 relative of the
+    long-double-refined nodal solve, each scenario shifted by the
+    all-live reference and the sweep through one transform pair."""
+    grid = signoff_bank(arch, n)
+    grid.design = with_setpoints(grid.design, n)
+    scenarios = [(0, 1), (5, 17), (23, 24), (40, 47), (11, 36)]
+    for solution, scenario in zip(
+        grid.solve_disabled_many(scenarios), scenarios
+    ):
+        exact = solve_dc_ld(grid.design, grid._live_sources(scenario))
+        assert relative_gap(solution, exact) <= 1e-13
 
 
 def stiff_grid(nx: int, ny: int, ring_ohm: float, seed: int) -> GridPDN:

@@ -650,6 +650,40 @@ class TestOneDCBatch:
         assert batches == [len(MIXED_SWEEP)]
 
 
+class TestMethodOption:
+    """``method`` is checked on both DC engines: an unknown value raises
+    ConfigError naming it before any solve (the structured engine,
+    which has no per-scenario method, returned solutions), and the
+    three valid values solve as before."""
+
+    @pytest.mark.parametrize(
+        "n, engine", [(24, "factorized"), (24, "structured"), (64, "auto")]
+    )
+    def test_unknown_method_raises_by_name(self, n, engine):
+        grid = _bank(n, engine)
+        with pytest.raises(ConfigError, match="^unknown method 'bogus'"):
+            grid.solve_disabled((0,), method="bogus")
+        with pytest.raises(ConfigError, match="method"):
+            grid.solve_disabled_many([(), (1, 3)], method="Refactor")
+
+    @pytest.mark.parametrize(
+        "n, engine", [(24, "factorized"), (24, "structured"), (64, "auto")]
+    )
+    def test_valid_methods_solve_as_before(self, n, engine):
+        grid = _bank(n, engine)
+        oracle = _bank(n, "factorized").solve_disabled_many(
+            MIXED_SWEEP, method="refactor"
+        )
+        default = grid.solve_disabled_many(MIXED_SWEEP)
+        for method in ("auto", "woodbury", "refactor"):
+            solutions = grid.solve_disabled_many(MIXED_SWEEP, method=method)
+            for got, want, ref in zip(solutions, default, oracle):
+                if method == "auto" or grid._resolve_engine() == "structured":
+                    _assert_identical(got, want)
+                gap = np.abs(got.voltage_map - ref.voltage_map).max()
+                assert gap <= 1e-9
+
+
 class TestColocatedSources:
     """Two regulators on one node stay two regulators under N−k: each
     is its own shunt and Norton injection of the nodal stamp."""

@@ -351,8 +351,22 @@ class TestSolveModified:
             solver.solve_modified(remove_resistors=(5,))
         with pytest.raises(SolverError):
             solver.solve_modified(remove_resistors=(-1,))
-        with pytest.raises(SolverError):
-            solver.solve_modified(remove_resistors=(0,), method="sideways")
+
+    def test_rejects_an_unknown_method_by_name(self):
+        # The same ConfigError as GridPDN.solve_disabled_many's, before
+        # any solve; the valid methods agree.
+        solver = FactorizedPDN(self.dual_source())
+        rout = self.rout(solver, "vr0")
+        with pytest.raises(ConfigError, match="^unknown method 'sideways'"):
+            solver.solve_modified(remove_resistors=(rout,), method="sideways")
+        with pytest.raises(ConfigError, match="method"):
+            solver.solve_modified_many([(), (rout,)], method="")
+        oracle = solver.solve_modified(remove_resistors=(rout,), method="refactor")
+        for method in ("auto", "woodbury"):
+            got = solver.solve_modified(remove_resistors=(rout,), method=method)
+            assert got.node_voltage_array == pytest.approx(
+                oracle.node_voltage_array, rel=1e-9
+            )
 
     def test_rejects_non_index_values_by_name(self):
         # A fraction or a boolean is not an element index (an int64
