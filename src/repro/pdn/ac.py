@@ -33,7 +33,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..errors import ConfigError, SolverError
-from .mna import SINGULARITY_PROBE_TOL, singularity_probe
+from .mna import (
+    SINGULARITY_PROBE_TOL,
+    factorization_probe_error,
+    singularity_probe,
+)
 from .network import (
     GROUND_INDEX,
     CompiledNetlist,
@@ -253,6 +257,34 @@ def solve_ac(netlist: ACNetlist, frequency_hz: float) -> ACSolution:
         )
     voltages = {node: complex(solution[index[node]]) for node in nodes}
     return ACSolution(frequency_hz=frequency_hz, node_voltages=voltages)
+
+
+def probed_lu(matrix: sp.csc_matrix, frequency_hz: float) -> spla.SuperLU:
+    """The sparse LU of one AC system matrix, probed as it is factored.
+
+    The one sparse factorization of every AC sweep path.  SuperLU
+    failing, or the known-solution probe (see
+    :func:`repro.pdn.mna.singularity_probe`: one matvec and one
+    back-substitution on the new factors) missing ``w``, raises
+    :class:`~repro.errors.SolverError` naming the frequency, so an
+    exactly singular point (a floating subcircuit or mesh that LU slid
+    through on a rounded pivot) fails loudly instead of returning an
+    arbitrary null-space offset.
+    """
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", spla.MatrixRankWarning)
+        try:
+            lu = spla.splu(matrix)
+        except RuntimeError as exc:
+            raise SolverError(
+                f"AC system is singular at {frequency_hz:.6g} Hz: {exc}"
+            ) from exc
+    if not factorization_probe_error(lu, matrix) <= SINGULARITY_PROBE_TOL:
+        raise SolverError(
+            f"AC system is singular at {frequency_hz:.6g} Hz "
+            "(resonant singularity or floating subcircuit)"
+        )
+    return lu
 
 
 def check_frequencies(frequencies_hz: np.ndarray) -> np.ndarray:
@@ -504,7 +536,8 @@ class CompiledACNetlist:
         Small systems (``size <= DENSE_SWEEP_CUTOFF``) are solved as
         batched dense LAPACK calls, chunked to bound scratch memory;
         larger ones run one sparse LU per frequency on the shared
-        pattern.  Either way the netlist is never re-assembled.
+        pattern (:func:`probed_lu`).  Either way the netlist is never
+        re-assembled.
 
         Raises:
             SolverError: a non-finite solution (resonant singularity
@@ -518,10 +551,10 @@ class CompiledACNetlist:
         # repro.pdn.mna.singularity_probe): an exactly singular point
         # (a floating subcircuit that LU slid through on a rounded
         # pivot) fails loudly instead of returning an arbitrary
-        # null-space offset.  It rides along as one extra RHS column,
-        # so the sweep pays almost nothing.
+        # null-space offset.  The dense batch carries it as one extra
+        # RHS column; a sparse LU is probed as it is factored.
         probe = singularity_probe(size)
-        probe_error = np.empty(count)
+        probe_error = np.zeros(count)
         use_dense = size <= DENSE_SWEEP_CUTOFF
         # Both branches chunk over frequency so the per-chunk scratch
         # (dense matrix batch, or the (chunk, nnz) value matrix of a
@@ -553,28 +586,12 @@ class CompiledACNetlist:
                         solved[:, :, 1] - probe
                     ).max(axis=1, initial=0.0)
             else:
-                for k in range(lo, hi):
+                for k, values in enumerate(data, lo):
                     matrix = sp.csc_matrix(
-                        (data[k - lo], self._csc_rows, self._indptr),
+                        (values, self._csc_rows, self._indptr),
                         shape=(size, size),
                     )
-                    stacked = np.column_stack([self.rhs, matrix @ probe])
-                    with np.errstate(all="ignore"), warnings.catch_warnings():
-                        warnings.simplefilter(
-                            "ignore", spla.MatrixRankWarning
-                        )
-                        try:
-                            solved = spla.splu(matrix).solve(stacked)
-                        except RuntimeError as exc:
-                            raise SolverError(
-                                f"AC sweep solve failed at "
-                                f"{freqs[k]:.6g} Hz: {exc}"
-                            ) from exc
-                    solutions[k] = solved[:, 0]
-                    with np.errstate(all="ignore"):
-                        probe_error[k] = float(
-                            np.abs(solved[:, 1] - probe).max(initial=0.0)
-                        )
+                    solutions[k] = probed_lu(matrix, freqs[k]).solve(self.rhs)
 
         good = np.all(np.isfinite(solutions), axis=1)
         good &= np.isfinite(probe_error) & (

@@ -527,7 +527,9 @@ def optimize_decap_placement(
     """
     require_finite(target_ohm, "target_ohm")
     if target_ohm <= 0:
-        raise ConfigError("target impedance must be positive")
+        raise ConfigError(
+            f"target_ohm must be positive, got {target_ohm}"
+        )
     saved = pdn.design
     decap = saved.decap
     if not isinstance(decap, DecapDensity):
@@ -742,12 +744,15 @@ def size_decap_placement_for_target(
     budget found (or the last failing one, ``meets_target`` False, if
     ``max_budget_factor`` is exhausted).
     """
+    require_finite(max_budget_factor, "max_budget_factor")
     if max_budget_factor < 1.0:
-        raise ConfigError("max budget factor must be >= 1")
+        raise ConfigError(
+            f"max_budget_factor must be >= 1, got {max_budget_factor}"
+        )
+    require_finite(growth, "growth")
     if growth <= 1.0:
-        raise ConfigError("budget growth factor must be > 1")
-    if refine_steps < 0:
-        raise ConfigError("refine_steps must be non-negative")
+        raise ConfigError(f"growth must be > 1, got {growth}")
+    refine_steps = require_count(refine_steps, "refine_steps", 0)
     base = pdn.total_decap_farad
     if base <= 0:
         raise ConfigError(

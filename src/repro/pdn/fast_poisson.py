@@ -88,9 +88,8 @@ def dct2_basis(n: int) -> np.ndarray:
     """The orthonormal DCT-II basis matrix ``B[k, j]``.
 
     Row ``k`` is the k-th eigenvector of the free path Laplacian;
-    ``B @ B.T = I``.  Used for per-node squared eigenvector weights
-    (the structured AC impedance map) and :func:`modal_columns`; bulk
-    transforms go through ``scipy.fft`` instead.
+    ``B @ B.T = I``.  A dense reference for the transforms, which go
+    through ``scipy.fft``.
     """
     j = np.arange(n, dtype=float)
     basis = np.cos(
@@ -100,15 +99,6 @@ def dct2_basis(n: int) -> np.ndarray:
     basis *= np.sqrt(2.0 / n)
     basis[0] *= np.sqrt(0.5)
     return basis
-
-
-def modal_columns(nx: int, ny: int, rows: np.ndarray) -> np.ndarray:
-    """The orthonormal 2-D DCT-II of the unit columns ``e_r`` as
-    ``(len(rows), ny, nx)`` fields: for ``r = iy·nx + ix``, the outer
-    product of column ``iy`` of ``dct2_basis(ny)`` and column ``ix``
-    of ``dct2_basis(nx)`` — no transform, no dense column stack."""
-    iy, ix = np.divmod(rows, nx)
-    return dct2_basis(ny).T[iy, :, None] * dct2_basis(nx).T[ix, None, :]
 
 
 def touched_coupling(
@@ -207,68 +197,112 @@ class FastPoissonOperator:
         out = sfft.idctn(hat, type=2, axes=(1, 2), norm="ortho")
         return out.reshape(-1, self.cells)
 
-    def green_rows(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``M⁻¹e_r`` for each mesh row ``r`` of ``rows`` (repeats
-        allowed), written into the ``(len(rows), ny, nx)`` fields
-        ``out``, by the method of images (real shift only).
+    def green(self, shifts: complex | np.ndarray = 0.0) -> np.ndarray:
+        """The periodic Green's function of the mirror-doubled mesh for
+        ``M + s·I``: one ``(py, px)`` period per shift ``s`` of
+        ``shifts`` (a scalar or a stack, possibly complex), shaped
+        ``shifts.shape + (py, px)``, with ``py = 2·ny`` (1 for one node
+        along y) and ``px`` likewise.
 
         The free-ended mesh Laplacian is the periodic Laplacian of the
         mirror-doubled ``(2ny × 2nx)`` mesh restricted to
         mirror-symmetric fields (the even extension behind the
-        DCT-II), and ``τ·u₀u₀ᵀ`` restricts the same way, as the even
-        extension of a uniform field is uniform.  So ``M⁻¹e_r`` is the
-        periodic inverse applied to ``e_r`` plus its three mirror
-        images, cut to the mesh: four shifted copies of one periodic
-        Green's function ``G``, one real inverse transform of ``1/λ``
-        on the doubled spectrum (its ``(0, 0)`` entry ``τ`` when
-        deflated).  An axis with one node has period 1 and no mirror:
-        doubling it would add a mode of eigenvalue 0.
+        DCT-II); ``τ·u₀u₀ᵀ`` and ``s·I`` restrict the same way, as the
+        even extension of a uniform field is uniform.  The doubled
+        spectrum is even about 0 and about n on each axis, so one
+        period is an unnormalized type-I inverse DCT of ``1/λ`` on the
+        ``(ny + 1) × (nx + 1)`` quarter spectrum (``λ[0, 0] = τ + s``
+        when deflated), mirrored.  An axis with one node has period 1
+        and no mirror: doubling it would add a mode of eigenvalue 0.
         """
-        if np.iscomplexobj(self._lam):
-            raise ConfigError("green_rows needs a real shift")
 
-        def spectrum(n: int, g: float, count: int) -> np.ndarray:
-            """The doubled axis's first ``count`` mode eigenvalues."""
+        def quarter(n: int, g: float) -> np.ndarray:
             if n == 1:
                 return np.zeros(1)
-            return g * 2.0 * (1.0 - np.cos(np.pi * np.arange(count) / n))
+            return g * 2.0 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
 
-        py = 2 * self.ny if self.ny > 1 else 1
-        px = 2 * self.nx if self.nx > 1 else 1
-        lam = (
-            spectrum(self.ny, self.gy, py)[:, None]
-            + spectrum(self.nx, self.gx, px // 2 + 1)[None, :]
-            + self.shift
-        )
+        ny, nx = self.ny, self.nx
+        lam = quarter(ny, self.gy)[:, None] + quarter(nx, self.gx) + self.shift
         if self.deflation_tau is not None:
             lam[0, 0] = self.deflation_tau
-        green = sfft.irfft2(1.0 / lam, s=(py, px))
+        shifts = np.asarray(shifts)
+        axes = [axis for axis, n in ((-2, ny), (-1, nx)) if n > 1]
+        half = sfft.idctn(
+            1.0 / (lam + shifts[..., None, None]), type=1, axes=axes,
+            overwrite_x=True,
+        )
+        hy, hx = half.shape[-2:]
+        green = np.empty(
+            shifts.shape + (2 * ny if ny > 1 else 1, 2 * nx if nx > 1 else 1),
+            half.dtype,
+        )
+        green[..., :hy, :hx] = half
+        green[..., :hy, hx:] = half[..., hx - 2 : 0 : -1]
+        green[..., hy:, :] = green[..., hy - 2 : 0 : -1, :]
+        return green
+
+    def green_rows(
+        self, rows: np.ndarray, out: np.ndarray, green: np.ndarray
+    ) -> np.ndarray:
+        """``(M + s·I)⁻¹e_r`` for each mesh row ``r`` of ``rows``
+        (repeats allowed), written into the ``(ny, nx)`` fields
+        ``out[..., i, :, :]``, from the periods ``green`` of
+        :meth:`green` (one leading axis entry per shift) by the method
+        of images: ``e_r`` and its three mirror images, four shifted
+        copies of ``G`` cut to the mesh.
+        """
         # Sum the two images along y once per distinct row of the mesh
         # (a bank's sources share rows), then along x per touched node.
         iy, ix = np.divmod(np.asarray(rows), self.nx)
-        fold = np.empty((self.ny, px))
+        fold = np.empty(
+            green.shape[:-2] + (self.ny, green.shape[-1]), green.dtype
+        )
         last = None
         for i in np.argsort(iy, kind="stable").tolist():
             if iy[i] != last:
                 last = iy[i]
                 _image_sum(green, int(last), self.ny, fold)
-            _image_sum(fold.T, int(ix[i]), self.nx, out[i].T)
+            _image_sum(
+                fold.swapaxes(-1, -2), int(ix[i]), self.nx,
+                out[..., i, :, :].swapaxes(-1, -2),
+            )
         return out
+
+    def green_diagonal(self, green: np.ndarray) -> np.ndarray:
+        """``diag((M + s·I)⁻¹)`` as ``(..., ny, nx)`` fields from the
+        periods ``green`` of :meth:`green`: each node seen from itself
+        and its mirror images, ``G[0] + G[2j + 1]`` at position ``j``
+        along each doubled axis."""
+
+        def own(g: np.ndarray, n: int) -> np.ndarray:
+            """Along axis −2; a period-1 axis has no mirror."""
+            if n == 1:
+                return g
+            return g[..., :1, :] + g[..., 1 : 2 * n : 2, :]
+
+        fold = own(green, self.ny).swapaxes(-1, -2)
+        return own(fold, self.nx).swapaxes(-1, -2)
 
 
 def _image_sum(
     g: np.ndarray, k: int, n: int, out: np.ndarray
 ) -> np.ndarray:
     """``out[j] = g[|j − k|] + g[j + k + 1]`` for ``j < n``, along axis
-    0: a Green's function ``g`` of period ``2n``, even, seen from a
-    source at ``k`` and from its mirror image at ``2n − 1 − k``.  By
-    evenness each image is two plain slices of ``g``, with no wrap.  A
-    period-1 ``g`` (an axis of one node, no mirror) is copied."""
-    if len(g) == 1:
+    −2 under any leading axes: a Green's function ``g`` of period
+    ``2n``, even, seen from a source at ``k`` and from its mirror
+    image at ``2n − 1 − k``.  By evenness each image is two plain
+    slices of ``g``, with no wrap.  A period-1 ``g`` (an axis of one
+    node, no mirror) is copied."""
+    if g.shape[-2] == 1:
         out[...] = g
         return out
-    np.add(g[k:0:-1], g[k + 1 : 2 * k + 1], out=out[:k])
-    np.add(g[: n - k], g[2 * k + 1 : n + k + 1], out=out[k:])
+    np.add(
+        g[..., k:0:-1, :], g[..., k + 1 : 2 * k + 1, :], out=out[..., :k, :]
+    )
+    np.add(
+        g[..., : n - k, :], g[..., 2 * k + 1 : n + k + 1, :],
+        out=out[..., k:, :],
+    )
     return out
 
 
@@ -358,7 +392,8 @@ class StructuredOperator:
             self._c[0, 0] = self._c0[0, 0] = -tau
             self._zt[0] = 1.0 / (tau * np.sqrt(cells))
         self.poisson.green_rows(
-            self._rows, self._zt[lead:].reshape(-1, ny, nx)
+            self._rows, self._zt[lead:].reshape(-1, ny, nx),
+            self.poisson.green(),
         )
         self._p = self._gather(self._zt).T  # UᵀZ
         self._s = np.eye(self.rank) + self._c @ self._p

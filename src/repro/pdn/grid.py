@@ -32,23 +32,23 @@ and transparently refactorizes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..errors import ConfigError, SolverError, require_finite, require_indices
-from .ac import _DENSE_BATCH_ENTRIES, check_frequencies, shared_csc_pattern
+from .ac import (
+    _DENSE_BATCH_ENTRIES,
+    check_frequencies,
+    probed_lu,
+    shared_csc_pattern,
+)
 from .fast_poisson import (
     FastPoissonOperator,
     StructuredGridPDN,
     StructuredSolveError,
-    dct2_basis,
-    modal_columns,
     touched_coupling,
 )
 from .impedance import ImpedanceProfile
@@ -786,7 +786,9 @@ class GridImpedanceMap:
         """True if every node stays at or below the target everywhere."""
         require_finite(target_ohm, "target_ohm")
         if target_ohm <= 0:
-            raise ConfigError("target impedance must be positive")
+            raise ConfigError(
+                f"target_ohm must be positive, got {target_ohm}"
+            )
         return bool(
             np.all(np.abs(self.z_ohm) <= target_ohm * (1 + 1e-12))
         )
@@ -799,7 +801,9 @@ class GridImpedanceMap:
         """
         require_finite(target_ohm, "target_ohm")
         if target_ohm <= 0:
-            raise ConfigError("target impedance must be positive")
+            raise ConfigError(
+                f"target_ohm must be positive, got {target_ohm}"
+            )
         peaks = np.abs(self.z_ohm).max(axis=1)
         violating = peaks > target_ohm * (1 + 1e-12)
         return float(np.count_nonzero(violating) / peaks.size)
@@ -863,26 +867,23 @@ class _SpectralACStructure:
 
 @dataclass
 class _StructuredACStructure:
-    """DCT eigenstructure of the uniform-density reduced AC system.
+    """The uniform-density reduced AC system on the mesh Green's function.
 
     Valid when the mesh metal is purely resistive and every node
     carries the *same* positive decap density: the reduced system is
-    ``A(ω) = G_mesh + α·y_u(ω)·I + U C(ω) Uᵀ`` with ``G_mesh`` the
-    uniform mesh Laplacian, diagonal in the 2-D DCT-II basis.  Then
-    ``diag(M⁻¹)`` is two small GEMMs over squared basis tables per
-    frequency chunk, and the source/ring branches are a rank-(1 + |T|)
-    Woodbury correction, T the attach nodes, whose influence columns
-    come back through one batched inverse transform — no
+    ``A(ω) = M(ω) + U C(ω) Uᵀ`` with ``M(ω) = G_mesh + τ·u₀u₀ᵀ +
+    α·y_u(ω)·I``, the deflated mesh operator shifted by the decap
+    admittance, and the source/ring branches a rank-(1 + |T|) Woodbury
+    correction on ``U = [u₀ | E_T]``, T the attach nodes.  Per
+    frequency ``M⁻¹``'s diagonal and its rows at T come from one
+    periodic Green's function by the method of images — no
     eigendecomposition, no LU, ever.  Like
     :class:`_SpectralACStructure`, it leaves the unit cell and source
     branches on the design.
     """
 
-    lam: np.ndarray  # mesh Laplacian modal eigenvalues, (cells,)
-    tau: float  # zero-mode deflation shift folded into lam[0]
-    bx_sq: np.ndarray  # squared DCT basis, (nx_modes, nx_nodes)
-    by_sq: np.ndarray
-    u_hat: np.ndarray  # modal columns of U as rows, (k, cells)
+    mesh: FastPoissonOperator  # deflated, unshifted
+    touched: np.ndarray  # T, the attach nodes, sorted
     alpha: float  # uniform decap density
     src_slots: np.ndarray  # column of U at each source's attach node
     ring: np.ndarray | None  # ring Laplacian on U's columns, (k, k)
@@ -976,12 +977,14 @@ class _SelinvPlan:
 
 
 #: Weights of the per-frequency operation counts ``auto`` compares
-#: (see :meth:`GridACPDN.impedance_engine`): structured's two
-#: ``k²·cells`` products, and selinv's cost per ``levels·width³``.
-#: On the crossover table in ``docs/structured-solvers.md`` every
-#: selinv weight in 4.8–8.7 picks the faster engine at all 18 shapes
-#: (the A2 array at 32² flips to selinv below 4.80, at 24² to
-#: structured above 8.69); 6.5 sits inside that range.
+#: (see :meth:`GridACPDN.impedance_engine`): structured's cost per
+#: ``k²·cells``, and selinv's per ``levels·width³``.  The weights were
+#: fit when structured ran two ``k²·cells`` products; on the mesh
+#: Green's function it runs one ``k²·cells`` GEMM plus O(k·cells)
+#: image sums, and both weights stay (a re-fit is an A/B change to
+#: routing).  On the crossover table in ``docs/structured-solvers.md``
+#: every selinv weight in 4.8–8.7 picked the faster engine at all 18
+#: shapes under the former structured engine; 6.5 sits inside it.
 _STRUCTURED_COST_WEIGHT = 2
 _SELINV_COST_WEIGHT = 6.5
 
@@ -1007,10 +1010,10 @@ class GridACPDN(MeshView):
     branches fold into per-node shunt admittances, and in the driven
     sweep each source's EMF is a Norton injection behind its branch.
     The impedance map solves it by exact block-tridiagonal selected
-    inversion (``selinv``), or by the DCT-diagonalized ``structured``
-    engine when the decap density is uniform and its rank-k branch
-    correction is the cheaper of the two; the driven sweep by one
-    sparse LU per frequency.  Each structure is cached under the
+    inversion (``selinv``), or on the mesh Green's function
+    (``structured``) when the decap density is uniform and its rank-k
+    branch correction is the cheaper of the two; the driven sweep by
+    one probed sparse LU per frequency.  Each structure is cached under the
     design's :attr:`~repro.pdn.mesh.MeshDesign.key` alone, so sink and
     voltage edits reuse it.
 
@@ -1079,8 +1082,8 @@ class GridACPDN(MeshView):
         engine:
 
         * ``"structured"`` — uniform decap density, resistive mesh;
-          DCT-diagonalized mesh Laplacian, O(n² log n) setup and a few
-          GEMMs per frequency chunk.
+          one mesh Green's function per frequency, image sums and
+          one GEMM per frequency chunk.
         * ``"selinv"`` — fully general (any decap map, inductive mesh
           metal, ring buses); exact block-tridiagonal selected
           inversion batched over frequency, O(levels·width³) per
@@ -1135,8 +1138,8 @@ class GridACPDN(MeshView):
         these columns are also the adjoint fields
         ``d Z_k / d y_shunt,i = −(A⁻¹ e_k)_i²`` that the placement
         optimizer turns into per-node decap sensitivities for *all*
-        nodes at once.  The known-solution probe is solved on the same
-        LU as a separate right-hand side, so a singular system raises
+        nodes at once.  Its LU is probed as it is factored
+        (:func:`~repro.pdn.ac.probed_lu`), so a singular system raises
         like every other AC path.
 
         Returns a complex ``(cells, len(nodes))`` array.
@@ -1156,20 +1159,10 @@ class GridACPDN(MeshView):
             raise ConfigError("nodes must be a non-empty 1-D index list")
         if np.any(rows < 0) or np.any(rows >= cells):
             raise ConfigError("probe node index outside the mesh")
-        structure = self._ensure_reduced()
-        omega = 2.0 * math.pi * freqs
-        data = self._reduced_csc_data(structure, omega)
         rhs = np.zeros((cells, rows.size), dtype=complex)
         rhs[rows, np.arange(rows.size)] = 1.0
-        matrix, lu = _reduced_lu(structure, data[0], freqs[0])
-        columns = lu.solve(rhs)
-        probe = singularity_probe(cells)
-        with np.errstate(all="ignore"):
-            probe_error = np.abs(lu.solve(matrix @ probe) - probe).max()
-        if not np.all(np.isfinite(columns)):
-            probe_error = np.inf
-        _check_probe(np.array([probe_error]), freqs)
-        return columns
+        (lu,) = self._probed_lus(2.0 * math.pi * freqs, freqs)
+        return lu.solve(rhs)
 
     def impedance_engine(self, method: str = "auto") -> str:
         """The impedance-map engine ``method`` resolves to.
@@ -1183,9 +1176,10 @@ class GridACPDN(MeshView):
         read from the design's shape:
 
         * structured ≈ 2·k²·cells + k³ for its rank-k branch
-          correction, k = 1 (zero-mode deflation) + attach nodes: the
-          ``UᵀM⁻¹U`` product and the correction gather over every
-          cell, then one k×k solve;
+          correction, k = 1 (zero-mode deflation) + attach nodes: one
+          ``k²·cells`` GEMM weighting the influence rows plus O(k·cells)
+          image sums, then one k×k solve (the weight 2 was fit when it
+          ran two ``k²·cells`` products, and stays);
         * selinv ≈ 6.5·levels·width³ from the cached level plan (one
           block inverse and four block products per level), the
           weight set inside the range that routes every shape of the
@@ -1344,83 +1338,75 @@ class GridACPDN(MeshView):
         nx, ny = self.nx, self.ny
         gx = 1.0 / self.edge_resistance_x_ohm if nx > 1 else 0.0
         gy = 1.0 / self.edge_resistance_y_ohm if ny > 1 else 0.0
-        # The deflated mesh operator of the DC fast path: at low
-        # frequency 1/(α·y_u) dwarfs every other modal weight and its
-        # near-exact cancellation by the source correction destroys ~5
-        # digits, so the zero mode sits at τ and comes back as a −τ
-        # rank-one branch in the Woodbury block, where the cancellation
-        # resolves inside a full-precision dense solve.
-        mesh = FastPoissonOperator(nx, ny, gx, gy)
         _, ring_a, ring_b = design.ring_segments()
         attach = design.attach_rows()
         g_ring = np.full(ring_a.size, 1.0 / (design.ring_bus_ohm or 1.0))
         touched, slots, ring = touched_coupling(
             attach, np.zeros(attach.size), ring_a, ring_b, g_ring, 1
         )
-        # u₀'s modal column is the (0, 0) mode.
-        u_hat = np.zeros((1 + touched.size, nx * ny))
-        u_hat[0, 0] = 1.0
-        u_hat[1:] = modal_columns(nx, ny, touched).reshape(touched.size, -1)
+        # The deflated mesh operator of the DC fast path: at low
+        # frequency 1/(α·y_u) dwarfs every other modal weight and its
+        # near-exact cancellation by the source correction destroys ~5
+        # digits, so the zero mode sits at τ and comes back as a −τ
+        # rank-one branch in the Woodbury block, where the cancellation
+        # resolves inside a full-precision dense solve.
         return _StructuredACStructure(
-            lam=mesh.eigenvalues().ravel(),
-            tau=mesh.deflation_tau,
-            bx_sq=dct2_basis(nx) ** 2,
-            by_sq=dct2_basis(ny) ** 2,
-            u_hat=u_hat,
+            mesh=FastPoissonOperator(nx, ny, gx, gy),
+            touched=touched,
             alpha=float(design.decap.density.flat[0]),
             src_slots=slots,
             ring=ring if ring_a.size else None,
         )
 
     def _impedance_structured(self, omega: np.ndarray) -> np.ndarray:
-        """diag(A⁻¹) via the DCT eigenstructure, shape (cells, F).
+        """diag(A⁻¹) on the mesh Green's function, shape (cells, F).
 
-        ``M(ω) = G_mesh + α·y_u(ω)·I`` shares the mesh Laplacian's DCT
-        eigenvectors at every frequency, so ``diag(M⁻¹)`` reduces to
-        two GEMMs against squared basis tables, and the branches are a
-        rank-k Woodbury correction ``K = (I + C·t)⁻¹C``, ``t = UᵀM⁻¹U``,
-        whose per-frequency influence columns come back through one
-        batched inverse DCT.  Frequency-chunked to bound scratch
-        memory, like the direct engine.
+        ``M(ω) = G_mesh + τ·u₀u₀ᵀ + s·I``, ``s = α·y_u(ω)``, is the
+        deflated mesh operator under a diagonal shift, so one periodic
+        Green's function per frequency
+        (:meth:`~repro.pdn.fast_poisson.FastPoissonOperator.green`)
+        gives ``diag(M⁻¹)`` and the influence rows ``Zᵀ = (M⁻¹U)ᵀ`` by
+        image sums: ``u₀``'s row is uniform, ``1/(√cells·(τ + s))``,
+        and T's rows are four images each.  ``t = UᵀZ`` is a scaled row
+        sum plus a gather at T, and the branches are a rank-k Woodbury
+        correction ``K = (I + C·t)⁻¹C``.  Frequency-chunked to bound
+        scratch memory, like the direct engine.
         """
         structure = self._ensure_structured()
-        nx, ny = self.nx, self.ny
-        cells = nx * ny
-        u_hat = structure.u_hat
-        k = len(u_hat)
+        mesh = structure.mesh
+        cells = mesh.cells
+        touched = structure.touched
+        k = 1 + touched.size
         eye = np.eye(k)
-        y_u = self.design.decap.unit_admittance(omega)
+        shift = structure.alpha * self.design.decap.unit_admittance(omega)
         y_src = self._source_admittance(omega)
         z = np.empty((cells, omega.size), dtype=complex)
         chunk = min(omega.size, max(1, _DENSE_BATCH_ENTRIES // (k * cells)))
-        # Two (F, k, cells) buffers serve every chunk: the modal fields,
-        # transformed in place into the influence columns, and those
-        # columns weighted by the correction.
-        fields = np.empty((chunk, k, cells), dtype=complex)
-        weighted = np.empty_like(fields)
+        # Two (F, k, cells) buffers serve every chunk: the influence
+        # rows, and those rows weighted by the correction.
+        rows = np.empty((chunk, k, cells), dtype=complex)
+        weighted = np.empty_like(rows)
         for lo in range(0, omega.size, chunk):
             hi = min(lo + chunk, omega.size)
             n = hi - lo
+            influence = rows[:n]
             with np.errstate(divide="ignore", invalid="ignore"):
-                w = 1.0 / (
-                    structure.lam[None, :]
-                    + structure.alpha * y_u[lo:hi, None]
-                )  # (F, cells) modal weights
-            diag = (
-                structure.by_sq.T
-                @ w.reshape(-1, ny, nx)
-                @ structure.bx_sq
-            ).reshape(-1, cells)
-            field = np.multiply(w[:, None, :], u_hat[None], out=fields[:n])
-            t = field @ u_hat.T  # UᵀM⁻¹U, (F, k, k)
-            influence = sfft.idctn(
-                field.reshape(-1, ny, nx), type=2, axes=(1, 2),
-                norm="ortho", workers=-1, overwrite_x=True,
-            ).reshape(n, k, cells)
+                green = mesh.green(shift[lo:hi])
+                influence[:, 0] = 1.0 / (
+                    np.sqrt(cells) * (mesh.deflation_tau + shift[lo:hi, None])
+                )
+            diag = mesh.green_diagonal(green).reshape(n, cells)
+            mesh.green_rows(
+                touched, influence[:, 1:].reshape(n, -1, mesh.ny, mesh.nx),
+                green,
+            )
+            t = np.empty((n, k, k), dtype=complex)  # UᵀZ
+            t[:, 0] = influence.sum(axis=2) / np.sqrt(cells)
+            t[:, 1:] = influence[:, :, touched].swapaxes(1, 2)
             # C's diagonal: −τ, then each attach node's summed source
             # admittance; C·t is its row scaling plus the ring rows.
-            c_diag = np.zeros((hi - lo, k), dtype=complex)
-            c_diag[:, 0] = -structure.tau
+            c_diag = np.zeros((n, k), dtype=complex)
+            c_diag[:, 0] = -mesh.deflation_tau
             np.add.at(c_diag, (slice(None), structure.src_slots), y_src[lo:hi])
             lhs = eye + c_diag[:, :, None] * t
             c = c_diag[:, :, None] * eye
@@ -1480,6 +1466,22 @@ class GridACPDN(MeshView):
         return np.add.reduceat(
             vals[:, structure.order], structure.starts, axis=1
         )
+
+    def _probed_lus(self, omega: np.ndarray, freqs: np.ndarray):
+        """Each frequency's probed LU (:func:`~repro.pdn.ac.probed_lu`)
+        of the reduced system, in sweep order; the CSC values are built
+        a budget-sized frequency chunk at a time."""
+        structure = self._ensure_reduced()
+        cells = self.nx * self.ny
+        chunk = max(1, _DENSE_BATCH_ENTRIES // structure.order.size)
+        for lo in range(0, omega.size, chunk):
+            data = self._reduced_csc_data(structure, omega[lo : lo + chunk])
+            for k, values in enumerate(data, lo):
+                matrix = sp.csc_matrix(
+                    (values, structure.csc_rows, structure.indptr),
+                    shape=(cells, cells),
+                )
+                yield probed_lu(matrix, freqs[k])
 
     def _ensure_selinv(self) -> _SelinvPlan:
         return cached(self, "_selinv", self.design.key, self._build_selinv)
@@ -1622,30 +1624,11 @@ class GridACPDN(MeshView):
         the full inverse, O(cells²) memory per frequency: the oracle the
         other engines are tested against, never picked by ``auto``.
         """
-        structure = self._ensure_reduced()
         cells = self.nx * self.ny
-        count = omega.size
-        z = np.empty((cells, count), dtype=complex)
+        z = np.empty((cells, omega.size), dtype=complex)
         identity = np.eye(cells, dtype=complex)
-        # Known-solution probe (see repro.pdn.mna.singularity_probe):
-        # the computed inverse must recover w from A @ w, so an
-        # exactly singular sweep point that LU slid through on a
-        # rounded pivot fails loudly.
-        probe = singularity_probe(cells)
-        probe_error = np.empty(count)
-        chunk = max(1, _DENSE_BATCH_ENTRIES // (cells * cells))
-        for lo in range(0, count, chunk):
-            hi = min(lo + chunk, count)
-            data = self._reduced_csc_data(structure, omega[lo:hi])
-            for k in range(lo, hi):
-                matrix, lu = _reduced_lu(structure, data[k - lo], freqs[k])
-                solved = lu.solve(identity)
-                z[:, k] = np.diagonal(solved)
-                with np.errstate(all="ignore"):
-                    probe_error[k] = float(
-                        np.abs(solved @ (matrix @ probe) - probe).max()
-                    )
-        _check_probe(probe_error, freqs)
+        for k, lu in enumerate(self._probed_lus(omega, freqs)):
+            z[:, k] = np.diagonal(lu.solve(identity))
         return z
 
     # -- driven sweep -----------------------------------------------------------
@@ -1657,78 +1640,33 @@ class GridACPDN(MeshView):
         Solves the reduced node-only system of :meth:`impedance_map`, in
         which each source's output branch is already the shunt
         ``y_src(ω)`` at its attach node, so its EMF enters as the Norton
-        injection ``y_src(ω)·V`` there: one sparse LU per frequency,
-        chunked over frequency, with the known-solution probe riding
-        along as a second right-hand side.  As the frequency approaches
-        zero the decaps open and the series inductances short, so the
-        voltage maps converge to the :class:`GridPDN` DC IR-drop
-        solution of the same mesh — the regression the grid tests pin
-        down.
+        injection ``y_src(ω)·V`` there: one probed sparse LU per
+        frequency (:func:`~repro.pdn.ac.probed_lu`).  As the frequency
+        approaches zero the decaps open and the series inductances
+        short, so the voltage maps converge to the :class:`GridPDN` DC
+        IR-drop solution of the same mesh — the regression the grid
+        tests pin down.
 
         Raises:
             SolverError: singular or non-finite system at a sweep point.
         """
         freqs = check_frequencies(frequencies_hz)
         design = self._require(sinks=True)
-        structure = self._ensure_reduced()
-        cells = self.nx * self.ny
         omega = 2.0 * math.pi * freqs
-        attach = design.attach_rows()
-        volts = design.source_values("voltage_v")
-        probe = singularity_probe(cells)
-        voltages = np.empty((freqs.size, cells), dtype=complex)
-        probe_error = np.empty(freqs.size)
-        chunk = max(1, _DENSE_BATCH_ENTRIES // structure.order.size)
-        for lo in range(0, freqs.size, chunk):
-            hi = min(lo + chunk, freqs.size)
-            data = self._reduced_csc_data(structure, omega[lo:hi])
-            rhs = np.empty((hi - lo, cells, 2), dtype=complex)
-            rhs[:, :, 0] = -_sink_row(design)
-            np.add.at(
-                rhs[:, :, 0],
-                (slice(None), attach),
-                self._source_admittance(omega[lo:hi]) * volts,
-            )
-            # The probe's right-hand side A @ w (column sums, as A is
-            # symmetric); see repro.pdn.mna.singularity_probe.
-            rhs[:, :, 1] = np.add.reduceat(
-                data * probe[structure.csc_rows],
-                structure.indptr[:-1],
-                axis=1,
-            )
-            for k in range(lo, hi):
-                _, lu = _reduced_lu(structure, data[k - lo], freqs[k])
-                solved = lu.solve(rhs[k - lo])
-                voltages[k] = solved[:, 0]
-                with np.errstate(all="ignore"):
-                    probe_error[k] = np.abs(solved[:, 1] - probe).max()
-        probe_error[~np.all(np.isfinite(voltages), axis=1)] = np.inf
-        _check_probe(probe_error, freqs)
+        # Each row holds its right-hand side until it is solved.
+        voltages = np.empty((freqs.size, self.nx * self.ny), dtype=complex)
+        voltages[:] = -_sink_row(design)
+        np.add.at(
+            voltages,
+            (slice(None), design.attach_rows()),
+            self._source_admittance(omega) * design.source_values("voltage_v"),
+        )
+        for k, lu in enumerate(self._probed_lus(omega, freqs)):
+            voltages[k] = lu.solve(voltages[k])
         return GridACSweepSolution(
             frequencies_hz=freqs,
             voltage_maps=voltages.reshape(-1, self.ny, self.nx),
         )
-
-
-def _reduced_lu(
-    structure: _ReducedACStructure,
-    data: np.ndarray,
-    frequency_hz: float,
-) -> tuple[sp.csc_matrix, spla.SuperLU]:
-    """The reduced matrix of one frequency's CSC values and its sparse
-    LU."""
-    cells = structure.indptr.size - 1
-    matrix = sp.csc_matrix(
-        (data, structure.csc_rows, structure.indptr), shape=(cells, cells)
-    )
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        try:
-            return matrix, spla.splu(matrix)
-        except RuntimeError as exc:
-            raise SolverError(
-                f"grid impedance solve failed at {frequency_hz:.6g} Hz: {exc}"
-            ) from exc
 
 
 def _check_probe(probe_error: np.ndarray, freqs: np.ndarray) -> None:

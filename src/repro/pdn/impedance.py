@@ -60,14 +60,18 @@ class ImpedanceProfile:
         """True if |Z| stays at or below the target everywhere."""
         require_finite(target_ohm, "target_ohm")
         if target_ohm <= 0:
-            raise ConfigError("target impedance must be positive")
+            raise ConfigError(
+                f"target_ohm must be positive, got {target_ohm}"
+            )
         return bool(np.all(self.impedance_ohm <= target_ohm * (1 + 1e-12)))
 
     def violation_band_hz(self, target_ohm: float) -> tuple[float, float] | None:
         """(first, last) frequency violating the target, or None."""
         require_finite(target_ohm, "target_ohm")
         if target_ohm <= 0:
-            raise ConfigError("target impedance must be positive")
+            raise ConfigError(
+                f"target_ohm must be positive, got {target_ohm}"
+            )
         mask = self.impedance_ohm > target_ohm
         if not mask.any():
             return None
@@ -241,7 +245,9 @@ def size_die_decap_for_target(
     """
     require_finite(target_ohm, "target_ohm")
     if target_ohm <= 0:
-        raise ConfigError("target impedance must be positive")
+        raise ConfigError(
+            f"target_ohm must be positive, got {target_ohm}"
+        )
     if not stages:
         raise ConfigError("at least one PDN stage required")
     require_finite(max_farad, "max_farad")
@@ -302,7 +308,9 @@ def size_grid_decap_for_target(
     """
     require_finite(target_ohm, "target_ohm")
     if target_ohm <= 0:
-        raise ConfigError("target impedance must be positive")
+        raise ConfigError(
+            f"target_ohm must be positive, got {target_ohm}"
+        )
     require_finite(max_scale, "max_scale")
     if max_scale < 1.0:
         raise ConfigError("max decap scale must be >= 1")

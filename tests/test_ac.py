@@ -319,7 +319,12 @@ class TestCompiledACNetlist:
             dense.voltage_matrix, sparse.voltage_matrix, rtol=1e-9
         )
 
-    def test_floating_subcircuit_raises(self):
+    def test_floating_subcircuit_raises(self, monkeypatch):
+        """Both sweep branches refuse a floating island: the dense
+        batch through its probe column, the sparse one through the
+        probed LU (``probed_lu``), which names the frequency."""
+        import repro.pdn.ac as ac_module
+
         net = ACNetlist()
         net.add_voltage_source("v", "in", 1.0)
         net.add_resistor("r", "in", net.GROUND, 1.0)
@@ -327,6 +332,9 @@ class TestCompiledACNetlist:
         net.add_capacitor("c_f", "island_a", "island_b", 1e-9)
         net.add_current_source("i_f", "island_a", "island_b", 1.0)
         with pytest.raises(SolverError):
+            net.compile_ac().solve(np.array([1e6]))
+        monkeypatch.setattr(ac_module, "DENSE_SWEEP_CUTOFF", 0)
+        with pytest.raises(SolverError, match="singular at 1e\\+06 Hz"):
             net.compile_ac().solve(np.array([1e6]))
 
 

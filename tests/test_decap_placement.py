@@ -309,8 +309,9 @@ class TestOptimizer:
 
     def test_rejects_bad_inputs(self):
         pdn, freqs, target = _contrast_pdn()
-        with pytest.raises(ConfigError):
-            optimize_decap_placement(pdn, 0.0)
+        for bad in (0.0, -target):
+            with pytest.raises(ConfigError, match="target_ohm"):
+                optimize_decap_placement(pdn, bad)
         for bad in (np.nan, np.inf):
             with pytest.raises(ConfigError, match="target_ohm"):
                 optimize_decap_placement(pdn, bad)
@@ -366,20 +367,28 @@ class TestSizer:
         )
 
     def test_rejects_bad_parameters(self):
+        """Each search knob is checked by name before any trial: a
+        NaN/inf cap or growth used to lift the 1024× cap, skip the
+        growth trials or fail on ``density``, and a fractional or
+        boolean ``refine_steps`` was accepted."""
         pdn, freqs, target = _contrast_pdn()
         for bad in (np.nan, np.inf):
             with pytest.raises(ConfigError, match="target_ohm"):
                 size_decap_placement_for_target(pdn, bad)
-        with pytest.raises(ConfigError):
-            size_decap_placement_for_target(
-                pdn, target, max_budget_factor=0.5
-            )
-        with pytest.raises(ConfigError):
-            size_decap_placement_for_target(pdn, target, growth=1.0)
-        with pytest.raises(ConfigError):
-            size_decap_placement_for_target(
-                pdn, target, refine_steps=-1
-            )
+        cases = [
+            ("max_budget_factor", 0.5),
+            ("max_budget_factor", np.nan),
+            ("max_budget_factor", np.inf),
+            ("growth", 1.0),
+            ("growth", np.nan),
+            ("growth", np.inf),
+            ("refine_steps", -1),
+            ("refine_steps", 1.5),
+            ("refine_steps", True),
+        ]
+        for name, bad in cases:
+            with pytest.raises(ConfigError, match=name):
+                size_decap_placement_for_target(pdn, target, **{name: bad})
 
 
 def _candidate_bank(load_corner=(0.9, 0.9)):

@@ -36,7 +36,6 @@ from repro.pdn.fast_poisson import (
     StructuredOperator,
     StructuredSolveError,
     dct2_basis,
-    modal_columns,
     poisson_mode_eigenvalues,
 )
 from repro.pdn.grid import STRUCTURED_AUTO_MIN_CELLS, GridPDN
@@ -111,23 +110,6 @@ def test_operator_solves_deflated_kron_system(nx, ny, gx, gy):
     assert np.allclose(one, solved[:, 0], atol=1e-12)
 
 
-def test_modal_columns_are_the_transform_of_unit_columns():
-    """The closed-form modal column of e_r is the orthonormal 2-D
-    DCT-II of e_r, on a rectangular mesh."""
-    import scipy.fft as sfft
-
-    nx, ny = 5, 3
-    rows = np.array([0, 4, 7, 14])
-    unit = np.zeros((rows.size, ny * nx))
-    unit[np.arange(rows.size), rows] = 1.0
-    transformed = sfft.dctn(
-        unit.reshape(-1, ny, nx), type=2, axes=(1, 2), norm="ortho"
-    )
-    np.testing.assert_allclose(
-        modal_columns(nx, ny, rows), transformed, atol=1e-15
-    )
-
-
 @pytest.mark.parametrize(
     "nx, ny", [(6, 6), (7, 4), (3, 10), (2, 2), (1, 9), (8, 1)],
     ids=["square", "wide", "tall", "2x2", "y-chain", "x-chain"],
@@ -135,9 +117,9 @@ def test_modal_columns_are_the_transform_of_unit_columns():
 @pytest.mark.parametrize("shift", [0.0, 2.5], ids=["deflated", "shifted"])
 def test_green_rows_by_images_match_the_transform(nx, ny, shift):
     """``M⁻¹e_r`` by the method of images (one periodic Green's function
-    of the mirror-doubled mesh, four images per row) equals the
-    inverse 2-D DCT of ``modal_columns/λ`` within 1e-14 relative, for
-    rows at corners, on edges, inside, and repeated."""
+    of the mirror-doubled mesh, four images per row) equals the DCT-II
+    pair of the unit fields ``e_r`` over the eigenvalues within 1e-14
+    relative, for rows at corners, on edges, inside, and repeated."""
     import scipy.fft as sfft
 
     op = FastPoissonOperator(nx, ny, 1.7, 0.6, shift=shift)
@@ -146,12 +128,52 @@ def test_green_rows_by_images_match_the_transform(nx, ny, shift):
     edges = [nx // 2, (ny // 2) * nx, (ny // 2) * nx + nx - 1]
     inside = [(ny // 2) * nx + nx // 2]
     rows = np.array(corners + edges + inside + [corners[-1], edges[0]])
+    unit = np.zeros((rows.size, ny, nx))
+    unit.reshape(rows.size, cells)[np.arange(rows.size), rows] = 1.0
     want = sfft.idctn(
-        modal_columns(nx, ny, rows) / op.eigenvalues(),
+        sfft.dctn(unit, type=2, axes=(1, 2), norm="ortho") / op.eigenvalues(),
         type=2, axes=(1, 2), norm="ortho",
     )
-    got = op.green_rows(rows, np.empty((rows.size, ny, nx)))
+    got = op.green_rows(rows, np.empty((rows.size, ny, nx)), op.green())
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "nx, ny", [(8, 8), (7, 4), (3, 8), (1, 8), (6, 1)],
+    ids=["square", "wide", "tall", "y-chain", "x-chain"],
+)
+@pytest.mark.parametrize("base", [0.0, 2.5], ids=["deflated", "shifted"])
+def test_green_matches_a_dense_inverse(nx, ny, base):
+    """Under a stack of complex diagonal shifts ``s``, :meth:`green`'s
+    rows at every node and :meth:`green_diagonal` equal the dense
+    inverse of ``L + τ·u₀u₀ᵀ + s·I`` (``L + base·I + s·I`` when
+    shifted) within 1e-13 relative, and a stacked :meth:`green` is
+    bit-identical to one call per shift."""
+    gx, gy = (1.7 if nx > 1 else 0.0), (0.6 if ny > 1 else 0.0)
+    op = FastPoissonOperator(nx, ny, gx, gy, shift=base)
+    cells = nx * ny
+
+    def lap(n: int) -> np.ndarray:
+        return path_laplacian(n) if n > 1 else np.zeros((1, 1))
+
+    matrix = gy * np.kron(lap(ny), np.eye(nx)) + gx * np.kron(
+        np.eye(ny), lap(nx)
+    ) + base * np.eye(cells)
+    if op.deflation_tau is not None:
+        matrix += op.deflation_tau / cells
+    shifts = np.array([0.3 + 0.7j, -0.1 + 2.0j, 5.0 + 0.0j, 1e-3j])
+    green = op.green(shifts)
+    rows = op.green_rows(
+        np.arange(cells), np.empty((shifts.size, cells, ny, nx), complex),
+        green,
+    )
+    diagonal = op.green_diagonal(green)
+    for f, s in enumerate(shifts):
+        want = np.linalg.inv(matrix + s * np.eye(cells))
+        scale = np.abs(want).max()
+        assert np.abs(rows[f].reshape(cells, cells) - want).max() <= 1e-13 * scale
+        assert np.abs(diagonal[f].ravel() - np.diag(want)).max() <= 1e-13 * scale
+        assert np.array_equal(op.green(s), green[f])
 
 
 def test_operator_accepts_complex_rhs():

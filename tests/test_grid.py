@@ -516,7 +516,8 @@ def test_node_indices_must_be_whole_numbers():
     """Probe and profile indices follow the node-count rule: a
     fraction, a boolean or a non-number raises a ConfigError naming
     the argument instead of being truncated onto a neighbouring node,
-    while a whole-valued float is that node."""
+    while a whole-valued float is that node.  The map's target checks
+    name ``target_ohm`` for a non-positive target as well."""
     pdn = _sourced()
     for nodes in ([2.7], [True, False], [np.nan], ["2"]):
         with pytest.raises(ConfigError, match="^nodes "):
@@ -534,6 +535,11 @@ def test_node_indices_must_be_whole_numbers():
         imap.node_profile(1.0, 2).impedance_ohm,
         imap.node_profile(1, 2).impedance_ohm,
     )
+    for target in (0.0, -1e-3):
+        with pytest.raises(ConfigError, match="^target_ohm "):
+            imap.meets_target(target)
+        with pytest.raises(ConfigError, match="^target_ohm "):
+            imap.violating_node_fraction(target)
 
 
 class TestSolveDisabledMany:

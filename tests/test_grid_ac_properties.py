@@ -574,8 +574,8 @@ def test_selinv_floating_mesh_fails_the_probe(monkeypatch, nx, ny):
     """With every shunt removed the mesh floats: A is a bare Laplacian,
     exactly singular, yet the block LU slides through on a rounded
     pivot and returns finite numbers.  Only the known-solution probe
-    catches it, at the first sweep frequency; the adjoint columns
-    carry the same probe."""
+    catches it, at the first sweep frequency; the adjoint columns and
+    the driven sweep carry the same probe (``probed_lu``)."""
     pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=nx, ny=ny)
     pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-2)
     pdn.set_decap_map(np.full((ny, nx), 1e-7), 1e-2, 1e-11)
@@ -592,6 +592,9 @@ def test_selinv_floating_mesh_fails_the_probe(monkeypatch, nx, ny):
             pdn.impedance_map(np.array([1e5, 1e7]), method=method)
     with pytest.raises(SolverError, match="singular at 100000 Hz"):
         pdn.impedance_columns(1e5, [0, nx * ny - 1])
+    pdn.set_sink_array(np.zeros((ny, nx)))
+    with pytest.raises(SolverError, match="singular at 100000 Hz"):
+        pdn.solve(np.array([1e5, 1e7]))
 
 
 def test_selinv_restore_decap_is_bit_exact():
@@ -1246,3 +1249,20 @@ def test_engines_meet_a_40_digit_solve(example, engines):
         bound = STRUCTURED_RTOL if method == "structured" else RTOL
         error = (np.abs(z - exact).max(axis=0) / scale).max()
         assert error <= bound, f"{method} off by {error:.3e} (rel)"
+
+
+@pytest.mark.parametrize(
+    "example", [_ring_colocated, _inductive_metal, _ring_along_an_edge],
+    ids=["ring_colocated", "inductive_metal", "ring_along_an_edge"],
+)
+def test_columns_diagonal_is_the_direct_map(example):
+    """The adjoint columns and the direct oracle factor the same matrix
+    through one probed LU (``probed_lu``), so the diagonal of
+    ``impedance_columns`` over every node equals a whole-sweep
+    ``impedance_map(method="direct")`` bit for bit at each frequency."""
+    pdn, freqs = example()
+    direct = pdn.impedance_map(freqs, method="direct").z_ohm
+    nodes = np.arange(pdn.nx * pdn.ny)
+    for k, f in enumerate(freqs):
+        columns = pdn.impedance_columns(f, nodes)
+        np.testing.assert_array_equal(np.diagonal(columns), direct[:, k])

@@ -97,8 +97,9 @@ class TestImpedanceProfile:
         target = profile.peak_impedance_ohm * 1.1
         assert profile.violation_band_hz(target) is None
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-3])
     def test_target_checks_reject_non_finite_target(self, profile, bad):
+        """A non-finite or non-positive target raises by name."""
         with pytest.raises(ConfigError, match="target_ohm"):
             profile.meets_target(bad)
         with pytest.raises(ConfigError, match="target_ohm"):
@@ -205,7 +206,7 @@ class TestDecapSizing:
         assert not rec.meets_target
 
     def test_rejects_bad_target(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="target_ohm"):
             size_die_decap_for_target(simple_stages(), 0.0)
         for bad in (np.nan, np.inf):
             with pytest.raises(ConfigError, match="target_ohm"):
@@ -372,7 +373,7 @@ class TestGridDecapSizing:
         from repro.pdn.impedance import size_grid_decap_for_target
 
         pdn, _ = self.make_pdn()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="target_ohm"):
             size_grid_decap_for_target(pdn, 0.0)
         for bad in (np.nan, np.inf):
             with pytest.raises(ConfigError, match="target_ohm"):
