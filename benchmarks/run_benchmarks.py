@@ -22,9 +22,15 @@ stretch of the host moves less; the gate stays the mean.  It is the
 opt-in performance verify step to run alongside the tier-1 test
 suite.  ``--skip-large`` deselects the ``large_mesh``-marked rows
 (the hundreds-of-ms 192/256-mesh solves) and the ``multiproc``-marked
-rows (parallel-sweep runs at jobs>1, which spawn worker processes);
-with ``--check`` the skipped rows are then exempt from the
-missing-from-baseline failure.
+rows (parallel-sweep runs at jobs>1, which spawn worker processes).
+
+A row selection (``-k``, ``-m`` or ``--deselect``; ``--skip-large``
+is one) re-records or checks only the rows it selects.  A write
+merges the fresh rows into the baseline by name and keeps every other
+row and the report's header byte for byte; ``--check`` reports the
+unselected rows as skipped.  Without a selection a write records the
+whole baseline afresh, and ``--check`` fails on a recorded row the
+run lacks.
 """
 
 from __future__ import annotations
@@ -44,6 +50,33 @@ BENCH_FILE = REPO_ROOT / "benchmarks" / "bench_solver_scaling.py"
 #: than its recorded baseline mean (2x leaves ample headroom for
 #: machine noise while catching real algorithmic regressions).
 REGRESSION_FACTOR = 2.0
+
+
+def selects_rows(argv: list[str]) -> bool:
+    """Whether pytest arguments ``argv`` select a subset of the rows:
+    a ``-k`` or ``-m`` expression (``-k expr`` or ``-kexpr``) or a
+    ``--deselect``."""
+    return any(arg.startswith(("-k", "-m", "--deselect")) for arg in argv)
+
+
+def merge_rows(baseline: dict, fresh: dict) -> dict:
+    """``baseline`` with each row of ``fresh`` in place of its
+    namesake (new rows appended): the other rows and the header stay
+    as recorded."""
+    rows = {entry["name"]: entry for entry in fresh["benchmarks"]}
+    merged = [rows.pop(row["name"], row) for row in baseline["benchmarks"]]
+    return {**baseline, "benchmarks": merged + list(rows.values())}
+
+
+def merge_into_baseline(fresh: Path, baseline: Path) -> None:
+    """Merge the rows of the report ``fresh`` into ``baseline`` (or
+    record them as the baseline when there is none), written as
+    pytest-benchmark writes its reports, so unchanged rows keep their
+    bytes."""
+    report = json.loads(fresh.read_text())
+    if baseline.exists():
+        report = merge_rows(json.loads(baseline.read_text()), report)
+    baseline.write_text(json.dumps(report, indent=4))
 
 
 def run_pytest_benchmark(output: Path, argv: list[str]) -> int:
@@ -76,7 +109,9 @@ def load_stats(path: Path) -> dict[str, tuple[float, float]]:
 
 
 def print_summary(path: Path) -> None:
-    print(f"\nwrote {path}")
+    """The mean of each row of the report ``path``, recorded in
+    :data:`OUTPUT`."""
+    print(f"\nwrote {OUTPUT}")
     print(f"{'benchmark':<52} {'mean':>12}")
     for name, (mean_s, _) in load_stats(path).items():
         print(f"{name:<52} {mean_s * 1e3:>9.3f} ms")
@@ -136,18 +171,21 @@ def main(argv: list[str]) -> int:
     argv = [a for a in argv if a not in ("--check", "--skip-large")]
     if skip_large:
         argv = ["-m", "not (large_mesh or multiproc)", *argv]
-    output = CHECK_OUTPUT if check else OUTPUT
+    selected = selects_rows(argv)
+    output = CHECK_OUTPUT if check or selected else OUTPUT
     status = run_pytest_benchmark(output, argv)
     if status != 0:
         return status
-    if check:
-        try:
+    try:
+        if check:
             return check_against_baseline(
-                output, OUTPUT, allow_missing=skip_large
+                output, OUTPUT, allow_missing=selected
             )
-        finally:
-            CHECK_OUTPUT.unlink(missing_ok=True)
-    print_summary(output)
+        if selected:
+            merge_into_baseline(output, OUTPUT)
+        print_summary(output)
+    finally:
+        CHECK_OUTPUT.unlink(missing_ok=True)
     return 0
 
 

@@ -87,7 +87,9 @@ class FailureResult:
 
 def _check_failed(vr_count: int, failed) -> tuple[int, ...]:
     """One scenario's failed VR indices, validated."""
-    failed = tuple(int(i) for i in require_indices(failed, "failed_indices"))
+    failed = tuple(
+        np.atleast_1d(require_indices(failed, "failed_indices")).tolist()
+    )
     if any(i < 0 or i >= vr_count for i in failed):
         raise ConfigError("failed index out of range")
     if len(failed) >= vr_count:

@@ -22,7 +22,8 @@ class ConfigError(ReproError):
 
 
 def require_finite(value, name: str) -> None:
-    """Reject NaN/inf anywhere in a scalar or array input, by name.
+    """Reject NaN/inf anywhere in a scalar or array input, by name,
+    and complex input as :func:`require_real` does.
 
     The range guards (``<= 0``, ``< 0``) are all false for NaN, so this
     check runs first at every boundary.  Plain Python numbers skip
@@ -31,9 +32,18 @@ def require_finite(value, name: str) -> None:
     if isinstance(value, (int, float)):
         finite = math.isfinite(value)
     else:
-        finite = np.all(np.isfinite(value))
+        finite = np.all(np.isfinite(require_real(np.asarray(value), name)))
     if not finite:
         raise ConfigError(f"{name} must be finite")
+
+
+def require_real(value, name: str):
+    """``value`` unless it is complex, which raises :class:`ConfigError`
+    naming ``name``.  Runs before a boundary's float conversion, which
+    would drop the imaginary part with no more than a warning."""
+    if np.iscomplexobj(value):
+        raise ConfigError(f"{name} must be real")
+    return value
 
 
 def require_count(value, name: str, minimum: int) -> int:

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..errors import ConfigError, SolverError
+from ..errors import ConfigError, SolverError, require_real
 from .mna import (
     SINGULARITY_PROBE_TOL,
     factorization_probe_error,
@@ -288,7 +288,9 @@ def probed_lu(matrix: sp.csc_matrix, frequency_hz: float) -> spla.SuperLU:
 
 
 def check_frequencies(frequencies_hz: np.ndarray) -> np.ndarray:
-    """Validate and normalize a frequency grid (1-D, finite, positive)."""
+    """Validate and normalize a frequency grid (1-D, real, finite,
+    positive)."""
+    require_real(frequencies_hz, "frequencies")
     freqs = np.asarray(frequencies_hz, dtype=float)
     if freqs.ndim != 1 or len(freqs) == 0:
         raise ConfigError("frequencies must be a non-empty 1-D array")

@@ -38,7 +38,13 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from ..errors import ConfigError, SolverError, require_finite, require_indices
+from ..errors import (
+    ConfigError,
+    SolverError,
+    require_finite,
+    require_indices,
+    require_real,
+)
 from .ac import (
     _DENSE_BATCH_ENTRIES,
     check_frequencies,
@@ -166,9 +172,9 @@ def _mesh_nodes(nx: int, ny: int) -> tuple:
 
 
 def dc_stamp(design: MeshDesign) -> CompiledNetlist:
-    """The nodal DC stamp of ``design``, solved by both DC engines,
-    packaged on by :class:`GridPDN` and factored for the transient's
-    capacitors-open DC-init.
+    """The nodal DC stamp of ``design``, solved by both DC engines and
+    packaged on by :class:`GridPDN`, and the transient's
+    capacitors-open DC-init stamp (both through :func:`dc_structure`).
 
     Resistors: the lateral edges (``grid.x[ix,iy]``, ``grid.y[ix,iy]``,
     ``ring[k]``), then one ``r_out`` shunt to ground per source
@@ -221,16 +227,17 @@ def dc_stamp(design: MeshDesign) -> CompiledNetlist:
 class _GridStructure:
     """Cached assembly (and, lazily, the solve engines) of one topology.
 
-    Cached per view under the design's :attr:`~repro.pdn.mesh.MeshDesign.key`,
-    which captures everything that shapes the system matrix (mesh
-    resistances, source attachment points and output resistances, ring
-    bus, per-edge variation).  Sink currents and source voltages are
-    RHS-only and do not participate.  ``stamp`` is :func:`dc_stamp`,
-    the one form solutions are solved and packaged on.  Both engines
-    are created on first use: the sparse LU of the stamp, so that
-    :meth:`GridPDN.compile` never pays for an LU decomposition, and the
-    structured fast-Poisson engine, so that factorized-only workloads
-    never pay for transforms.
+    Built by :func:`dc_structure` for a transient's DC init, and for
+    :class:`GridPDN` cached per view under the design's
+    :attr:`~repro.pdn.mesh.MeshDesign.key`, which captures everything
+    that shapes the system matrix (mesh resistances, source attachment
+    points and output resistances, ring bus, per-edge variation).  Sink
+    currents and source voltages are RHS-only.  ``stamp`` is
+    :func:`dc_stamp`, the one form solutions are solved and packaged
+    on.  Both engines are created on first use: the sparse LU of the
+    stamp, so that :meth:`GridPDN.compile` never pays for an LU
+    decomposition, and the structured fast-Poisson engine, so that
+    factorized-only workloads never pay for transforms.
     """
 
     stamp: CompiledNetlist
@@ -239,20 +246,16 @@ class _GridStructure:
     # The design it was assembled from; only the fields its key covers
     # are read, since sink and voltage edits reuse the structure.
     design: MeshDesign
-    _solver: FactorizedPDN | None = None
-    _fast: StructuredGridPDN | None = None
 
-    @property
+    @cached_property
     def solver(self) -> FactorizedPDN:
-        if self._solver is None:
-            # Route through the process-wide content-hashed cache so
-            # grid rebuilds (sweep workers, CLI re-runs) and transient
-            # views of the design share one LU.  Lazy import: the
-            # parallel layer sits above pdn in the dependency graph.
-            from ..parallel.cache import get_factorized
+        # Route through the process-wide content-hashed cache so grid
+        # rebuilds (sweep workers, CLI re-runs) and transient views of
+        # the design share one LU.  Lazy import: the parallel layer
+        # sits above pdn in the dependency graph.
+        from ..parallel.cache import get_factorized
 
-            self._solver = get_factorized(self.stamp)
-        return self._solver
+        return get_factorized(self.stamp)
 
     @cached_property
     def packing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,11 +273,22 @@ class _GridStructure:
         taps = np.concatenate([stamp.res_a[ring], heads])
         return 1.0 / stamp.res_ohm, heads, taps
 
-    @property
+    @cached_property
     def fast(self) -> StructuredGridPDN:
-        if self._fast is None:
-            self._fast = StructuredGridPDN(self.design)
-        return self._fast
+        return StructuredGridPDN(self.design)
+
+
+def dc_structure(design: MeshDesign) -> _GridStructure:
+    """The DC structure of ``design``: its :func:`dc_stamp` and, on first
+    read, that stamp's engines."""
+    stamp = dc_stamp(design)
+    lateral = stamp.res_ohm.size - len(design.sources)
+    return _GridStructure(
+        stamp=stamp,
+        grid_edge_count=lateral - design.ring_segments()[0].size,
+        lateral_count=lateral,
+        design=design,
+    )
 
 
 class GridPDN(MeshView):
@@ -390,15 +404,7 @@ class GridPDN(MeshView):
     # -- vectorized assembly / cached factorization ------------------------------
 
     def _build_structure(self) -> _GridStructure:
-        design = self.design
-        stamp = dc_stamp(design)
-        lateral = stamp.res_ohm.size - len(design.sources)
-        return _GridStructure(
-            stamp=stamp,
-            grid_edge_count=lateral - design.ring_segments()[0].size,
-            lateral_count=lateral,
-            design=design,
-        )
+        return dc_structure(self.design)
 
     def _ensure_structure(self) -> _GridStructure:
         return cached(
@@ -491,9 +497,10 @@ class GridPDN(MeshView):
             f"sink_maps must be a stack of ({self.ny}, {self.nx}) arrays"
         )
         try:
-            stack = np.asarray(sink_maps, dtype=float)
+            stack = np.asarray(sink_maps)
         except ValueError:
             raise shape_error from None
+        stack = require_real(stack, "sink_maps").astype(float, copy=False)
         if stack.ndim == 2 and stack.shape == (self.ny, self.nx):
             stack = stack[None]
         if stack.ndim != 3 or stack.shape[1:] != (self.ny, self.nx):
@@ -559,7 +566,9 @@ class GridPDN(MeshView):
         """The live-source mask of one disable scenario, its indices
         checked."""
         live = np.ones(len(self.design.sources), dtype=bool)
-        indices = require_indices(disabled_sources, "disabled_sources").tolist()
+        indices = np.atleast_1d(
+            require_indices(disabled_sources, "disabled_sources")
+        ).tolist()
         if any(i < 0 or i >= live.size for i in indices):
             raise ConfigError("disabled source index out of range")
         if len(set(indices)) >= live.size:
@@ -1147,9 +1156,7 @@ class GridACPDN(MeshView):
         Raises:
             SolverError: singular or non-finite system at the frequency.
         """
-        freqs = check_frequencies(np.atleast_1d(np.asarray(
-            frequency_hz, dtype=float
-        )))
+        freqs = check_frequencies(np.atleast_1d(frequency_hz))
         if freqs.size != 1:
             raise ConfigError("impedance_columns takes a single frequency")
         self._require()

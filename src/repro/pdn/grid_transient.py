@@ -24,28 +24,30 @@ Companion models (series branch, node → ground through ESR + L + C;
 ``h = Δt``, ``w = 2L/h``, ``hc = h/(2C)``, ``Z = ESR + w + hc``):
 
 * trapezoidal step: ``i₁ = (v₁ + (w − hc)·i₀ + v_L₀ − v_c₀)/Z`` with
-  state updates ``v_c₁ = v_c₀ + hc·(i₁ + i₀)`` and
-  ``v_L₁ = w·(i₁ − i₀) − v_L₀``;
+  ``v_c₁ = v_c₀ + hc·(i₁ + i₀)``, where KVL gives the inductor voltage
+  ``v_L₀ = v₀ − ESR·i₀ − v_c₀`` at every accepted point, so no branch
+  stores it;
 * the first interval runs **two backward-Euler half-steps** instead:
   at ``δ = h/2`` the BE companion impedance is ``ESR + 2L/h + h/(2C)``
   — the *same* ``Z`` — so the startup shares the factorization while
   suppressing the O(h) trapezoidal glitch a load discontinuity at
   t = 0⁺ would otherwise inject (the algebraic branch states jump at
   the step; BE re-derives them implicitly).  BE variants:
-  ``i₁ = (v₁ + w·i₀ − v_c₀)/Z``, ``v_c₁ = v_c₀ + hc·i₁``,
-  ``v_L₁ = w·(i₁ − i₀)``.
+  ``i₁ = (v₁ + w·i₀ − v_c₀)/Z``, ``v_c₁ = v_c₀ + hc·i₁``.
 
-VR branches (EMF ``V`` behind ``r_out + L_src``) and inductive mesh
-edges follow the same pattern with the capacitor terms dropped.  Both
-schemes are exactly DC-consistent: a constant load holds the mesh at
-its DC operating point to solver precision.
+VR branches (EMF ``V`` behind ``r_out + L_src``, branch drop
+``V − v_attach``) and inductive mesh edges (drop ``Δv``, each axis one
+record through one history path) follow the same pattern with the
+capacitor terms dropped.  Both schemes are exactly DC-consistent: a
+constant load holds the mesh at its DC operating point to solver
+precision.
 
 Two engines, mirroring :class:`~repro.pdn.grid.GridPDN`:
 
 * ``factorized`` — the companion matrix as a reduced node-only
   :class:`~repro.pdn.network.CompiledNetlist` through the shared
   sparse-LU cache;
-* ``structured`` — the companion and DC-init stamps, each on a
+* ``structured`` — the companion stamp on a
   :class:`~repro.pdn.fast_poisson.StructuredOperator` (the DCT-II +
   Woodbury kernel of the structured DC engine): the most common decap
   conductance is the operator shift and everything irregular (decap
@@ -54,6 +56,9 @@ Two engines, mirroring :class:`~repro.pdn.grid.GridPDN`:
   ``engine="auto"`` selects by mesh size
   (:data:`TRANSIENT_AUTO_MIN_CELLS`) and falls back on
   :class:`~repro.pdn.fast_poisson.StructuredSolveError`.
+
+Either way the t = 0 operating point comes from the grid's own DC
+structure (:func:`~repro.pdn.grid.dc_structure`) on the same engine.
 """
 
 from __future__ import annotations
@@ -63,13 +68,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ConfigError, require_finite, require_indices
-from .fast_poisson import (
-    StructuredGridPDN,
-    StructuredOperator,
-    StructuredSolveError,
+from ..errors import (
+    ConfigError,
+    require_finite,
+    require_indices,
+    require_real,
 )
-from .grid import dc_stamp, engine_option, resolve_engine
+from .fast_poisson import StructuredOperator, StructuredSolveError
+from .grid import dc_structure, engine_option, resolve_engine
 from .mesh import MeshDesign, MeshView, cached, mesh_edge_rows
 from .mna import FactorizedPDN
 from .network import GROUND_INDEX, CompiledNetlist
@@ -141,19 +147,18 @@ class GridTransientResult:
 class _TransientStructure:
     """Everything assembled once per (topology, Δt).
 
-    Holds the trapezoidal companion constants and three reduced
-    resistor stamps: the transient (companion) stamp and, on smooth
-    fully-decapped designs, the t = 0⁺ jump stamp, both assembled by
-    one local ``stamp`` function, and the capacitors-open DC-init
-    stamp, which is :func:`~repro.pdn.grid.dc_stamp` — the grid's
-    nodal DC stamp, so a grid view of the same design shares its LU.
+    Holds the trapezoidal companion constants, one record per
+    inductive edge axis (``edges``), and two reduced resistor stamps
+    from one local ``stamp`` function: the transient (companion) stamp
+    and, on smooth fully-decapped designs, the t = 0⁺ jump stamp.
     Their engines are built on first read: a factorization per stamp,
-    a structured operator for the companion stamp, and for the DC stamp
-    the structured DC engine's operator
-    (:class:`~repro.pdn.fast_poisson.StructuredGridPDN`).  Each LU is
-    keyed in the shared factorization cache by its stamp's content.
-    Source voltages are right-hand-side data: they are passed to each
-    run, so a setpoint change reuses the structure.
+    keyed in the shared factorization cache by its content, and a
+    structured operator for the companion stamp.  The capacitors-open
+    DC init runs on ``dc``, the grid's own DC structure
+    (:func:`~repro.pdn.grid.dc_structure`), so a grid view of the same
+    design shares its LU.  Source voltages are right-hand-side
+    data: they are passed to each run, so a setpoint change reuses the
+    structure.
     """
 
     def __init__(self, design: MeshDesign, dt_s: float) -> None:
@@ -169,23 +174,27 @@ class _TransientStructure:
         l_src = design.source_values("inductance_h")
         cells = nx * ny
         h = dt_s
-        self.nx, self.ny, self.cells, self.dt_s = nx, ny, cells, h
-        x_a, x_b, y_a, y_b = mesh_edge_rows(nx, ny)
-        self.x_a, self.y_a = x_a, y_a
+        self.nx, self.ny, self.dt_s = nx, ny, h
+        ends = mesh_edge_rows(nx, ny)  # x edges' two ends, then y's
         self.ring_a, self.ring_b = ring_a, ring_b
 
-        # Edge companions (series R + L): g = 1/(r + 2L/h).
-        self.w_x = 2.0 * l_x / h
-        self.w_y = 2.0 * l_y / h
-        self.g_x = 1.0 / (r_x + self.w_x) if r_x is not None else 0.0
-        self.g_y = 1.0 / (r_y + self.w_y) if r_y is not None else 0.0
-        self.g_x_dc = 1.0 / r_x if r_x is not None else 0.0
-        self.g_y_dc = 1.0 / r_y if r_y is not None else 0.0
-        self.g_ring = (
-            np.full(ring_a.size, 1.0 / ring_ohm)
-            if ring_ohm is not None
-            else np.empty(0)
-        )
+        # Edge companions (series R + L): g = 1/(r + w), w = 2L/h.
+        self.g_x = 1.0 / (r_x + 2.0 * l_x / h) if r_x is not None else 0.0
+        self.g_y = 1.0 / (r_y + 2.0 * l_y / h) if r_y is not None else 0.0
+        # One record per inductive axis, x then y: the stencil slices of
+        # its edges' two ends in a (traces, ny, nx) field, g, the DC
+        # conductance 1/r and w.  Resistive edges carry no state.
+        every, head, tail = slice(None), slice(None, -1), slice(1, None)
+        self.edges = []
+        rate = 0.0  # the fastest branch decay rate, see the startup below
+        for r, l, g, lo, hi in (
+            (r_x, l_x, self.g_x, (every, every, head), (every, every, tail)),
+            (r_y, l_y, self.g_y, (every, head, every), (every, tail, every)),
+        ):
+            if r is not None and l > 0:
+                self.edges.append((lo, hi, g, 1.0 / r, 2.0 * l / h))
+                rate = max(rate, r / l)
+        self.g_ring = np.full(ring_a.size, 1.0 / (ring_ohm or 1.0))
 
         # Decap companions, restricted to live (C > 0) nodes.
         live = dec_c > 0
@@ -215,11 +224,6 @@ class _TransientStructure:
         # ~1e-8.  Undamped decaps (ESR = 0) hide their true rate
         # behind the mesh Thevenin resistance, so they always take
         # the damped kick.
-        rate = 0.0
-        if l_x > 0 and r_x is not None:
-            rate = max(rate, r_x / l_x)
-        if l_y > 0 and r_y is not None:
-            rate = max(rate, r_y / l_y)
         live_l = l_src > 0
         if np.any(live_l):
             rate = max(rate, float((rout[live_l] / l_src[live_l]).max()))
@@ -242,8 +246,8 @@ class _TransientStructure:
             branches = [
                 (a, b, ohm)
                 for a, b, ohm in (
-                    (x_a, x_b, r_x),
-                    (y_a, y_b, r_y),
+                    (ends[0], ends[1], r_x),
+                    (ends[2], ends[3], r_y),
                     (ring_a, ring_b, ring_ohm),
                 )
                 if ohm is not None
@@ -268,11 +272,9 @@ class _TransientStructure:
             [self.dec_rows, attach],
             [z_b, 1.0 / self.g_s],
         )
-        # DC-init stamp (capacitors open): the grid's nodal DC stamp,
-        # so a grid view of the design shares this LU.  The design is
-        # kept for its structured engine; only key fields are read.
-        self.design = design
-        self.dc_compiled = dc_stamp(design)
+        # DC init (capacitors open): the grid's own DC structure, so a
+        # grid view of the design shares its LU.
+        self.dc = dc_structure(design)
 
         # t = 0+ jump stamp.  Inductor currents and capacitor voltages
         # are continuous across the load discontinuity, but the node
@@ -285,7 +287,6 @@ class _TransientStructure:
         # only when provably nonsingular: a resistive shunt at every
         # node (full decap coverage, ESL = 0, ESR > 0) on a smooth
         # (non-stiff) structure.
-        self.rout = rout
         self.exact_jump = (
             self.smooth_startup
             and self.dec_rows.size == cells
@@ -295,13 +296,11 @@ class _TransientStructure:
         if self.exact_jump:
             self.jump_g_dec = np.zeros(cells)
             self.jump_g_dec[self.dec_rows] = 1.0 / esr
-            self.jump_x_frozen = l_x > 0
-            self.jump_y_frozen = l_y > 0
             self.jump_src_frozen = l_src > 0
             live = ~self.jump_src_frozen
             self.jump_compiled = stamp(
-                None if self.jump_x_frozen else r_x,
-                None if self.jump_y_frozen else r_y,
+                None if l_x > 0 else r_x,
+                None if l_y > 0 else r_y,
                 [self.dec_rows, attach[live]],
                 [esr, rout[live]],
             )
@@ -312,11 +311,6 @@ class _TransientStructure:
     def solver(self) -> FactorizedPDN:
         """The companion stamp's factorization."""
         return _factorized(self.compiled)
-
-    @cached_property
-    def dc_solver(self) -> FactorizedPDN:
-        """The capacitors-open DC stamp's factorization."""
-        return _factorized(self.dc_compiled)
 
     @cached_property
     def jump_solver(self) -> FactorizedPDN:
@@ -336,12 +330,6 @@ class _TransientStructure:
             self.nx, self.ny, self.g_x, self.g_y, self.g_node, self.attach,
             self.g_s, self.ring_a, self.ring_b, self.g_ring,
         )
-
-    @cached_property
-    def dc_fast(self) -> StructuredOperator:
-        """The structured operator of the capacitors-open DC stamp:
-        the structured DC engine's own, as that stamp is the grid's."""
-        return StructuredGridPDN(self.design).op
 
 
 def _factorized(compiled: CompiledNetlist):
@@ -433,14 +421,27 @@ class GridTransientPDN(MeshView):
     # -- simulation -------------------------------------------------------------
 
     def _probe_rows(self, probe_nodes) -> tuple[int, ...]:
-        """Flattened mesh rows of ``probe_nodes``, each a row index or
-        an ``(ix, iy)`` pair whose axes are checked one by one."""
+        """Flattened mesh rows of ``probe_nodes``, a sequence whose
+        items are each a row index or an ``(ix, iy)`` pair, the pair's
+        axes checked one by one (so ``(True, 2)`` is not ``(1, 2)``)."""
+        try:
+            probes = iter(probe_nodes)
+        except TypeError:
+            raise ConfigError(
+                f"probe_nodes must be a sequence, got {probe_nodes!r}"
+            ) from None
         rows: list[int] = []
-        for probe in probe_nodes:
-            if np.ndim(probe) == 0:
-                row = int(require_indices(probe, "probe_nodes"))
+        for probe in probes:
+            index = require_indices(probe, "probe_nodes")
+            if index.ndim == 0:
+                row = int(index)
                 inside = 0 <= row < self.nx * self.ny
             else:
+                if index.size != 2:
+                    raise ConfigError(
+                        "probe_nodes items must be a row or an (ix, iy) "
+                        f"pair, got {probe!r}"
+                    )
                 ix, iy = (
                     int(require_indices(axis, "probe_nodes"))
                     for axis in probe
@@ -463,13 +464,15 @@ class GridTransientPDN(MeshView):
         float64 trace comes back as a view of the caller's array, in
         any memory layout, and any other is converted on its own.
         Each trace is checked in turn; ``name`` is the argument named
-        when a sample is not finite or a sequence's items differ in
-        shape.
+        when a sample is complex or not finite or a sequence's items
+        differ in shape.
         """
         ny, nx = self.ny, self.nx
         cells = nx * ny
         if isinstance(waveforms_a, (list, tuple)):
-            items = [np.asarray(item) for item in waveforms_a]
+            items = [
+                require_real(np.asarray(item), name) for item in waveforms_a
+            ]
             shapes = {item.shape for item in items}
             if len(shapes) > 1:
                 raise ConfigError(
@@ -478,7 +481,7 @@ class GridTransientPDN(MeshView):
                 )
             shape = (len(items), *(shapes.pop() if shapes else ()))
         else:
-            items = np.asarray(waveforms_a)
+            items = require_real(np.asarray(waveforms_a), name)
             shape = items.shape
         frame = ((cells,), (ny, nx))
         if shape[1:] in frame:
@@ -610,6 +613,10 @@ class GridTransientPDN(MeshView):
             raise ConfigError("dt must be positive")
         if settle_band_v is not None:
             require_finite(settle_band_v, "settle_band_v")
+            if settle_band_v <= 0:
+                raise ConfigError(
+                    f"settle_band_v must be positive, got {settle_band_v}"
+                )
         volt = self._require().source_values("voltage_v")
         structure = self._structure(dt_s)
         mode = resolve_engine(
@@ -651,10 +658,10 @@ class GridTransientPDN(MeshView):
         n_traces = len(traces)
         samples, cells = traces[0].shape
         if mode == "structured":
-            solve, dc_solve_rows = st.fast.solve, st.dc_fast.solve
+            solve, dc_solve_rows = st.fast.solve, st.dc.fast.op.solve
         else:
             solve = _row_solve(st.solver)
-            dc_solve_rows = _row_solve(st.dc_solver)
+            dc_solve_rows = _row_solve(st.dc.solver)
 
         attach = st.attach
         src_inject = st.g_dc * volt  # DC source Norton injection
@@ -691,27 +698,24 @@ class GridTransientPDN(MeshView):
         # the previous node voltages,
         #
         #   H = (2·g·w - 1)·i + g·(v_prev - 2·v_C)   (decap shunt)
-        #   H = (2·g·w - 1)·i + g·Δv_prev            (mesh edge)
+        #   H = (2·g·w - 1)·i + g·Δv_prev            (edge, VR output)
         #
-        # (the closed form follows from g = 1/(R + w + hc)); the
-        # backward-Euler form drops the voltage terms to g·w·i (- g·v_C).
-        # Halving the live state arrays halves the memory traffic of a
-        # batched step, which is what bounds wide-batch throughput.
+        # where a VR output's drop is V - v_attach (the closed form
+        # follows from g = 1/(R + w + hc)); the backward-Euler form
+        # drops the voltage terms to g·w·i (- g·v_C).  Halving the live
+        # state arrays halves the memory traffic of a batched step,
+        # which is what bounds wide-batch throughput.
         dec = st.dec_rows
         i_b = np.zeros((n_traces, dec.size))
         v_c = v[:, dec].copy()
         i_s = st.g_dc * (volt - v[:, attach])
-        v_ls = np.zeros((n_traces, attach.size))
-        track_x = st.w_x > 0 and st.x_a.size > 0
-        track_y = st.w_y > 0 and st.y_a.size > 0
 
         g_b, w_b, hc_b = st.g_b, st.w_b, st.hc_b
         g_s, w_s = st.g_s, st.w_s
         # Fused companion coefficients, hoisted out of the step loop.
         gw_be_b = g_b * w_b
         gwr_b = 2.0 * gw_be_b - 1.0
-        gw_be_x, gw_be_y = st.g_x * st.w_x, st.g_y * st.w_y
-        gwr_x, gwr_y = 2.0 * gw_be_x - 1.0, 2.0 * gw_be_y - 1.0
+        gwr_s = 2.0 * (g_s * w_s) - 1.0
         emf = g_s * volt
         # Scatter strategy: each (traces, cells) row block views as
         # (traces, ny, nx) fields, and mesh_edge_rows orders edges
@@ -731,16 +735,13 @@ class GridTransientPDN(MeshView):
         hist_b = np.empty((n_traces, dec.size))
         i_new_b = np.empty((n_traces, dec.size))
         dec_t = np.empty((n_traces, dec.size))
-        if track_x:
-            dv0 = v3[:, :, :-1] - v3[:, :, 1:]
-            i_x = st.g_x_dc * dv0
-            gdvx = st.g_x * dv0  # carries g_x·Δv_prev between steps
-            h_x = np.empty_like(i_x)
-        if track_y:
-            dv0 = v3[:, :-1, :] - v3[:, 1:, :]
-            i_y = st.g_y_dc * dv0
-            gdvy = st.g_y * dv0
-            h_y = np.empty_like(i_y)
+        # Per inductive edge axis: its ends, g, g·w, and the branch
+        # currents i, g·Δv_prev (carried between steps) and history h.
+        edges = []
+        for lo, hi, g, g_dc, w in st.edges:
+            dv0 = v3[lo] - v3[hi]
+            i = g_dc * dv0
+            edges.append((lo, hi, g, g * w, i, g * dv0, np.empty_like(i)))
 
         kick = not (st.exact_jump and samples > 1)
         if not kick:
@@ -753,23 +754,16 @@ class GridTransientPDN(MeshView):
             # same convention as the lumped oracle.
             b = negated_load(1)
             b += st.jump_g_dec * v
-            if track_x and st.jump_x_frozen:
-                b3[:, :, :-1] -= i_x
-                b3[:, :, 1:] += i_x
-            if track_y and st.jump_y_frozen:
-                b3[:, :-1, :] -= i_y
-                b3[:, 1:, :] += i_y
-            frozen = st.jump_src_frozen
-            if np.any(frozen):
-                np.add.at(
-                    b, (slice(None), attach[frozen]), i_s[:, frozen]
-                )
-            if np.any(~frozen):
-                np.add.at(
-                    b,
-                    (slice(None), attach[~frozen]),
-                    (st.g_dc * volt)[~frozen],
-                )
+            for lo, hi, _, _, i, _, _ in edges:  # all inductive: frozen
+                b3[lo] -= i
+                b3[hi] += i
+            # Inductive VR branches are frozen current sources too;
+            # resistive ones keep their DC Norton injection.
+            np.add.at(
+                b,
+                (slice(None), attach),
+                np.where(st.jump_src_frozen, i_s, src_inject),
+            )
             v = _row_solve(st.jump_solver)(b)
             v3 = v.reshape(n_traces, ny3, nx3)
             # Right-limit branch states: decap currents jump through
@@ -779,21 +773,16 @@ class GridTransientPDN(MeshView):
             np.subtract(v, v_c, out=i_b)
             i_b *= st.jump_g_dec
             i_s = np.where(
-                st.w_s > 0, i_s, st.g_dc * (volt - v[:, attach])
+                st.jump_src_frozen, i_s, st.g_dc * (volt - v[:, attach])
             )
-            v_ls = volt - v[:, attach] - st.rout * i_s
-            if track_x:
-                np.subtract(v3[:, :, :-1], v3[:, :, 1:], out=gdvx)
-                gdvx *= st.g_x
-            if track_y:
-                np.subtract(v3[:, :-1, :], v3[:, 1:, :], out=gdvy)
-                gdvy *= st.g_y
+            for lo, hi, g, _, _, gdv, _ in edges:
+                np.subtract(v3[lo], v3[hi], out=gdv)
+                gdv *= g
 
         def advance(k: int, backward_euler: bool) -> None:
             """One companion-model step to sample ``k`` (shared matrix,
             TR or BE form)."""
-            nonlocal v, v3, i_b, i_new_b, i_s, v_ls, hist_b, dec_t, v_c
-            nonlocal h_x, gdvx, h_y, gdvy
+            nonlocal v, v3, i_b, i_new_b, i_s, hist_b, dec_t, v_c
             b = negated_load(k)
             if dec.size:
                 if backward_euler:
@@ -813,27 +802,17 @@ class GridTransientPDN(MeshView):
             if backward_euler:
                 src_hist = emf + g_s * (w_s * i_s)
             else:
-                src_hist = emf + g_s * (w_s * i_s + v_ls)
+                src_hist = emf + gwr_s * i_s + g_s * (volt - v[:, attach])
             if attach_unique:
                 b[:, attach] += src_hist
             else:
                 np.add.at(b, (slice(None), attach), src_hist)
-            if track_x:
-                np.multiply(
-                    gw_be_x if backward_euler else gwr_x, i_x, out=h_x
-                )
+            for lo, hi, _, gw, i, gdv, h in edges:
+                np.multiply(gw if backward_euler else 2.0 * gw - 1.0, i, out=h)
                 if not backward_euler:
-                    h_x += gdvx
-                b3[:, :, :-1] -= h_x
-                b3[:, :, 1:] += h_x
-            if track_y:
-                np.multiply(
-                    gw_be_y if backward_euler else gwr_y, i_y, out=h_y
-                )
-                if not backward_euler:
-                    h_y += gdvy
-                b3[:, :-1, :] -= h_y
-                b3[:, 1:, :] += h_y
+                    h += gdv
+                b3[lo] -= h
+                b3[hi] += h
 
             v = solve(b)
             v3 = v.reshape(n_traces, ny3, nx3)
@@ -848,20 +827,11 @@ class GridTransientPDN(MeshView):
                     dec_t *= hc_b
                 v_c += dec_t
                 i_b, i_new_b = i_new_b, i_b
-            i_new_s = src_hist - g_s * v[:, attach]
-            if backward_euler:
-                v_ls = w_s * (i_new_s - i_s)
-            else:
-                v_ls = w_s * (i_new_s - i_s) - v_ls
-            i_s = i_new_s
-            if track_x:
-                np.subtract(v3[:, :, :-1], v3[:, :, 1:], out=gdvx)
-                gdvx *= st.g_x
-                np.add(gdvx, h_x, out=i_x)
-            if track_y:
-                np.subtract(v3[:, :-1, :], v3[:, 1:, :], out=gdvy)
-                gdvy *= st.g_y
-                np.add(gdvy, h_y, out=i_y)
+            i_s = src_hist - g_s * v[:, attach]
+            for lo, hi, g, _, i, gdv, h in edges:
+                np.subtract(v3[lo], v3[hi], out=gdv)
+                gdv *= g
+                np.add(gdv, h, out=i)
 
         for k in range(1, samples):
             if k == 1 and kick:

@@ -39,7 +39,7 @@ from functools import cached_property, update_wrapper
 
 import numpy as np
 
-from ..errors import ConfigError, require_finite
+from ..errors import ConfigError, require_finite, require_real
 from .powermap import PowerMap
 
 
@@ -132,6 +132,7 @@ class DecapDensity:
             raise ConfigError("unit decap capacitance must be positive")
         if self.esr_per_unit_ohm < 0 or self.esl_per_unit_h < 0:
             raise ConfigError("unit decap ESR/ESL must be non-negative")
+        require_real(self.density, "density")
         alpha = np.array(self.density, dtype=float)
         require_finite(alpha, "density")
         if np.any(alpha < 0):
@@ -195,6 +196,7 @@ class DecapMap:
             ("esr_ohm", "ESR"),
             ("esl_h", "ESL"),
         ):
+            require_real(getattr(self, name), name)
             arr = np.array(getattr(self, name), dtype=float)
             require_finite(arr, name)
             if np.any(arr < 0):
@@ -429,6 +431,7 @@ class MeshDesign:
 
     def with_sinks(self, cell_currents) -> "MeshDesign":
         """Replace the POL sink map with an explicit (ny, nx) array."""
+        require_real(cell_currents, "cell_currents")
         arr = np.array(cell_currents, dtype=float)
         if arr.shape != (self.ny, self.nx):
             raise ConfigError(
@@ -554,6 +557,7 @@ class MeshDesign:
             ("y_scale", y_scale, (self.ny - 1, self.nx)),
         ):
             if value is not None:
+                require_real(value, name)
                 value = np.array(value, dtype=float)
                 if value.shape != shape:
                     raise ConfigError(f"{name} must be shaped {shape}")
@@ -573,9 +577,11 @@ class MeshDesign:
         return self._edit(decap=decap)
 
     def _mesh_map(self, value, label: str) -> np.ndarray:
-        arr = np.asarray(value, dtype=float)
+        """``value`` broadcast to the mesh, in its own dtype: the decap
+        classes convert it, and reject a complex map by field name."""
+        arr = np.asarray(value)
         if arr.ndim == 0:
-            arr = np.full((self.ny, self.nx), float(arr))
+            arr = np.full((self.ny, self.nx), arr)
         if arr.shape != (self.ny, self.nx):
             raise ConfigError(
                 f"{label} map must be shaped ({self.ny}, {self.nx})"

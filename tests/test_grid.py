@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -320,11 +322,11 @@ class TestSolveDisabled:
         grid = self.powered_grid()
         grid.solve()
         structure = grid._ensure_structure()
-        solver = structure._solver
+        solver = structure.solver
         for k in range(3):
             grid.solve_disabled((k,))
         assert grid._ensure_structure() is structure
-        assert structure._solver is solver
+        assert structure.solver is solver
 
     def test_baseline_empty_disable_equals_solve(self):
         grid = self.powered_grid()
@@ -348,6 +350,24 @@ class TestSolveDisabled:
         # Whole-valued floats and the empty scenario stay valid.
         assert grid.solve_disabled([1.0]).source_currents_a[1] == 0.0
         assert grid.solve_disabled([]).source_currents_a.sum() > 0.0
+        # A scalar index is a one-source scenario, on either engine.
+        grid = self.powered_grid()
+        for engine in ("factorized", "structured"):
+            grid.engine = engine
+            pairs = [
+                (grid.solve_disabled(1), grid.solve_disabled((1,))),
+                *zip(
+                    grid.solve_disabled_many([1, 2]),
+                    grid.solve_disabled_many([(1,), (2,)]),
+                ),
+            ]
+            for scalar, scenario in pairs:
+                for field in fields(scalar):
+                    a, b = (
+                        np.asarray(getattr(s, field.name))
+                        for s in (scalar, scenario)
+                    )
+                    assert a.tobytes() == b.tobytes(), field.name
 
 
 class TestGridACDCLimit:

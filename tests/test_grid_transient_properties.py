@@ -492,17 +492,25 @@ class TestValidation:
     @pytest.mark.parametrize(
         "probe",
         [(12, 0), (0, 12), (-1, 3), 144, -1, 1.5, (True, 2), (2.7, 3),
-         (float("nan"), 1), True],
+         (float("nan"), 1), True, (0, 0, 0), [[0, 0]]],
     )
     def test_rejects_bad_probe_nodes(self, probe):
         """Each probe axis is a whole-number index inside the mesh: an
         x index past the edge does not wrap onto the next row, and a
-        fraction, NaN or boolean raises by name."""
+        fraction, NaN or boolean raises by name, as does a probe that
+        is neither a row nor an (ix, iy) pair."""
         pdn = mesh_fixture("factorized")
         pdn.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
         wave = np.full((4, 144), 0.1)
         with pytest.raises(ConfigError, match="probe"):
             pdn.simulate(wave, 1e-10, probe_nodes=[probe])
+
+    def test_rejects_probe_nodes_that_are_not_a_sequence(self):
+        pdn = mesh_fixture("factorized")
+        pdn.set_decap_density(1.0, 0.2e-6, 2e-3, 1e-12)
+        wave = np.full((4, 144), 0.1)
+        with pytest.raises(ConfigError, match="^probe_nodes must be a seq"):
+            pdn.simulate(wave, 1e-10, probe_nodes=3)
 
     def test_probe_nodes_accept_rows_and_pairs(self):
         pdn = mesh_fixture("factorized")

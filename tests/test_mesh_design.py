@@ -414,6 +414,7 @@ class TestEdgeVariation:
 
 VIEWS = {"dc": GridPDN, "ac": GridACPDN, "transient": GridTransientPDN}
 BAD = object()  # where a _mutate argument takes the non-finite value
+COMPLEX = 1.0 + 1.0j  # a value whose float conversion would drop 1j
 
 
 def _view(kind: str):
@@ -426,7 +427,7 @@ def _view(kind: str):
 
 
 def _spoiled(shape, bad):
-    arr = np.ones(shape)
+    arr = np.ones(shape, dtype=complex if isinstance(bad, complex) else float)
     arr[0, -1] = bad
     return arr
 
@@ -529,6 +530,18 @@ def test_non_finite_design_values_are_rejected_by_name(name, enter, kind, bad):
         enter(kind, bad)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", sorted(VIEWS))
+@pytest.mark.parametrize(
+    "name, enter", ENTRY_POINTS, ids=[name for name, _ in ENTRY_POINTS]
+)
+def test_complex_design_values_are_rejected_by_name(name, enter, kind):
+    """Complex input raises by name before any float conversion could
+    drop its imaginary part (numpy's ComplexWarning is an error here)."""
+    with pytest.raises(ConfigError, match=f"^{name} must be real$"):
+        enter(kind, COMPLEX)
+
+
 @pytest.mark.parametrize("kind", sorted(VIEWS))
 def test_negative_source_voltage_is_rejected_by_name(kind):
     # The DC engines stamp a regulator's EMF as a Norton current
@@ -543,6 +556,27 @@ def test_non_finite_view_options_are_rejected_by_name(bad):
         GridPDN(0.01, 0.01, 0.01, rail_pair_factor=bad)
     with pytest.raises(ConfigError, match="^sink_maps must be finite$"):
         _view("dc").solve_many(_spoiled((4, 4), bad)[None])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("sink_maps", lambda: _view("dc").solve_many(
+            _spoiled((4, 4), COMPLEX)[None]
+        )),
+        ("sink_maps", lambda: _view("dc").solve_many(
+            [np.ones((4, 4)), _spoiled((4, 4), COMPLEX)]
+        )),
+        ("frequencies", lambda: _view("ac").impedance_map(
+            np.array([1e6, 2e6, COMPLEX])
+        )),
+        ("frequencies", lambda: _view("ac").impedance_columns(COMPLEX, [0])),
+    ],
+)
+def test_complex_view_inputs_are_rejected_by_name(name, call):
+    with pytest.raises(ConfigError, match=f"^{name} must be real$"):
+        call()
 
 
 SIMULATE_CALLS = [
@@ -570,3 +604,41 @@ SIMULATE_CALLS = [
 def test_non_finite_simulate_arguments_are_rejected_by_name(name, call, bad):
     with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
         call(_view("transient"), bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, call", SIMULATE_CALLS, ids=[f"{n}-{i}" for i, (n, _) in enumerate(SIMULATE_CALLS)]
+)
+def test_complex_simulate_arguments_are_rejected_by_name(name, call):
+    with pytest.raises(ConfigError, match=f"^{name} must be real$"):
+        call(_view("transient"), COMPLEX)
+
+
+@pytest.mark.parametrize("band", [0.0, -1e-3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pdn, band: pdn.simulate(
+            np.ones((3, 16)), 1e-9, settle_band_v=band
+        ),
+        lambda pdn, band: pdn.simulate_many(
+            [np.ones((3, 16))], 1e-9, settle_band_v=band
+        ),
+        lambda pdn, band: pdn.simulate_step(
+            1.0, 2.0, 1e-8, 1e-9, settle_band_v=band
+        ),
+    ],
+    ids=["simulate", "simulate_many", "simulate_step"],
+)
+def test_non_positive_settle_band_is_rejected_before_stepping(
+    call, band, monkeypatch
+):
+    pdn = _view("transient")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("stepped before checking settle_band_v")
+
+    monkeypatch.setattr(pdn, "_structure", no_run)
+    with pytest.raises(ConfigError, match="^settle_band_v must be positive"):
+        call(pdn, band)

@@ -246,7 +246,7 @@ class TestFactorizationCache:
         )
         hits = process_cache().stats.hits
         view = GridTransientPDN.from_design(grid.design, engine="factorized")
-        assert view._structure(1e-9).dc_solver is solver
+        assert view._structure(1e-9).dc.solver is solver
         assert process_cache().stats.hits == hits + 1
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,15 @@ class TestInjectFailures:
         for bad in ((1.5,), (True,), (float("nan"),)):
             with pytest.raises(ConfigError, match="failed_indices"):
                 inject_failures(single_stage_a1(), DSCH, bad)
+        # A scalar index is a one-VR scenario.
+        scalar = inject_failures(single_stage_a1(), DSCH, 3)
+        scenario = inject_failures(single_stage_a1(), DSCH, (3,))
+        assert scalar.failed_indices == (3,)
+        for field in fields(scalar):
+            a, b = (
+                np.asarray(getattr(r, field.name)) for r in (scalar, scenario)
+            )
+            assert a.tobytes() == b.tobytes(), field.name
 
 
 class TestFailureTolerance:
