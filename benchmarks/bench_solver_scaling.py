@@ -44,6 +44,11 @@ shapes the system-level sweeps rely on:
   16/32 meshes, and ``..._selinv_map`` on 48×48 map-form decap over
   inductive metal, the sweep that took ~2 min on the sparse-LU path;
   each records its frequency chunk and the traced peak,
+* ``test_grid_ac_driven_sweep`` / ``test_grid_ac_impedance_columns``
+  — the driven phasor sweep (41 points) and the adjoint columns (8
+  probe nodes at one frequency) on the paper's 48-VR A2 array with a
+  non-uniform density at 16/48 meshes: the two selinv paths that carry
+  right-hand sides,
 * ``test_placement_opt`` — a capped decap placement-optimizer run
   (greedy moves + one adjoint gradient step) at 16/32 meshes, pinning
   the O(one batched solve) per-iteration cost,
@@ -496,6 +501,50 @@ def test_grid_ac_impedance_map_selinv_map(benchmark, n):
     record_selinv_scratch(benchmark, pdn, freqs)
     assert impedance.peak_impedance_ohm > 0
     assert np.all(np.isfinite(impedance.z_ohm))
+
+
+def make_a2_bank_ac(n: int) -> GridACPDN:
+    """The paper's 48-VR A2 array on an n×n die mesh, hotspot sinks,
+    under the fixed non-uniform decap density of :func:`decap_pattern`."""
+    from repro import DSCH, SystemSpec, single_stage_a2
+    from repro.core.current_sharing import _die_grid_with_bank
+
+    grid, _ = _die_grid_with_bank(
+        single_stage_a2(), DSCH, SystemSpec(), PowerMap.hotspot_mixture(), n,
+        1.0, 1e-3, 5e-12,
+    )
+    pdn = GridACPDN.from_design(grid.design)
+    pdn.set_decap_density(decap_pattern(n), 0.2e-6, 2e-3, 1e-12)
+    return pdn
+
+
+@pytest.mark.parametrize(
+    "n", [16, pytest.param(48, marks=pytest.mark.large_mesh)]
+)
+def test_grid_ac_driven_sweep(benchmark, n):
+    """The driven phasor sweep (``GridACPDN.solve``) on the 48-VR A2
+    array, 41 points, warm level plan: each frequency's right-hand side
+    rides the selinv block sweep."""
+    pdn = make_a2_bank_ac(n)
+    freqs = np.logspace(4, 9, 41)
+    pdn.solve(freqs)
+
+    sweep = benchmark(pdn.solve, freqs)
+    assert sweep.voltage_maps.shape == (freqs.size, n, n)
+    assert np.all(np.isfinite(sweep.voltage_maps))
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_grid_ac_impedance_columns(benchmark, n):
+    """The adjoint columns of one placement gradient step on the 48-VR
+    A2 array: 8 probe nodes at one frequency, warm level plan."""
+    pdn = make_a2_bank_ac(n)
+    nodes = np.arange(8) * (n * n // 8)
+    pdn.impedance_columns(1e7, nodes)
+
+    columns = benchmark(pdn.impedance_columns, 1e7, nodes)
+    assert columns.shape == (n * n, nodes.size)
+    assert np.all(np.isfinite(columns))
 
 
 # -- decap placement optimizer ------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..errors import ConfigError, SolverError, require_real
+from ..errors import ConfigError, SolverError, require_finite, require_real
 from .mna import (
     SINGULARITY_PROBE_TOL,
     factorization_probe_error,
@@ -185,8 +185,9 @@ def solve_ac(netlist: ACNetlist, frequency_hz: float) -> ACSolution:
     voltage sources likewise.  Inductors/capacitors stamp their
     admittances 1/(jωL) and jωC.
     """
+    require_finite(frequency_hz, "frequency_hz")
     if frequency_hz <= 0:
-        raise ConfigError("frequency must be positive")
+        raise ConfigError("frequency_hz must be positive")
     netlist.validate()
     nodes = netlist.nodes()
     index = {node: i for i, node in enumerate(nodes)}
@@ -262,7 +263,8 @@ def solve_ac(netlist: ACNetlist, frequency_hz: float) -> ACSolution:
 def probed_lu(matrix: sp.csc_matrix, frequency_hz: float) -> spla.SuperLU:
     """The sparse LU of one AC system matrix, probed as it is factored.
 
-    The one sparse factorization of every AC sweep path.  SuperLU
+    The one sparse factorization of the AC layer: the lumped sweep's
+    sparse branch and the grid's ``direct`` oracle.  SuperLU
     failing, or the known-solution probe (see
     :func:`repro.pdn.mna.singularity_probe`: one matvec and one
     back-substitution on the new factors) missing ``w``, raises
@@ -367,8 +369,8 @@ def shared_csc_pattern(
     groups, so that any value vector over the same (rows, cols) maps
     onto the CSC ``data`` array with one fancy-index plus one
     ``np.add.reduceat`` — no per-solve sparse re-assembly.  Returns
-    ``(order, starts, csc_rows, csc_cols, indptr)``.  Shared by the
-    lumped AC sweep engine and the grid-level reduced AC assembly.
+    ``(order, starts, csc_rows, csc_cols, indptr)``.  The lumped AC
+    sweep engine's assembly.
     """
     nnz = len(rows)
     order = np.lexsort((rows, cols))

@@ -348,7 +348,7 @@ def _peak_gradient(
     probe columns ``x = A(ω)⁻¹ e_k`` from
     :meth:`~repro.pdn.grid.GridACPDN.impedance_columns` give the exact
     all-node sensitivity ``d|Z_k|/dαᵢ = Re(Z̄_k/|Z_k| · (−y_u(ω)) ·
-    xᵢ²)`` — one batched sparse solve per distinct peak frequency,
+    xᵢ²)`` — one batched selinv solve per distinct peak frequency,
     independent of mesh size.  Violating nodes are weighted by their
     excess over target; with no violators the single worst node drives
     a pure peak-flattening direction.  The density representation's

@@ -49,7 +49,6 @@ from .ac import (
     _DENSE_BATCH_ENTRIES,
     check_frequencies,
     probed_lu,
-    shared_csc_pattern,
 )
 from .fast_poisson import (
     FastPoissonOperator,
@@ -70,7 +69,6 @@ from .network import (
     GROUND_INDEX,
     CompiledNetlist,
     Netlist,
-    admittance_entry_map,
     admittance_stamp_entries,
 )
 
@@ -497,8 +495,10 @@ class GridPDN(MeshView):
             f"sink_maps must be a stack of ({self.ny}, {self.nx}) arrays"
         )
         try:
+            if not isinstance(sink_maps, np.ndarray):
+                sink_maps = list(sink_maps)  # a generator, say
             stack = np.asarray(sink_maps)
-        except ValueError:
+        except (TypeError, ValueError):
             raise shape_error from None
         stack = require_real(stack, "sink_maps").astype(float, copy=False)
         if stack.ndim == 2 and stack.shape == (self.ny, self.nx):
@@ -837,23 +837,6 @@ class GridACSweepSolution:
 
 
 @dataclass
-class _ReducedACStructure:
-    """Compile-once pattern of the reduced (node-only) AC system.
-
-    Decap chains and source output branches are folded analytically
-    into per-node shunt admittances and series edges into complex edge
-    admittances, so the matrix is ``n_cells`` square at any frequency.
-    """
-
-    entry_edge: np.ndarray  # edge index per off/diagonal edge entry
-    entry_sign: np.ndarray
-    order: np.ndarray
-    starts: np.ndarray
-    csc_rows: np.ndarray
-    indptr: np.ndarray
-
-
-@dataclass
 class _SpectralACStructure:
     """Eigenbasis of ``G x = λ D_α x`` for the fast impedance map.
 
@@ -1014,17 +997,19 @@ class GridACPDN(MeshView):
       as AC load magnitudes), whose low-frequency limit converges to
       the :class:`GridPDN` DC solution.
 
-    Both surfaces run on one *reduced* node-only system, compiled once
-    per topology and revalued per frequency: decap chains and source
+    Both surfaces run on one *reduced* node-only system, revalued per
+    frequency from :meth:`_element_admittances`: decap chains and source
     branches fold into per-node shunt admittances, and in the driven
     sweep each source's EMF is a Norton injection behind its branch.
     The impedance map solves it by exact block-tridiagonal selected
     inversion (``selinv``), or on the mesh Green's function
     (``structured``) when the decap density is uniform and its rank-k
-    branch correction is the cheaper of the two; the driven sweep by
-    one probed sparse LU per frequency.  Each structure is cached under the
-    design's :attr:`~repro.pdn.mesh.MeshDesign.key` alone, so sink and
-    voltage edits reuse it.
+    branch correction is the cheaper of the two.  The driven sweep and
+    the adjoint :meth:`impedance_columns` carry their right-hand sides
+    through the same selinv block sweep, and only the ``direct`` oracle
+    factors a sparse LU.  Each structure is cached under the design's
+    :attr:`~repro.pdn.mesh.MeshDesign.key` alone, so sink and voltage
+    edits reuse it.
 
     Unlike the DC grid, degenerate 1-D chains (``nx == 1`` or
     ``ny == 1``) are allowed: they are the lattice the analytic ladder
@@ -1117,7 +1102,7 @@ class GridACPDN(MeshView):
         if engine == "structured":
             z = self._impedance_structured(omega)
         elif engine == "selinv":
-            z = self._impedance_selinv(omega, freqs)
+            z = self._selinv_sweep(omega, freqs)
         elif engine == "spectral":
             z = self._impedance_spectral(omega)
         else:
@@ -1139,17 +1124,17 @@ class GridACPDN(MeshView):
 
         The adjoint companion of :meth:`impedance_map`: at one
         frequency, solve the reduced (sources-zeroed) system for a
-        batch of unit probes — one sparse factorization, one multi-RHS
-        back-substitution.  Column ``j`` is the transfer impedance from
-        every mesh node into ``nodes[j]`` (row order, ``iy·nx + ix``);
-        its diagonal entry is exactly the self-impedance the map
-        reports.  Because the reduced system is complex-symmetric,
-        these columns are also the adjoint fields
+        batch of unit probes — one selinv block sweep carrying every
+        probe column through its forward and backward phases.  Column
+        ``j`` is the transfer impedance from every mesh node into
+        ``nodes[j]`` (row order, ``iy·nx + ix``); its diagonal entry is
+        the self-impedance the map reports.  Because the reduced system
+        is complex-symmetric, these columns are also the adjoint fields
         ``d Z_k / d y_shunt,i = −(A⁻¹ e_k)_i²`` that the placement
         optimizer turns into per-node decap sensitivities for *all*
-        nodes at once.  Its LU is probed as it is factored
-        (:func:`~repro.pdn.ac.probed_lu`), so a singular system raises
-        like every other AC path.
+        nodes at once.  The sweep's known-solution probe rides along,
+        so a singular system raises naming the frequency like every
+        other AC path.
 
         Returns a complex ``(cells, len(nodes))`` array.
 
@@ -1166,10 +1151,9 @@ class GridACPDN(MeshView):
             raise ConfigError("nodes must be a non-empty 1-D index list")
         if np.any(rows < 0) or np.any(rows >= cells):
             raise ConfigError("probe node index outside the mesh")
-        rhs = np.zeros((cells, rows.size), dtype=complex)
-        rhs[rows, np.arange(rows.size)] = 1.0
-        (lu,) = self._probed_lus(2.0 * math.pi * freqs, freqs)
-        return lu.solve(rhs)
+        rhs = np.zeros((1, cells, rows.size), dtype=complex)
+        rhs[0, rows, np.arange(rows.size)] = 1.0
+        return self._selinv_sweep(2.0 * math.pi * freqs, freqs, rhs)[0]
 
     def impedance_engine(self, method: str = "auto") -> str:
         """The impedance-map engine ``method`` resolves to.
@@ -1435,61 +1419,6 @@ class GridACPDN(MeshView):
             z[:, lo:hi] = diag.T
         return z
 
-    def _ensure_reduced(self) -> _ReducedACStructure:
-        return cached(self, "_reduced", self.design.key, self._build_reduced)
-
-    def _build_reduced(self) -> _ReducedACStructure:
-        cells = self.nx * self.ny
-        a, b, _, _ = self.design.lateral_edges()
-        rows, cols, edge, sign = admittance_entry_map(a, b)
-        diag = np.arange(cells, dtype=np.int64)
-        all_rows = np.concatenate([rows, diag])
-        all_cols = np.concatenate([cols, diag])
-        order, starts, csc_rows, _, indptr = shared_csc_pattern(
-            all_rows, all_cols, cells
-        )
-        return _ReducedACStructure(
-            entry_edge=edge,
-            entry_sign=sign,
-            order=order,
-            starts=starts,
-            csc_rows=csc_rows,
-            indptr=indptr,
-        )
-
-    def _reduced_csc_data(
-        self, structure: _ReducedACStructure, omega: np.ndarray
-    ) -> np.ndarray:
-        """Reduced-system CSC values for a frequency chunk."""
-        edge_y, shunt = self._element_admittances(omega)
-        vals = np.concatenate(
-            [
-                structure.entry_sign[None, :]
-                * edge_y[:, structure.entry_edge],
-                shunt,
-            ],
-            axis=1,
-        )
-        return np.add.reduceat(
-            vals[:, structure.order], structure.starts, axis=1
-        )
-
-    def _probed_lus(self, omega: np.ndarray, freqs: np.ndarray):
-        """Each frequency's probed LU (:func:`~repro.pdn.ac.probed_lu`)
-        of the reduced system, in sweep order; the CSC values are built
-        a budget-sized frequency chunk at a time."""
-        structure = self._ensure_reduced()
-        cells = self.nx * self.ny
-        chunk = max(1, _DENSE_BATCH_ENTRIES // structure.order.size)
-        for lo in range(0, omega.size, chunk):
-            data = self._reduced_csc_data(structure, omega[lo : lo + chunk])
-            for k, values in enumerate(data, lo):
-                matrix = sp.csc_matrix(
-                    (values, structure.csc_rows, structure.indptr),
-                    shape=(cells, cells),
-                )
-                yield probed_lu(matrix, freqs[k])
-
     def _ensure_selinv(self) -> _SelinvPlan:
         return cached(self, "_selinv", self.design.key, self._build_selinv)
 
@@ -1531,19 +1460,28 @@ class GridACPDN(MeshView):
             edge_b=b,
         )
 
-    def _impedance_selinv(
-        self, omega: np.ndarray, freqs: np.ndarray
+    def _selinv_sweep(
+        self,
+        omega: np.ndarray,
+        freqs: np.ndarray,
+        rhs: np.ndarray | None = None,
     ) -> np.ndarray:
-        """diag(A⁻¹) by block-tridiagonal selected inversion, (cells, F).
+        """Block-tridiagonal selected inversion of the reduced system.
 
         Takahashi et al. (1973) on the level blocks of
         :meth:`_ensure_selinv`, batched over frequency.  The forward
-        Schur sweep ``g_l = (D_l − U_{l−1}ᵀ g_{l−1} U_{l−1})⁻¹`` and the
-        backward recurrence ``G_l = g_l + X_l G_{l+1} X_lᵀ`` with
-        ``X_l = g_l U_l`` give the exact diagonal blocks of the inverse
-        in O(levels·width³) per frequency; the full inverse is never
-        formed.  The lower blocks are ``U_lᵀ`` and ``g_l U_l`` stands in
-        for ``(U_lᵀ g_l)ᵀ`` because ``A`` is complex symmetric.  Each
+        Schur sweep ``g_l = (D_l − U_{l−1}ᵀ g_{l−1} U_{l−1})⁻¹`` carries
+        right-hand sides beside each coupling block ``U_l``: the
+        known-solution probe's, then the caller's ``rhs``, shape
+        (F, cells, r), when given.  Without ``rhs`` the backward
+        recurrence ``G_l = g_l + X_l G_{l+1} X_lᵀ`` with ``X_l = g_l U_l``
+        gives the exact diagonal blocks of the inverse, and the sweep
+        returns diag(A⁻¹), (cells, F); with ``rhs`` it skips ``G_l``,
+        back-substitutes the carried columns alone and returns
+        ``A⁻¹·rhs``, (F, cells, r).  Either way it costs
+        O(levels·width³) per frequency and never forms the inverse.  The
+        lower blocks are ``U_lᵀ`` and ``g_l U_l`` stands in for
+        ``(U_lᵀ g_l)ᵀ`` because ``A`` is complex symmetric.  Each
         frequency chunk fills the blocks straight from the element
         admittances (:attr:`_SelinvPlan.assembly`).
         """
@@ -1552,15 +1490,23 @@ class GridACPDN(MeshView):
         levels, width = plan.levels, plan.width
         cells = self.nx * self.ny
         count = omega.size
-        z = np.empty((cells, count), dtype=complex)
+        extra = 0 if rhs is None else rhs.shape[2]
+        stride = width + 1 + extra
+        split = levels * width * width
+        if extra:
+            # The caller's columns widen every coupling row; the flat
+            # order stays, so only the indices past the D_l blocks move.
+            row, column = np.divmod(dst - split, width + 1)
+            dst = np.where(dst < split, dst, split + row * stride + column)
+        out = np.empty((cells, count) if rhs is None else rhs.shape, complex)
         probe = singularity_probe(cells)
         probe_error = np.empty(count)
-        # One flat row of blocks per frequency: D_l, overwritten by g_l,
-        # then [U_l | z_l], overwritten by [X_l | g_l z_l], as the sweep
-        # passes.  Every chunk refills the one buffer.
-        split = levels * width * width
+        # One flat row of blocks per frequency: D_l, overwritten by g_l
+        # (and by G_l on the way back), then [U_l | z_l | B_l],
+        # overwritten by [X_l | g_l z_l | g_l B_l] and then by the
+        # solutions.  Every chunk refills the one buffer.
         chunk = min(count, plan.chunk)
-        buffer = np.empty((chunk, plan.row_size), dtype=complex)
+        buffer = np.empty((chunk, split + levels * width * stride), complex)
         for lo in range(0, count, chunk):
             hi = min(lo + chunk, count)
             n = hi - lo
@@ -1572,13 +1518,15 @@ class GridACPDN(MeshView):
             ).T
             blocks[:, pad] = 1.0
             g = blocks[:, :split].reshape(n, levels, width, width)
-            # [U_l | z_l] per level: the coupling to the next level (zero
-            # for the last) plus the known-solution probe's right-hand
-            # side A @ w, so every GEMM below also carries the block
-            # substitution that must recover w.
-            x = blocks[:, split:].reshape(n, levels, width, width + 1)
-            diag = np.empty((n, levels, width), dtype=complex)
-            solution = np.empty((n, levels, width), dtype=complex)
+            # [U_l | z_l | B_l] per node row: the coupling to the next
+            # level (zero for the last), the known-solution probe's
+            # right-hand side A @ w, so every GEMM below also carries
+            # the block substitution that must recover w, and the
+            # caller's columns.
+            coupling = blocks[:, split:].reshape(n, levels * width, stride)
+            if extra:
+                coupling[:, plan.slot, width + 1 :] = rhs[lo:hi]
+            x = coupling.reshape(n, levels, width, stride)
             try:
                 with np.errstate(all="ignore"):
                     for l in range(levels):
@@ -1587,55 +1535,70 @@ class GridACPDN(MeshView):
                         if l + 1 < levels:
                             update = np.swapaxes(x[:, l, :, :width], 1, 2) @ t
                             g[:, l + 1] -= update[..., :width]
-                            x[:, l + 1, :, width] -= update[..., width]
+                            x[:, l + 1, :, width:] -= update[..., width:]
                         x[:, l] = t
-                    # Backward, [G_l | v_l] from [G_{l+1} | v_{l+1}]: the
-                    # diagonal block of the inverse and the probe solution.
-                    aug = np.empty((n, width, width + 1), dtype=complex)
-                    aug[..., :width] = g[:, -1]
-                    aug[..., width] = x[:, -1, :, width]
-                    diag[:, -1] = np.diagonal(g[:, -1], axis1=1, axis2=2)
-                    solution[:, -1] = aug[..., width]
+                    # Backward from aug = [G_{l+1} | v_{l+1}]: the carried
+                    # columns back-substitute in place, v_l = g_l b_l −
+                    # X_l v_{l+1}, and a map also overwrites g_l with
+                    # G_l.  With rhs, aug holds no G block (keep = 0).
+                    keep = 0 if extra else width
+                    aug = np.concatenate(
+                        [g[:, -1, :, :keep], x[:, -1, :, width:]], axis=2
+                    )
                     for l in range(levels - 2, -1, -1):
                         x_l = x[:, l, :, :width]
                         t = x_l @ aug
-                        aug[..., width] = x[:, l, :, width] - t[..., width]
-                        aug[..., :width] = g[:, l] + t[..., :width] @ (
-                            np.swapaxes(x_l, 1, 2)
-                        )
-                        diag[:, l] = np.diagonal(
-                            aug[..., :width], axis1=1, axis2=2
-                        )
-                        solution[:, l] = aug[..., width]
+                        x[:, l, :, width:] -= t[..., keep:]
+                        aug[..., keep:] = x[:, l, :, width:]
+                        if keep:
+                            g[:, l] += t[..., :keep] @ np.swapaxes(x_l, 1, 2)
+                            aug[..., :keep] = g[:, l]
             except np.linalg.LinAlgError as exc:
                 raise SolverError(
-                    "grid impedance is singular between "
+                    "grid AC system is singular between "
                     f"{freqs[lo]:.6g} and {freqs[hi - 1]:.6g} Hz "
                     f"(resonant singularity or floating mesh): {exc}"
                 ) from exc
-            z[:, lo:hi] = diag.reshape(n, -1)[:, plan.slot].T
             with np.errstate(all="ignore"):
                 probe_error[lo:hi] = np.abs(
-                    solution.reshape(n, -1)[:, plan.slot] - probe
+                    coupling[:, plan.slot, width] - probe
                 ).max(axis=1)
+            if extra:
+                out[lo:hi] = coupling[:, plan.slot, width + 1 :]
+            else:
+                diag = np.diagonal(g, axis1=2, axis2=3).reshape(n, -1)
+                out[:, lo:hi] = diag[:, plan.slot].T
         _check_probe(probe_error, freqs)
-        return z
+        return out
 
     def _impedance_direct(
         self, omega: np.ndarray, freqs: np.ndarray
     ) -> np.ndarray:
         """diag(A⁻¹) by explicit per-frequency inversion of the reduced
-        system, ``splu(A).solve(I)`` on the shared CSC pattern.
+        system, ``splu(A).solve(I)`` with its LU probed as it is
+        factored (:func:`~repro.pdn.ac.probed_lu`).
 
-        General (arbitrary decap maps, inductive mesh metal) but it forms
-        the full inverse, O(cells²) memory per frequency: the oracle the
-        other engines are tested against, never picked by ``auto``.
+        Each frequency's matrix is stamped from the element admittances
+        by :func:`~repro.pdn.network.admittance_stamp_entries`, the
+        convention of the lumped solvers, so the oracle shares no
+        assembly with the engines it checks.  General (arbitrary decap
+        maps, inductive mesh metal) but it forms the full inverse,
+        O(cells²) memory per frequency: the oracle the other engines are
+        tested against, never picked by ``auto``.
         """
         cells = self.nx * self.ny
+        a, b, _, _ = self.design.lateral_edges()
+        nodes = np.arange(cells)
+        edge_y, shunt = self._element_admittances(omega)
         z = np.empty((cells, omega.size), dtype=complex)
         identity = np.eye(cells, dtype=complex)
-        for k, lu in enumerate(self._probed_lus(omega, freqs)):
-            z[:, k] = np.diagonal(lu.solve(identity))
+        for k in range(omega.size):
+            rows, cols, vals = admittance_stamp_entries(a, b, edge_y[k])
+            rows, cols = np.append(rows, nodes), np.append(cols, nodes)
+            matrix = sp.csc_matrix(
+                (np.append(vals, shunt[k]), (rows, cols)), shape=(cells, cells)
+            )
+            z[:, k] = np.diagonal(probed_lu(matrix, freqs[k]).solve(identity))
         return z
 
     # -- driven sweep -----------------------------------------------------------
@@ -1647,12 +1610,13 @@ class GridACPDN(MeshView):
         Solves the reduced node-only system of :meth:`impedance_map`, in
         which each source's output branch is already the shunt
         ``y_src(ω)`` at its attach node, so its EMF enters as the Norton
-        injection ``y_src(ω)·V`` there: one probed sparse LU per
-        frequency (:func:`~repro.pdn.ac.probed_lu`).  As the frequency
-        approaches zero the decaps open and the series inductances
-        short, so the voltage maps converge to the :class:`GridPDN` DC
-        IR-drop solution of the same mesh — the regression the grid
-        tests pin down.
+        injection ``y_src(ω)·V`` there.  Each frequency's right-hand
+        side rides the selinv block sweep next to its known-solution
+        probe, so a singular point raises naming its frequency.  As the
+        frequency approaches zero the decaps open and the series
+        inductances short, so the voltage maps converge to the
+        :class:`GridPDN` DC IR-drop solution of the same mesh — the
+        regression the grid tests pin down.
 
         Raises:
             SolverError: singular or non-finite system at a sweep point.
@@ -1660,16 +1624,14 @@ class GridACPDN(MeshView):
         freqs = check_frequencies(frequencies_hz)
         design = self._require(sinks=True)
         omega = 2.0 * math.pi * freqs
-        # Each row holds its right-hand side until it is solved.
-        voltages = np.empty((freqs.size, self.nx * self.ny), dtype=complex)
-        voltages[:] = -_sink_row(design)
+        rhs = np.empty((freqs.size, self.nx * self.ny), dtype=complex)
+        rhs[:] = -_sink_row(design)
         np.add.at(
-            voltages,
+            rhs,
             (slice(None), design.attach_rows()),
             self._source_admittance(omega) * design.source_values("voltage_v"),
         )
-        for k, lu in enumerate(self._probed_lus(omega, freqs)):
-            voltages[k] = lu.solve(voltages[k])
+        voltages = self._selinv_sweep(omega, freqs, rhs[:, :, None])
         return GridACSweepSolution(
             frequencies_hz=freqs,
             voltage_maps=voltages.reshape(-1, self.ny, self.nx),
@@ -1681,7 +1643,7 @@ def _check_probe(probe_error: np.ndarray, freqs: np.ndarray) -> None:
     bad = ~(np.isfinite(probe_error) & (probe_error <= SINGULARITY_PROBE_TOL))
     if bad.any():
         raise SolverError(
-            "grid impedance is singular at "
+            "grid AC system is singular at "
             f"{freqs[np.nonzero(bad)[0][0]]:.6g} Hz "
             "(resonant singularity or floating mesh)"
         )

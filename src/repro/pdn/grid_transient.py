@@ -618,6 +618,13 @@ class GridTransientPDN(MeshView):
                     f"settle_band_v must be positive, got {settle_band_v}"
                 )
         volt = self._require().source_values("voltage_v")
+        if settle_band_v is None:
+            settle_band_v = 0.02 * float(np.abs(volt).max())
+            if settle_band_v <= 0:
+                raise ConfigError(
+                    "settle_band_v must be given when every source sits at "
+                    "0 V: its default is 2% of the largest source voltage"
+                )
         structure = self._structure(dt_s)
         mode = resolve_engine(
             self.engine, self.nx * self.ny, TRANSIENT_AUTO_MIN_CELLS
@@ -642,7 +649,7 @@ class GridTransientPDN(MeshView):
         volt: np.ndarray,
         traces: list[np.ndarray],
         probe_rows: tuple[int, ...],
-        settle_band_v: float | None,
+        settle_band_v: float,
         dc_settle: bool,
         mode: str,
     ) -> list[GridTransientResult]:
@@ -852,11 +859,6 @@ class GridTransientPDN(MeshView):
         # sample itself.
         v_final = dc_voltages(negated_load(samples - 1)) if dc_settle else v
 
-        band = (
-            settle_band_v
-            if settle_band_v is not None
-            else 0.02 * float(np.abs(volt).max())
-        )
         time = np.arange(samples) * st.dt_s
         shape = (self.ny, self.nx)
         results: list[GridTransientResult] = []
@@ -867,7 +869,7 @@ class GridTransientPDN(MeshView):
                 min_trace[:, t],
                 float(min_trace[0, t]),
                 float(v_final[t].min()),
-                band,
+                settle_band_v,
             )
             results.append(
                 GridTransientResult(

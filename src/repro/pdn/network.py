@@ -246,18 +246,12 @@ class Netlist:
         return sum(s.current_a for s in self.current_sources)
 
     def validate(self) -> None:
-        """Cheap structural validation (raises ConfigError).
-
-        Full electrical validation (connectivity to sources) happens in
-        the solver; this catches empty/obviously broken netlists early.
-        """
+        """Reject an empty netlist (raises ConfigError).  Whether every
+        node reaches ground (a Norton feed needs no voltage source) is
+        the structural check of :class:`repro.pdn.mna.FactorizedPDN`,
+        as for :meth:`CompiledNetlist.validate`."""
         if not self.resistors and not self.voltage_sources:
             raise ConfigError("netlist has no resistors or sources")
-        if not self.voltage_sources and self.current_sources:
-            raise ConfigError(
-                "current sources present but no voltage source/ground "
-                "reference to absorb them"
-            )
 
     def extend(self, other: "Netlist") -> None:
         """Merge another netlist into this one (names must not clash)."""

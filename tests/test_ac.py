@@ -103,6 +103,23 @@ class TestAnalyticCircuits:
         with pytest.raises(ConfigError):
             solve_ac(net, 0.0)
 
+    @pytest.mark.parametrize(
+        "frequency, problem",
+        [
+            (math.nan, "finite"),
+            (math.inf, "finite"),
+            (-math.inf, "finite"),
+            (0.0, "positive"),
+            (-1.0, "positive"),
+        ],
+    )
+    def test_rejects_a_bad_frequency_by_name(self, frequency, problem):
+        net = ACNetlist()
+        net.add_resistor("r", "a", "0", 1.0)
+        message = f"^frequency_hz must be {problem}"
+        with pytest.raises(ConfigError, match=message):
+            solve_ac(net, frequency)
+
 
 class TestImpedanceProbe:
     def build_single_stage(self) -> ACNetlist:

@@ -502,6 +502,26 @@ class TestNortonStamp:
         with pytest.raises(SolverError, match="^node 'c' floats"):
             FactorizedPDN(compiled)
 
+    def test_builder_norton_feed_solves_like_its_compiled_form(self):
+        # The builder form needs no voltage source either: the
+        # structural check decides for both forms.
+        net = Netlist()
+        net.add_resistor("r", "a", Netlist.GROUND, 2.0)
+        net.add_load("load", "a", 1.0)
+        assert solve_dc(net).voltage("a") == pytest.approx(-2.0, rel=1e-15)
+        assert solve_dc(net.compile()).voltage("a") == pytest.approx(
+            -2.0, rel=1e-15
+        )
+
+    def test_builder_current_source_into_a_floating_island_names_a_node(self):
+        net = Netlist()
+        net.add_resistor("r", "a", Netlist.GROUND, 2.0)
+        net.add_resistor("island", "c", "d", 1.0)
+        net.add_load("load", "a", 1.0)
+        net.add_current_source("feed", Netlist.GROUND, "c", 1.0)
+        with pytest.raises(SolverError, match="^node '[cd]' floats"):
+            solve_dc(net)
+
     def test_scenario_rows_of_a_load_stack(self):
         solver = FactorizedPDN(feed_netlist().compile())
         stack = np.array([[100.0], [40.0], [0.0]])

@@ -612,6 +612,23 @@ class TestSolveDisabledMany:
         with pytest.raises(ConfigError, match="^sink_maps "):
             grid.solve_many([np.ones((10, 10)), np.ones((3, 3))])
 
+    @pytest.mark.parametrize("engine", ["factorized", "structured"])
+    def test_solve_many_takes_a_generator(self, engine):
+        # Any iterable of (ny, nx) maps is a stack: a generator solves
+        # to the same bits as the list it yields.
+        grid = _bank(8, engine)
+        maps = list(np.random.default_rng(8).uniform(0.0, 0.2, (3, 8, 8)))
+        listed = grid.solve_many(maps)
+        generated = grid.solve_many(m for m in maps)
+        assert len(generated) == len(maps)
+        for got, want in zip(generated, listed):
+            _assert_identical(got, want)
+
+    @pytest.mark.parametrize("value", [3.0, None])
+    def test_solve_many_rejects_a_non_iterable_by_name(self, value):
+        with pytest.raises(ConfigError, match="^sink_maps "):
+            self.powered_grid().solve_many(value)
+
 
 def _bank(n: int, engine: str) -> GridPDN:
     """An n×n grid with a hotspot load and five scattered VRs."""

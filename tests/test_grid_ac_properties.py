@@ -575,7 +575,8 @@ def test_selinv_floating_mesh_fails_the_probe(monkeypatch, nx, ny):
     exactly singular, yet the block LU slides through on a rounded
     pivot and returns finite numbers.  Only the known-solution probe
     catches it, at the first sweep frequency; the adjoint columns and
-    the driven sweep carry the same probe (``probed_lu``)."""
+    the driven sweep run the same selinv sweep with its probe, and the
+    direct oracle probes its LU (``probed_lu``)."""
     pdn = GridACPDN(1e-2, 1e-2, 1e-2, nx=nx, ny=ny)
     pdn.add_source("s0", 0.0, 0.0, 1.0, 1e-2)
     pdn.set_decap_map(np.full((ny, nx), 1e-7), 1e-2, 1e-11)
@@ -1075,7 +1076,7 @@ def test_driven_sweep_low_frequency_oracle():
     """mΩ sources and µF decaps on a 0.1 Ω/sq 2×3 mesh at 10 kHz: a
     plain sparse solve of the lumped equivalent lands 4.9e-9 off a
     40-digit solve of the same matrix, over the parity bound the
-    reduced driven sweep (2.2e-16 off) meets; one refinement round in
+    reduced driven sweep (4.5e-16 off) meets; one refinement round in
     solve_ac brings the oracle to 2.2e-10."""
     pdn = GridACPDN(
         1e-2,
@@ -1116,7 +1117,7 @@ def test_driven_sweep_stiff_decap_example():
     1 pH edges at 10 kHz (condition number 2.2e8).  solve_ac lands
     1.3e-9 off a 40-digit solve of the circuit, over the driven bound,
     because rounding its stamp's entries to float64 alone moves the
-    solution by 7.4e-10; the reduced driven sweep reads 1.6e-15 off,
+    solution by 7.4e-10; the reduced driven sweep reads 3.5e-15 off,
     so it is held to the 40-digit reference."""
     nx, ny, sheet, edge_l = 2, 3, 0.078125, 1e-12
     decap = np.full((ny, nx), 9.77505205899726e-07)
@@ -1255,14 +1256,36 @@ def test_engines_meet_a_40_digit_solve(example, engines):
     "example", [_ring_colocated, _inductive_metal, _ring_along_an_edge],
     ids=["ring_colocated", "inductive_metal", "ring_along_an_edge"],
 )
-def test_columns_diagonal_is_the_direct_map(example):
-    """The adjoint columns and the direct oracle factor the same matrix
-    through one probed LU (``probed_lu``), so the diagonal of
-    ``impedance_columns`` over every node equals a whole-sweep
-    ``impedance_map(method="direct")`` bit for bit at each frequency."""
+def test_columns_diagonal_is_the_selinv_map(example):
+    """The adjoint columns and the selinv map run one block sweep: the
+    columns back-substitute unit probes where the map recurses the
+    inverse's diagonal blocks, so the diagonal of ``impedance_columns``
+    over every node meets a whole-sweep ``impedance_map(method=
+    "selinv")`` to 1e-14 of each frequency's largest |Z| (measured
+    ≤1.8e-16)."""
     pdn, freqs = example()
-    direct = pdn.impedance_map(freqs, method="direct").z_ohm
+    selinv = pdn.impedance_map(freqs, method="selinv").z_ohm
     nodes = np.arange(pdn.nx * pdn.ny)
     for k, f in enumerate(freqs):
-        columns = pdn.impedance_columns(f, nodes)
-        np.testing.assert_array_equal(np.diagonal(columns), direct[:, k])
+        diagonal = np.diagonal(pdn.impedance_columns(f, nodes))
+        scale = np.abs(selinv[:, k]).max()
+        assert np.abs(diagonal - selinv[:, k]).max() <= 1e-14 * scale
+
+
+def test_only_the_direct_oracle_factors_a_sparse_lu(monkeypatch):
+    """The adjoint columns and the driven sweep ride the selinv block
+    sweep; the ``direct`` map is the one grid path left on a sparse LU
+    (``probed_lu``)."""
+    pdn, freqs = _ring_along_an_edge()
+    pdn.set_sink_array(np.full((pdn.ny, pdn.nx), 0.1))
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("factored a sparse LU")
+
+    monkeypatch.setattr(grid_module, "probed_lu", no_lu)
+    columns = pdn.impedance_columns(freqs[0], [0, 5])
+    assert columns.shape == (pdn.nx * pdn.ny, 2)
+    driven = pdn.solve(freqs)
+    assert np.all(np.isfinite(driven.voltage_maps))
+    with pytest.raises(AssertionError, match="factored a sparse LU"):
+        pdn.impedance_map(freqs, method="direct")

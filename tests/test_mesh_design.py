@@ -323,20 +323,23 @@ class TestCachesFollowTheKey:
         return pdn
 
     def test_sink_and_voltage_edits_keep_ac_structures(self):
-        """A selinv map builds its level plan and no reduced CSC
-        pattern; the adjoint columns, an LU path, build that pattern.
-        Both survive sink and voltage edits."""
+        """The selinv map, the adjoint columns and the driven sweep run
+        on one level plan, which survives sink and voltage edits; no
+        reduced CSC pattern is built."""
         pdn = self.pdn()
         freqs = np.logspace(5, 8, 4)
         pdn.impedance_map(freqs)
-        assert getattr(pdn, "_reduced", None) is None
+        plan = pdn._selinv[1]
         pdn.impedance_columns(freqs[0], [0, 7])
-        reduced, plan = pdn._reduced[1], pdn._selinv[1]
+        pdn.solve(freqs)
+        assert pdn._selinv[1] is plan
         pdn.set_sink_array(np.full((4, 5), 0.9))
         pdn.design = _with_voltages(pdn.design, 0.1)
-        pdn.impedance_map(freqs)
         pdn.impedance_columns(freqs[0], [0, 7])
-        assert pdn._reduced[1] is reduced and pdn._selinv[1] is plan
+        pdn.solve(freqs)
+        pdn.impedance_map(freqs)
+        assert pdn._selinv[1] is plan
+        assert not hasattr(pdn, "_reduced")
 
     def test_compiled_sweep_tags_its_baked_in_sinks(self):
         pdn = self.pdn()
@@ -642,3 +645,34 @@ def test_non_positive_settle_band_is_rejected_before_stepping(
     monkeypatch.setattr(pdn, "_structure", no_run)
     with pytest.raises(ConfigError, match="^settle_band_v must be positive"):
         call(pdn, band)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pdn: pdn.simulate(np.ones((3, 16)), 1e-9),
+        lambda pdn: pdn.simulate_many([np.ones((3, 16))], 1e-9),
+        lambda pdn: pdn.simulate_step(1.0, 2.0, 1e-8, 1e-9),
+    ],
+    ids=["simulate", "simulate_many", "simulate_step"],
+)
+def test_zero_default_settle_band_is_rejected_before_stepping(
+    call, monkeypatch
+):
+    """The default band is 2% of the largest source voltage, 0 when
+    every source sits at 0 V: that is refused before the run, not by
+    the settle measurement after it."""
+    pdn = _view("transient")
+    pdn.design = replace(
+        pdn.design,
+        sources=tuple(
+            replace(source, voltage_v=0.0) for source in pdn.design.sources
+        ),
+    )
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("stepped before checking the default band")
+
+    monkeypatch.setattr(pdn, "_run", no_run)
+    with pytest.raises(ConfigError, match="^settle_band_v must be given"):
+        call(pdn)

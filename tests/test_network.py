@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SolverError
+from repro.pdn.mna import solve_dc
 from repro.pdn.network import (
     CurrentSource,
     Netlist,
@@ -98,12 +99,16 @@ class TestNetlistBuilder:
         with pytest.raises(ConfigError):
             Netlist().validate()
 
-    def test_validate_loads_without_sources_rejected(self):
+    def test_loads_without_a_path_to_ground_are_rejected_by_the_solver(self):
+        # validate() leaves connectivity to the structural check, which
+        # rejects the floating part by name (a Norton feed needs no
+        # voltage source, see test_compiled_netlist.TestNortonStamp).
         net = Netlist()
         net.add_resistor("r", "a", "b", 1.0)
         net.add_load("l", "a", 1.0)
-        with pytest.raises(ConfigError):
-            net.validate()
+        net.validate()
+        with pytest.raises(SolverError, match="^node '[ab]' floats"):
+            solve_dc(net)
 
     def test_extend_merges(self):
         first = Netlist()
